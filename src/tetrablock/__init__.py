@@ -14,20 +14,19 @@ from .domains import (G2MembershipReport, G2Point, Location, MembershipReport,
 from .extremals import (CoordinateMap, ExtremalFamily, ExtremalFamilyId,
                         G2FMap, MagicFMap, PsiOmegaMap,
                         caratheodory_lower_bound, f_omega_automorphism, g2_f,
-                        g2_lower_bound, magic_f, p_e, psi_eta, register_family,
-                        sigma)
+                        magic_f, p_e, psi_eta, sigma)
 from .geodesics import (DiscSearchResult, DiscVerdict, DiscVerificationReport,
                         G2GeodesicParams, GeneralDiscParams,
                         OriginGeodesicParams, OriginGeodesicSolution,
-                        TransportClass, blaschke_interp_origin,
-                        boundary_disc, certified_left_inverse,
+                        TransportClass, axis_pair, blaschke_interp_origin,
+                        boundary_disc, certified_left_inverse, disc_coords,
                         disc_search_upper_bound, eval_boundary_disc,
                         eval_general_disc, eval_origin_geodesic,
                         g2_origin_geodesic, g2_geodesic_disc,
                         g2_violation_witness, general_disc,
                         is_product_geodesic, left_inverse_residual,
                         lempert_special, origin_geodesic_disc, origin_lempert,
-                        product_disc, product_disc_map, sample_grid,
+                        product_disc, sample_grid,
                         solve_origin_geodesic_through, transport_disc,
                         transported_extremal, transported_extremal_disc,
                         verify_disc)

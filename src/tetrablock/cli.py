@@ -28,7 +28,7 @@ from .errors import DomainError
 from .extremals import (ExtremalFamily, caratheodory_lower_bound, magic_f,
                         mobius_m, p_e)
 from .geodesics import (DiscVerdict, G2GeodesicParams, GeneralDiscParams,
-                        OriginGeodesicParams, disc_search_upper_bound,
+                        OriginGeodesicParams, axis_pair, disc_search_upper_bound,
                         certified_left_inverse, eval_origin_geodesic,
                         g2_geodesic_disc, g2_origin_geodesic, general_disc,
                         lempert_special, origin_geodesic_disc,
@@ -66,14 +66,21 @@ class Parser(argparse.ArgumentParser):
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a', 'a+bi', 'bi', 'i' (also with 'j') into a complex number."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
+    """Parse 'a', 'a+bi', 'bi', 'i' (also with 'j') into a finite complex
+    number."""
+    lowered = text.strip().replace(" ", "").lower()
+    if "nan" in lowered or "inf" in lowered:
+        raise _UsageExit(f"non-finite complex literal {text!r}")
+    cleaned = lowered.replace("i", "j")
     if not cleaned:
         raise _UsageExit("empty complex literal")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError:
         raise _UsageExit(f"cannot parse complex literal {text!r}")
+    if not cmath.isfinite(value):
+        raise _UsageExit(f"non-finite complex literal {text!r}")
+    return value
 
 
 def parse_point(text: str, n: int) -> tuple:
@@ -100,9 +107,11 @@ def parse_phi(text: str) -> BlaschkeMap:
         if len(parts) != 3:
             raise _UsageExit("blaschke spec needs omega|scale|zeros")
         omega = parse_complex(parts[0])
-        scale = float(parts[1])
+        scale = parse_complex(parts[1])
+        if scale.imag != 0.0:
+            raise _UsageExit(f"blaschke scale must be real, got {parts[1]!r}")
         zeros = tuple(parse_complex(p) for p in parts[2].split(";") if p)
-        return BlaschkeMap(omega, zeros, scale)
+        return BlaschkeMap(omega, zeros, scale.real)
     raise _UsageExit(f"cannot parse self-map spec {text!r}")
 
 
@@ -190,18 +199,13 @@ def cmd_member(args) -> int:
     return _LOCATION_EXIT[location]
 
 
-def _axis_pair_closed_form(w: TetraPoint, z: TetraPoint) -> Optional[HyperbolicDistance]:
-    for a, b in ((w, z), (z, w)):
-        if (abs(a.z1) < 1e-13 and abs(a.z2) < 1e-13 and abs(b.z1) < 1e-13
-                and abs(b.z3 - a.z3) < 1e-12 and abs(b.z2) + abs(a.z3) < 1.0):
-            return lempert_special(b.z2, a.z3)
-    return None
-
-
 def cmd_distance(args) -> int:
     w = TetraPoint(*parse_point(args.w, 3))
     z = TetraPoint(*parse_point(args.z, 3))
-    families = [ExtremalFamily(name) for name in args.lower_families.split(",")]
+    try:
+        families = [ExtremalFamily(name) for name in args.lower_families.split(",")]
+    except ValueError:
+        raise _UsageExit(f"unknown family in --lower-families {args.lower_families!r}")
     p_val = p_e(w, z)
     c_val = caratheodory_lower_bound(w, z, families)
     search = None
@@ -210,7 +214,8 @@ def cmd_distance(args) -> int:
         if search is None or (candidate.found and (not search.found
                               or candidate.bound.m_scale < search.bound.m_scale)):
             search = candidate
-    closed = _axis_pair_closed_form(w, z)
+    pair = axis_pair(w, z)
+    closed = lempert_special(pair[1], pair[0]) if pair is not None else None
     sandwich_ok = (not search.found) or c_val.m_scale <= search.bound.m_scale + 1e-9
     results = {
         "p_e": dist(p_val),
@@ -276,6 +281,8 @@ def cmd_geodesic(args) -> int:
         return EXIT_OK
 
     if args.action == "verify":
+        if args.samples < 1:
+            raise _UsageExit("--samples must be positive")
         if args.domain == "g2":
             params = G2GeodesicParams(args.C, parse_complex(args.omega))
             report = verify_disc(g2_geodesic_disc(params), G2FMap(params.omega),
@@ -384,6 +391,8 @@ def _write_rows(path: str, rows: List[Dict[str, object]], fmt: str,
 def cmd_sweep(args) -> int:
     rows: List[Dict[str, object]] = []
     if args.quantity == "separation":
+        if not args.c_step > 0:
+            raise _UsageExit("--c-step must be positive")
         n_steps = int(round((args.c_max - args.c_min) / args.c_step)) + 1
         lam = args.lam
         for k in range(max(n_steps, 0)):

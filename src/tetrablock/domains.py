@@ -19,7 +19,6 @@ principle).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -37,6 +36,14 @@ DEFAULT_BOUNDARY_TOL = 1e-10
 PSI_GRID = AngleGrid(n_angles=1024, refine_iters=40)
 
 
+def as_coordinate(value):
+    """A point coordinate: scalars become Python ``complex``, arrays complex
+    ndarrays (so a point can carry a whole sample grid at once)."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        return value.astype(complex, copy=False)
+    return complex(value)
+
+
 class Location(Enum):
     INTERIOR = "interior"
     BOUNDARY = "boundary"
@@ -45,16 +52,17 @@ class Location(Enum):
 
 @dataclass(frozen=True)
 class TetraPoint:
-    """A point of C^3, classified against the tetrablock."""
+    """A point of C^3 (or an array of sample points), classified against the
+    tetrablock."""
 
     z1: complex
     z2: complex
     z3: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "z1", complex(self.z1))
-        object.__setattr__(self, "z2", complex(self.z2))
-        object.__setattr__(self, "z3", complex(self.z3))
+        object.__setattr__(self, "z1", as_coordinate(self.z1))
+        object.__setattr__(self, "z2", as_coordinate(self.z2))
+        object.__setattr__(self, "z3", as_coordinate(self.z3))
 
     @staticmethod
     def of(value) -> "TetraPoint":
@@ -72,14 +80,15 @@ class TetraPoint:
 
 @dataclass(frozen=True)
 class G2Point:
-    """A point (s, p) of C^2 classified against the symmetrized bidisc."""
+    """A point (s, p) of C^2 (or an array of sample points) classified
+    against the symmetrized bidisc."""
 
     s: complex
     p: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "s", complex(self.s))
-        object.__setattr__(self, "p", complex(self.p))
+        object.__setattr__(self, "s", as_coordinate(self.s))
+        object.__setattr__(self, "p", as_coordinate(self.p))
 
     @staticmethod
     def of(value) -> "G2Point":
@@ -175,35 +184,36 @@ def psi_sup(z, grid: AngleGrid = PSI_GRID) -> float:
     return val
 
 
-def stable_quadratic_roots(s: complex, p: complex) -> Tuple[complex, complex]:
+def stable_quadratic_roots(s, p):
     """Roots of t^2 - s t + p = 0, sign-matched to avoid cancellation.
 
-    Returns the roots ordered by decreasing modulus.
+    Returns the roots ordered by decreasing modulus, ties broken by real and
+    then imaginary part.  Scalar input gives a pair of ``complex``; array
+    input gives a pair of arrays ordered entry by entry.
     """
-    s = complex(s)
-    p = complex(p)
-    disc = s * s - 4.0 * p
-    sq = cmath.sqrt(disc)
-    # pick the branch that adds constructively to s
-    if abs(s + sq) >= abs(s - sq):
-        q = (s + sq) / 2.0
-    else:
-        q = (s - sq) / 2.0
-    if q == 0.0:
-        roots = (0.0 + 0.0j, s)
-    else:
-        try:
-            other = p / q
-        except (ZeroDivisionError, OverflowError):
-            other = s - q
-        if not (math.isfinite(other.real) and math.isfinite(other.imag)):
-            # subnormal q: fall back on the root sum
-            other = s - q
-        roots = (complex(q), complex(other))
-    return tuple(sorted(roots, key=lambda r: (-abs(r), r.real, r.imag)))
+    s = np.asarray(s, dtype=complex)
+    p = np.asarray(p, dtype=complex)
+    with np.errstate(all="ignore"):
+        sq = np.sqrt(s * s - 4.0 * p)
+        # pick the branch that adds constructively to s
+        plus, minus = s + sq, s - sq
+        q = np.where(np.abs(plus) >= np.abs(minus), plus, minus) / 2.0
+        q = np.where(q == 0.0, 0.0j, q)
+        other = p / q
+        # q = 0 (roots 0 and s) or subnormal q: fall back on the root sum
+        other = np.where(np.isfinite(other), other, s - q)
+        aq, ao = np.abs(q), np.abs(other)
+        swap = np.where(ao != aq, ao > aq,
+                        np.where(other.real != q.real, other.real < q.real,
+                                 other.imag < q.imag))
+    first, second = np.where(swap, other, q), np.where(swap, q, other)
+    if first.ndim:
+        return first, second
+    return complex(first), complex(second)
 
 
-def g2_roots(w) -> Tuple[complex, complex]:
+def g2_roots(w):
+    """Root pair of a point (or of an array point) of the symmetrized bidisc."""
     w = G2Point.of(w)
     return stable_quadratic_roots(w.s, w.p)
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from .angle_search import AngleGrid, max_on_circle
-from .domains import DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, is_interior
+from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, as_coordinate,
+                      is_interior)
 from .errors import BranchError, DomainError, PoleError
 from .hyperbolic import HyperbolicDistance, mobius_m, require_unimodular
 
@@ -30,19 +31,30 @@ OMEGA_GRID = AngleGrid(n_angles=1024, refine_iters=60)
 _POLE_TOL = 1e-14
 
 
+def _least(values):
+    """The smallest entry of an array, or a scalar itself: guards on array
+    points test every sample."""
+    return values.min() if isinstance(values, np.ndarray) else values
+
+
+def _sqrt(value):
+    """Principal square root; a scalar stays a Python complex."""
+    return np.sqrt(value) if isinstance(value, np.ndarray) else cmath.sqrt(value)
+
+
 def psi_eta(eta: complex, z) -> complex:
     """The rational membership family (eta z3 - z2) / (eta z1 - 1).
 
     Requires eta in the closed disc and eta z1 != 1; on interior points the
-    value has modulus < 1.
+    value has modulus < 1.  An array point gives an array of values.
     """
     z = TetraPoint.of(z)
     eta = complex(eta)
     if abs(eta) > 1.0 + 1e-12:
         raise DomainError(f"eta must lie in the closed disc, got |eta| = {abs(eta)}")
     den = eta * z.z1 - 1.0
-    if abs(den) < _POLE_TOL:
-        raise PoleError(f"psi_eta pole: |eta*z1 - 1| = {abs(den)}")
+    if _least(abs(den)) < _POLE_TOL:
+        raise PoleError(f"psi_eta pole: |eta*z1 - 1| = {_least(abs(den))}")
     return (eta * z.z3 - z.z2) / den
 
 
@@ -68,9 +80,9 @@ def magic_f(z) -> complex:
     """
     z = TetraPoint.of(z)
     d = 1.0 + z.z3 - z.z1 * z.z2
-    if d.real <= 0.0:
-        raise BranchError(f"Re(1 + z3 - z1 z2) = {d.real} <= 0; input not interior")
-    return z.z2 / cmath.sqrt(d)
+    if _least(d.real) <= 0.0:
+        raise BranchError(f"Re(1 + z3 - z1 z2) = {_least(d.real)} <= 0; input not interior")
+    return z.z2 / _sqrt(d)
 
 
 def g2_f(omega: complex, w) -> complex:
@@ -78,8 +90,8 @@ def g2_f(omega: complex, w) -> complex:
     omega = require_unimodular(omega)
     w = G2Point.of(w)
     den = 2.0 - omega * w.s
-    if abs(den) < _POLE_TOL:
-        raise PoleError(f"g2_f pole: |2 - omega*s| = {abs(den)}")
+    if _least(abs(den)) < _POLE_TOL:
+        raise PoleError(f"g2_f pole: |2 - omega*s| = {_least(abs(den))}")
     return (2.0 * omega * w.p - w.s) / den
 
 
@@ -113,7 +125,7 @@ class PsiOmegaMap:
             z = sigma(z)
         eta = self.eta
         den = eta * z.z1 - 1.0
-        if abs(den) < _POLE_TOL:
+        if _least(abs(den)) < _POLE_TOL:
             raise PoleError("psi gradient pole")
         d1 = -eta * (eta * z.z3 - z.z2) / den ** 2
         d2 = -1.0 / den
@@ -132,9 +144,9 @@ class MagicFMap:
     def gradient(self, point) -> Tuple[complex, complex, complex]:
         z = TetraPoint.of(point)
         d = 1.0 + z.z3 - z.z1 * z.z2
-        if d.real <= 0.0:
+        if _least(d.real) <= 0.0:
             raise BranchError("gradient branch: input not interior")
-        root = cmath.sqrt(d)
+        root = _sqrt(d)
         den = 2.0 * d * root
         return (z.z2 ** 2 / den, (2.0 * d + z.z1 * z.z2) / den, -z.z2 / den)
 
@@ -153,7 +165,7 @@ class G2FMap:
         w = G2Point.of(point)
         omega = self.omega
         den = 2.0 - omega * w.s
-        if abs(den) < _POLE_TOL:
+        if _least(abs(den)) < _POLE_TOL:
             raise PoleError("g2_f gradient pole")
         d_s = (-2.0 + 2.0 * omega ** 2 * w.p) / den ** 2
         d_p = 2.0 * omega / den
@@ -170,8 +182,7 @@ class CoordinateMap:
         self.dim = dim
 
     def __call__(self, point) -> complex:
-        coords = tuple(point)
-        return complex(coords[self.index])
+        return as_coordinate(tuple(point)[self.index])
 
     def gradient(self, point) -> Tuple[complex, ...]:
         return tuple(1.0 + 0.0j if j == self.index else 0.0j for j in range(self.dim))
@@ -206,10 +217,6 @@ def _psi_values(z: TetraPoint, thetas: np.ndarray) -> np.ndarray:
     return (eta * z.z3 - z.z2) / (eta * z.z1 - 1.0)
 
 
-def _mobius_m_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs((a - b) / (1.0 - np.conjugate(a) * b))
-
-
 def _psi_family_bound(w: TetraPoint, z: TetraPoint, grid: AngleGrid,
                       swap: bool, parameter: Optional[complex]) -> float:
     if swap:
@@ -218,59 +225,25 @@ def _psi_family_bound(w: TetraPoint, z: TetraPoint, grid: AngleGrid,
         return mobius_m(psi_eta(parameter, w), psi_eta(parameter, z))
 
     def values(thetas: np.ndarray) -> np.ndarray:
-        return _mobius_m_array(_psi_values(w, thetas), _psi_values(z, thetas))
+        return mobius_m(_psi_values(w, thetas), _psi_values(z, thetas))
 
     _, val = max_on_circle(values, grid)
     return val
 
-
-def _magic_bound(w: TetraPoint, z: TetraPoint, grid: AngleGrid,
-                 parameter: Optional[complex]) -> float:
-    return mobius_m(magic_f(w), magic_f(z))
-
-
-def _g2_family_bound(w: G2Point, z: G2Point, grid: AngleGrid,
-                     parameter: Optional[complex]) -> float:
-    if parameter is not None:
-        return mobius_m(g2_f(parameter, w), g2_f(parameter, z))
-
-    def values(thetas: np.ndarray) -> np.ndarray:
-        omega = np.exp(1j * thetas)
-        a = (2.0 * omega * w.p - w.s) / (2.0 - omega * w.s)
-        b = (2.0 * omega * z.p - z.s) / (2.0 - omega * z.s)
-        return _mobius_m_array(a, b)
-
-    _, val = max_on_circle(values, grid)
-    return val
-
-
-#: registry of bound evaluators; extendable without touching the optimizer
-FAMILY_REGISTRY: Dict[ExtremalFamily, dict] = {
-    ExtremalFamily.PSI_OMEGA: {
-        "domain": "tetrablock",
-        "bound": lambda w, z, grid, par: _psi_family_bound(w, z, grid, False, par),
-    },
-    ExtremalFamily.PSI_OMEGA_SIGMA: {
-        "domain": "tetrablock",
-        "bound": lambda w, z, grid, par: _psi_family_bound(w, z, grid, True, par),
-    },
-    ExtremalFamily.MAGIC_F: {
-        "domain": "tetrablock",
-        "bound": _magic_bound,
-    },
-    ExtremalFamily.G2_F_OMEGA: {
-        "domain": "g2",
-        "bound": _g2_family_bound,
-    },
-}
 
 TETRABLOCK_FAMILIES = (ExtremalFamily.PSI_OMEGA, ExtremalFamily.PSI_OMEGA_SIGMA,
                        ExtremalFamily.MAGIC_F)
 
 
-def register_family(tag: ExtremalFamily, *, domain: str, bound: Callable) -> None:
-    """Register an additional lower-bound family evaluator."""
-    FAMILY_REGISTRY[tag] = {"domain": domain, "bound": bound}
+def _family_bound(fid: ExtremalFamilyId, w: TetraPoint, z: TetraPoint,
+                  grid: AngleGrid) -> float:
+    if fid.tag is ExtremalFamily.PSI_OMEGA:
+        return _psi_family_bound(w, z, grid, False, fid.parameter)
+    if fid.tag is ExtremalFamily.PSI_OMEGA_SIGMA:
+        return _psi_family_bound(w, z, grid, True, fid.parameter)
+    if fid.tag is ExtremalFamily.MAGIC_F:
+        return mobius_m(magic_f(w), magic_f(z))
+    raise DomainError(f"family {fid.tag.value} does not apply to tetrablock points")
 
 
 def _resolve_family(entry) -> ExtremalFamilyId:
@@ -308,7 +281,7 @@ def p_e(w, z, grid: AngleGrid = OMEGA_GRID) -> HyperbolicDistance:
 
 def caratheodory_lower_bound(w, z, families: Iterable = TETRABLOCK_FAMILIES,
                              grid: AngleGrid = OMEGA_GRID) -> HyperbolicDistance:
-    """Best certified Caratheodory lower bound over the registered families.
+    """Best certified Caratheodory lower bound over the given families.
 
     Each family contributes the Mobius distance of its values (maximized
     over the unimodular parameter where one exists); the result is reported
@@ -320,17 +293,6 @@ def caratheodory_lower_bound(w, z, families: Iterable = TETRABLOCK_FAMILIES,
     w, z = _require_interior_pair(w, z)
     best = 0.0
     for fid in family_ids:
-        spec = FAMILY_REGISTRY.get(fid.tag)
-        if spec is None:
-            raise DomainError(f"family {fid.tag} is not registered")
-        if spec["domain"] != "tetrablock":
-            raise DomainError(f"family {fid.tag.value} does not apply to tetrablock points")
-        best = max(best, float(spec["bound"](w, z, grid, fid.parameter)))
+        best = max(best, float(_family_bound(fid, w, z, grid)))
     return HyperbolicDistance.from_m(best)
 
-
-def g2_lower_bound(w, z, grid: AngleGrid = OMEGA_GRID) -> HyperbolicDistance:
-    """Caratheodory lower bound on the symmetrized bidisc from its family."""
-    w = G2Point.of(w)
-    z = G2Point.of(z)
-    return HyperbolicDistance.from_m(_g2_family_bound(w, z, grid, None))

@@ -28,8 +28,9 @@ import numpy as np
 from scipy.optimize import brentq, least_squares
 
 from .angle_search import golden_max
-from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, Location, TetraPoint,
-                      g2_membership, is_interior, tetra_e_value)
+from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, e_value_raw,
+                      g2_roots, is_interior, stable_quadratic_roots,
+                      tetra_e_value)
 from .errors import DomainError, PoleError
 from .extremals import PsiOmegaMap, psi_eta, sigma
 from .hyperbolic import (TOL_CLOSURE, BlaschkeMap, HyperbolicDistance,
@@ -41,10 +42,18 @@ DEFAULT_N_ANGLES = 16
 
 
 def sample_grid(radii: Sequence[float] = DEFAULT_RADII,
-                n_angles: int = DEFAULT_N_ANGLES) -> List[complex]:
-    """Roots of unity scaled by the given radii; deterministic order."""
-    return [r * cmath.exp(2j * math.pi * k / n_angles)
-            for r in radii for k in range(n_angles)]
+                n_angles: int = DEFAULT_N_ANGLES) -> np.ndarray:
+    """Roots of unity scaled by the given radii, radius by radius, as one
+    complex array in a deterministic order."""
+    roots = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
+    return (np.asarray(radii, dtype=float)[:, None] * roots).ravel()
+
+
+def _nonempty_grid(radii: Sequence[float], n_angles: int) -> np.ndarray:
+    lams = sample_grid(radii, n_angles)
+    if lams.size == 0:
+        raise DomainError("the sample grid is empty: need radii and n_angles >= 1")
+    return lams
 
 
 def _require_phi_open(phi: BlaschkeMap, name: str = "phi") -> BlaschkeMap:
@@ -127,22 +136,29 @@ class G2GeodesicParams:
 # ---------------------------------------------------------------------------
 
 
-def _origin_coords(p: OriginGeodesicParams, lam):
-    phival = p.phi(lam)
-    f1 = p.omega1 * (phival + p.C) / (1.0 + p.C)
-    f2 = p.omega2 * lam * (1.0 + p.C * phival) / (1.0 + p.C)
-    f3 = p.omega1 * p.omega2 * lam * phival
+def disc_coords(C: float, omega1: complex, omega2: complex, phival, psival):
+    """The disc formula shared by every tetrablock family:
+
+        (w1 (phi + C)/(1 + C), w2 psi (1 + C phi)/(1 + C), w1 w2 phi psi)
+
+    at values phi = phi(lam), psi = psi(lam); broadcasts over arrays.  Origin
+    geodesics take psi = lam, boundary discs psi = 1, and general discs a
+    second self-map psi.
+    """
+    f1 = omega1 * (phival + C) / (1.0 + C)
+    f2 = omega2 * psival * (1.0 + C * phival) / (1.0 + C)
+    f3 = omega1 * omega2 * phival * psival
     return f1, f2, f3
+
+
+def origin_geodesic_disc(p: OriginGeodesicParams) -> Callable[[complex], TetraPoint]:
+    """The origin geodesic as a map of lam, a scalar or an array."""
+    return lambda lam: TetraPoint(*disc_coords(p.C, p.omega1, p.omega2, p.phi(lam), lam))
 
 
 def eval_origin_geodesic(p: OriginGeodesicParams, lam: complex) -> TetraPoint:
     """Evaluate the origin geodesic at a point of the open disc; f(0) = 0."""
-    lam = require_disc_point(lam, name="lam")
-    return TetraPoint(*_origin_coords(p, lam))
-
-
-def origin_geodesic_disc(p: OriginGeodesicParams) -> Callable[[complex], TetraPoint]:
-    return lambda lam: TetraPoint(*_origin_coords(p, lam))
+    return origin_geodesic_disc(p)(require_disc_point(lam, name="lam"))
 
 
 def certified_left_inverse(p: OriginGeodesicParams, *, swapped: bool = False) -> PsiOmegaMap:
@@ -155,53 +171,38 @@ def certified_left_inverse(p: OriginGeodesicParams, *, swapped: bool = False) ->
                        factor=p.omega2.conjugate())
 
 
-def _general_coords(p: GeneralDiscParams, lam):
-    phival = p.phi(lam)
-    psival = p.psi(lam)
-    f1 = p.omega1 * (phival + p.C) / (1.0 + p.C)
-    f2 = p.omega2 * psival * (1.0 + p.C * phival) / (1.0 + p.C)
-    f3 = p.omega1 * p.omega2 * phival * psival
-    return f1, f2, f3
+def general_disc(p: GeneralDiscParams) -> Callable[[complex], TetraPoint]:
+    """The general disc as a map of lam, a scalar or an array."""
+    return lambda lam: TetraPoint(*disc_coords(p.C, p.omega1, p.omega2, p.phi(lam), p.psi(lam)))
 
 
 def eval_general_disc(p: GeneralDiscParams, lam: complex) -> TetraPoint:
     """Evaluate the general disc; its image always stays inside the domain,
     and the disc is a geodesic whenever psi is a disc automorphism."""
-    lam = require_disc_point(lam, name="lam")
-    return TetraPoint(*_general_coords(p, lam))
+    return general_disc(p)(require_disc_point(lam, name="lam"))
 
 
-def general_disc(p: GeneralDiscParams) -> Callable[[complex], TetraPoint]:
-    return lambda lam: TetraPoint(*_general_coords(p, lam))
-
-
-def _boundary_coords(C: float, omega1: complex, omega2: complex, phi: BlaschkeMap, lam):
-    phival = phi(lam)
-    f1 = omega1 * (phival + C) / (1.0 + C)
-    f2 = omega2 * (1.0 + C * phival) / (1.0 + C)
-    f3 = omega1 * omega2 * phival
-    return f1, f2, f3
-
-
-def eval_boundary_disc(C: float, omega1: complex, omega2: complex,
-                       phi: BlaschkeMap, lam: complex) -> TetraPoint:
-    """A non-constant analytic disc lying entirely on the boundary.
+def boundary_disc(C: float, omega1: complex, omega2: complex,
+                  phi: BlaschkeMap) -> Callable[[complex], TetraPoint]:
+    """A non-constant analytic disc lying entirely on the boundary, as a map
+    of lam (a scalar or an array).
 
     The defining functional evaluates to (1 - |phi|^2) + |phi|^2 = 1
     identically, so the image sits on the boundary at every point.
     """
     if not -TOL_CLOSURE <= C <= 1.0 + TOL_CLOSURE:
         raise DomainError(f"C must lie in [0, 1], got {C}")
+    C = min(max(float(C), 0.0), 1.0)
     omega1 = require_unimodular(omega1, name="omega1")
     omega2 = require_unimodular(omega2, name="omega2")
     _require_phi_open(phi)
-    lam = require_disc_point(lam, name="lam")
-    return TetraPoint(*_boundary_coords(min(max(float(C), 0.0), 1.0), omega1, omega2, phi, lam))
+    return lambda lam: TetraPoint(*disc_coords(C, omega1, omega2, phi(lam), 1.0))
 
 
-def boundary_disc(C: float, omega1: complex, omega2: complex,
-                  phi: BlaschkeMap) -> Callable[[complex], TetraPoint]:
-    return lambda lam: eval_boundary_disc(C, omega1, omega2, phi, lam)
+def eval_boundary_disc(C: float, omega1: complex, omega2: complex,
+                       phi: BlaschkeMap, lam: complex) -> TetraPoint:
+    """Evaluate the boundary disc at a point of the open disc."""
+    return boundary_disc(C, omega1, omega2, phi)(require_disc_point(lam, name="lam"))
 
 
 def product_disc(a: BlaschkeMap, b: BlaschkeMap, lam: complex) -> TetraPoint:
@@ -217,10 +218,6 @@ def product_disc(a: BlaschkeMap, b: BlaschkeMap, lam: complex) -> TetraPoint:
     return TetraPoint(av, bv, av * bv)
 
 
-def product_disc_map(a: BlaschkeMap, b: BlaschkeMap) -> Callable[[complex], TetraPoint]:
-    return lambda lam: product_disc(a, b, lam)
-
-
 def is_product_geodesic(a: BlaschkeMap, b: BlaschkeMap) -> bool:
     return a.is_automorphism or b.is_automorphism
 
@@ -233,11 +230,10 @@ def is_product_geodesic(a: BlaschkeMap, b: BlaschkeMap) -> bool:
 def left_inverse_residual(f: Callable, F: Callable, *,
                           radii: Sequence[float] = DEFAULT_RADII,
                           n_angles: int = DEFAULT_N_ANGLES) -> float:
-    """max over the sampling grid of |F(f(lam)) - lam|."""
-    worst = 0.0
-    for lam in sample_grid(radii, n_angles):
-        worst = max(worst, abs(complex(F(f(lam))) - lam))
-    return worst
+    """max over the sampling grid of |F(f(lam)) - lam|, from one call of f
+    and one of F on the whole grid array."""
+    lams = _nonempty_grid(radii, n_angles)
+    return float(np.max(np.abs(F(f(lams)) - lams)))
 
 
 class DiscVerdict(Enum):
@@ -266,28 +262,27 @@ def verify_disc(f: Callable, F: Optional[Callable] = None, *,
 
     Verdict: GEODESIC_VERIFIED needs the image inside the open domain and
     residual below tolerance; without a left inverse the best verdict is
-    IN_DOMAIN_ONLY.
+    IN_DOMAIN_ONLY.  f and F are each called once, on the whole grid array;
+    an empty grid raises DomainError.
     """
-    grid = sample_grid(radii, n_angles)
-    worst_e = 0.0
-    for lam in grid:
-        point = f(lam)
-        if domain == "tetrablock":
-            worst_e = max(worst_e, tetra_e_value(point))
-        elif domain == "g2":
-            worst_e = max(worst_e, g2_membership(point).max_root_modulus)
-        else:
-            raise DomainError(f"unknown domain {domain!r}")
+    lams = _nonempty_grid(radii, n_angles)
+    point = f(lams)
+    if domain == "tetrablock":
+        worst_e = float(np.max(e_value_raw(*TetraPoint.of(point))))
+    elif domain == "g2":
+        worst_e = float(np.max(np.abs(g2_roots(point)[0])))
+    else:
+        raise DomainError(f"unknown domain {domain!r}")
     in_domain = worst_e < 1.0
     if F is None:
         verdict = DiscVerdict.IN_DOMAIN_ONLY if in_domain else DiscVerdict.FAILED
-        return DiscVerificationReport(worst_e, math.inf, len(grid), verdict)
-    residual = left_inverse_residual(f, F, radii=radii, n_angles=n_angles)
+        return DiscVerificationReport(worst_e, math.inf, lams.size, verdict)
+    residual = float(np.max(np.abs(F(point) - lams)))
     if in_domain and residual < residual_tol:
         verdict = DiscVerdict.GEODESIC_VERIFIED
     else:
         verdict = DiscVerdict.FAILED
-    return DiscVerificationReport(worst_e, residual, len(grid), verdict)
+    return DiscVerificationReport(worst_e, residual, lams.size, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +296,16 @@ class TransportClass(Enum):
     MIXED = "mixed"
 
 
+def _divided_by_lam(lam, value: TetraPoint, at_zero: TetraPoint) -> TetraPoint:
+    """(z1/lam, z2, z3/lam) of a disc value, taking ``at_zero`` where lam
+    vanishes; lam may be a scalar or an array."""
+    small = np.abs(lam) < 1e-12
+    safe = np.where(small, 1.0, lam)
+    return TetraPoint(np.where(small, at_zero.z1, value.z1 / safe),
+                      np.where(small, at_zero.z2, value.z2),
+                      np.where(small, at_zero.z3, value.z3 / safe))
+
+
 class TransportedDisc:
     """The transported disc (f1(lam)/lam, f2(lam), f3(lam)/lam).
 
@@ -309,7 +314,8 @@ class TransportedDisc:
     (radius 1e-5, 64 points), which annihilates every Taylor mode below
     order 64 and is therefore exact to machine precision for analytic input.
     The image lies either entirely inside the domain or entirely on its
-    boundary; ``classify`` reports which.
+    boundary; ``classify`` reports which.  f must accept arrays of lam, and
+    so does the transported disc.
     """
 
     def __init__(self, f: Callable[[complex], TetraPoint], *,
@@ -318,34 +324,26 @@ class TransportedDisc:
         origin = TetraPoint.of(f(0.0))
         if abs(origin.z1) > 1e-12 or abs(origin.z3) > 1e-12:
             raise DomainError("transport needs f1(0) = f3(0) = 0")
-        nodes = [deriv_radius * cmath.exp(2j * math.pi * k / deriv_points)
-                 for k in range(deriv_points)]
-        acc1 = 0.0j
-        acc3 = 0.0j
-        for node in nodes:
-            value = TetraPoint.of(f(node))
-            acc1 += value.z1 / node
-            acc3 += value.z3 / node
-        self._at_zero = TetraPoint(acc1 / deriv_points, origin.z2, acc3 / deriv_points)
+        nodes = deriv_radius * np.exp(2j * math.pi * np.arange(deriv_points) / deriv_points)
+        value = TetraPoint.of(f(nodes))
+        self._at_zero = TetraPoint(np.mean(value.z1 / nodes), origin.z2,
+                                   np.mean(value.z3 / nodes))
 
     @property
     def value_at_zero(self) -> TetraPoint:
         return self._at_zero
 
-    def __call__(self, lam: complex) -> TetraPoint:
-        if abs(lam) < 1e-12:
-            return self._at_zero
-        value = TetraPoint.of(self._f(lam))
-        return TetraPoint(value.z1 / lam, value.z2, value.z3 / lam)
+    def __call__(self, lam) -> TetraPoint:
+        return _divided_by_lam(lam, TetraPoint.of(self._f(lam)), self._at_zero)
 
     def classify(self, *, radii: Sequence[float] = DEFAULT_RADII,
                  n_angles: int = DEFAULT_N_ANGLES,
                  boundary_tol: float = 1e-8) -> TransportClass:
-        values = [tetra_e_value(self(lam)) for lam in sample_grid(radii, n_angles)]
-        values.append(tetra_e_value(self._at_zero))
-        if max(abs(v - 1.0) for v in values) <= boundary_tol:
+        values = np.append(e_value_raw(*self(sample_grid(radii, n_angles))),
+                           tetra_e_value(self._at_zero))
+        if np.max(np.abs(values - 1.0)) <= boundary_tol:
             return TransportClass.BOUNDARY
-        if max(values) < 1.0 - boundary_tol:
+        if np.max(values) < 1.0 - boundary_tol:
             return TransportClass.INTERIOR
         return TransportClass.MIXED
 
@@ -372,6 +370,8 @@ def transported_extremal(C: float, omega1: complex, omega2: complex,
 
 def transported_extremal_disc(C: float, omega1: complex, omega2: complex,
                               phi: BlaschkeMap) -> Callable[[complex], TetraPoint]:
+    """The transported extremal as a map of lam (a scalar or an array): the
+    origin disc with z1 and z3 divided by lam, and phi'(0) filled in at 0."""
     C = float(C)
     if not 0.0 < C < 1.0:
         raise DomainError(f"C must lie in (0, 1), got {C}")
@@ -381,15 +381,12 @@ def transported_extremal_disc(C: float, omega1: complex, omega2: complex,
     omega2 = require_unimodular(omega2, name="omega2")
     if abs(complex(phi(0.0)) + C) > 1e-12:
         raise DomainError("phi(0) must equal -C")
+    at_zero = TetraPoint(omega1 * phi.derivative(0.0) / (1.0 + C), 0.0,
+                         -omega1 * omega2 * C)
 
-    def evaluate(lam: complex) -> TetraPoint:
-        if abs(lam) < 1e-12:
-            return TetraPoint(omega1 * phi.derivative(0.0) / (1.0 + C), 0.0,
-                              -omega1 * omega2 * C)
-        phival = phi(lam)
-        return TetraPoint(omega1 * (phival + C) / (lam * (1.0 + C)),
-                          omega2 * lam * (1.0 + C * phival) / (1.0 + C),
-                          omega1 * omega2 * phival)
+    def evaluate(lam) -> TetraPoint:
+        value = TetraPoint(*disc_coords(C, omega1, omega2, phi(lam), lam))
+        return _divided_by_lam(lam, value, at_zero)
 
     return evaluate
 
@@ -414,19 +411,28 @@ def lempert_special(z: complex, w: complex) -> HyperbolicDistance:
 # ---------------------------------------------------------------------------
 
 
-def g2_disc_raw(C: float, omega: complex, lam: complex) -> G2Point:
-    """The two-coordinate disc formula without the parameter-window check.
+def _g2_coords(C: float, omega: complex, lam):
+    """(s, p, pole) of the two-coordinate disc, entry by entry over lam;
+    ``pole`` flags the samples where the denominator vanishes."""
+    lam = np.asarray(lam, dtype=complex)
+    den1 = omega * lam * (1.0 - C) - 1.0
+    den2 = 1.0 - lam * omega * (1.0 - C)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = 2.0 * (2.0 - C) * lam / den1
+        p = lam * (lam - omega.conjugate() * (1.0 - C)) / den2
+    return s, p, np.abs(den2) < 1e-15
+
+
+def g2_disc_raw(C: float, omega: complex, lam) -> G2Point:
+    """The two-coordinate disc formula without the parameter-window check,
+    at a scalar or an array lam.
 
     Out-of-window C is allowed here so violation witnesses can be hunted;
     inside [1, 2] the denominators are bounded away from zero on the disc.
     """
-    omega = require_unimodular(omega)
-    den1 = omega * lam * (1.0 - C) - 1.0
-    den2 = 1.0 - lam * omega * (1.0 - C)
-    if abs(den2) < 1e-15:
+    s, p, pole = _g2_coords(C, require_unimodular(omega), lam)
+    if pole.any():
         raise PoleError("g2 disc pole inside the disc")
-    s = 2.0 * (2.0 - C) * lam / den1
-    p = lam * (lam - omega.conjugate() * (1.0 - C)) / den2
     return G2Point(s, p)
 
 
@@ -437,6 +443,7 @@ def g2_origin_geodesic(p: G2GeodesicParams, lam: complex) -> G2Point:
 
 
 def g2_geodesic_disc(p: G2GeodesicParams) -> Callable[[complex], G2Point]:
+    """The bidisc origin geodesic as a map of lam, a scalar or an array."""
     return lambda lam: g2_disc_raw(p.C, p.omega, lam)
 
 
@@ -446,19 +453,17 @@ def g2_violation_witness(C: float, omega: complex, *,
                          tol: float = DEFAULT_BOUNDARY_TOL) -> Optional[complex]:
     """Grid-search a lam with the out-of-window disc leaving the domain.
 
-    Returns a witness lam, or None when every sample stays interior (the
-    expected outcome for C in [1, 2]).
+    Returns the first witness lam in grid order (a pole counts as one), or
+    None when every sample stays interior (the expected outcome for C in
+    [1, 2]).
     """
     if radii is None:
         radii = tuple(np.linspace(0.05, 0.95, 19))
-    for lam in sample_grid(radii, n_angles):
-        try:
-            point = g2_disc_raw(C, omega, lam)
-        except PoleError:
-            return lam
-        if g2_membership(point, tol).location is not Location.INTERIOR:
-            return lam
-    return None
+    lams = sample_grid(radii, n_angles)
+    s, p, pole = _g2_coords(C, require_unimodular(omega), lams)
+    interior = np.abs(stable_quadratic_roots(s, p)[0]) < 1.0 - tol
+    hits = np.flatnonzero(pole | ~interior)
+    return complex(lams[hits[0]]) if hits.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +597,7 @@ def _candidate_at(zz: TetraPoint, theta: float) -> Optional[OriginGeodesicSoluti
         params = OriginGeodesicParams(C, eta.conjugate(), 1.0, phi)
     except DomainError:
         return None
-    value = TetraPoint(*_origin_coords(params, mu))
+    value = eval_origin_geodesic(params, mu)
     residual = max(abs(value.z1 - zz.z1), abs(value.z2 - zz.z2), abs(value.z3 - zz.z3))
     return OriginGeodesicSolution(params, mu, False, residual)
 
@@ -711,7 +716,7 @@ def solve_origin_geodesic_through(z, lam0: complex, phi_degree: int = 1,
                                       sol.params.omega2 * rho,
                                       sol.params.phi.precompose_rotation(rho))
         zz = sigma(z) if sol.swapped else z
-        value = TetraPoint(*_origin_coords(params, lam0))
+        value = eval_origin_geodesic(params, lam0)
         residual = max(abs(value.z1 - zz.z1), abs(value.z2 - zz.z2),
                        abs(value.z3 - zz.z3))
         if residual < 1e-8:
@@ -754,34 +759,45 @@ def _pair_residual(f: Callable, lam1: complex, w: TetraPoint,
             + sum(abs(a - b) ** 2 for a, b in zip(p2, z)))
 
 
-def _axis_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearchResult]:
-    """Exact disc for pairs of the form (0, 0, c), (0, y, c), up to the
-    coordinate swap and argument order."""
+def axis_pair(w, z) -> Optional[Tuple[complex, complex, bool, bool]]:
+    """Recognize a pair of the form (0, 0, c), (0, y, c) with |y| + |c| < 1,
+    up to the coordinate swap and argument order.
+
+    Returns ``(c, y, swapped, flipped)``, or None for any other pair.  The
+    Lempert value of such a pair is ``lempert_special(y, c)``.
+    """
+    w = TetraPoint.of(w)
+    z = TetraPoint.of(z)
     for swapped in (False, True):
         a0 = sigma(w) if swapped else w
         b0 = sigma(z) if swapped else z
         for a, b, flipped in ((a0, b0, False), (b0, a0, True)):
             if (abs(a.z1) > 1e-13 or abs(a.z2) > 1e-13 or abs(b.z1) > 1e-13
-                    or abs(b.z3 - a.z3) > 1e-12):
+                    or abs(b.z3 - a.z3) > 1e-12 or abs(a.z3) + abs(b.z2) >= 1.0):
                 continue
-            c = a.z3
-            y = b.z2
-            C = abs(c)
-            if C + abs(y) >= 1.0:
-                continue
-            omega1 = -c / C if C > 0 else 1.0
-            lam2 = y / (1.0 - C)
+            return a.z3, b.z2, swapped, flipped
+    return None
 
-            def disc(lam: complex, C=C, omega1=omega1) -> TetraPoint:
-                return TetraPoint(0.0, lam * (1.0 - C), -omega1 * C)
 
-            base = sigma if swapped else (lambda q: q)
-            f = (lambda lam: base(disc(lam)))
-            lam_w, lam_z = (lam2, 0.0) if flipped else (0.0, lam2)
-            residual = _pair_residual(f, lam_w, w, lam_z, z)
-            if residual < _SEARCH_ACCEPT:
-                return DiscSearchResult(True, HyperbolicDistance.from_m(abs(lam2)),
-                                        residual, "axis-pair", lam_w, lam_z)
+def _axis_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearchResult]:
+    """Exact disc for the pairs ``axis_pair`` recognizes."""
+    pair = axis_pair(w, z)
+    if pair is None:
+        return None
+    c, y, swapped, flipped = pair
+    C = abs(c)
+    omega1 = -c / C if C > 0 else 1.0
+    lam2 = y / (1.0 - C)
+
+    def f(lam: complex) -> TetraPoint:
+        point = TetraPoint(0.0, lam * (1.0 - C), -omega1 * C)
+        return sigma(point) if swapped else point
+
+    lam_w, lam_z = (lam2, 0.0) if flipped else (0.0, lam2)
+    residual = _pair_residual(f, lam_w, w, lam_z, z)
+    if residual < _SEARCH_ACCEPT:
+        return DiscSearchResult(True, HyperbolicDistance.from_m(abs(lam2)),
+                                residual, "axis-pair", lam_w, lam_z)
     return None
 
 
@@ -879,14 +895,12 @@ def _generic_search(w: TetraPoint, z: TetraPoint, degree: int,
     def residuals(x: np.ndarray) -> np.ndarray:
         nonlocal evals
         evals += 1
-        params, lam1, lam2 = _decode_general(x, degree)
-        f1 = _general_coords(params, lam1)
-        f2 = _general_coords(params, lam2)
+        p, lam1, lam2 = _decode_general(x, degree)
         out = []
-        for got, want in zip(f1, w.as_tuple()):
-            out.extend([(got - want).real, (got - want).imag])
-        for got, want in zip(f2, z.as_tuple()):
-            out.extend([(got - want).real, (got - want).imag])
+        for lam, target in ((lam1, w), (lam2, z)):
+            got = disc_coords(p.C, p.omega1, p.omega2, p.phi(lam), p.psi(lam))
+            for a, b in zip(got, target.as_tuple()):
+                out.extend([(a - b).real, (a - b).imag])
         return np.asarray(out)
 
     def tension(x: np.ndarray, weight: float) -> np.ndarray:

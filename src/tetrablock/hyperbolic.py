@@ -51,7 +51,8 @@ def require_unimodular(value: complex, *, name: str = "omega") -> complex:
 
 
 def mobius_m(lam1: complex, lam2: complex) -> float:
-    """Raw Mobius pseudodistance |(l1 - l2) / (1 - conj(l1) l2)|, unvalidated."""
+    """Raw Mobius pseudodistance |(l1 - l2) / (1 - conj(l1) l2)|, unvalidated;
+    broadcasts over arrays."""
     return abs((lam1 - lam2) / (1.0 - lam1.conjugate() * lam2))
 
 

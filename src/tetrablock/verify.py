@@ -15,14 +15,13 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from .domains import (Location, TetraPoint, e_value_raw, g2_membership,
+from .domains import (DEFAULT_BOUNDARY_TOL, TetraPoint, e_value_raw, g2_roots,
                       psi_sup, rho_functional)
 from .extremals import G2FMap, caratheodory_lower_bound, p_e
 from .geodesics import (G2GeodesicParams, GeneralDiscParams,
-                        OriginGeodesicParams, TransportClass,
-                        _boundary_coords, _general_coords,
+                        OriginGeodesicParams, TransportClass, boundary_disc,
                         certified_left_inverse, disc_search_upper_bound,
-                        g2_geodesic_disc, g2_violation_witness, left_inverse_residual,
+                        g2_geodesic_disc, g2_violation_witness, general_disc,
                         origin_geodesic_disc, sample_grid, transport_disc,
                         transported_extremal_disc)
 from .hyperbolic import BlaschkeMap, mobius_m
@@ -143,7 +142,7 @@ def suite_boundary(seed: int = 0, n_discs: int = 1000, n_lams: int = 100) -> Sui
         phi = random_self_map(rng)
         om1, om2 = random_unimodular(rng), random_unimodular(rng)
         lams = random_disc_points(rng, n_lams, 0.95)
-        e = e_value_raw(*_boundary_coords(C, om1, om2, phi, lams))
+        e = e_value_raw(*boundary_disc(C, om1, om2, phi)(lams))
         worst = max(worst, float(np.max(np.abs(e - 1.0))))
     passed = worst < 1e-12
     return SuiteResult("boundary", passed,
@@ -161,7 +160,7 @@ def suite_inclusion(seed: int = 0, n_discs: int = 1000, n_lams: int = 100) -> Su
                                    random_unimodular(rng), random_unimodular(rng),
                                    random_self_map(rng), random_self_map(rng))
         lams = random_disc_points(rng, n_lams, 0.9)
-        e = e_value_raw(*_general_coords(params, lams))
+        e = e_value_raw(*general_disc(params)(lams))
         worst = max(worst, float(np.max(e)))
         violations += int(np.count_nonzero(e >= 1.0))
     passed = violations == 0
@@ -181,13 +180,11 @@ def suite_certificate(seed: int = 0, n_params: int = 200) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst_res = 0.0
     worst_eq = 0.0
+    lams = sample_grid()
     for params in sample_origin_params(rng, n_params):
-        f = origin_geodesic_disc(params)
-        F = certified_left_inverse(params)
-        worst_res = max(worst_res, left_inverse_residual(f, F))
-        for lam in sample_grid():
-            value = complex(F(f(lam)))
-            worst_eq = max(worst_eq, abs(mobius_m(0.0, value) - abs(lam)))
+        values = certified_left_inverse(params)(origin_geodesic_disc(params)(lams))
+        worst_res = max(worst_res, float(np.max(np.abs(values - lams))))
+        worst_eq = max(worst_eq, float(np.max(np.abs(mobius_m(0.0, values) - np.abs(lams)))))
     passed = worst_res < 1e-10 and worst_eq < 1e-12
     return SuiteResult("certificate", passed,
                        {"params": n_params, "worst_left_inverse_residual": worst_res,
@@ -315,17 +312,16 @@ def suite_g2_window(seed: int = 0) -> SuiteResult:
     worst_res = 0.0
     worst_root = 0.0
     in_window_failures = 0
+    lams = sample_grid()
     for k in range(21):
         C = 1.0 + 0.05 * k
         for omega in omegas:
-            params = G2GeodesicParams(C, omega)
-            f = g2_geodesic_disc(params)
-            for lam in sample_grid():
-                report = g2_membership(f(lam))
-                worst_root = max(worst_root, report.max_root_modulus)
-                if report.location is not Location.INTERIOR:
-                    in_window_failures += 1
-            worst_res = max(worst_res, left_inverse_residual(f, G2FMap(omega)))
+            point = g2_geodesic_disc(G2GeodesicParams(C, omega))(lams)
+            roots = np.abs(g2_roots(point)[0])
+            worst_root = max(worst_root, float(np.max(roots)))
+            in_window_failures += int(np.count_nonzero(~(roots < 1.0 - DEFAULT_BOUNDARY_TOL)))
+            residual = np.max(np.abs(G2FMap(omega)(point) - lams))
+            worst_res = max(worst_res, float(residual))
     witnesses = {}
     for C in (0.9, 2.1, 2.5):
         witness = g2_violation_witness(C, random_unimodular(rng))

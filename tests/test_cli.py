@@ -22,6 +22,18 @@ class TestParsing:
     def test_complex_literals(self, text, expected):
         assert parse_complex(text) == expected
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "Infinity",
+                                      "nan+1i", "1e999", "1+1e999i"])
+    def test_non_finite_literals_rejected(self, capsys, text):
+        code, _, err = run(capsys, "member", "tetrablock", "--", "0", text, "0")
+        assert code == EXIT_USAGE
+        assert "non-finite" in err
+
+    def test_blaschke_scale_must_be_a_number(self, capsys):
+        code, _, err = run(capsys, "geodesic", "eval", "--phi", "blaschke:1|abc|0.5")
+        assert code == EXIT_USAGE
+        assert "usage error" in err
+
     def test_phi_specs(self):
         assert parse_phi("id").is_automorphism
         assert parse_phi("const:-0.5")(0.2) == -0.5
@@ -55,6 +67,11 @@ class TestMember:
         code, _, err = run(capsys, "member", "tetrablock", "0", "zz", "0")
         assert code == EXIT_USAGE
         assert "usage error" in err
+
+    def test_nan_component_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "member", "tetrablock", "nan", "0", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
 
     def test_wrong_arity(self, capsys):
         code, _, err = run(capsys, "member", "g2", "1", "2", "3")
@@ -92,6 +109,20 @@ class TestDistance:
         assert res["k_upper"]["m_scale"] == pytest.approx(0.1, abs=1e-9)
         assert res["closed_form"]["m_scale"] == pytest.approx(0.1, abs=1e-12)
         assert res["sandwich_ok"] is True
+
+    def test_swapped_axis_pair_closed_form(self, capsys):
+        code, out, _ = run(capsys, "distance", "0,0,-0.3", "0.2,0,-0.3", "--json")
+        assert code == EXIT_OK
+        res = json.loads(out)["results"]
+        assert res["k_upper_family"] == "axis-pair"
+        assert res["closed_form"]["m_scale"] == pytest.approx(0.2 / 0.7, abs=1e-12)
+        assert res["k_upper"]["m_scale"] == pytest.approx(0.2 / 0.7, abs=1e-12)
+
+    def test_unknown_lower_family_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "distance", "0,0,-0.5", "0,0.05,-0.5",
+                           "--lower-families", "bogus")
+        assert code == EXIT_USAGE
+        assert "bogus" in err
 
     def test_coincident_pair(self, capsys):
         code, out, _ = run(capsys, "distance", "0.1,0.1,0.01", "0.1,0.1,0.01",
@@ -131,6 +162,13 @@ class TestGeodesic:
         env = json.loads(out)
         assert env["results"]["verdict"] == "geodesic-verified"
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_verify_needs_samples(self, capsys, samples):
+        code, out, err = run(capsys, "geodesic", "verify", "--C", "0.5",
+                             "--phi", "auto:0.5", "--samples", samples)
+        assert code == EXIT_USAGE
+        assert "geodesic-verified" not in out
 
     def test_invalid_params_exit(self, capsys):
         code, _, err = run(capsys, "geodesic", "eval", "--C", "0.5",
@@ -204,6 +242,13 @@ class TestSweep:
         assert code == EXIT_OK
         assert out_file.read_text().splitlines() == [
             "C,c_lower_m,lam_modulus,magic_lower_m,p_e_m,separated"]
+
+    @pytest.mark.parametrize("step", ["0", "-0.05", "nan"])
+    def test_c_step_must_be_positive(self, capsys, tmp_path, step):
+        code, _, err = run(capsys, "sweep", "separation", "--c-step", step,
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_USAGE
+        assert "--c-step" in err
 
     def test_io_error_exit(self, capsys):
         code, _, err = run(capsys, "sweep", "separation",

@@ -139,6 +139,15 @@ class TestLeftInverseResidual:
         residual = left_inverse_residual(g2_geodesic_disc(p), G2FMap(p.omega))
         assert residual < 1e-12
 
+    @pytest.mark.parametrize("grid", [{"n_angles": 0}, {"radii": ()}])
+    def test_empty_grid_rejected(self, grid):
+        params = OriginGeodesicParams(0.5, 1, 1, disc_automorphism(0.5))
+        f, F = origin_geodesic_disc(params), certified_left_inverse(params)
+        with pytest.raises(DomainError):
+            verify_disc(f, F, **grid)
+        with pytest.raises(DomainError):
+            left_inverse_residual(f, F, **grid)
+
     def test_verify_disc_without_left_inverse(self):
         p = GeneralDiscParams(0.2, 1, 1, BlaschkeMap.constant(0.3),
                               BlaschkeMap.constant(0.1))
