@@ -7,7 +7,6 @@ from .errors import BranchError, DomainError, FitError, PoleError
 from .hyperbolic import (BlaschkeMap, HyperbolicDistance, blaschke_eval,
                          disc_automorphism, mobius_distance, mobius_m,
                          schwarz_pick_check)
-from .angle_search import AngleGrid
 from .domains import (G2MembershipReport, G2Point, Location, MembershipReport,
                       TetraPoint, g2_membership, g2_roots, psi_sup,
                       rho_functional, tetra_e_value, tetra_membership)

@@ -149,8 +149,8 @@ def default_tol() -> float:
         value = float(text)
     except ValueError:
         raise _UsageExit(f"TETRA_DEFAULT_TOL is not a number: {text!r}")
-    if value <= 0:
-        raise _UsageExit("TETRA_DEFAULT_TOL must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise _UsageExit("TETRA_DEFAULT_TOL must be finite and positive")
     return value
 
 
@@ -165,8 +165,8 @@ _LOCATION_EXIT = {Location.INTERIOR: EXIT_OK, Location.BOUNDARY: EXIT_BOUNDARY,
 
 def cmd_member(args) -> int:
     tol = args.tol if args.tol is not None else default_tol()
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise _UsageExit("--tol must be finite and positive")
     if args.domain == "tetrablock":
         if len(args.components) != 3:
             raise _UsageExit("tetrablock needs 3 components")
@@ -216,7 +216,8 @@ def cmd_distance(args) -> int:
             search = candidate
     pair = axis_pair(w, z)
     closed = lempert_special(pair[1], pair[0]) if pair is not None else None
-    sandwich_ok = (not search.found) or c_val.m_scale <= search.bound.m_scale + 1e-9
+    # without an upper bound there is nothing to hold the lower bound against
+    sandwich_ok = c_val.m_scale <= search.bound.m_scale + 1e-9 if search.found else None
     results = {
         "p_e": dist(p_val),
         "c_lower": dist(c_val),
@@ -234,7 +235,8 @@ def cmd_distance(args) -> int:
         human.append("k_upper: not found within budget")
     if closed is not None:
         human.append(f"closed_form: m_scale {closed.m_scale!r}")
-    human.append(f"sandwich_ok: {sandwich_ok}")
+    human.append("sandwich_ok: unknown (no upper bound found)" if sandwich_ok is None
+                 else f"sandwich_ok: {sandwich_ok}")
     env = envelope("distance",
                    {"w": [cnum(c) for c in w], "z": [cnum(c) for c in z],
                     "lower_families": args.lower_families,
@@ -243,7 +245,7 @@ def cmd_distance(args) -> int:
                    {"budget": args.budget, "tolerance": DEFAULT_BOUNDARY_TOL,
                     "version": __version__})
     emit(env, args.json, human)
-    return EXIT_OK if sandwich_ok else EXIT_VERIFICATION
+    return EXIT_VERIFICATION if sandwich_ok is False else EXIT_OK
 
 
 def _build_tetra_params(args):
@@ -350,6 +352,8 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise _UsageExit("--seed must be non-negative")
     names = list(ALL_SUITES) if "all" in args.suite else args.suite
     results = run_suites(names, seed=args.seed)
     payload = []
@@ -393,6 +397,8 @@ def cmd_sweep(args) -> int:
     if args.quantity == "separation":
         if not args.c_step > 0:
             raise _UsageExit("--c-step must be positive")
+        if not all(math.isfinite(v) for v in (args.c_min, args.c_max, args.c_step, args.lam)):
+            raise _UsageExit("--c-min, --c-max, --c-step and --lam must be finite")
         n_steps = int(round((args.c_max - args.c_min) / args.c_step)) + 1
         lam = args.lam
         for k in range(max(n_steps, 0)):
@@ -411,6 +417,8 @@ def cmd_sweep(args) -> int:
                    "separated"]
     else:  # lempert
         n = args.grid_n
+        if n < 1:
+            raise _UsageExit("--grid-n must be positive")
         for k in range(n):
             z = (0.05 + 0.5 * k / max(n - 1, 1)) * cmath.exp(2j * math.pi * k / n)
             for j in range(n):

@@ -22,18 +22,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .angle_search import AngleGrid, max_on_circle
-from .errors import DomainError
+from .angle_search import max_on_circle
+from .errors import DomainError, PoleError
 
 #: default width of the boundary band in membership classification
 DEFAULT_BOUNDARY_TOL = 1e-10
 
-#: default circle resolution for the Psi supremum
-PSI_GRID = AngleGrid(n_angles=1024, refine_iters=40)
+_POLE_TOL = 1e-14
 
 
 def as_coordinate(value):
@@ -112,7 +111,6 @@ class G2Point:
 class MembershipReport:
     location: Location
     e_value: float
-    psi_sup: Optional[float]
     tolerance_used: float
 
 
@@ -145,43 +143,57 @@ def _classify(value: float, tol: float) -> Location:
     return Location.EXTERIOR
 
 
-def tetra_membership(z, tol: float = DEFAULT_BOUNDARY_TOL, *,
-                     with_psi_sup: bool = False,
-                     grid: AngleGrid = PSI_GRID) -> MembershipReport:
-    """Classify a point against the tetrablock by the defining functional.
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
 
-    ``with_psi_sup`` additionally records the circle supremum of |Psi_eta|
-    (requires |z1| < 1).
-    """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    z = TetraPoint.of(z)
+
+def tetra_membership(z, tol: float = DEFAULT_BOUNDARY_TOL) -> MembershipReport:
+    """Classify a point against the tetrablock by the defining functional."""
+    _require_tol(tol)
     e = tetra_e_value(z)
-    sup = psi_sup(z, grid=grid) if with_psi_sup else None
-    return MembershipReport(_classify(e, tol), e, sup, tol)
+    return MembershipReport(_classify(e, tol), e, tol)
 
 
 def is_interior(z, tol: float = DEFAULT_BOUNDARY_TOL) -> bool:
     return tetra_e_value(z) < 1.0 - tol
 
 
-def psi_sup(z, grid: AngleGrid = PSI_GRID) -> float:
-    """sup over |eta| = 1 of |Psi_eta(z)|; equals the closed-disc supremum.
+def psi_eta(eta, z):
+    """The rational membership family (eta z3 - z2) / (eta z1 - 1).
 
-    Dense angular grid plus golden-section refinement.  The value is < 1
-    exactly when the defining functional is < 1 (membership cross-check),
-    for any z with |z1| < 1.
+    Requires eta in the closed disc and eta z1 != 1; on interior points the
+    value has modulus < 1.  Array etas and array points broadcast against
+    each other and give an array of values.
     """
     z = TetraPoint.of(z)
-    if abs(z.z1) >= 1.0:
-        raise DomainError(f"psi_sup requires |z1| < 1, got {abs(z.z1)}")
+    eta = as_coordinate(eta)
+    eta_max = np.abs(eta).max()
+    if eta_max > 1.0 + 1e-12:
+        raise DomainError(f"eta must lie in the closed disc, got |eta| = {eta_max}")
+    den = eta * z.z1 - 1.0
+    # |den| >= 1 - |eta| |z1|, so the sample-by-sample test runs only when
+    # that bound does not already clear the pole
+    if 1.0 - eta_max * np.abs(z.z1).max() < _POLE_TOL and np.abs(den).min() < _POLE_TOL:
+        raise PoleError(f"psi_eta pole: |eta*z1 - 1| = {np.abs(den).min()}")
+    return (eta * z.z3 - z.z2) / den
 
-    def values(thetas: np.ndarray) -> np.ndarray:
-        eta = np.exp(1j * thetas)
-        return np.abs((eta * z.z3 - z.z2) / (eta * z.z1 - 1.0))
 
-    _, val = max_on_circle(values, grid)
-    return val
+def psi_sup(z):
+    """sup over |eta| = 1 of |Psi_eta(z)|; equals the closed-disc supremum.
+
+    Dense angular grid plus zoom refinement.  The value is < 1 exactly when
+    the defining functional is < 1 (membership cross-check), for any z with
+    |z1| < 1.  A point with array coordinates gives an array of suprema, one
+    per sample; a scalar point gives a float.
+    """
+    z = TetraPoint.of(z)
+    if np.abs(z.z1).max() >= 1.0:
+        raise DomainError(f"psi_sup requires |z1| < 1, got {np.abs(z.z1).max()}")
+    # a trailing axis on every coordinate broadcasts against angles (..., k)
+    zz = TetraPoint(*(np.asarray(c)[..., None] for c in z))
+    _, val = max_on_circle(lambda thetas: np.abs(psi_eta(np.exp(1j * thetas), zz)))
+    return val if val.ndim else float(val)
 
 
 def stable_quadratic_roots(s, p):
@@ -220,8 +232,7 @@ def g2_roots(w):
 
 def g2_membership(w, tol: float = DEFAULT_BOUNDARY_TOL) -> G2MembershipReport:
     """Classify (s, p) against the symmetrized bidisc via the root pair."""
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    _require_tol(tol)
     w = G2Point.of(w)
     roots = g2_roots(w)
     worst = max(abs(r) for r in roots)

@@ -19,14 +19,11 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .angle_search import AngleGrid, max_on_circle
+from .angle_search import max_on_circle
 from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, as_coordinate,
-                      is_interior)
+                      is_interior, psi_eta)
 from .errors import BranchError, DomainError, PoleError
 from .hyperbolic import HyperbolicDistance, mobius_m, require_unimodular
-
-#: default circle resolution for distance-type suprema
-OMEGA_GRID = AngleGrid(n_angles=1024, refine_iters=60)
 
 _POLE_TOL = 1e-14
 
@@ -40,22 +37,6 @@ def _least(values):
 def _sqrt(value):
     """Principal square root; a scalar stays a Python complex."""
     return np.sqrt(value) if isinstance(value, np.ndarray) else cmath.sqrt(value)
-
-
-def psi_eta(eta: complex, z) -> complex:
-    """The rational membership family (eta z3 - z2) / (eta z1 - 1).
-
-    Requires eta in the closed disc and eta z1 != 1; on interior points the
-    value has modulus < 1.  An array point gives an array of values.
-    """
-    z = TetraPoint.of(z)
-    eta = complex(eta)
-    if abs(eta) > 1.0 + 1e-12:
-        raise DomainError(f"eta must lie in the closed disc, got |eta| = {abs(eta)}")
-    den = eta * z.z1 - 1.0
-    if _least(abs(den)) < _POLE_TOL:
-        raise PoleError(f"psi_eta pole: |eta*z1 - 1| = {_least(abs(den))}")
-    return (eta * z.z3 - z.z2) / den
 
 
 def sigma(z) -> TetraPoint:
@@ -212,35 +193,30 @@ class ExtremalFamilyId:
             object.__setattr__(self, "parameter", require_unimodular(self.parameter))
 
 
-def _psi_values(z: TetraPoint, thetas: np.ndarray) -> np.ndarray:
-    eta = np.exp(1j * thetas)
-    return (eta * z.z3 - z.z2) / (eta * z.z1 - 1.0)
-
-
-def _psi_family_bound(w: TetraPoint, z: TetraPoint, grid: AngleGrid,
-                      swap: bool, parameter: Optional[complex]) -> float:
+def _psi_family_bound(w: TetraPoint, z: TetraPoint, swap: bool,
+                      parameter: Optional[complex]) -> float:
     if swap:
         w, z = sigma(w), sigma(z)
     if parameter is not None:
         return mobius_m(psi_eta(parameter, w), psi_eta(parameter, z))
 
     def values(thetas: np.ndarray) -> np.ndarray:
-        return mobius_m(_psi_values(w, thetas), _psi_values(z, thetas))
+        eta = np.exp(1j * thetas)
+        return mobius_m(psi_eta(eta, w), psi_eta(eta, z))
 
-    _, val = max_on_circle(values, grid)
-    return val
+    _, val = max_on_circle(values)
+    return float(val)
 
 
 TETRABLOCK_FAMILIES = (ExtremalFamily.PSI_OMEGA, ExtremalFamily.PSI_OMEGA_SIGMA,
                        ExtremalFamily.MAGIC_F)
 
 
-def _family_bound(fid: ExtremalFamilyId, w: TetraPoint, z: TetraPoint,
-                  grid: AngleGrid) -> float:
+def _family_bound(fid: ExtremalFamilyId, w: TetraPoint, z: TetraPoint) -> float:
     if fid.tag is ExtremalFamily.PSI_OMEGA:
-        return _psi_family_bound(w, z, grid, False, fid.parameter)
+        return _psi_family_bound(w, z, False, fid.parameter)
     if fid.tag is ExtremalFamily.PSI_OMEGA_SIGMA:
-        return _psi_family_bound(w, z, grid, True, fid.parameter)
+        return _psi_family_bound(w, z, True, fid.parameter)
     if fid.tag is ExtremalFamily.MAGIC_F:
         return mobius_m(magic_f(w), magic_f(z))
     raise DomainError(f"family {fid.tag.value} does not apply to tetrablock points")
@@ -265,7 +241,7 @@ def _require_interior_pair(w, z) -> Tuple[TetraPoint, TetraPoint]:
     return w, z
 
 
-def p_e(w, z, grid: AngleGrid = OMEGA_GRID) -> HyperbolicDistance:
+def p_e(w, z) -> HyperbolicDistance:
     """sup over unimodular omega of the Psi-family distances, with and
     without the coordinate swap applied to both arguments.
 
@@ -274,13 +250,13 @@ def p_e(w, z, grid: AngleGrid = OMEGA_GRID) -> HyperbolicDistance:
     there.
     """
     w, z = _require_interior_pair(w, z)
-    plain = _psi_family_bound(w, z, grid, False, None)
-    swapped = _psi_family_bound(w, z, grid, True, None)
+    plain = _psi_family_bound(w, z, False, None)
+    swapped = _psi_family_bound(w, z, True, None)
     return HyperbolicDistance.from_m(max(plain, swapped))
 
 
-def caratheodory_lower_bound(w, z, families: Iterable = TETRABLOCK_FAMILIES,
-                             grid: AngleGrid = OMEGA_GRID) -> HyperbolicDistance:
+def caratheodory_lower_bound(w, z, families: Iterable = TETRABLOCK_FAMILIES
+                             ) -> HyperbolicDistance:
     """Best certified Caratheodory lower bound over the given families.
 
     Each family contributes the Mobius distance of its values (maximized
@@ -293,6 +269,6 @@ def caratheodory_lower_bound(w, z, families: Iterable = TETRABLOCK_FAMILIES,
     w, z = _require_interior_pair(w, z)
     best = 0.0
     for fid in family_ids:
-        best = max(best, float(_family_bound(fid, w, z, grid)))
+        best = max(best, float(_family_bound(fid, w, z)))
     return HyperbolicDistance.from_m(best)
 

@@ -27,12 +27,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import brentq, least_squares
 
-from .angle_search import golden_max
+from .angle_search import refine_max
 from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, e_value_raw,
-                      g2_roots, is_interior, stable_quadratic_roots,
+                      g2_roots, is_interior, psi_eta, stable_quadratic_roots,
                       tetra_e_value)
 from .errors import DomainError, PoleError
-from .extremals import PsiOmegaMap, psi_eta, sigma
+from .extremals import PsiOmegaMap, sigma
 from .hyperbolic import (TOL_CLOSURE, BlaschkeMap, HyperbolicDistance,
                          mobius_m, require_disc_point, require_unimodular)
 
@@ -604,7 +604,7 @@ def _candidate_at(zz: TetraPoint, theta: float) -> Optional[OriginGeodesicSoluti
 
 def _im_c_profile(zz: TetraPoint, thetas: np.ndarray) -> np.ndarray:
     eta = np.exp(1j * thetas)
-    mu = (eta * zz.z3 - zz.z2) / (eta * zz.z1 - 1.0)
+    mu = psi_eta(eta, zz)
     with np.errstate(divide="ignore", invalid="ignore"):
         v = np.where(np.abs(mu) > 1e-13, eta * zz.z3 / mu, np.nan)
         c = (eta * zz.z1 - v) / (1.0 - eta * zz.z1)
@@ -621,33 +621,32 @@ def _candidate_angles(zz: TetraPoint, n_grid: int) -> List[float]:
         # the condition holds identically; any angle works
         return [2.0 * math.pi * k / 8.0 for k in range(8)]
 
+    def profile(angles: np.ndarray) -> np.ndarray:
+        values = _im_c_profile(zz, angles)
+        return np.where(np.isfinite(values), values, 1e9)
+
     def scalar(theta: float) -> float:
-        val = _im_c_profile(zz, np.array([theta]))[0]
-        return val if np.isfinite(val) else 1e9
+        return float(profile(np.array([theta]))[0])
 
     step = 2.0 * math.pi / n_grid
-    for k in range(n_grid):
-        k2 = (k + 1) % n_grid
-        if not (finite[k] and finite[k2]):
-            continue
-        t1 = thetas[k]
-        t2 = thetas[k] + step
-        if im[k] == 0.0:
-            out.append(float(t1))
-        elif im[k] * im[k2] < 0.0 and abs(im[k]) < 1e3 and abs(im[k2]) < 1e3:
-            try:
-                out.append(float(brentq(scalar, t1, t2, xtol=1e-15, maxiter=200)))
-            except ValueError:
-                pass
-    # tangential near-zeros without a sign change
+    im_next = np.roll(im, -1)
+    both = finite & np.roll(finite, -1)
+    out.extend(thetas[both & (im == 0.0)].tolist())
+    crossing = (both & (im * im_next < 0.0) & (np.abs(im) < 1e3)
+                & (np.abs(im_next) < 1e3))
+    for t1 in thetas[crossing].tolist():
+        try:
+            out.append(float(brentq(scalar, t1, t1 + step, xtol=1e-15, maxiter=200)))
+        except ValueError:
+            pass
+    # tangential near-zeros without a sign change, refined all at once
     absim = np.where(finite, np.abs(im), np.inf)
-    for k in range(n_grid):
-        prev_i = (k - 1) % n_grid
-        next_i = (k + 1) % n_grid
-        if absim[k] < 1e-6 and absim[k] <= absim[prev_i] and absim[k] <= absim[next_i]:
-            theta_ref, _ = golden_max(lambda t: -abs(scalar(t)),
-                                      thetas[k] - step, thetas[k] + step, 60)
-            out.append(float(theta_ref))
+    near = ((absim < 1e-6) & (absim <= np.roll(absim, 1))
+            & (absim <= np.roll(absim, -1)))
+    if near.any():
+        refined, _ = refine_max(lambda angles: -np.abs(profile(angles)),
+                                thetas[near], step)
+        out.extend(refined.tolist())
     deduped: List[float] = []
     for theta in sorted(t % (2.0 * math.pi) for t in out):
         if not deduped or abs(theta - deduped[-1]) > 1e-7:

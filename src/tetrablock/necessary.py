@@ -18,16 +18,15 @@ conj(a) lam^2 + C lam + a with a = -i psi0.
 
 from __future__ import annotations
 
-import cmath
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .domains import as_coordinate
 from .errors import DomainError, FitError
-from .geodesics import left_inverse_residual
+from .geodesics import left_inverse_residual, sample_grid
 
 #: fit grid: 4 radii x 16 angles, 64 samples
 FIT_RADII: Tuple[float, ...] = (0.15, 0.35, 0.55, 0.75)
@@ -60,17 +59,20 @@ G2_ACTION = CircularAction((1.0, 2.0))
 
 
 def vector_field(action: CircularAction, point) -> Tuple[complex, ...]:
-    """Infinitesimal generator of the rotation family: i * a_j * z_j."""
-    coords = tuple(complex(c) for c in point)
+    """Infinitesimal generator of the rotation family: i * a_j * z_j.
+
+    Coordinates may be arrays of samples; each component is then an array.
+    """
+    coords = tuple(as_coordinate(c) for c in point)
     if len(coords) != action.dim:
         raise DomainError(f"point has {len(coords)} coordinates, action has {action.dim}")
     return tuple(1j * a * c for a, c in zip(action.alpha, coords))
 
 
 def fit_grid(radii: Sequence[float] = FIT_RADII,
-             n_angles: int = FIT_N_ANGLES) -> List[complex]:
-    return [r * cmath.exp(2j * math.pi * k / n_angles)
-            for r in radii for k in range(n_angles)]
+             n_angles: int = FIT_N_ANGLES) -> np.ndarray:
+    """The fit sample points, radius by radius, as one complex array."""
+    return sample_grid(radii, n_angles)
 
 
 def numeric_gradient(fn: Callable, coords: Sequence[complex],
@@ -79,15 +81,16 @@ def numeric_gradient(fn: Callable, coords: Sequence[complex],
 
     Two central stencils at h and h/2 along the real axis of each
     coordinate, combined by Richardson extrapolation; valid because the
-    target functions are holomorphic.
+    target functions are holomorphic.  Array coordinates give arrays of
+    partials, with ``fn`` called once per stencil point on all samples.
     """
-    coords = tuple(complex(c) for c in coords)
+    coords = tuple(as_coordinate(c) for c in coords)
     out = []
     for j in range(len(coords)):
         def shifted(delta: float) -> complex:
             probe = list(coords)
             probe[j] = probe[j] + delta
-            return complex(fn(tuple(probe)))
+            return as_coordinate(fn(tuple(probe)))
 
         d_h = (shifted(step) - shifted(-step)) / (2.0 * step)
         d_h2 = (shifted(step / 2.0) - shifted(-step / 2.0)) / step
@@ -105,8 +108,12 @@ def gradient_of(F: Callable, coords: Sequence[complex]) -> Tuple[complex, ...]:
 
 def psi_of_lambda(F: Callable, f: Callable, action: CircularAction,
                   lam: complex) -> complex:
-    """sum_j dF/dz_j(f(lam)) * gamma_j(f(lam)) for the rotation field."""
-    coords = tuple(complex(c) for c in f(lam))
+    """sum_j dF/dz_j(f(lam)) * gamma_j(f(lam)) for the rotation field.
+
+    An array of ``lam`` calls f once and the gradient once on all of them
+    and gives an array of values.
+    """
+    coords = tuple(as_coordinate(c) for c in f(lam))
     grads = gradient_of(F, coords)
     if len(grads) != action.dim:
         raise DomainError("gradient dimension does not match the action")
@@ -131,11 +138,13 @@ class QuadraticFit:
         return -self.psi0.conjugate() * lam * lam + 1j * self.C * lam + self.psi0
 
 
-def _distinct_enough(lams: Sequence[complex]) -> bool:
-    seen = set()
-    for lam in lams:
-        seen.add((round(lam.real, 12), round(lam.imag, 12)))
-    return len(seen) >= 8
+def _sample_columns(samples: Sequence[Tuple[complex, complex]],
+                    minimum: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The sample points and values of (lam, value) pairs as two arrays."""
+    if len(samples) < minimum:
+        raise FitError(f"need at least {minimum} samples, got {len(samples)}")
+    pairs = np.asarray(samples, dtype=complex)
+    return pairs[:, 0], pairs[:, 1]
 
 
 def fit_quadratic_form(samples: Sequence[Tuple[complex, complex]]) -> QuadraticFit:
@@ -144,34 +153,24 @@ def fit_quadratic_form(samples: Sequence[Tuple[complex, complex]]) -> QuadraticF
     Unknowns are Re psi0, Im psi0 and the real C; the coupling between the
     lam^2 and constant coefficients is built into the (real) design matrix.
     Needs at least 8 distinct sample points; raises FitError on rank
-    deficiency.
+    deficiency.  ``samples`` is a sequence of (lam, value) pairs or an
+    (n, 2) complex array.
     """
-    if len(samples) < 8:
-        raise FitError(f"need at least 8 samples, got {len(samples)}")
-    lams = [complex(lam) for lam, _ in samples]
-    if not _distinct_enough(lams):
+    lams, values = _sample_columns(samples, 8)
+    distinct = np.unique(np.round(lams.real, 12) + 1j * np.round(lams.imag, 12))
+    if distinct.size < 8:
         raise FitError("sample points are not distinct enough")
-    rows = []
-    rhs = []
-    for lam, value in samples:
-        lam = complex(lam)
-        value = complex(value)
-        a, b = (lam * lam).real, (lam * lam).imag
-        c, d = lam.real, lam.imag
-        rows.append([1.0 - a, -b, -d])
-        rhs.append(value.real)
-        rows.append([-b, 1.0 + a, c])
-        rhs.append(value.imag)
-    matrix = np.asarray(rows)
-    target = np.asarray(rhs)
+    sq = lams * lams
+    a, b, c, d = sq.real, sq.imag, lams.real, lams.imag
+    # rows 2k and 2k + 1 match the real and imaginary parts of sample k
+    matrix = np.stack([np.column_stack([1.0 - a, -b, -d]),
+                       np.column_stack([-b, 1.0 + a, c])], axis=1).reshape(-1, 3)
+    target = np.column_stack([values.real, values.imag]).ravel()
     solution, _, rank, _ = np.linalg.lstsq(matrix, target, rcond=None)
     if rank < 3:
         raise FitError("rank-deficient fit (degenerate sample geometry)")
-    psi0 = complex(solution[0], solution[1])
-    C = float(solution[2])
-    fit = QuadraticFit(psi0, C, 0.0)
-    residual = max(abs(fit.evaluate(lam) - complex(value)) for lam, value in samples)
-    return QuadraticFit(psi0, C, residual)
+    fit = QuadraticFit(complex(solution[0], solution[1]), float(solution[2]), 0.0)
+    return replace(fit, residual=float(np.max(np.abs(fit.evaluate(lams) - values))))
 
 
 def fit_general_quadratic(samples: Sequence[Tuple[complex, complex]]
@@ -182,10 +181,7 @@ def fit_general_quadratic(samples: Sequence[Tuple[complex, complex]]
     purely of the expected type / c2 = conj(c0)) emerges from the data
     rather than from the constraint.
     """
-    if len(samples) < 3:
-        raise FitError("need at least 3 samples")
-    lams = np.asarray([complex(lam) for lam, _ in samples])
-    vals = np.asarray([complex(v) for _, v in samples])
+    lams, vals = _sample_columns(samples, 3)
     design = np.vander(lams, 3, increasing=True)
     coeffs, _, rank, _ = np.linalg.lstsq(design, vals, rcond=None)
     if rank < 3:
@@ -228,8 +224,8 @@ def geodesic_necessary_check(F: Callable, f: Callable, action: CircularAction,
     hyp = left_inverse_residual(f, F)
     if hyp > HYPOTHESIS_TOL:
         return NecessaryCheckReport(CheckVerdict.HYPOTHESIS_VIOLATION, None, hyp, tol)
-    samples = [(lam, psi_of_lambda(F, f, action, lam)) for lam in fit_grid()]
-    fit = fit_quadratic_form(samples)
+    lams = fit_grid()
+    fit = fit_quadratic_form(np.column_stack([lams, psi_of_lambda(F, f, action, lams)]))
     verdict = CheckVerdict.PASS if fit.residual < tol else CheckVerdict.FIT_FAIL
     return NecessaryCheckReport(verdict, fit, hyp, tol)
 

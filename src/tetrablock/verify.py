@@ -288,7 +288,8 @@ def suite_necessary(seed: int = 0, n_params: int = 200) -> SuiteResult:
         worst_a = max(worst_a, abs(report.fit.circular_a))
         worst_c_match = max(worst_c_match, abs(report.fit.C - C))
         # unconstrained cross-fit of the weighted sum itself
-        samples = [(lam, -1j * psi_of_lambda(F, f, G2_ACTION, lam)) for lam in fit_grid()]
+        lams = fit_grid()
+        samples = np.column_stack([lams, -1j * psi_of_lambda(F, f, G2_ACTION, lams)])
         c0, c1, _, _ = fit_general_quadratic(samples)
         worst_a = max(worst_a, abs(c0))
         worst_im_c = max(worst_im_c, abs(c1.imag))
@@ -334,35 +335,15 @@ def suite_g2_window(seed: int = 0) -> SuiteResult:
                         "witnesses_found": witnesses})
 
 
-def _psi_sup_batch(points: Sequence[TetraPoint], n_angles: int = 1024) -> np.ndarray:
-    """Grid stage of psi_sup over many points, with golden refinement only
-    where the grid value approaches the decision level 1."""
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
-    eta = np.exp(1j * thetas)
-    out = np.empty(len(points))
-    chunk = 256
-    for start in range(0, len(points), chunk):
-        block = points[start:start + chunk]
-        z1 = np.array([p.z1 for p in block])[:, None]
-        z2 = np.array([p.z2 for p in block])[:, None]
-        z3 = np.array([p.z3 for p in block])[:, None]
-        vals = np.abs((eta[None, :] * z3 - z2) / (eta[None, :] * z1 - 1.0))
-        out[start:start + len(block)] = vals.max(axis=1)
-    for idx, point in enumerate(points):
-        if abs(out[idx] - 1.0) < 1e-2:
-            out[idx] = psi_sup(point)
-    return out
-
-
 def suite_membership(seed: int = 0, n_points: int = 10000) -> SuiteResult:
     """Sign agreement of the defining functional and the Psi supremum."""
     rng = np.random.default_rng(seed)
     coords = (rng.uniform(-1.0, 1.0, size=(3, n_points))
               + 1j * rng.uniform(-1.0, 1.0, size=(3, n_points))) / math.sqrt(2.0)
-    points = [TetraPoint(coords[0][k], coords[1][k], coords[2][k])
-              for k in range(n_points)]
     e_vals = e_value_raw(coords[0], coords[1], coords[2])
-    sup_vals = _psi_sup_batch(points)
+    # blocks of 256 points keep the (points x angles) arrays small
+    sup_vals = np.concatenate([psi_sup(TetraPoint(*coords[:, start:start + 256]))
+                               for start in range(0, n_points, 256)])
     decided = np.abs(e_vals - 1.0) > 1e-6
     disagreements = int(np.count_nonzero(
         np.sign(sup_vals[decided] - 1.0) != np.sign(e_vals[decided] - 1.0)))

@@ -2,16 +2,22 @@
 
 Each disc family evaluated once on a whole sample grid must equal its scalar
 evaluator point by point, and the grid sweeps must give the verdicts and
-residuals of the per-lambda loops kept here as the reference.
+residuals of the per-lambda loops kept here as the reference.  The circle
+search is checked against the golden-section search it replaced, and the
+necessary-condition checker against a per-lambda loop with a row-by-row
+design matrix.
 """
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 
-from tetrablock.domains import TetraPoint, g2_membership, tetra_e_value
-from tetrablock.extremals import G2FMap
+from tetrablock.domains import (TetraPoint, g2_membership, psi_sup,
+                                tetra_e_value)
+from tetrablock.extremals import (G2FMap, MagicFMap, caratheodory_lower_bound,
+                                  magic_f, p_e, sigma)
 from tetrablock.geodesics import (DEFAULT_RADII, DiscVerdict, G2GeodesicParams,
                                   GeneralDiscParams, OriginGeodesicParams,
                                   TransportClass, boundary_disc,
@@ -22,9 +28,13 @@ from tetrablock.geodesics import (DEFAULT_RADII, DiscVerdict, G2GeodesicParams,
                                   origin_geodesic_disc, sample_grid,
                                   transport_disc, transported_extremal,
                                   transported_extremal_disc, verify_disc)
-from tetrablock.hyperbolic import BlaschkeMap
-from tetrablock.verify import (random_phi_pinned, random_self_map,
-                               random_unimodular, sample_origin_params)
+from tetrablock.hyperbolic import BlaschkeMap, mobius_m
+from tetrablock.necessary import (G2_ACTION, TETRABLOCK_ACTIONS, CheckVerdict,
+                                  fit_grid, geodesic_necessary_check,
+                                  psi_of_lambda)
+from tetrablock.verify import (random_interior_points, random_phi_pinned,
+                               random_self_map, random_unimodular,
+                               sample_origin_params)
 
 # the default grid plus the centre, where the transported families fill in
 # their removable singularity
@@ -177,3 +187,153 @@ def test_transport_classify_matches_scalar_loop():
             assert abs(got - want) <= 1e-10
         seen.add(expected)
     assert seen == {TransportClass.BOUNDARY, TransportClass.INTERIOR}
+
+
+# ---------------------------------------------------------------------------
+# circle search: golden-section reference
+# ---------------------------------------------------------------------------
+
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(fn, lo, hi, iters):
+    a, b = lo, hi
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - INVPHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + INVPHI * (b - a)
+            fd = fn(d)
+        x, v = (c, fc) if fc >= fd else (d, fd)
+        if v > best_v:
+            best_x, best_v = x, v
+    return best_x, best_v
+
+
+def golden_max_on_circle(values_fn, refine_iters, n_angles=1024):
+    """A 1024-angle grid, then golden-section refinement one angle at a time."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+    vals = np.asarray(values_fn(thetas), dtype=float)
+    i = int(np.argmax(vals))
+    step = 2.0 * math.pi / n_angles
+    best_val = float(vals[i])
+    _, val_ref = golden_max(lambda t: float(values_fn(np.array([t]))[0]),
+                            thetas[i] - step, thetas[i] + step, refine_iters)
+    return max(best_val, val_ref)
+
+
+def psi_values(z, thetas):
+    eta = np.exp(1j * thetas)
+    return (eta * z.z3 - z.z2) / (eta * z.z1 - 1.0)
+
+
+def golden_psi_sup(z):
+    return golden_max_on_circle(lambda t: np.abs(psi_values(z, t)), 40)
+
+
+def golden_psi_bound(w, z):
+    return golden_max_on_circle(
+        lambda t: mobius_m(psi_values(w, t), psi_values(z, t)), 60)
+
+
+def golden_p_e(w, z):
+    return max(golden_psi_bound(w, z), golden_psi_bound(sigma(w), sigma(z)))
+
+
+def golden_c_lower(w, z):
+    return max(golden_p_e(w, z), mobius_m(magic_f(w), magic_f(z)))
+
+
+def test_circle_search_matches_golden_section():
+    points = random_interior_points(np.random.default_rng(53), 60)
+    for z in points:
+        assert abs(psi_sup(z) - golden_psi_sup(z)) <= 2e-15
+    for w, z in zip(points[::2], points[1::2]):
+        assert abs(p_e(w, z).m_scale - golden_p_e(w, z)) <= 2e-15
+        assert abs(caratheodory_lower_bound(w, z).m_scale
+                   - golden_c_lower(w, z)) <= 2e-15
+
+
+def test_block_psi_sup_equals_scalar():
+    rng = np.random.default_rng(59)
+    n = 256
+    # every fourth point has |z1| in (0.99, 0.9999), where Psi_eta peaks sharply
+    radius = np.where(np.arange(n) % 4 == 0, rng.uniform(0.99, 0.9999, n),
+                      rng.uniform(0.0, 0.99, n))
+    z1 = radius * np.exp(2j * math.pi * rng.uniform(size=n))
+    z2, z3 = (rng.uniform(-1.0, 1.0, size=(2, n))
+              + 1j * rng.uniform(-1.0, 1.0, size=(2, n))) / math.sqrt(2.0)
+    block = psi_sup(TetraPoint(z1, z2, z3))
+    assert block.shape == (n,)
+    for k in range(n):
+        scalar = psi_sup(TetraPoint(complex(z1[k]), complex(z2[k]), complex(z3[k])))
+        assert isinstance(scalar, float)
+        assert block[k] == scalar
+
+
+# ---------------------------------------------------------------------------
+# necessary-condition checker: per-lambda reference
+# ---------------------------------------------------------------------------
+
+
+def loop_quadratic_fit(samples):
+    """Row-by-row design matrix of the constrained model; (psi0, C, residual)."""
+    rows, rhs = [], []
+    for lam, value in samples:
+        a, b = (lam * lam).real, (lam * lam).imag
+        rows.append([1.0 - a, -b, -lam.imag])
+        rhs.append(value.real)
+        rows.append([-b, 1.0 + a, lam.real])
+        rhs.append(value.imag)
+    solution = np.linalg.lstsq(np.asarray(rows), np.asarray(rhs), rcond=None)[0]
+    psi0, C = complex(solution[0], solution[1]), float(solution[2])
+    residual = max(abs(-psi0.conjugate() * lam * lam + 1j * C * lam + psi0 - value)
+                   for lam, value in samples)
+    return psi0, C, residual
+
+
+def necessary_cases():
+    rng = np.random.default_rng(61)
+    for params in sample_origin_params(rng, 8):
+        f, F = origin_geodesic_disc(params), certified_left_inverse(params)
+        for action in TETRABLOCK_ACTIONS:
+            yield "psi-omega", F, f, action
+            # a plain callable has no gradient and goes through finite
+            # differences
+            yield "numeric", (lambda z, F=F: F(z)), f, action
+    for c in (0.3, 0.7, 1.0):
+        # magic_f(c lam, lam, c lam^2) = lam
+        f = lambda lam, c=c: TetraPoint(c * lam, lam, c * lam * lam)
+        for action in TETRABLOCK_ACTIONS:
+            yield "magic-f", MagicFMap(), f, action
+    for _ in range(6):
+        params = G2GeodesicParams(rng.uniform(1.0, 2.0), random_unimodular(rng))
+        yield "g2-f", G2FMap(params.omega), g2_geodesic_disc(params), G2_ACTION
+
+
+def test_necessary_check_matches_per_lambda_loop():
+    seen = set()
+    for name, F, f, action in necessary_cases():
+        report = geodesic_necessary_check(F, f, action)
+        samples = [(complex(lam), psi_of_lambda(F, f, action, complex(lam)))
+                   for lam in fit_grid()]
+        assert all(isinstance(value, complex) for _, value in samples)
+        psi0, C, residual = loop_quadratic_fit(samples)
+        # closed-form gradients agree to rounding; finite differences divide
+        # last-digit differences between numpy and Python complex arithmetic
+        # by the 1e-5 stencil step, about 1e5 * eps per partial
+        tol = 1e-10 if name == "numeric" else 1e-14
+        assert abs(report.fit.psi0 - psi0) <= tol, name
+        assert abs(report.fit.C - C) <= tol, name
+        assert abs(report.fit.residual - residual) <= tol, name
+        verdict = CheckVerdict.PASS if residual < report.tolerance_used else CheckVerdict.FIT_FAIL
+        assert report.verdict is verdict, name
+        seen.add(name)
+    assert seen == {"psi-omega", "numeric", "magic-f", "g2-f"}

@@ -87,6 +87,27 @@ class TestMember:
         assert env["results"]["e_value"] == {"scale": "raw", "value": 0.7}
         assert "tolerance" in env["diagnostics"]
 
+    @pytest.mark.parametrize("argv", [
+        ("tetrablock", "0", "0.3", "0.5", "--tol", "nan"),
+        ("tetrablock", "0", "0.3", "0.5", "--tol", "inf"),
+        ("tetrablock", "0", "0.3", "0.5", "--tol", "0"),
+        ("g2", "0", "0", "--tol", "inf"),
+        ("g2", "0", "0", "--tol", "nan"),
+        ("g2", "0", "0", "--tol", "-1e-3"),
+    ])
+    def test_tol_must_be_finite_and_positive(self, capsys, argv):
+        code, out, err = run(capsys, "member", *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and "--tol" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_env_var_tolerance_must_be_finite_and_positive(self, capsys, monkeypatch,
+                                                           value):
+        monkeypatch.setenv("TETRA_DEFAULT_TOL", value)
+        code, out, err = run(capsys, "member", "tetrablock", "0", "0.3", "0.5")
+        assert code == EXIT_USAGE
+        assert out == "" and "TETRA_DEFAULT_TOL" in err
+
     def test_env_var_tolerance(self, capsys, monkeypatch):
         monkeypatch.setenv("TETRA_DEFAULT_TOL", "1e-3")
         code, out, _ = run(capsys, "member", "tetrablock", "--json",
@@ -130,6 +151,17 @@ class TestDistance:
         env = json.loads(out)
         assert env["results"]["p_e"]["m_scale"] == 0.0
         assert env["results"]["k_upper"]["m_scale"] == 0.0
+
+    def test_no_verdict_without_upper_bound(self, capsys):
+        argv = ("distance", "0.1,0.05,0.02", "0.12,0.07,0.03", "--budget", "0")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == EXIT_OK
+        res = json.loads(out)["results"]
+        assert res["k_upper"] is None
+        assert res["sandwich_ok"] is None
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert "sandwich_ok: unknown (no upper bound found)" in out.splitlines()
 
     def test_exterior_rejected(self, capsys):
         code, _, err = run(capsys, "distance", "2,0,0", "0,0,0")
@@ -198,6 +230,12 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert out.startswith("PASS separation")
 
+    @pytest.mark.parametrize("suite", ["rho", "separation"])
+    def test_negative_seed_is_usage_error(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--seed", "-1")
+        assert code == EXIT_USAGE
+        assert out == "" and "--seed" in err
+
     def test_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "verify", "--suite", "rho", "--seed", "5",
                          "--json")
@@ -249,6 +287,27 @@ class TestSweep:
                            "--out", str(tmp_path / "x.csv"))
         assert code == EXIT_USAGE
         assert "--c-step" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--c-min", "nan"), ("--c-min", "-inf"), ("--c-max", "inf"),
+        ("--c-max", "nan"), ("--c-step", "inf"), ("--lam", "nan"),
+    ])
+    def test_separation_bounds_must_be_finite(self, capsys, tmp_path, flag, value):
+        out_file = tmp_path / "x.csv"
+        code, _, err = run(capsys, "sweep", "separation", flag, value,
+                           "--out", str(out_file))
+        assert code == EXIT_USAGE
+        assert flag in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_grid_n_must_be_positive(self, capsys, tmp_path, n):
+        out_file = tmp_path / "x.csv"
+        code, _, err = run(capsys, "sweep", "lempert", "--grid-n", n,
+                           "--out", str(out_file))
+        assert code == EXIT_USAGE
+        assert "--grid-n" in err
+        assert not out_file.exists()
 
     def test_io_error_exit(self, capsys):
         code, _, err = run(capsys, "sweep", "separation",

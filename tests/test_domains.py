@@ -68,6 +68,13 @@ class TestMembership:
         with pytest.raises(DomainError):
             tetra_membership((0, 0, 0), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_tol_must_be_finite(self, tol):
+        with pytest.raises(DomainError):
+            tetra_membership((0, 0.3, 0.5), tol=tol)
+        with pytest.raises(DomainError):
+            g2_membership((0, 0), tol=tol)
+
     def test_interior_coordinates_bounded(self):
         # every interior point has all |z_j| < 1
         rng = np.random.default_rng(5)
