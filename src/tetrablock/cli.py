@@ -46,6 +46,8 @@ EXIT_VERIFICATION = 70
 EXIT_IO = 74
 
 SCHEMA_VERSION = 1
+#: limit on the rows of a separation sweep, round((c_max - c_min) / c_step) + 1
+MAX_SWEEP_ROWS = 100_000
 
 
 class _UsageExit(Exception):
@@ -399,7 +401,10 @@ def cmd_sweep(args) -> int:
             raise _UsageExit("--c-step must be positive")
         if not all(math.isfinite(v) for v in (args.c_min, args.c_max, args.c_step, args.lam)):
             raise _UsageExit("--c-min, --c-max, --c-step and --lam must be finite")
-        n_steps = int(round((args.c_max - args.c_min) / args.c_step)) + 1
+        span = (args.c_max - args.c_min) / args.c_step
+        n_steps = int(round(span)) + 1 if math.isfinite(span) else math.inf
+        if n_steps > MAX_SWEEP_ROWS:
+            raise _UsageExit(f"--c-step too small: at most {MAX_SWEEP_ROWS} rows")
         lam = args.lam
         for k in range(max(n_steps, 0)):
             C = args.c_min + k * args.c_step

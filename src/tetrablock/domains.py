@@ -14,7 +14,7 @@ through the supremum over unimodular eta of the rational family
 
 which stays below 1 in modulus exactly on the domain (for |z1| < 1, the
 supremum over the closed disc in eta reduces to the circle by the maximum
-principle).
+principle); ``psi_sup`` gives that supremum in closed form.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .angle_search import max_on_circle
 from .errors import DomainError, PoleError
 
 #: default width of the boundary band in membership classification
@@ -180,19 +179,22 @@ def psi_eta(eta, z):
 
 
 def psi_sup(z):
-    """sup over |eta| = 1 of |Psi_eta(z)|; equals the closed-disc supremum.
+    """sup over |eta| = 1 of |Psi_eta(z)|, the H-infinity norm of Psi(., z)
+    (Abouhajar, White and Young, J. Geom. Anal. 2007, Thm 2.2).
 
-    Dense angular grid plus zoom refinement.  The value is < 1 exactly when
-    the defining functional is < 1 (membership cross-check), for any z with
-    |z1| < 1.  A point with array coordinates gives an array of suprema, one
-    per sample; a scalar point gives a float.
+    For |z1| < 1 the circle |eta| = 1 maps onto the circle of centre
+    (z2 - conj(z1) z3) / (1 - |z1|^2) and radius |z1 z2 - z3| / (1 - |z1|^2);
+    the sum of both moduli is taken over (1 - |z1|)(1 + |z1|), accurate as
+    |z1| -> 1.  The value is < 1 exactly when the defining functional is.
+    Array points give one supremum per sample, a scalar point a float.
     """
-    z = TetraPoint.of(z)
-    if np.abs(z.z1).max() >= 1.0:
-        raise DomainError(f"psi_sup requires |z1| < 1, got {np.abs(z.z1).max()}")
-    # a trailing axis on every coordinate broadcasts against angles (..., k)
-    zz = TetraPoint(*(np.asarray(c)[..., None] for c in z))
-    _, val = max_on_circle(lambda thetas: np.abs(psi_eta(np.exp(1j * thetas), zz)))
+    # numpy scalars too, so a point and its block agree to the last digit
+    z1, z2, z3 = (np.asarray(c) for c in TetraPoint.of(z))
+    r1 = np.abs(z1)
+    if np.max(r1) >= 1.0:
+        raise DomainError(f"psi_sup requires |z1| < 1, got {np.max(r1)}")
+    val = ((np.abs(z2 - np.conjugate(z1) * z3) + np.abs(z1 * z2 - z3))
+           / ((1.0 - r1) * (1.0 + r1)))
     return val if val.ndim else float(val)
 
 

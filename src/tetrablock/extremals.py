@@ -7,7 +7,8 @@ certified lower bound for the Caratheodory pseudodistance of the pair.  The
 supremum of the Psi-family bounds (with and without the coordinate swap) is
 exposed separately as ``p_e``; it is always dominated by the full lower
 bound, and on some pairs it is *strictly* smaller -- the separation that the
-``magic_f`` map detects.
+``magic_f`` map detects.  The Psi-family maxima over the unimodular
+parameter are exact: they are taken at the roots of a sextic.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .angle_search import max_on_circle
 from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, as_coordinate,
                       is_interior, psi_eta)
 from .errors import BranchError, DomainError, PoleError
@@ -195,17 +195,32 @@ class ExtremalFamilyId:
 
 def _psi_family_bound(w: TetraPoint, z: TetraPoint, swap: bool,
                       parameter: Optional[complex]) -> float:
+    """m(Psi_eta(w), Psi_eta(z)) at the pinned eta, else its maximum on |eta| = 1.
+
+    On the circle m = |A(eta)| / |B(eta)| (a prime marks the conjugate):
+        A = (w2 - z2) + (z3 - w3 + z2 w1 - w2 z1) eta + (w3 z1 - z3 w1) eta^2
+        B = (w3' z2 - w1') + (1 + w1' z1 - w3' z3 - w2' z2) eta + (w2' z3 - z1) eta^2
+    With a = eta^2 |A|^2 and b = eta^2 |B|^2 (degree 4), the maximizers are
+    unimodular roots of a' b - a b' (degree <= 6); m is taken at eta = 1 and
+    at every root projected to the circle, so the value is attained.
+    """
     if swap:
         w, z = sigma(w), sigma(z)
     if parameter is not None:
         return mobius_m(psi_eta(parameter, w), psi_eta(parameter, z))
-
-    def values(thetas: np.ndarray) -> np.ndarray:
-        eta = np.exp(1j * thetas)
-        return mobius_m(psi_eta(eta, w), psi_eta(eta, z))
-
-    _, val = max_on_circle(values)
-    return float(val)
+    wc1, wc2, wc3 = w.z1.conjugate(), w.z2.conjugate(), w.z3.conjugate()
+    A = np.array([w.z2 - z.z2, z.z3 - w.z3 + z.z2 * w.z1 - w.z2 * z.z1,
+                  w.z3 * z.z1 - z.z3 * w.z1])
+    B = np.array([wc3 * z.z2 - wc1, 1.0 + wc1 * z.z1 - wc3 * z.z3 - wc2 * z.z2,
+                  wc2 * z.z3 - z.z1])
+    # eta^2 |P|^2 is P times its reversed conjugate; coefficients ascend
+    a, b = np.convolve(A, A[::-1].conj()), np.convolve(B, B[::-1].conj())
+    order = np.arange(1, 5)
+    crit = np.convolve(a[1:] * order, b) - np.convolve(a, b[1:] * order)
+    # the degree-7 term cancels, so np.roots gets degrees 6..0; a root at 0
+    # lands on eta = 1
+    eta = np.exp(1j * np.angle(np.append(np.roots(crit[6::-1]), 1.0)))
+    return float(np.max(mobius_m(psi_eta(eta, w), psi_eta(eta, z))))
 
 
 TETRABLOCK_FAMILIES = (ExtremalFamily.PSI_OMEGA, ExtremalFamily.PSI_OMEGA_SIGMA,
@@ -218,7 +233,9 @@ def _family_bound(fid: ExtremalFamilyId, w: TetraPoint, z: TetraPoint) -> float:
     if fid.tag is ExtremalFamily.PSI_OMEGA_SIGMA:
         return _psi_family_bound(w, z, True, fid.parameter)
     if fid.tag is ExtremalFamily.MAGIC_F:
-        return mobius_m(magic_f(w), magic_f(z))
+        # magic_f o sigma makes the bound sigma-invariant
+        return max(mobius_m(magic_f(w), magic_f(z)),
+                   mobius_m(magic_f(sigma(w)), magic_f(sigma(z))))
     raise DomainError(f"family {fid.tag.value} does not apply to tetrablock points")
 
 

@@ -336,14 +336,12 @@ def suite_g2_window(seed: int = 0) -> SuiteResult:
 
 
 def suite_membership(seed: int = 0, n_points: int = 10000) -> SuiteResult:
-    """Sign agreement of the defining functional and the Psi supremum."""
+    """Sign agreement of the defining functional and the exact Psi supremum."""
     rng = np.random.default_rng(seed)
     coords = (rng.uniform(-1.0, 1.0, size=(3, n_points))
               + 1j * rng.uniform(-1.0, 1.0, size=(3, n_points))) / math.sqrt(2.0)
     e_vals = e_value_raw(coords[0], coords[1], coords[2])
-    # blocks of 256 points keep the (points x angles) arrays small
-    sup_vals = np.concatenate([psi_sup(TetraPoint(*coords[:, start:start + 256]))
-                               for start in range(0, n_points, 256)])
+    sup_vals = psi_sup(TetraPoint(*coords))
     decided = np.abs(e_vals - 1.0) > 1e-6
     disagreements = int(np.count_nonzero(
         np.sign(sup_vals[decided] - 1.0) != np.sign(e_vals[decided] - 1.0)))

@@ -4,8 +4,8 @@ import math
 import pytest
 
 from tetrablock.cli import (EXIT_BOUNDARY, EXIT_EXTERIOR, EXIT_INVARIANT,
-                            EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main,
-                            parse_complex, parse_phi)
+                            EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION,
+                            MAX_SWEEP_ROWS, main, parse_complex, parse_phi)
 
 
 def run(capsys, *argv):
@@ -287,6 +287,24 @@ class TestSweep:
                            "--out", str(tmp_path / "x.csv"))
         assert code == EXIT_USAGE
         assert "--c-step" in err
+
+    def test_c_step_too_small(self, capsys, tmp_path):
+        out_file = tmp_path / "x.csv"
+        code, _, err = run(capsys, "sweep", "separation", "--c-step", "1e-9",
+                           "--out", str(out_file))
+        assert code == EXIT_USAGE
+        assert "--c-step" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("c_max, expected", [("2.99999", EXIT_OK),
+                                                  ("3", EXIT_USAGE)])
+    def test_row_limit_edge(self, capsys, tmp_path, c_max, expected):
+        # every C of this grid lies outside (0, 1), so no row is computed
+        assert MAX_SWEEP_ROWS == 100_000
+        code, _, _ = run(capsys, "sweep", "separation", "--c-min", "2",
+                         "--c-max", c_max, "--c-step", "1e-5",
+                         "--out", str(tmp_path / "x.csv"))
+        assert code == expected
 
     @pytest.mark.parametrize("flag, value", [
         ("--c-min", "nan"), ("--c-min", "-inf"), ("--c-max", "inf"),

@@ -112,6 +112,20 @@ class TestPsiSup:
             assert value >= oracle - 1e-12
             assert value == pytest.approx(oracle, abs=1e-5)
 
+    def test_near_unit_z1_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            z1 = rng.uniform(0.99, 0.9999) * cmath.exp(2j * math.pi * rng.uniform())
+            z2, z3 = (complex(*rng.uniform(-1.0, 1.0, 2)) / math.sqrt(2.0)
+                      for _ in range(2))
+            with mpmath.workdps(50):
+                m1, m2, m3 = (mpmath.mpc(c) for c in (z1, z2, z3))
+                exact = ((abs(m2 - mpmath.conj(m1) * m3) + abs(m1 * m2 - m3))
+                         / (1 - abs(m1) ** 2))
+            value = psi_sup(TetraPoint(z1, z2, z3))
+            assert abs(value - exact) <= 1e-12 * exact
+
     def test_requires_z1_inside(self):
         with pytest.raises(DomainError):
             psi_sup((1.0, 0, 0))

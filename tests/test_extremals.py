@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tetrablock.domains import TetraPoint
+from tetrablock.domains import TetraPoint, is_interior
 from tetrablock.errors import BranchError, DomainError, PoleError
 from tetrablock.extremals import (ExtremalFamily, ExtremalFamilyId, G2FMap,
                                   MagicFMap, PsiOmegaMap,
@@ -14,7 +14,7 @@ from tetrablock.extremals import (ExtremalFamily, ExtremalFamilyId, G2FMap,
 from tetrablock.geodesics import OriginGeodesicParams, eval_origin_geodesic
 from tetrablock.hyperbolic import BlaschkeMap, mobius_m
 from tetrablock.necessary import numeric_gradient
-from tetrablock.verify import random_interior_points
+from tetrablock.verify import random_disc_point, random_interior_points
 
 
 class TestPsiEta:
@@ -127,6 +127,51 @@ class TestPE:
         w = TetraPoint(0, 0, -C)
         z = TetraPoint(0, lam * (1 - C), -C)
         assert p_e(w, z).m_scale == pytest.approx(expected, abs=1e-8)
+
+    def test_coincident_points_exact_zero(self):
+        for z in random_interior_points(np.random.default_rng(21), 50):
+            assert p_e(z, z).m_scale == 0.0
+
+    def test_product_points(self):
+        # Psi_eta(a, b, a b) = b for every eta, so only the two coordinate
+        # distances remain
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            a, b, c, d = (random_disc_point(rng) for _ in range(4))
+            value = p_e(TetraPoint(a, b, a * b), TetraPoint(c, d, c * d)).m_scale
+            assert value == pytest.approx(max(mobius_m(b, d), mobius_m(a, c)),
+                                          abs=2e-15)
+
+    def test_axis_pairs(self):
+        # Psi_eta(0, b, c) = b - eta c: the plain family gives
+        # |b| / (1 - |c|^2 - |b| |c|), and the swapped one no more
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            c = random_disc_point(rng, 0.6)
+            b = random_disc_point(rng, 0.95 - abs(c))
+            value = p_e(TetraPoint(0, 0, c), TetraPoint(0, b, c)).m_scale
+            expected = abs(b) / (1.0 - abs(c) ** 2 - abs(b) * abs(c))
+            assert value == pytest.approx(expected, rel=1e-13)
+
+    def test_separation_pair_exact(self):
+        value = p_e(TetraPoint(0, 0, -0.5), TetraPoint(0, 0.05, -0.5)).m_scale
+        assert value == pytest.approx(0.1 / 1.45, abs=1e-15)
+
+    def test_dominates_sampled_maximum(self):
+        thetas = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+        eta = np.exp(1j * thetas)
+        rng = np.random.default_rng(24)
+        points = random_interior_points(rng, 200)
+        pairs = list(zip(points[:100], points[100:]))
+        # close pairs, where the distance varies little with eta
+        pairs += [(w, TetraPoint(*(c + 1e-4 * random_disc_point(rng) for c in w)))
+                  for w in points[:50]]
+        for w, z in pairs:
+            if not (is_interior(w) and is_interior(z)):
+                continue
+            sampled = max(float(np.max(mobius_m(psi_eta(eta, a), psi_eta(eta, b))))
+                          for a, b in ((w, z), (sigma(w), sigma(z))))
+            assert p_e(w, z).m_scale >= sampled - 1e-15
 
     def test_rejects_exterior(self):
         with pytest.raises(DomainError):

@@ -3,24 +3,34 @@
 The Caratheodory pseudodistance is invariant under the automorphisms sigma
 (swap of z1 and z2) and f_omega (rotation), and p_e <= c_lower <= k_upper
 order the Psi-family supremum, the certified lower bound and the
-interpolating-disc upper bound.  The lower-bound family set is not closed
-under sigma (magic_f reads z2 only), so its invariance is a property of the
-random interior pairs drawn here, where the Psi families dominate; at the
-separation pair (0, 0, -0.5), (0, 0.05, -0.5) it does not hold.
+interpolating-disc upper bound.  The lower-bound families are closed under
+sigma (magic_f enters with magic_f o sigma), so c_lower is sigma-invariant
+on every pair, the separation pair (0, 0, -0.5), (0, 0.05, -0.5) included.
+They are not closed under f_omega (magic_f o f_omega is not among them), so
+rotation invariance of c_lower is a property of the random interior pairs
+drawn here, where the Psi families dominate.  Holomorphic discs contract:
+at the images f(l1), f(l2) of a disc, every family bound is at most
+m(l1, l2) (Schwarz-Pick).
 """
 
 import cmath
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetrablock.domains import TetraPoint
 from tetrablock.extremals import (caratheodory_lower_bound,
                                   f_omega_automorphism, p_e, sigma)
-from tetrablock.geodesics import disc_search_upper_bound
-from tetrablock.verify import random_disc_point, random_interior_points
+from tetrablock.geodesics import (GeneralDiscParams, disc_search_upper_bound,
+                                  general_disc, origin_geodesic_disc,
+                                  product_disc)
+from tetrablock.hyperbolic import BlaschkeMap, mobius_m
+from tetrablock.verify import (random_disc_point, random_interior_points,
+                               random_self_map, random_unimodular,
+                               sample_origin_params)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 angles = st.floats(0.0, 2.0 * math.pi)
@@ -44,6 +54,18 @@ def test_bounds_invariant_under_automorphisms(seed, theta):
     for w2, z2 in images:
         assert abs(p_e(w2, z2).m_scale - pe) <= 1e-12
         assert abs(caratheodory_lower_bound(w2, z2).m_scale - c_lower) <= 1e-12
+
+
+@pytest.mark.parametrize("w, z", [
+    (TetraPoint(0, 0, -0.5), TetraPoint(0, 0.05, -0.5)),
+    (TetraPoint(0, 0, -0.5), TetraPoint(0.05, 0, -0.5)),
+])
+def test_separation_pair_sigma_invariant(w, z):
+    # magic_f separates this pair from p_e = 0.1 / 1.45 in either orientation
+    c_lower = caratheodory_lower_bound(w, z).m_scale
+    assert c_lower == pytest.approx(0.1 * math.sqrt(0.5), abs=1e-15)
+    assert caratheodory_lower_bound(sigma(w), sigma(z)).m_scale == c_lower
+    assert p_e(sigma(w), sigma(z)).m_scale == p_e(w, z).m_scale < c_lower
 
 
 @given(seeds)
@@ -72,3 +94,33 @@ def test_c_lower_below_k_upper(seed, kind):
     result = disc_search_upper_bound(w, z, budget=2000)
     assert result.found
     assert caratheodory_lower_bound(w, z).m_scale <= result.bound.m_scale + 1e-9
+
+
+def schwarz_pick_disc(kind, rng):
+    """A holomorphic disc into the tetrablock of the given kind."""
+    if kind == "origin-geodesic":
+        # every phi shape, and the C = 1 edge
+        return origin_geodesic_disc(sample_origin_params(rng, 5)[rng.integers(5)])
+    if kind == "general":
+        # psi an automorphism: the disc is a geodesic
+        psi = BlaschkeMap(random_unimodular(rng), (random_disc_point(rng),), 1.0)
+        return general_disc(GeneralDiscParams(rng.uniform(0.0, 0.99), random_unimodular(rng),
+                                              random_unimodular(rng),
+                                              random_self_map(rng), psi))
+    a, b = random_self_map(rng), random_self_map(rng)
+    return lambda lam: product_disc(a, b, lam)
+
+
+@given(seeds, st.sampled_from(["origin-geodesic", "general", "product"]))
+@bounded
+def test_schwarz_pick_contraction(seed, kind):
+    rng = np.random.default_rng(seed)
+    f = schwarz_pick_disc(kind, rng)
+    lam1, lam2 = random_disc_point(rng), random_disc_point(rng)
+    w, z = f(lam1), f(lam2)
+    pe = p_e(w, z).m_scale
+    c_lower = caratheodory_lower_bound(w, z).m_scale
+    assert pe <= c_lower <= mobius_m(lam1, lam2) + 1e-12
+    if kind == "origin-geodesic":
+        # the left inverse recovers lam, so the bound is attained at f(0) = 0
+        assert abs(caratheodory_lower_bound(f(0.0), z).m_scale - abs(lam2)) <= 1e-9
