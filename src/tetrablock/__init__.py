@@ -14,8 +14,8 @@ from .extremals import (CoordinateMap, ExtremalFamily, ExtremalFamilyId,
                         G2FMap, MagicFMap, PsiOmegaMap,
                         caratheodory_lower_bound, f_omega_automorphism, g2_f,
                         magic_f, p_e, psi_eta, sigma)
-from .geodesics import (DiscSearchResult, DiscVerdict, DiscVerificationReport,
-                        G2GeodesicParams, GeneralDiscParams,
+from .geodesics import (DiscMember, DiscSearchResult, DiscVerdict,
+                        DiscVerificationReport, G2GeodesicParams, GeneralDiscParams,
                         OriginGeodesicParams, OriginGeodesicSolution,
                         TransportClass, axis_pair, blaschke_interp_origin,
                         boundary_disc, certified_left_inverse, disc_coords,
@@ -23,6 +23,7 @@ from .geodesics import (DiscSearchResult, DiscVerdict, DiscVerificationReport,
                         eval_general_disc, eval_origin_geodesic,
                         g2_origin_geodesic, g2_geodesic_disc,
                         g2_violation_witness, general_disc,
+                        general_disc_members,
                         is_product_geodesic, left_inverse_residual,
                         lempert_special, origin_geodesic_disc, origin_lempert,
                         product_disc, sample_grid,

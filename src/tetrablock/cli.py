@@ -46,7 +46,8 @@ EXIT_VERIFICATION = 70
 EXIT_IO = 74
 
 SCHEMA_VERSION = 1
-#: limit on the rows of a separation sweep, round((c_max - c_min) / c_step) + 1
+#: limit on the rows of a sweep: round((c_max - c_min) / c_step) + 1 for
+#: separation, grid_n^2 for lempert
 MAX_SWEEP_ROWS = 100_000
 
 
@@ -226,6 +227,7 @@ def cmd_distance(args) -> int:
         "k_upper": dist(search.bound) if search.found else None,
         "k_upper_family": search.family,
         "k_upper_residual": raw(search.residual) if search.found else None,
+        "k_upper_reason": search.reason,
         "closed_form": dist(closed) if closed is not None else None,
         "sandwich_ok": sandwich_ok,
     }
@@ -234,7 +236,7 @@ def cmd_distance(args) -> int:
     if search.found:
         human.append(f"k_upper: m_scale {search.bound.m_scale!r} (family {search.family})")
     else:
-        human.append("k_upper: not found within budget")
+        human.append(f"k_upper: not found ({search.reason})")
     if closed is not None:
         human.append(f"closed_form: m_scale {closed.m_scale!r}")
     human.append("sandwich_ok: unknown (no upper bound found)" if sandwich_ok is None
@@ -424,6 +426,8 @@ def cmd_sweep(args) -> int:
         n = args.grid_n
         if n < 1:
             raise _UsageExit("--grid-n must be positive")
+        if n * n > MAX_SWEEP_ROWS:
+            raise _UsageExit(f"--grid-n too large: at most {MAX_SWEEP_ROWS} rows")
         for k in range(n):
             z = (0.05 + 0.5 * k / max(n - 1, 1)) * cmath.exp(2j * math.pi * k / n)
             for j in range(n):

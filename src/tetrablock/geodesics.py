@@ -22,7 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq, least_squares
@@ -736,7 +736,11 @@ class DiscSearchResult:
 
     ``residual`` is |f(lam1) - w|^2 + |f(lam2) - z|^2 of the accepted disc;
     ``bound`` is a certified upper bound for the Lempert function once
-    ``found`` is True.
+    ``found`` is True.  ``reason`` says deterministically how the result was
+    reached, or why nothing was found; ``starts`` and ``evaluations`` count
+    the least-squares starts and residual evaluations of the general-disc
+    search (finite-difference Jacobian calls included), 0 when it did not
+    run.
     """
 
     found: bool
@@ -745,6 +749,9 @@ class DiscSearchResult:
     family: str
     lam1: Optional[complex] = None
     lam2: Optional[complex] = None
+    reason: str = ""
+    starts: int = 0
+    evaluations: int = 0
 
 
 _SEARCH_ACCEPT = 1e-9
@@ -796,7 +803,8 @@ def _axis_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearchRes
     residual = _pair_residual(f, lam_w, w, lam_z, z)
     if residual < _SEARCH_ACCEPT:
         return DiscSearchResult(True, HyperbolicDistance.from_m(abs(lam2)),
-                                residual, "axis-pair", lam_w, lam_z)
+                                residual, "axis-pair", lam_w, lam_z,
+                                reason="axis-pair: closed form")
     return None
 
 
@@ -816,7 +824,8 @@ def _product_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearch
         target = max(d1, d2)
         if target > 1e-13:
             return None
-        return DiscSearchResult(True, HyperbolicDistance.zero(), 0.0, "product", 0.0, 0.0)
+        return DiscSearchResult(True, HyperbolicDistance.zero(), 0.0, "product", 0.0, 0.0,
+                                reason="product: closed form")
     c = ((z2.z2 - w2.z2) / (1.0 - w2.z2.conjugate() * z2.z2)) / u2
 
     def f(t: complex) -> TetraPoint:
@@ -828,7 +837,8 @@ def _product_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearch
     residual = _pair_residual(f, 0.0, w, u2, z)
     if residual < _SEARCH_ACCEPT:
         return DiscSearchResult(True, HyperbolicDistance.from_m(abs(u2)),
-                                residual, "product", 0.0, u2)
+                                residual, "product", 0.0, u2,
+                                reason="product: closed form")
     return None
 
 
@@ -846,8 +856,126 @@ def _origin_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearchR
     residual = _pair_residual(f, lam_w, w, lam_z, z)
     if residual < _SEARCH_ACCEPT:
         return DiscSearchResult(True, sol.value, residual, "origin-geodesic",
-                                lam_w, lam_z)
+                                lam_w, lam_z, reason="origin-geodesic: closed form")
     return None
+
+
+#: each endpoint of an accepted interpolant lies within this distance of a
+#: point its disc passes through exactly (the squared residual is below
+#: _SEARCH_ACCEPT)
+_SEARCH_SLACK = math.sqrt(_SEARCH_ACCEPT)
+#: safety factor on the first-order movement bounds of general_disc_members;
+#: measured movements stay below 0.4 of the factored bound
+_MEMBER_SAFETY = 2.0
+#: largest movement of theta and of arctan C for which the first-order
+#: bound of general_disc_members is trusted
+_MEMBER_RADIUS_CAP = 0.05
+
+
+class DiscMember(NamedTuple):
+    """A (C, omega1) with which a general disc can pass through a point.
+    ``radius`` bounds how far C and the angle of omega1 can move when the
+    point moves by the slack an accepted search residual allows."""
+
+    C: float
+    omega1: complex
+    radius: float
+
+
+def general_disc_members(z) -> Optional[List[DiscMember]]:
+    """The (C, omega1) of the general disc family that can reach z, or None
+    when the point is too degenerate or ill-conditioned to decide.
+
+    A general disc takes the value z at lam when phi(lam) = z1 (1 + C)/omega1
+    - C and omega2 psi(lam) = z3/(omega1 phi(lam)), and the second
+    coordinate then leaves one quadratic in omega1, affine in C:
+
+        Q = -z2 C omega1^2 + (z1 z2 (1 + C) - z3 (1 - C)) omega1 - C z1 z3
+          = C Q1(omega1) + (z1 z2 - z3) omega1 = 0.
+
+    For unimodular omega1 = e^{i theta}, C = -(z1 z2 - z3) omega1 / Q1 is
+    real exactly where T(theta) = t0 + Im(gamma e^{i theta}) vanishes (the
+    imaginary part of Q0 conj(Q1)), so a point has at most two members, in
+    closed form.  A member counts when C lies in [0, 1), |phi(lam)| < 1 and
+    |psi(lam)| = |z3|/|phi(lam)| < 1.
+
+    An accepted search interpolant only comes within eps = sqrt(1e-9) of
+    each endpoint, so every test allows for a move of z by eps.  To first
+    order T changes by at most d_t, which moves a root theta by d_t/|T'| and
+    C by (|grad_z Q| eps + |dQ/dtheta| d_theta)/|Q1|.  A member's radius is
+    twice the larger of the two, and the range tests widen by the movement
+    of C, |phi| and |phi| - |z3| this allows.  The point is undecided
+    (None) when a move by eps could reach a degenerate point (z2 = 0,
+    z1 z3 = 0 or z3 = z1 z2, where members form a continuum or the formula
+    for psi breaks down), when it could create or merge roots of T (near
+    |t0| = |gamma|, which covers T identically zero), and when theta or
+    arctan C could move by more than 0.05, beyond which the first-order
+    bound is not trusted.  An empty list is a certificate: no point within
+    eps of z lies on a disc of the family.
+    """
+    z1, z2, z3 = TetraPoint.of(z).as_tuple()
+    eps = _SEARCH_SLACK
+    safety = _MEMBER_SAFETY
+    b0 = z1 * z2 - z3
+    b1 = z1 * z2 + z3
+    grad_b = math.sqrt(abs(z1) ** 2 + abs(z2) ** 2 + 1.0)  # |grad b0| = |grad b1|
+    if min(abs(z2), abs(z1 * z3), abs(b0) / grad_b) <= safety * eps:
+        return None
+    t0 = (b0 * b1.conjugate()).imag
+    gamma = b0.conjugate() * z2 - b0 * (z1 * z3).conjugate()
+    d_t = eps * (grad_b * (abs(b0) + abs(b1) + abs(z2) + abs(z1 * z3))
+                 + abs(b0) * (1.0 + math.hypot(abs(z1), abs(z3))))
+    gap = abs(gamma) - abs(t0)
+    if abs(gap) <= safety * d_t:
+        return None
+    if gap < 0.0:
+        return []
+    tilt = math.asin(-t0 / abs(gamma))
+    slope = math.sqrt(abs(gamma) ** 2 - t0 ** 2)  # |T'| at both roots
+    members: List[DiscMember] = []
+    for theta in (tilt, math.pi - tilt):
+        omega1 = cmath.exp(1j * (theta - cmath.phase(gamma)))
+        q1 = -z2 * omega1 ** 2 + b1 * omega1 - z1 * z3
+        if q1 == 0.0:
+            return None
+        C = (-b0 * omega1 / q1).real
+        q_omega = -2.0 * C * z2 * omega1 + z1 * z2 * (1.0 + C) - z3 * (1.0 - C)
+        grad_q = math.sqrt(abs(z2 * (1.0 + C) * omega1 - C * z3) ** 2
+                           + abs(z1 * (1.0 + C) * omega1 - C * omega1 ** 2) ** 2
+                           + abs((1.0 - C) * omega1 + C * z1) ** 2)
+        d_theta = d_t / slope
+        d_c = (grad_q * eps + abs(q_omega) * d_theta) / abs(q1)
+        # C has a pole where q1 vanishes and arctan C has none, so the
+        # trust and range tests measure C by its arctangent
+        spread = safety * max(d_theta, d_c / (1.0 + C * C))
+        if spread > _MEMBER_RADIUS_CAP:
+            return None
+        if not -spread < math.atan(C) < math.pi / 4.0 + spread:
+            continue
+        radius = safety * max(d_theta, d_c)
+        phi = z1 * (1.0 + C) / omega1 - C
+        margin = 3.0 * eps + 4.0 * radius
+        if abs(phi) < 1.0 + margin and abs(z3) < abs(phi) + margin:
+            members.append(DiscMember(C, omega1, radius))
+    return members
+
+
+def _general_disc_obstruction(w: TetraPoint, z: TetraPoint) -> Optional[str]:
+    """Why no general disc can interpolate the pair, or None when the
+    least-squares search has to decide.  C and omega1 are the same all over
+    a disc, so an interpolant needs a member of each endpoint, and the two
+    within the sum of their radii."""
+    ends = {"w": general_disc_members(w), "z": general_disc_members(z)}
+    for name, members in ends.items():
+        if members == []:
+            return f"general-disc: {name} lies on no disc of the family"
+    if ends["w"] is None or ends["z"] is None:
+        return None
+    if any(abs(a.C - b.C) <= a.radius + b.radius
+           and abs(a.omega1 - b.omega1) <= a.radius + b.radius
+           for a in ends["w"] for b in ends["z"]):
+        return None
+    return "general-disc: endpoints share no (C, omega1)"
 
 
 def _squash(u: float, v: float, cap: float = 0.97) -> complex:
@@ -884,12 +1012,15 @@ def _decode_general(x: np.ndarray, degree: int) -> Tuple[GeneralDiscParams, comp
 
 
 def _generic_search(w: TetraPoint, z: TetraPoint, degree: int,
-                    budget: int) -> Optional[DiscSearchResult]:
-    """Multi-start interpolation search over the general disc family."""
+                    budget: int) -> DiscSearchResult:
+    """Multi-start interpolation search over the general disc family.  The
+    result counts the starts and residual evaluations it took and, in its
+    reason, the least squared residual any start reached."""
     n_params = 3 + 2 * (2 + 2 * degree) + 4
     rng = np.random.default_rng(0)
     evals = 0
     best: Optional[DiscSearchResult] = None
+    best_residual = math.inf
 
     def residuals(x: np.ndarray) -> np.ndarray:
         nonlocal evals
@@ -915,6 +1046,7 @@ def _generic_search(w: TetraPoint, z: TetraPoint, degree: int,
                                 gtol=1e-15, max_nfev=max(10, (budget - evals) // (n_params + 1)))
         except Exception:
             continue
+        best_residual = min(best_residual, fit.cost * 2.0)
         if fit.cost * 2.0 >= _SEARCH_ACCEPT:
             continue
         x_best = fit.x
@@ -932,12 +1064,17 @@ def _generic_search(w: TetraPoint, z: TetraPoint, degree: int,
                 x_best = x_try
         params, lam1, lam2 = _decode_general(x_best, degree)
         res = float(np.sum(residuals(x_best) ** 2))
+        best_residual = min(best_residual, res)
         if res < _SEARCH_ACCEPT:
             m = mobius_m(lam1, lam2)
             if best is None or m < best.bound.m_scale:
                 best = DiscSearchResult(True, HyperbolicDistance.from_m(m), res,
                                         f"general-disc-deg{degree}", lam1, lam2)
-    return best
+    reason = (f"general-disc: {starts} starts, {evals} evaluations, "
+              f"best residual {best_residual:#.2g}")
+    if best is None:
+        best = DiscSearchResult(False, None, math.inf, "none")
+    return replace(best, reason=reason, starts=starts, evaluations=evals)
 
 
 def disc_search_upper_bound(w, z, family: str = "auto",
@@ -949,7 +1086,9 @@ def disc_search_upper_bound(w, z, family: str = "auto",
     search if none apply), ``axis-pair``, ``product``, ``origin-geodesic``,
     ``general-disc-deg1`` or ``general-disc-deg2``.  Interpolants are only
     accepted at quadratic residual below 1e-9; when nothing qualifies within
-    budget the result carries ``found = False``.
+    budget the result carries ``found = False``.  The general-disc search
+    runs only on pairs ``general_disc_members`` cannot rule out; otherwise
+    the result says why, after no residual evaluation.
     """
     known = {"auto", "axis-pair", "product", "origin-geodesic",
              "general-disc-deg1", "general-disc-deg2"}
@@ -961,7 +1100,8 @@ def disc_search_upper_bound(w, z, family: str = "auto",
         if not is_interior(point):
             raise DomainError(f"{name} must be interior to the tetrablock")
     if max(abs(a - b) for a, b in zip(w, z)) < 1e-14:
-        return DiscSearchResult(True, HyperbolicDistance.zero(), 0.0, "trivial", 0.0, 0.0)
+        return DiscSearchResult(True, HyperbolicDistance.zero(), 0.0, "trivial", 0.0, 0.0,
+                                reason="trivial: w = z")
 
     candidates: List[DiscSearchResult] = []
     if family in ("auto", "axis-pair"):
@@ -976,11 +1116,16 @@ def disc_search_upper_bound(w, z, family: str = "auto",
         cand = _origin_pair_candidate(w, z)
         if cand:
             candidates.append(cand)
+    failure = DiscSearchResult(False, None, math.inf, "none",
+                               reason=f"{family}: not applicable")
     if family.startswith("general-disc") or (family == "auto" and not candidates):
-        degree = 2 if family.endswith("deg2") else 1
-        cand = _generic_search(w, z, degree, budget)
-        if cand:
-            candidates.append(cand)
+        obstruction = _general_disc_obstruction(w, z)
+        if obstruction is not None:
+            failure = replace(failure, reason=obstruction)
+        else:
+            failure = _generic_search(w, z, 2 if family.endswith("deg2") else 1, budget)
+            if failure.found:
+                candidates.append(failure)
     if not candidates:
-        return DiscSearchResult(False, None, math.inf, "none")
+        return failure
     return min(candidates, key=lambda c: c.bound.m_scale)

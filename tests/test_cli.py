@@ -6,6 +6,8 @@ import pytest
 from tetrablock.cli import (EXIT_BOUNDARY, EXIT_EXTERIOR, EXIT_INVARIANT,
                             EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION,
                             MAX_SWEEP_ROWS, main, parse_complex, parse_phi)
+from tetrablock.geodesics import DiscSearchResult
+from tetrablock.hyperbolic import HyperbolicDistance
 
 
 def run(capsys, *argv):
@@ -162,6 +164,28 @@ class TestDistance:
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert "sandwich_ok: unknown (no upper bound found)" in out.splitlines()
+
+    def test_reason_for_a_pair_the_family_cannot_reach(self, capsys):
+        # the benchmark's fixed generic pair: its second point lies on no
+        # general disc, so no least-squares search runs
+        argv = ("distance",
+                "0.18844673057094008+0.2214883401940817i,"
+                "-0.11107857602089621+0.025354322475725888i,"
+                "-0.3649034949775888-0.18975812444104434i",
+                "0.16533039839826616+0.27428910469512124i,"
+                "-0.11566110998681553-0.01916036630972772i,"
+                "-0.3371857764193749-0.136232836075168i")
+        reason = "general-disc: z lies on no disc of the family"
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert f"k_upper: not found ({reason})" in out.splitlines()
+        code, out, _ = run(capsys, *argv, "--json")
+        res = json.loads(out)["results"]
+        assert res["k_upper"] is None and res["k_upper_reason"] == reason
+
+    def test_reason_of_a_found_bound(self, capsys):
+        code, out, _ = run(capsys, "distance", "0,0,-0.5", "0,0.05,-0.5", "--json")
+        assert json.loads(out)["results"]["k_upper_reason"] == "axis-pair: closed form"
 
     def test_exterior_rejected(self, capsys):
         code, _, err = run(capsys, "distance", "2,0,0", "0,0,0")
@@ -326,6 +350,22 @@ class TestSweep:
         assert code == EXIT_USAGE
         assert "--grid-n" in err
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("n, expected", [("316", EXIT_OK), ("317", EXIT_USAGE)])
+    def test_lempert_row_limit_edge(self, capsys, tmp_path, monkeypatch, n, expected):
+        # 316^2 rows fit under the limit and 317^2 do not; a stub search
+        # keeps the passing side fast
+        assert MAX_SWEEP_ROWS == 100_000
+        found = DiscSearchResult(True, HyperbolicDistance.zero(), 0.0, "stub")
+        monkeypatch.setattr("tetrablock.cli.disc_search_upper_bound",
+                            lambda w, z: found)
+        out_file = tmp_path / "x.csv"
+        code, _, err = run(capsys, "sweep", "lempert", "--grid-n", n,
+                           "--out", str(out_file))
+        assert code == expected
+        assert out_file.exists() == (expected == EXIT_OK)
+        if expected == EXIT_USAGE:
+            assert "--grid-n" in err
 
     def test_io_error_exit(self, capsys):
         code, _, err = run(capsys, "sweep", "separation",

@@ -15,15 +15,19 @@ from tetrablock.geodesics import (DiscVerdict, G2GeodesicParams,
                                   eval_general_disc, eval_origin_geodesic,
                                   g2_geodesic_disc,
                                   g2_origin_geodesic, g2_violation_witness,
-                                  general_disc, is_product_geodesic,
+                                  general_disc, general_disc_members,
+                                  is_product_geodesic,
                                   left_inverse_residual, lempert_special,
                                   origin_geodesic_disc, origin_lempert,
                                   product_disc, sample_grid,
                                   solve_origin_geodesic_through,
                                   transport_disc, transported_extremal,
-                                  transported_extremal_disc, verify_disc)
+                                  transported_extremal_disc, verify_disc,
+                                  _generic_search)
 from tetrablock.hyperbolic import BlaschkeMap, disc_automorphism, mobius_m
-from tetrablock.verify import random_phi_pinned, random_unimodular, sample_origin_params
+from tetrablock.verify import (random_disc_point, random_interior_points,
+                               random_phi_pinned, random_unimodular,
+                               sample_origin_params)
 
 
 class TestOriginGeodesic:
@@ -441,3 +445,106 @@ class TestDiscSearch:
     def test_exterior_rejected(self):
         with pytest.raises(DomainError):
             disc_search_upper_bound(TetraPoint(2, 0, 0), TetraPoint(0, 0, 0))
+
+
+def blaschke_of_degree(rng, degree):
+    zeros = tuple(random_disc_point(rng, 0.9) for _ in range(degree))
+    return BlaschkeMap(random_unimodular(rng), zeros, rng.uniform(0.3, 1.0))
+
+
+def close_generic_pair(rng):
+    """A random interior point and a second one about 0.05 away."""
+    while True:
+        w = random_interior_points(rng, 1)[0]
+        w = TetraPoint(*(0.7 * c for c in w.as_tuple()))
+        step = 0.05 * (rng.normal(size=3) + 1j * rng.normal(size=3)) / math.sqrt(2.0)
+        z = TetraPoint(*(np.array(w.as_tuple()) + step))
+        if tetra_e_value(z) < 0.95:
+            return w, z
+
+
+# the benchmark's fixed generic pair
+BENCH_W = TetraPoint(0.18844673057094008 + 0.2214883401940817j,
+                     -0.11107857602089621 + 0.025354322475725888j,
+                     -0.3649034949775888 - 0.18975812444104434j)
+BENCH_Z = TetraPoint(0.16533039839826616 + 0.27428910469512124j,
+                     -0.11566110998681553 - 0.01916036630972772j,
+                     -0.3371857764193749 - 0.136232836075168j)
+
+
+class TestGeneralDiscCertificate:
+    """The algebraic test that decides whether the general disc family can
+    interpolate a pair must never rule out a pair the family reaches."""
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("scale", [0.0, 1e-6])
+    def test_never_prunes_family_pairs(self, degree, scale):
+        rng = np.random.default_rng(100 + degree)
+        for _ in range(150):
+            p = GeneralDiscParams(rng.uniform(0.001, 0.999), random_unimodular(rng),
+                                  random_unimodular(rng), blaschke_of_degree(rng, degree),
+                                  blaschke_of_degree(rng, degree))
+            f = general_disc(p)
+            ends = []
+            for _ in range(2):
+                point = np.array(f(random_disc_point(rng, 0.95)).as_tuple())
+                step = rng.normal(size=3) + 1j * rng.normal(size=3)
+                ends.append(TetraPoint(*(point + scale * step / np.linalg.norm(step))))
+            # with no budget, a pair that is not ruled out makes no start
+            result = disc_search_upper_bound(*ends, family=f"general-disc-deg{degree}",
+                                             budget=0)
+            assert not result.found
+            assert result.reason == "general-disc: 0 starts, 0 evaluations, best residual inf"
+            if scale == 0.0:
+                for end in ends:
+                    members = general_disc_members(end)
+                    assert members is None or any(
+                        abs(m.C - p.C) < 1e-9 and abs(m.omega1 - p.omega1) < 1e-9
+                        for m in members)
+
+    def test_certified_bound_pair_keeps_its_member(self):
+        p = GeneralDiscParams(0.3, 1, 1, BlaschkeMap.constant(0.1), BlaschkeMap.identity())
+        for lam in (0.1, 0.45):
+            members = general_disc_members(eval_general_disc(p, lam))
+            assert [(m.C, m.omega1) for m in members] == [pytest.approx((0.3, 1.0), abs=1e-12)]
+
+    def test_pruned_generic_pairs_are_not_found_by_the_search(self):
+        rng = np.random.default_rng(2024)
+        pruned = 0
+        for _ in range(30):
+            w, z = close_generic_pair(rng)
+            result = disc_search_upper_bound(w, z, budget=2000)
+            if result.evaluations == 0:
+                pruned += 1
+                assert not result.found
+                assert not _generic_search(w, z, 1, 2000).found
+        assert pruned >= 20
+
+    def test_bench_pair_skips_the_search(self):
+        result = disc_search_upper_bound(BENCH_W, BENCH_Z, budget=20000)
+        assert not result.found and result.family == "none"
+        assert result.starts == 0 and result.evaluations == 0
+        assert result.reason == "general-disc: z lies on no disc of the family"
+        assert general_disc_members(BENCH_Z) == []
+
+    def test_search_reports_its_counts(self):
+        p = GeneralDiscParams(0.3, 1, 1, BlaschkeMap.constant(0.1), BlaschkeMap.identity())
+        w, z = eval_general_disc(p, 0.1), eval_general_disc(p, 0.45)
+        result = disc_search_upper_bound(w, z, family="general-disc-deg1", budget=300)
+        assert result.starts >= 1 and result.evaluations >= 300
+        prefix = (f"general-disc: {result.starts} starts, {result.evaluations} "
+                  "evaluations, best residual ")
+        assert result.reason.startswith(prefix)
+
+    @pytest.mark.parametrize("z", [TetraPoint(0.3, 0.0, 0.2), TetraPoint(0.0, 0.3, 0.2),
+                                   TetraPoint(0.3, 0.2, 0.0), TetraPoint(0.3, 0.2, 0.06),
+                                   TetraPoint(0.3, 0.2, 0.06 + 1e-6)])
+    def test_degenerate_points_are_undecided(self, z):
+        assert general_disc_members(z) is None
+
+    def test_closed_routes_give_their_reason(self):
+        result = disc_search_upper_bound(TetraPoint(0, 0, -0.5), TetraPoint(0, 0.05, -0.5))
+        assert result.reason == "axis-pair: closed form"
+        assert (result.starts, result.evaluations) == (0, 0)
+        missing = disc_search_upper_bound(BENCH_W, BENCH_Z, family="product")
+        assert not missing.found and missing.reason == "product: not applicable"
