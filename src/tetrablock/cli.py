@@ -319,13 +319,11 @@ def cmd_geodesic(args) -> int:
     # solve
     z = TetraPoint(*parse_point(args.point, 3))
     lam0 = parse_complex(args.lambda0)
-    solution = solve_origin_geodesic_through(z, lam0, phi_degree=args.phi_degree,
-                                             budget=args.budget)
+    solution = solve_origin_geodesic_through(z, lam0, phi_degree=args.phi_degree)
     if solution is None:
         env = envelope("geodesic-solve",
                        {"point": [cnum(c) for c in z], "lambda0": cnum(lam0)},
-                       {"found": False},
-                       {"budget": args.budget, "version": __version__})
+                       {"found": False}, {"version": __version__})
         emit(env, args.json, ["not found"])
         return EXIT_VERIFICATION
     phi = solution.params.phi
@@ -350,7 +348,7 @@ def cmd_geodesic(args) -> int:
     env = envelope("geodesic-solve",
                    {"point": [cnum(c) for c in z], "lambda0": cnum(lam0),
                     "phi_degree": args.phi_degree},
-                   results, {"budget": args.budget, "version": __version__})
+                   results, {"version": __version__})
     emit(env, args.json, human)
     return EXIT_OK
 
@@ -499,7 +497,6 @@ def build_parser() -> Parser:
     p_geo.add_argument("--point", default=None, help="solve target z1,z2,z3")
     p_geo.add_argument("--lambda0", default=None, help="solve preimage")
     p_geo.add_argument("--phi-degree", type=int, default=1)
-    p_geo.add_argument("--budget", type=int, default=100000)
     p_geo.add_argument("--json", action="store_true")
     p_geo.set_defaults(func=cmd_geodesic)
 

@@ -217,9 +217,13 @@ def _psi_family_bound(w: TetraPoint, z: TetraPoint, swap: bool,
     a, b = np.convolve(A, A[::-1].conj()), np.convolve(B, B[::-1].conj())
     order = np.arange(1, 5)
     crit = np.convolve(a[1:] * order, b) - np.convolve(a, b[1:] * order)
-    # the degree-7 term cancels, so np.roots gets degrees 6..0; a root at 0
-    # lands on eta = 1
-    eta = np.exp(1j * np.angle(np.append(np.roots(crit[6::-1]), 1.0)))
+    # the degree-7 term cancels, so np.roots gets degrees 6..0.  End
+    # coefficients below 1e-14 of the largest are rounding noise: leading
+    # ones throw the other roots far off, trailing ones only add roots near
+    # 0, whose angle means nothing (eta = 1 is taken anyway)
+    coeffs = crit[6::-1]
+    kept = np.flatnonzero(np.abs(coeffs) >= 1e-14 * np.abs(coeffs).max())
+    eta = np.exp(1j * np.angle(np.append(np.roots(coeffs[kept[0]:kept[-1] + 1]), 1.0)))
     return float(np.max(mobius_m(psi_eta(eta, w), psi_eta(eta, z))))
 
 

@@ -25,12 +25,11 @@ from enum import Enum
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import least_squares
 
-from .angle_search import refine_max
 from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, e_value_raw,
-                      g2_roots, is_interior, psi_eta, stable_quadratic_roots,
-                      tetra_e_value)
+                      g2_roots, is_interior, psi_eta, psi_sup,
+                      stable_quadratic_roots, tetra_e_value)
 from .errors import DomainError, PoleError
 from .extremals import PsiOmegaMap, sigma
 from .hyperbolic import (TOL_CLOSURE, BlaschkeMap, HyperbolicDistance,
@@ -477,8 +476,15 @@ def blaschke_interp_origin(C: float, lam0: complex, v: complex) -> BlaschkeMap:
     Feasible exactly when m(-C, v) <= |lam0| (Schwarz-Pick).  The
     construction is scaled degree <= 1: writing phi = s*zeta*(lam - b)/(1 -
     conj(b) lam) with b = (C/s) conj(zeta) enforces phi(0) = -C, and the
-    value condition reduces to |x(s)| = |lam0| for x(s) = s(v + C)/(s^2 +
-    vC), a one-dimensional root problem in the scale s on (C, 1].
+    value condition reduces to |x(s)| = r = |lam0| for x(s) = s(v + C)/(s^2
+    + vC).  With d = v + C and tau = s^2 - C^2 (so s^2 + vC = tau + C d)
+    that is the quadratic
+
+        r^2 tau^2 + (2 r^2 C Re d - |d|^2) tau - |d|^2 C^2 (1 - r^2) = 0,
+
+    whose roots have a negative product for C > 0 and are 0 and |d|^2/r^2
+    for C = 0: the scale comes from the larger root, taken in the form that
+    avoids cancellation.
     """
     C = float(C)
     if not -TOL_CLOSURE <= C <= 1.0 + TOL_CLOSURE:
@@ -501,25 +507,20 @@ def blaschke_interp_origin(C: float, lam0: complex, v: complex) -> BlaschkeMap:
     if m_cv < 1e-13:
         return BlaschkeMap.constant(-C)
 
-    def x_of(s: float) -> complex:
-        return s * (v + C) / (s * s + v * C)
-
-    def gap(s: float) -> float:
-        den = abs(s * s + v * C)
-        if den < 1e-300:
-            return 1e6
-        return min(abs(x_of(s)), 1e6) - r
-
-    lo = C + 1e-12 if C > 0 else 1e-12
-    if gap(1.0) > 0.0:
-        # only possible within root-finding noise of the automorphism case
-        s_star = 1.0
-    else:
-        s_star = brentq(gap, lo, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    x = x_of(s_star)
+    # r^2 tau^2 + lin tau - k = 0 with k >= 0
+    r2 = r * r
+    d = v + C
+    dd = abs(d) ** 2
+    lin = 2.0 * r2 * C * d.real - dd
+    k = dd * C * C * (1.0 - r2)
+    root = math.sqrt(lin * lin + 4.0 * r2 * k)
+    tau = (root - lin) / (2.0 * r2) if lin <= 0.0 else 2.0 * k / (lin + root)
+    # s > 1 only within rounding of the automorphism case
+    tau = min(tau, 1.0 - C * C)
+    s_star = min(math.sqrt(C * C + tau), 1.0)
+    x = s_star * d / (tau + C * d)
     zeta = x / lam0
     zeta /= abs(zeta)
-    s_star = min(max(s_star, 0.0), 1.0)
     b = (C / s_star) * zeta.conjugate() if C > 0 else 0.0j
     if abs(b) >= 1.0:
         b *= (1.0 - 1e-15) / abs(b)
@@ -591,7 +592,7 @@ def _candidate_at(zz: TetraPoint, theta: float) -> Optional[OriginGeodesicSoluti
             return None
         try:
             phi = blaschke_interp_origin(C, mu, v)
-        except (DomainError, ValueError):
+        except DomainError:
             return None
     try:
         params = OriginGeodesicParams(C, eta.conjugate(), 1.0, phi)
@@ -602,70 +603,46 @@ def _candidate_at(zz: TetraPoint, theta: float) -> Optional[OriginGeodesicSoluti
     return OriginGeodesicSolution(params, mu, False, residual)
 
 
-def _im_c_profile(zz: TetraPoint, thetas: np.ndarray) -> np.ndarray:
-    eta = np.exp(1j * thetas)
-    mu = psi_eta(eta, zz)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.where(np.abs(mu) > 1e-13, eta * zz.z3 / mu, np.nan)
-        c = (eta * zz.z1 - v) / (1.0 - eta * zz.z1)
-    return np.imag(c)
+def _maximizing_angle(zz: TetraPoint) -> float:
+    """The angle of an eta on the unit circle at which |Psi_eta(zz)| is
+    largest, psi_sup(zz), in closed form.
+
+    With b0 = z1 z2 - z3 and c = z2 - conj(z1) z3, Psi_eta(z) = z2 +
+    b0/(conj(eta) - z1) on the circle, and 1/(zeta - z1) runs over the
+    circle of centre conj(z1)/(1 - |z1|^2) and radius 1/(1 - |z1|^2).  The
+    maximum is where b0 times the offset from that centre points along c:
+
+        conj(eta) = z1 + (1 - |z1|^2)/(conj(z1) + u),  u = (c/|c|)(|b0|/b0).
+
+    There C(eta) = b0 eta/((z2 - z3 eta)(1 - z1 eta)) is real.  When b0 or
+    c vanishes, |Psi_eta(z)| and the reality of C do not depend on eta, and
+    eta = -conj(z1)/|z1| (1 when z1 = 0) gives the least C.
+    """
+    z1, z2, z3 = zz.as_tuple()
+    b0 = z1 * z2 - z3
+    c = z2 - z1.conjugate() * z3
+    if b0 == 0.0 or c == 0.0:
+        return cmath.phase(-z1.conjugate()) if z1 != 0.0 else 0.0
+    u = (c / abs(c)) * (abs(b0) / b0)
+    return -cmath.phase(z1 + (1.0 - abs(z1) ** 2) / (z1.conjugate() + u))
 
 
-def _candidate_angles(zz: TetraPoint, n_grid: int) -> List[float]:
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
-    im = _im_c_profile(zz, thetas)
-    finite = np.isfinite(im)
-    out: List[float] = []
-
-    if finite.any() and np.nanmax(np.abs(im)) < 1e-9:
-        # the condition holds identically; any angle works
-        return [2.0 * math.pi * k / 8.0 for k in range(8)]
-
-    def profile(angles: np.ndarray) -> np.ndarray:
-        values = _im_c_profile(zz, angles)
-        return np.where(np.isfinite(values), values, 1e9)
-
-    def scalar(theta: float) -> float:
-        return float(profile(np.array([theta]))[0])
-
-    step = 2.0 * math.pi / n_grid
-    im_next = np.roll(im, -1)
-    both = finite & np.roll(finite, -1)
-    out.extend(thetas[both & (im == 0.0)].tolist())
-    crossing = (both & (im * im_next < 0.0) & (np.abs(im) < 1e3)
-                & (np.abs(im_next) < 1e3))
-    for t1 in thetas[crossing].tolist():
-        try:
-            out.append(float(brentq(scalar, t1, t1 + step, xtol=1e-15, maxiter=200)))
-        except ValueError:
-            pass
-    # tangential near-zeros without a sign change, refined all at once
-    absim = np.where(finite, np.abs(im), np.inf)
-    near = ((absim < 1e-6) & (absim <= np.roll(absim, 1))
-            & (absim <= np.roll(absim, -1)))
-    if near.any():
-        refined, _ = refine_max(lambda angles: -np.abs(profile(angles)),
-                                thetas[near], step)
-        out.extend(refined.tolist())
-    deduped: List[float] = []
-    for theta in sorted(t % (2.0 * math.pi) for t in out):
-        if not deduped or abs(theta - deduped[-1]) > 1e-7:
-            deduped.append(theta)
-    return deduped
-
-
-def _origin_solutions(z, n_grid: int = 2048,
-                      residual_tol: float = 1e-8) -> List[OriginGeodesicSolution]:
+def _origin_solutions(z, residual_tol: float = 1e-8) -> List[OriginGeodesicSolution]:
+    """The closed-form candidates at the maximizing angle of z and of sigma
+    z, on each side whose psi_sup is the larger (both when they tie): by the
+    Schwarz lemma only those sides carry a geodesic through 0 and z."""
     z = TetraPoint.of(z)
     if not is_interior(z):
         raise DomainError("target must be interior to the tetrablock")
+    sides = [(False, z), (True, sigma(z))]
+    sups = [psi_sup(zz) for _, zz in sides]
     solutions: List[OriginGeodesicSolution] = []
-    for swapped in (False, True):
-        zz = sigma(z) if swapped else z
-        for theta in _candidate_angles(zz, n_grid):
-            sol = _candidate_at(zz, theta)
-            if sol is not None and sol.residual < residual_tol:
-                solutions.append(replace(sol, swapped=swapped))
+    for (swapped, zz), sup in zip(sides, sups):
+        if sup < max(sups):
+            continue
+        sol = _candidate_at(zz, _maximizing_angle(zz))
+        if sol is not None and sol.residual < residual_tol:
+            solutions.append(replace(sol, swapped=swapped))
     return solutions
 
 
@@ -673,40 +650,40 @@ def _solution_order(sol: OriginGeodesicSolution):
     return (abs(sol.lam0), sol.params.phi.degree, sol.params.C, sol.swapped)
 
 
-def origin_lempert(z, *, n_grid: int = 2048) -> Optional[OriginGeodesicSolution]:
+def origin_lempert(z) -> Optional[OriginGeodesicSolution]:
     """Solve for a geodesic through 0 and z; its |lam0| is the Lempert (and
-    Caratheodory) m-scale value of the pair (0, z).  None if the closed-form
-    scan fails, which does not prove non-existence."""
+    Caratheodory) m-scale value of the pair (0, z), max(psi_sup(z),
+    psi_sup(sigma z)).  None if the closed-form disc misses z by more than
+    the residual tolerance, which does not prove non-existence."""
     z = TetraPoint.of(z)
     if max(abs(c) for c in z.as_tuple()) < 1e-13:
         params = OriginGeodesicParams(0.0, 1.0, 1.0, BlaschkeMap.constant(0.0))
         return OriginGeodesicSolution(params, 0.0, False, 0.0)
-    solutions = _origin_solutions(z, n_grid)
+    solutions = _origin_solutions(z)
     if not solutions:
         return None
     return min(solutions, key=_solution_order)
 
 
-def solve_origin_geodesic_through(z, lam0: complex, phi_degree: int = 1,
-                                  budget: int = 100000) -> Optional[OriginGeodesicSolution]:
+def solve_origin_geodesic_through(z, lam0: complex,
+                                  phi_degree: int = 1) -> Optional[OriginGeodesicSolution]:
     """Find origin-geodesic parameters with f(lam0) = z, trying the swap of
     the first two coordinates as well.
 
-    Solvable only when |lam0| equals the Lempert value of (0, z); the budget
-    scales the density of the circle scan.  ``phi_degree`` caps the Blaschke
-    degree of the returned phi (the construction needs at most degree 1).
-    Ties break toward the lowest degree, then the smallest C.
+    Solvable only when |lam0| equals the Lempert value of (0, z).
+    ``phi_degree`` caps the Blaschke degree of the returned phi (the
+    construction needs at most degree 1).  Ties break toward the lowest
+    degree, then the smallest C.
     """
     z = TetraPoint.of(z)
     lam0 = require_disc_point(lam0, name="lam0")
-    n_grid = int(min(8192, max(256, budget // 32)))
     if abs(lam0) < 1e-13:
         if max(abs(c) for c in z.as_tuple()) < 1e-12:
             params = OriginGeodesicParams(0.0, 1.0, 1.0, BlaschkeMap.constant(0.0))
             return OriginGeodesicSolution(params, 0.0, False, 0.0)
         return None
     matches: List[OriginGeodesicSolution] = []
-    for sol in _origin_solutions(z, n_grid):
+    for sol in _origin_solutions(z):
         if abs(abs(sol.lam0) - abs(lam0)) > 1e-7 or sol.params.phi.degree > phi_degree:
             continue
         rho = sol.lam0 / lam0
@@ -1086,9 +1063,11 @@ def disc_search_upper_bound(w, z, family: str = "auto",
     search if none apply), ``axis-pair``, ``product``, ``origin-geodesic``,
     ``general-disc-deg1`` or ``general-disc-deg2``.  Interpolants are only
     accepted at quadratic residual below 1e-9; when nothing qualifies within
-    budget the result carries ``found = False``.  The general-disc search
-    runs only on pairs ``general_disc_members`` cannot rule out; otherwise
-    the result says why, after no residual evaluation.
+    budget the result carries ``found = False``.  A pair with an endpoint
+    at the origin takes the origin geodesic whenever it is found, since its
+    value is exact (the Schwarz lemma).  The general-disc search runs only
+    on pairs ``general_disc_members`` cannot rule out; otherwise the result
+    says why, after no residual evaluation.
     """
     known = {"auto", "axis-pair", "product", "origin-geodesic",
              "general-disc-deg1", "general-disc-deg2"}
@@ -1103,6 +1082,12 @@ def disc_search_upper_bound(w, z, family: str = "auto",
         return DiscSearchResult(True, HyperbolicDistance.zero(), 0.0, "trivial", 0.0, 0.0,
                                 reason="trivial: w = z")
 
+    if family in ("auto", "origin-geodesic"):
+        cand = _origin_pair_candidate(w, z)
+        if cand:
+            # the Lempert value itself; the product route accepts points up
+            # to 1e-12 off its slice and would undercut it by a few 1e-12
+            return cand
     candidates: List[DiscSearchResult] = []
     if family in ("auto", "axis-pair"):
         cand = _axis_pair_candidate(w, z)
@@ -1110,10 +1095,6 @@ def disc_search_upper_bound(w, z, family: str = "auto",
             candidates.append(cand)
     if family in ("auto", "product"):
         cand = _product_pair_candidate(w, z)
-        if cand:
-            candidates.append(cand)
-    if family in ("auto", "origin-geodesic"):
-        cand = _origin_pair_candidate(w, z)
         if cand:
             candidates.append(cand)
     failure = DiscSearchResult(False, None, math.inf, "none",

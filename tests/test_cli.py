@@ -141,6 +141,20 @@ class TestDistance:
         assert res["closed_form"]["m_scale"] == pytest.approx(0.2 / 0.7, abs=1e-12)
         assert res["k_upper"]["m_scale"] == pytest.approx(0.2 / 0.7, abs=1e-12)
 
+    def test_origin_pair_near_product_slice_closes_the_sandwich(self, capsys):
+        # z lies within 1e-8 of z3 = z1 z2; the origin geodesic gives the
+        # Lempert value exactly, so k_upper does not fall below c_lower
+        z = ("0.12045299199469003+0.6017810876604491j,"
+             "0.6621493460125412-0.01747876462364178j,"
+             "0.09027626938881529+0.39636358391140253j")
+        code, out, _ = run(capsys, "distance", "0,0,0", z, "--json")
+        assert code == EXIT_OK
+        res = json.loads(out)["results"]
+        assert res["k_upper_family"] == "origin-geodesic"
+        assert res["k_upper"]["m_scale"] == pytest.approx(res["c_lower"]["m_scale"],
+                                                          abs=1e-14)
+        assert res["sandwich_ok"] is True
+
     def test_unknown_lower_family_is_usage_error(self, capsys):
         code, _, err = run(capsys, "distance", "0,0,-0.5", "0,0.05,-0.5",
                            "--lower-families", "bogus")

@@ -66,8 +66,7 @@ geodesic = st.tuples(
           option("--samples", st.sampled_from(["-3", "0", "1", "16", "64", "nan"])),
           option("--point", st.sampled_from(POINTS)), option("--lambda0", numbers),
           option("--phi-degree", integers), option("--json", st.just(None))),
-    st.sampled_from(["-1", "0", "200"]),
-).map(lambda t: ["geodesic", t[0], "--budget", t[2], *t[1]])
+).map(lambda t: ["geodesic", t[0], *t[1]])
 
 verify = flags(
     option("--suite", st.sampled_from(["separation", "lempert", "rho", "bogus"])),

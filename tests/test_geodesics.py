@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from tetrablock.domains import Location, TetraPoint, g2_membership, tetra_e_value
+from tetrablock.domains import (Location, TetraPoint, g2_membership, is_interior,
+                                psi_sup, tetra_e_value)
 from tetrablock.errors import DomainError
-from tetrablock.extremals import G2FMap
+from tetrablock.extremals import G2FMap, sigma
 from tetrablock.geodesics import (DiscVerdict, G2GeodesicParams,
                                   GeneralDiscParams, OriginGeodesicParams,
                                   TransportClass, blaschke_interp_origin,
@@ -345,6 +346,14 @@ class TestBlaschkeInterpOrigin:
         with pytest.raises(DomainError):
             blaschke_interp_origin(0.2, 0.3, 0.9)
 
+    def test_target_next_to_the_constant(self):
+        # m(-C, v) is about 1e-12, just above the constant cut-off
+        C, lam0 = 0.039425415843442856, -0.2923255573214569 - 0.21662084895563136j
+        v = -0.039425415842538836 + 5.129579971591606e-13j
+        phi = blaschke_interp_origin(C, lam0, v)
+        assert abs(complex(phi(0.0)) + C) < 1e-15
+        assert abs(complex(phi(lam0)) - v) < 1e-15
+
 
 class TestOriginSolver:
     def test_round_trip_automorphism(self):
@@ -385,6 +394,24 @@ class TestOriginSolver:
         params = OriginGeodesicParams(0.5, 1, 1, BlaschkeMap.constant(-0.5))
         z = eval_origin_geodesic(params, 0.4)
         assert solve_origin_geodesic_through(z, 0.2) is None
+
+    @pytest.mark.parametrize("offset", [1e-14, 1e-12, 1e-10])
+    @pytest.mark.parametrize("coord", [0, 1])
+    def test_next_to_the_first_two_axes(self, coord, offset):
+        # z1 or z2 within offset of 0: the value is the Schwarz-lemma one
+        rng = np.random.default_rng(37)
+        solved = 0
+        for z in random_interior_points(rng, 30):
+            coords = list(z.as_tuple())
+            coords[coord] = offset * random_unimodular(rng)
+            z = TetraPoint(*coords)
+            if not is_interior(z):
+                continue
+            sol = origin_lempert(z)
+            assert sol is not None and sol.residual < 1e-12
+            assert abs(abs(sol.lam0) - max(psi_sup(z), psi_sup(sigma(z)))) < 1e-14
+            solved += 1
+        assert solved >= 10
 
     def test_product_point_value_dominated_by_larger_coordinate(self):
         # geodesics through product points are not unique; whichever

@@ -10,7 +10,9 @@ They are not closed under f_omega (magic_f o f_omega is not among them), so
 rotation invariance of c_lower is a property of the random interior pairs
 drawn here, where the Psi families dominate.  Holomorphic discs contract:
 at the images f(l1), f(l2) of a disc, every family bound is at most
-m(l1, l2) (Schwarz-Pick).
+m(l1, l2) (Schwarz-Pick).  At the origin the sandwich closes: the Schwarz
+lemma gives l(0, z) = max(psi_sup(z), psi_sup(sigma z)), and the origin
+geodesic, c_lower and k_upper all reach it.
 """
 
 import cmath
@@ -21,12 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetrablock.domains import TetraPoint
+from tetrablock.domains import TetraPoint, is_interior, psi_sup
 from tetrablock.extremals import (caratheodory_lower_bound,
                                   f_omega_automorphism, p_e, sigma)
-from tetrablock.geodesics import (GeneralDiscParams, disc_search_upper_bound,
-                                  general_disc, origin_geodesic_disc,
-                                  product_disc)
+from tetrablock.geodesics import (DiscVerdict, GeneralDiscParams,
+                                  disc_search_upper_bound, general_disc,
+                                  origin_geodesic_disc, origin_lempert,
+                                  product_disc, verify_disc)
 from tetrablock.hyperbolic import BlaschkeMap, mobius_m
 from tetrablock.verify import (random_disc_point, random_interior_points,
                                random_self_map, random_unimodular,
@@ -124,3 +127,44 @@ def test_schwarz_pick_contraction(seed, kind):
     if kind == "origin-geodesic":
         # the left inverse recovers lam, so the bound is attained at f(0) = 0
         assert abs(caratheodory_lower_bound(f(0.0), z).m_scale - abs(lam2)) <= 1e-9
+
+
+#: moves a point (z1, z2, z3) to offset e from a slice where the origin
+#: solution degenerates
+SLICES = {
+    "none": lambda z1, z2, z3, e: (z1, z2, z3),
+    "z1 = 0": lambda z1, z2, z3, e: (e, z2, z3),
+    "z2 = 0": lambda z1, z2, z3, e: (z1, e, z3),
+    "z3 = 0": lambda z1, z2, z3, e: (z1, z2, e),
+    "z3 = z1 z2": lambda z1, z2, z3, e: (z1, z2, z1 * z2 + e),
+    "z2 = conj(z1) z3": lambda z1, z2, z3, e: (z1, z1.conjugate() * z3 + e, z3),
+}
+
+
+def snapped_point(seed, slice_name, offset):
+    """A random interior point moved to the given offset from a slice, and
+    halved until the moved point is interior."""
+    rng = np.random.default_rng(seed)
+    coords = random_interior_points(rng, 1)[0].as_tuple()
+    e = offset * random_unimodular(rng)
+    move = SLICES[slice_name]
+    while not is_interior(TetraPoint(*move(*coords, e))):
+        coords = tuple(0.5 * c for c in coords)
+    return TetraPoint(*move(*coords, e))
+
+
+@given(seeds, st.sampled_from(sorted(SLICES)), st.sampled_from([0.0, 1e-12, 1e-8]))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_schwarz_lemma_at_the_origin(seed, slice_name, offset):
+    z = snapped_point(seed, slice_name, offset)
+    exact = max(psi_sup(z), psi_sup(sigma(z)))
+    sol = origin_lempert(z)
+    assert sol is not None and sol.residual < 1e-12
+    report = verify_disc(sol.disc(), sol.left_inverse())
+    assert report.verdict is DiscVerdict.GEODESIC_VERIFIED
+    origin = TetraPoint(0, 0, 0)
+    upper = disc_search_upper_bound(origin, z)
+    assert upper.found
+    for value in (abs(sol.lam0), caratheodory_lower_bound(origin, z).m_scale,
+                  upper.bound.m_scale):
+        assert abs(value - exact) <= 1e-14
