@@ -35,7 +35,7 @@ from .geodesics import (DiscVerdict, G2GeodesicParams, GeneralDiscParams,
                         solve_origin_geodesic_through, verify_disc)
 from .extremals import G2FMap
 from .hyperbolic import BlaschkeMap, HyperbolicDistance
-from .verify import ALL_SUITES, run_suites
+from .verify import ALL_SUITES, lempert_grid, run_suites
 
 EXIT_OK = 0
 EXIT_BOUNDARY = 1
@@ -49,6 +49,9 @@ SCHEMA_VERSION = 1
 #: limit on the rows of a sweep: round((c_max - c_min) / c_step) + 1 for
 #: separation, grid_n^2 for lempert
 MAX_SWEEP_ROWS = 100_000
+#: limit on ``geodesic verify --samples``, the angles on each of the nine
+#: radii of the sweep grid
+MAX_SAMPLES = 10_000
 
 
 class _UsageExit(Exception):
@@ -287,8 +290,8 @@ def cmd_geodesic(args) -> int:
         return EXIT_OK
 
     if args.action == "verify":
-        if args.samples < 1:
-            raise _UsageExit("--samples must be positive")
+        if not 1 <= args.samples <= MAX_SAMPLES:
+            raise _UsageExit(f"--samples must lie in [1, {MAX_SAMPLES}]")
         if args.domain == "g2":
             params = G2GeodesicParams(args.C, parse_complex(args.omega))
             report = verify_disc(g2_geodesic_disc(params), G2FMap(params.omega),
@@ -426,22 +429,16 @@ def cmd_sweep(args) -> int:
             raise _UsageExit("--grid-n must be positive")
         if n * n > MAX_SWEEP_ROWS:
             raise _UsageExit(f"--grid-n too large: at most {MAX_SWEEP_ROWS} rows")
-        for k in range(n):
-            z = (0.05 + 0.5 * k / max(n - 1, 1)) * cmath.exp(2j * math.pi * k / n)
-            for j in range(n):
-                w = (0.04 + 0.35 * j / max(n - 1, 1)) * cmath.exp(-2j * math.pi * j / n)
-                if abs(z) + abs(w) >= 0.95:
-                    continue
-                closed = lempert_special(z, w).m_scale
-                search = disc_search_upper_bound(TetraPoint(0, 0, w),
-                                                 TetraPoint(0, z, w))
-                k_upper = search.bound.m_scale if search.found else math.nan
-                rows.append({"closed_form_m": closed,
-                             "equal_within_tol": bool(search.found
-                                                      and abs(k_upper - closed) < 1e-6),
-                             "k_upper_m": k_upper,
-                             "w_im": w.imag, "w_re": w.real,
-                             "z_im": z.imag, "z_re": z.real})
+        for z, w in lempert_grid(n):
+            closed = lempert_special(z, w).m_scale
+            search = disc_search_upper_bound(TetraPoint(0, 0, w), TetraPoint(0, z, w))
+            k_upper = search.bound.m_scale if search.found else math.nan
+            rows.append({"closed_form_m": closed,
+                         "equal_within_tol": bool(search.found
+                                                  and abs(k_upper - closed) < 1e-6),
+                         "k_upper_m": k_upper,
+                         "w_im": w.imag, "w_re": w.real,
+                         "z_im": z.imag, "z_re": z.real})
         columns = ["closed_form_m", "equal_within_tol", "k_upper_m", "w_im",
                    "w_re", "z_im", "z_re"]
     _write_rows(args.out, rows, args.format, columns)

@@ -241,10 +241,6 @@ def g2_membership(w, tol: float = DEFAULT_BOUNDARY_TOL) -> G2MembershipReport:
     return G2MembershipReport(_classify(worst, tol), worst, roots, tol)
 
 
-def g2_is_interior(w, tol: float = DEFAULT_BOUNDARY_TOL) -> bool:
-    return g2_membership(w, tol).location is Location.INTERIOR
-
-
 def rho_functional(z, tol: float = 1e-12) -> float:
     """Quasi-homogeneous gauge of the tetrablock.
 

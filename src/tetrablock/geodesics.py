@@ -715,9 +715,9 @@ class DiscSearchResult:
     ``bound`` is a certified upper bound for the Lempert function once
     ``found`` is True.  ``reason`` says deterministically how the result was
     reached, or why nothing was found; ``starts`` and ``evaluations`` count
-    the least-squares starts and residual evaluations of the general-disc
-    search (finite-difference Jacobian calls included), 0 when it did not
-    run.
+    the member fits of the general-disc route and their residual
+    evaluations (finite-difference Jacobian calls included), 0 when it did
+    not run.
     """
 
     found: bool
@@ -734,12 +734,16 @@ class DiscSearchResult:
 _SEARCH_ACCEPT = 1e-9
 
 
-def _pair_residual(f: Callable, lam1: complex, w: TetraPoint,
-                   lam2: complex, z: TetraPoint) -> float:
-    p1 = TetraPoint.of(f(lam1))
-    p2 = TetraPoint.of(f(lam2))
-    return (sum(abs(a - b) ** 2 for a, b in zip(p1, w))
-            + sum(abs(a - b) ** 2 for a, b in zip(p2, z)))
+def _accepted_disc(family: str, f: Callable, lam_w: complex, w: TetraPoint,
+                   lam_z: complex, z: TetraPoint) -> Optional[DiscSearchResult]:
+    """The disc f as a result of ``family`` with bound m(lam_w, lam_z), when
+    |f(lam_w) - w|^2 + |f(lam_z) - z|^2 is below the acceptance."""
+    residual = (sum(abs(a - b) ** 2 for a, b in zip(TetraPoint.of(f(lam_w)), w))
+                + sum(abs(a - b) ** 2 for a, b in zip(TetraPoint.of(f(lam_z)), z)))
+    if residual >= _SEARCH_ACCEPT:
+        return None
+    return DiscSearchResult(True, HyperbolicDistance.from_m(mobius_m(lam_w, lam_z)),
+                            residual, family, lam_w, lam_z, reason=f"{family}: closed form")
 
 
 def axis_pair(w, z) -> Optional[Tuple[complex, complex, bool, bool]]:
@@ -777,12 +781,7 @@ def _axis_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearchRes
         return sigma(point) if swapped else point
 
     lam_w, lam_z = (lam2, 0.0) if flipped else (0.0, lam2)
-    residual = _pair_residual(f, lam_w, w, lam_z, z)
-    if residual < _SEARCH_ACCEPT:
-        return DiscSearchResult(True, HyperbolicDistance.from_m(abs(lam2)),
-                                residual, "axis-pair", lam_w, lam_z,
-                                reason="axis-pair: closed form")
-    return None
+    return _accepted_disc("axis-pair", f, lam_w, w, lam_z, z)
 
 
 def _product_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearchResult]:
@@ -811,12 +810,7 @@ def _product_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearch
         point = TetraPoint(av, bv, av * bv)
         return sigma(point) if swap else point
 
-    residual = _pair_residual(f, 0.0, w, u2, z)
-    if residual < _SEARCH_ACCEPT:
-        return DiscSearchResult(True, HyperbolicDistance.from_m(abs(u2)),
-                                residual, "product", 0.0, u2,
-                                reason="product: closed form")
-    return None
+    return _accepted_disc("product", f, 0.0, w, u2, z)
 
 
 def _origin_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearchResult]:
@@ -828,13 +822,8 @@ def _origin_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearchR
     sol = origin_lempert(target)
     if sol is None:
         return None
-    f = sol.disc()
     lam_w, lam_z = (0.0, sol.lam0) if w_zero else (sol.lam0, 0.0)
-    residual = _pair_residual(f, lam_w, w, lam_z, z)
-    if residual < _SEARCH_ACCEPT:
-        return DiscSearchResult(True, sol.value, residual, "origin-geodesic",
-                                lam_w, lam_z, reason="origin-geodesic: closed form")
-    return None
+    return _accepted_disc("origin-geodesic", sol.disc(), lam_w, w, lam_z, z)
 
 
 #: each endpoint of an accepted interpolant lies within this distance of a
@@ -859,6 +848,26 @@ class DiscMember(NamedTuple):
     radius: float
 
 
+def _member_equation(z1: complex, z2: complex, z3: complex):
+    """The angle equation T(theta) = t0 + Im(gamma e^{i theta}) of a point,
+    as t0 and gamma, and its closed-form roots (C, omega1, Q1(omega1)) with
+    real C, at most two, with no range test and no allowance for slack (see
+    ``general_disc_members``)."""
+    b0 = z1 * z2 - z3
+    b1 = z1 * z2 + z3
+    t0 = (b0 * b1.conjugate()).imag
+    gamma = b0.conjugate() * z2 - b0 * (z1 * z3).conjugate()
+    roots: List[Tuple[float, complex, complex]] = []
+    if gamma != 0.0 and abs(t0) <= abs(gamma):
+        tilt = math.asin(-t0 / abs(gamma))
+        for theta in (tilt, math.pi - tilt):
+            omega1 = cmath.exp(1j * (theta - cmath.phase(gamma)))
+            q1 = -z2 * omega1 ** 2 + b1 * omega1 - z1 * z3
+            if q1 != 0.0:
+                roots.append(((-b0 * omega1 / q1).real, omega1, q1))
+    return t0, gamma, roots
+
+
 def general_disc_members(z) -> Optional[List[DiscMember]]:
     """The (C, omega1) of the general disc family that can reach z, or None
     when the point is too degenerate or ill-conditioned to decide.
@@ -876,8 +885,8 @@ def general_disc_members(z) -> Optional[List[DiscMember]]:
     closed form.  A member counts when C lies in [0, 1), |phi(lam)| < 1 and
     |psi(lam)| = |z3|/|phi(lam)| < 1.
 
-    An accepted search interpolant only comes within eps = sqrt(1e-9) of
-    each endpoint, so every test allows for a move of z by eps.  To first
+    An accepted interpolant only comes within eps = sqrt(1e-9) of each
+    endpoint, so every test allows for a move of z by eps.  To first
     order T changes by at most d_t, which moves a root theta by d_t/|T'| and
     C by (|grad_z Q| eps + |dQ/dtheta| d_theta)/|Q1|.  A member's radius is
     twice the larger of the two, and the range tests widen by the movement
@@ -898,8 +907,7 @@ def general_disc_members(z) -> Optional[List[DiscMember]]:
     grad_b = math.sqrt(abs(z1) ** 2 + abs(z2) ** 2 + 1.0)  # |grad b0| = |grad b1|
     if min(abs(z2), abs(z1 * z3), abs(b0) / grad_b) <= safety * eps:
         return None
-    t0 = (b0 * b1.conjugate()).imag
-    gamma = b0.conjugate() * z2 - b0 * (z1 * z3).conjugate()
+    t0, gamma, roots = _member_equation(z1, z2, z3)
     d_t = eps * (grad_b * (abs(b0) + abs(b1) + abs(z2) + abs(z1 * z3))
                  + abs(b0) * (1.0 + math.hypot(abs(z1), abs(z3))))
     gap = abs(gamma) - abs(t0)
@@ -907,15 +915,11 @@ def general_disc_members(z) -> Optional[List[DiscMember]]:
         return None
     if gap < 0.0:
         return []
-    tilt = math.asin(-t0 / abs(gamma))
     slope = math.sqrt(abs(gamma) ** 2 - t0 ** 2)  # |T'| at both roots
+    if len(roots) < 2:  # Q1 vanishes at a root
+        return None
     members: List[DiscMember] = []
-    for theta in (tilt, math.pi - tilt):
-        omega1 = cmath.exp(1j * (theta - cmath.phase(gamma)))
-        q1 = -z2 * omega1 ** 2 + b1 * omega1 - z1 * z3
-        if q1 == 0.0:
-            return None
-        C = (-b0 * omega1 / q1).real
+    for C, omega1, q1 in roots:
         q_omega = -2.0 * C * z2 * omega1 + z1 * z2 * (1.0 + C) - z3 * (1.0 - C)
         grad_q = math.sqrt(abs(z2 * (1.0 + C) * omega1 - C * z3) ** 2
                            + abs(z1 * (1.0 + C) * omega1 - C * omega1 ** 2) ** 2
@@ -939,9 +943,9 @@ def general_disc_members(z) -> Optional[List[DiscMember]]:
 
 def _general_disc_obstruction(w: TetraPoint, z: TetraPoint) -> Optional[str]:
     """Why no general disc can interpolate the pair, or None when the
-    least-squares search has to decide.  C and omega1 are the same all over
-    a disc, so an interpolant needs a member of each endpoint, and the two
-    within the sum of their radii."""
+    member fit has to decide.  C and omega1 are the same all over a disc,
+    so an interpolant needs a member of each endpoint, and the two within
+    the sum of their radii."""
     ends = {"w": general_disc_members(w), "z": general_disc_members(z)}
     for name, members in ends.items():
         if members == []:
@@ -955,103 +959,100 @@ def _general_disc_obstruction(w: TetraPoint, z: TetraPoint) -> Optional[str]:
     return "general-disc: endpoints share no (C, omega1)"
 
 
-def _squash(u: float, v: float, cap: float = 0.97) -> complex:
-    r = math.hypot(u, v)
-    if r < 1e-12:
-        return 0.0j
-    return complex(u, v) * (cap * math.tanh(r) / r)
+def _endpoint_values(ends: np.ndarray, C: float, omega1: complex):
+    """phi and psi at which a general disc with (C, omega1) takes the first
+    two coordinates of each row of ``ends``, with omega2 = 1 (omega2 psi is
+    itself a self-map).  Taking psi from the second coordinate never
+    divides by phi."""
+    phi = ends[:, 0] * (1.0 + C) / omega1 - C
+    psi = ends[:, 1] * (1.0 + C) / (1.0 + C * phi)
+    return phi, psi
 
 
-def _decode_general(x: np.ndarray, degree: int) -> Tuple[GeneralDiscParams, complex, complex]:
-    idx = 0
-
-    def take(n: int):
-        nonlocal idx
-        vals = x[idx:idx + n]
-        idx += n
-        return vals
-
-    C = 0.98 * 0.5 * (1.0 + math.tanh(take(1)[0]))
-    omega1 = cmath.exp(1j * take(1)[0])
-    omega2 = cmath.exp(1j * take(1)[0])
-
-    def decode_map() -> BlaschkeMap:
-        scale = 0.5 * (1.0 + math.tanh(take(1)[0]))
-        rot = cmath.exp(1j * take(1)[0])
-        zeros = tuple(_squash(*take(2)) for _ in range(degree))
-        return BlaschkeMap(rot, zeros, scale)
-
-    phi = decode_map()
-    psi = decode_map()
-    lam1 = _squash(*take(2), cap=0.995)
-    lam2 = _squash(*take(2), cap=0.995)
-    return GeneralDiscParams(C, omega1, omega2, phi, psi), lam1, lam2
+#: counted residual calls per member fit (scipy's default for two unknowns);
+#: accepted fits took at most 113, fits from an unshared root up to 10^5
+_FIT_NFEV = 200
 
 
-def _generic_search(w: TetraPoint, z: TetraPoint, degree: int,
-                    budget: int) -> DiscSearchResult:
-    """Multi-start interpolation search over the general disc family.  The
-    result counts the starts and residual evaluations it took and, in its
-    reason, the least squared residual any start reached."""
-    n_params = 3 + 2 * (2 + 2 * degree) + 4
-    rng = np.random.default_rng(0)
+def _self_map_through(a: complex, t: float, b: complex) -> BlaschkeMap:
+    """A self-map of degree <= 1 with g(0) = a and g(t) = b, given m(a, b)
+    <= t: the interpolant with value -|a| at 0, rotated onto a."""
+    rho = -a / abs(a) if a != 0.0 else 1.0
+    g = blaschke_interp_origin(abs(a), t, b / rho)
+    if g.is_constant:
+        return BlaschkeMap.constant(a)
+    return BlaschkeMap(rho * g.unimodular_factor, g.zeros, g.scale)
+
+
+def _interpolating_general_disc(w: TetraPoint, z: TetraPoint, C: float,
+                                theta: float) -> Optional[DiscSearchResult]:
+    """The best general disc through the pair with this C and omega1 =
+    e^{i theta}, if it is accepted.  These fix phi and psi at both
+    endpoints, so by the two-point Schwarz-Pick lemma the least m(lam_w,
+    lam_z) is t = max(m(phi_w, phi_z), m(psi_w, psi_z)), reached at lam_w =
+    0, lam_z = t by maps of degree <= 1."""
+    if not -TOL_CLOSURE <= C < 1.0:
+        return None
+    C, omega1 = max(C, 0.0), cmath.exp(1j * theta)
+    phi, psi = _endpoint_values(np.array([w.as_tuple(), z.as_tuple()]), C, omega1)
+    if max(np.max(np.abs(phi)), np.max(np.abs(psi))) >= 1.0:
+        return None
+    t = float(max(mobius_m(phi[0], phi[1]), mobius_m(psi[0], psi[1])))
+    try:
+        params = GeneralDiscParams(C, omega1, 1.0, _self_map_through(phi[0], t, phi[1]),
+                                   _self_map_through(psi[0], t, psi[1]))
+    except DomainError:
+        return None
+    return _accepted_disc("general-disc", general_disc(params), 0.0, w, t, z)
+
+
+def _general_disc_fit(w: TetraPoint, z: TetraPoint, budget: int) -> DiscSearchResult:
+    """The least bound over general discs through the pair.  From each start
+    least squares solves omega1 phi psi = z3 at both endpoints (four real
+    equations in C and the angle of omega1), which reconciles members that
+    differ by rounding or slack; the disc at the fit is closed form.  The
+    result counts the fits and their residual evaluations (Jacobian calls
+    included, at most ``budget``), and its reason gives the least squared
+    residual a fit reached."""
+    ends = np.array([w.as_tuple(), z.as_tuple()])
     evals = 0
-    best: Optional[DiscSearchResult] = None
-    best_residual = math.inf
 
     def residuals(x: np.ndarray) -> np.ndarray:
         nonlocal evals
         evals += 1
-        p, lam1, lam2 = _decode_general(x, degree)
-        out = []
-        for lam, target in ((lam1, w), (lam2, z)):
-            got = disc_coords(p.C, p.omega1, p.omega2, p.phi(lam), p.psi(lam))
-            for a, b in zip(got, target.as_tuple()):
-                out.extend([(a - b).real, (a - b).imag])
-        return np.asarray(out)
+        omega1 = cmath.exp(1j * x[1])
+        phi, psi = _endpoint_values(ends, x[0], omega1)
+        r = omega1 * phi * psi - ends[:, 2]
+        return np.concatenate([r.real, r.imag])
 
-    def tension(x: np.ndarray, weight: float) -> np.ndarray:
-        params, lam1, lam2 = _decode_general(x, degree)
-        return np.concatenate([weight * residuals(x), [mobius_m(lam1, lam2)]])
-
-    starts = 0
-    while evals < budget and starts < 64:
-        starts += 1
-        x0 = rng.normal(scale=0.8, size=n_params)
+    # start from the raw member roots of both endpoints, and where z3 = 0
+    # and 0 < |z1| < 1/2 from the (C, omega1) at which phi vanishes
+    starts = [(C, omega1) for p in (w, z) for C, omega1, _ in _member_equation(*p)[2]]
+    starts += [(abs(p.z1) / (1.0 - abs(p.z1)), p.z1 / abs(p.z1)) for p in (w, z)
+               if p.z3 == 0.0 and 0.0 < abs(p.z1) < 0.5]
+    best = DiscSearchResult(False, None, math.inf, "none")
+    best_residual = math.inf
+    fits = 0
+    for C0, omega0 in starts:
+        # trf computes the two-call finite-difference Jacobian at most once
+        # per counted residual call, so a fit makes at most 3 max_nfev calls
+        max_nfev = min(_FIT_NFEV, (budget - evals) // 3)
+        if max_nfev < 1:
+            break
+        fits += 1
         try:
-            fit = least_squares(residuals, x0, method="trf", xtol=1e-15, ftol=1e-15,
-                                gtol=1e-15, max_nfev=max(10, (budget - evals) // (n_params + 1)))
-        except Exception:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fit = least_squares(residuals, [C0, cmath.phase(omega0)], method="trf",
+                                    xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev)
+        except ValueError:  # residuals not finite at the start
             continue
-        best_residual = min(best_residual, fit.cost * 2.0)
-        if fit.cost * 2.0 >= _SEARCH_ACCEPT:
-            continue
-        x_best = fit.x
-        for weight in (3e4, 3e6):
-            if evals >= budget:
-                break
-            try:
-                polish = least_squares(tension, x_best, args=(weight,), method="trf",
-                                       xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                                       max_nfev=max(10, (budget - evals) // (n_params + 1)))
-                x_try = polish.x
-            except Exception:
-                break
-            if float(np.sum(residuals(x_try) ** 2)) < _SEARCH_ACCEPT:
-                x_best = x_try
-        params, lam1, lam2 = _decode_general(x_best, degree)
-        res = float(np.sum(residuals(x_best) ** 2))
-        best_residual = min(best_residual, res)
-        if res < _SEARCH_ACCEPT:
-            m = mobius_m(lam1, lam2)
-            if best is None or m < best.bound.m_scale:
-                best = DiscSearchResult(True, HyperbolicDistance.from_m(m), res,
-                                        f"general-disc-deg{degree}", lam1, lam2)
-    reason = (f"general-disc: {starts} starts, {evals} evaluations, "
+        best_residual = min(best_residual, 2.0 * fit.cost)
+        cand = _interpolating_general_disc(w, z, *fit.x)
+        if cand and (not best.found or cand.bound.m_scale < best.bound.m_scale):
+            best = cand
+    reason = (f"general-disc: {fits} starts, {evals} evaluations, "
               f"best residual {best_residual:#.2g}")
-    if best is None:
-        best = DiscSearchResult(False, None, math.inf, "none")
-    return replace(best, reason=reason, starts=starts, evaluations=evals)
+    return replace(best, reason=reason, starts=fits, evaluations=evals)
 
 
 def disc_search_upper_bound(w, z, family: str = "auto",
@@ -1059,18 +1060,18 @@ def disc_search_upper_bound(w, z, family: str = "auto",
     """Least Mobius distance of disc preimages found over interpolating
     families; a certified upper bound for the Lempert function.
 
-    ``family`` is one of ``auto`` (closed-form routes, then a general-family
-    search if none apply), ``axis-pair``, ``product``, ``origin-geodesic``,
-    ``general-disc-deg1`` or ``general-disc-deg2``.  Interpolants are only
-    accepted at quadratic residual below 1e-9; when nothing qualifies within
-    budget the result carries ``found = False``.  A pair with an endpoint
-    at the origin takes the origin geodesic whenever it is found, since its
-    value is exact (the Schwarz lemma).  The general-disc search runs only
-    on pairs ``general_disc_members`` cannot rule out; otherwise the result
-    says why, after no residual evaluation.
+    ``family`` is one of ``auto`` (closed-form routes, then the general
+    family if none apply), ``axis-pair``, ``product``, ``origin-geodesic``
+    or ``general-disc``.  Interpolants are only accepted at quadratic
+    residual below 1e-9; when nothing qualifies the result carries ``found
+    = False``.  A pair with an endpoint at the origin takes the origin
+    geodesic whenever it is found, since its value is exact (the Schwarz
+    lemma).  The general-disc route runs only on pairs
+    ``general_disc_members`` cannot rule out, and otherwise says why after
+    no residual evaluation; it fits the (C, omega1) the endpoints share in
+    at most ``budget`` residual evaluations, then builds the disc.
     """
-    known = {"auto", "axis-pair", "product", "origin-geodesic",
-             "general-disc-deg1", "general-disc-deg2"}
+    known = {"auto", "axis-pair", "product", "origin-geodesic", "general-disc"}
     if family not in known:
         raise DomainError(f"unknown search family {family!r}; known: {sorted(known)}")
     w = TetraPoint.of(w)
@@ -1099,12 +1100,12 @@ def disc_search_upper_bound(w, z, family: str = "auto",
             candidates.append(cand)
     failure = DiscSearchResult(False, None, math.inf, "none",
                                reason=f"{family}: not applicable")
-    if family.startswith("general-disc") or (family == "auto" and not candidates):
+    if family == "general-disc" or (family == "auto" and not candidates):
         obstruction = _general_disc_obstruction(w, z)
         if obstruction is not None:
             failure = replace(failure, reason=obstruction)
         else:
-            failure = _generic_search(w, z, 2 if family.endswith("deg2") else 1, budget)
+            failure = _general_disc_fit(w, z, budget)
             if failure.found:
                 candidates.append(failure)
     if not candidates:

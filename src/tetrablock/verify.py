@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -192,6 +192,18 @@ def suite_certificate(seed: int = 0, n_params: int = 200) -> SuiteResult:
                         "tolerances": "1e-10 / 1e-12"})
 
 
+def lempert_grid(n_side: int) -> Iterator[Tuple[complex, complex]]:
+    """The (z, w) of the axis pairs ((0, 0, w), (0, z, w)) on an n_side x
+    n_side grid, z varying slowest, that satisfy |z| + |w| < 0.95."""
+    step = max(n_side - 1, 1)
+    for k in range(n_side):
+        z = (0.05 + 0.5 * k / step) * cmath.exp(2j * math.pi * k / n_side)
+        for j in range(n_side):
+            w = (0.04 + 0.35 * j / step) * cmath.exp(-2j * math.pi * j / n_side)
+            if abs(z) + abs(w) < 0.95:
+                yield z, w
+
+
 def suite_lempert(n_side: int = 10) -> SuiteResult:
     """Closed-form Lempert values vs the interpolating-disc search.
 
@@ -199,38 +211,31 @@ def suite_lempert(n_side: int = 10) -> SuiteResult:
     [-1e-6, +1e-9], and the transported extremal with constant phi hits both
     points exactly.
     """
-    z_values = [(0.05 + 0.5 * k / (n_side - 1)) * cmath.exp(2j * math.pi * k / n_side)
-                for k in range(n_side)]
-    w_values = [(0.04 + 0.35 * j / (n_side - 1)) * cmath.exp(-2j * math.pi * j / n_side)
-                for j in range(n_side)]
     worst_high = -math.inf
     worst_low = math.inf
     worst_extremal = 0.0
     pairs = 0
     not_found = 0
-    for z in z_values:
-        for w in w_values:
-            if abs(z) + abs(w) >= 0.95:
-                continue
-            pairs += 1
-            closed = abs(z) / (1.0 - abs(w))
-            result = disc_search_upper_bound(TetraPoint(0, 0, w), TetraPoint(0, z, w))
-            if not result.found:
-                not_found += 1
-                continue
-            gap = result.bound.m_scale - closed
-            worst_high = max(worst_high, gap)
-            worst_low = min(worst_low, gap)
-            C = abs(w)
-            omega1 = -w / C
-            disc = transported_extremal_disc(C, omega1, 1.0, BlaschkeMap.constant(-C))
-            lam2 = z / (1.0 - C)
-            p0 = disc(0.0)
-            p2 = disc(lam2)
-            dev = max(abs(p0.z1), abs(p0.z2), abs(p0.z3 - w),
-                      abs(p2.z1), abs(p2.z2 - z), abs(p2.z3 - w),
-                      abs(mobius_m(0.0, lam2) - closed))
-            worst_extremal = max(worst_extremal, dev)
+    for z, w in lempert_grid(n_side):
+        pairs += 1
+        closed = abs(z) / (1.0 - abs(w))
+        result = disc_search_upper_bound(TetraPoint(0, 0, w), TetraPoint(0, z, w))
+        if not result.found:
+            not_found += 1
+            continue
+        gap = result.bound.m_scale - closed
+        worst_high = max(worst_high, gap)
+        worst_low = min(worst_low, gap)
+        C = abs(w)
+        omega1 = -w / C
+        disc = transported_extremal_disc(C, omega1, 1.0, BlaschkeMap.constant(-C))
+        lam2 = z / (1.0 - C)
+        p0 = disc(0.0)
+        p2 = disc(lam2)
+        dev = max(abs(p0.z1), abs(p0.z2), abs(p0.z3 - w),
+                  abs(p2.z1), abs(p2.z2 - z), abs(p2.z3 - w),
+                  abs(mobius_m(0.0, lam2) - closed))
+        worst_extremal = max(worst_extremal, dev)
     passed = (not_found == 0 and worst_high <= 1e-9 and worst_low >= -1e-6
               and worst_extremal < 1e-12)
     return SuiteResult("lempert", passed,

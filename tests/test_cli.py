@@ -5,7 +5,8 @@ import pytest
 
 from tetrablock.cli import (EXIT_BOUNDARY, EXIT_EXTERIOR, EXIT_INVARIANT,
                             EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION,
-                            MAX_SWEEP_ROWS, main, parse_complex, parse_phi)
+                            MAX_SAMPLES, MAX_SWEEP_ROWS, main, parse_complex,
+                            parse_phi)
 from tetrablock.geodesics import DiscSearchResult
 from tetrablock.hyperbolic import HyperbolicDistance
 
@@ -179,9 +180,19 @@ class TestDistance:
         assert code == EXIT_OK
         assert "sandwich_ok: unknown (no upper bound found)" in out.splitlines()
 
+    def test_readme_pair_gets_a_deterministic_reason(self, capsys):
+        # the general family is not ruled out here, so the member fit runs
+        argv = ("distance", "0.1,0.05,0.02", "0.12,0.07,0.03", "--json")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert run(capsys, *argv)[1] == out
+        res = json.loads(out)["results"]
+        assert res["k_upper"] is None
+        assert res["k_upper_reason"].startswith("general-disc: 4 starts, ")
+
     def test_reason_for_a_pair_the_family_cannot_reach(self, capsys):
         # the benchmark's fixed generic pair: its second point lies on no
-        # general disc, so no least-squares search runs
+        # general disc, so no member fit runs
         argv = ("distance",
                 "0.18844673057094008+0.2214883401940817i,"
                 "-0.11107857602089621+0.025354322475725888i,"
@@ -239,6 +250,19 @@ class TestGeodesic:
                              "--phi", "auto:0.5", "--samples", samples)
         assert code == EXIT_USAGE
         assert "geodesic-verified" not in out
+
+    def test_samples_limit(self, capsys):
+        # 1e20 overflows numpy's array size: rejected before any grid is built
+        code, out, err = run(capsys, "geodesic", "verify", "--C", "0.5", "--phi",
+                             "auto:0.5", "--samples", "100000000000000000000")
+        assert code == EXIT_USAGE
+        assert "--samples" in err and out == ""
+
+    @pytest.mark.parametrize("extra, expected", [(0, EXIT_OK), (1, EXIT_USAGE)])
+    def test_samples_limit_edge(self, capsys, extra, expected):
+        code, _, _ = run(capsys, "geodesic", "verify", "--C", "0.5", "--phi", "auto:0.5",
+                         "--samples", str(MAX_SAMPLES + extra))
+        assert code == expected
 
     def test_invalid_params_exit(self, capsys):
         code, _, err = run(capsys, "geodesic", "eval", "--C", "0.5",

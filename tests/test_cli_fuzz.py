@@ -52,7 +52,7 @@ distance = st.tuples(
                  st.sampled_from(["psi-omega", "magic-f,psi-omega-sigma", "bogus", ""])),
           option("--upper-families",
                  st.sampled_from(["auto", "axis-pair", "product,origin-geodesic",
-                                  "general-disc-deg1", "general-disc-deg2", "bogus"])),
+                                  "general-disc", "bogus"])),
           option("--json", st.just(None))),
 ).map(lambda t: ["distance", "--budget", t[2], *t[3], "--", t[0], t[1]])
 

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
+from tetrablock import geodesics
 from tetrablock.domains import (Location, TetraPoint, g2_membership, is_interior,
                                 psi_sup, tetra_e_value)
 from tetrablock.errors import DomainError
-from tetrablock.extremals import G2FMap, sigma
+from tetrablock.extremals import G2FMap, caratheodory_lower_bound, sigma
 from tetrablock.geodesics import (DiscVerdict, G2GeodesicParams,
                                   GeneralDiscParams, OriginGeodesicParams,
                                   TransportClass, blaschke_interp_origin,
@@ -24,7 +26,7 @@ from tetrablock.geodesics import (DiscVerdict, G2GeodesicParams,
                                   solve_origin_geodesic_through,
                                   transport_disc, transported_extremal,
                                   transported_extremal_disc, verify_disc,
-                                  _generic_search)
+                                  _general_disc_fit)
 from tetrablock.hyperbolic import BlaschkeMap, disc_automorphism, mobius_m
 from tetrablock.verify import (random_disc_point, random_interior_points,
                                random_phi_pinned, random_unimodular,
@@ -415,7 +417,7 @@ class TestOriginSolver:
 
     def test_product_point_value_dominated_by_larger_coordinate(self):
         # geodesics through product points are not unique; whichever
-        # representation the scan lands on, the value is the larger
+        # representation the closed form picks, the value is the larger
         # coordinate distance
         z = TetraPoint(0.25, 0.5, 0.125)
         sol = origin_lempert(z)
@@ -512,22 +514,28 @@ class TestGeneralDiscCertificate:
                                   random_unimodular(rng), blaschke_of_degree(rng, degree),
                                   blaschke_of_degree(rng, degree))
             f = general_disc(p)
-            ends = []
+            lams, ends = [], []
             for _ in range(2):
-                point = np.array(f(random_disc_point(rng, 0.95)).as_tuple())
+                lams.append(random_disc_point(rng, 0.95))
+                point = np.array(f(lams[-1]).as_tuple())
                 step = rng.normal(size=3) + 1j * rng.normal(size=3)
                 ends.append(TetraPoint(*(point + scale * step / np.linalg.norm(step))))
-            # with no budget, a pair that is not ruled out makes no start
-            result = disc_search_upper_bound(*ends, family=f"general-disc-deg{degree}",
-                                             budget=0)
-            assert not result.found
-            assert result.reason == "general-disc: 0 starts, 0 evaluations, best residual inf"
-            if scale == 0.0:
-                for end in ends:
-                    members = general_disc_members(end)
-                    assert members is None or any(
-                        abs(m.C - p.C) < 1e-9 and abs(m.omega1 - p.omega1) < 1e-9
-                        for m in members)
+            if scale > 0.0:
+                # with no budget, a pair that is not ruled out makes no fit
+                result = disc_search_upper_bound(*ends, family="general-disc", budget=0)
+                assert not result.found
+                assert result.reason == ("general-disc: 0 starts, 0 evaluations, "
+                                         "best residual inf")
+                continue
+            result = disc_search_upper_bound(*ends, family="general-disc")
+            assert result.found and result.family == "general-disc"
+            c_lower = caratheodory_lower_bound(*ends).m_scale
+            assert c_lower - 1e-12 <= result.bound.m_scale <= mobius_m(*lams) + 1e-12
+            for end in ends:
+                members = general_disc_members(end)
+                assert members is None or any(
+                    abs(m.C - p.C) < 1e-9 and abs(m.omega1 - p.omega1) < 1e-9
+                    for m in members)
 
     def test_certified_bound_pair_keeps_its_member(self):
         p = GeneralDiscParams(0.3, 1, 1, BlaschkeMap.constant(0.1), BlaschkeMap.identity())
@@ -544,7 +552,7 @@ class TestGeneralDiscCertificate:
             if result.evaluations == 0:
                 pruned += 1
                 assert not result.found
-                assert not _generic_search(w, z, 1, 2000).found
+                assert not _general_disc_fit(w, z, 2000).found
         assert pruned >= 20
 
     def test_bench_pair_skips_the_search(self):
@@ -557,11 +565,48 @@ class TestGeneralDiscCertificate:
     def test_search_reports_its_counts(self):
         p = GeneralDiscParams(0.3, 1, 1, BlaschkeMap.constant(0.1), BlaschkeMap.identity())
         w, z = eval_general_disc(p, 0.1), eval_general_disc(p, 0.45)
-        result = disc_search_upper_bound(w, z, family="general-disc-deg1", budget=300)
-        assert result.starts >= 1 and result.evaluations >= 300
+        result = disc_search_upper_bound(w, z, family="general-disc", budget=300)
+        assert result.found and result.starts >= 1 and 0 < result.evaluations <= 300
         prefix = (f"general-disc: {result.starts} starts, {result.evaluations} "
                   "evaluations, best residual ")
         assert result.reason.startswith(prefix)
+
+    @pytest.mark.parametrize("C", [0.3, 0.99])
+    def test_exact_bound_of_a_family_pair(self, C):
+        # the least-squares search of earlier versions capped C below 0.98
+        # and found nothing at C = 0.99
+        p = GeneralDiscParams(C, 1, 1, BlaschkeMap.constant(0.1), BlaschkeMap.identity())
+        w, z = eval_general_disc(p, 0.1), eval_general_disc(p, 0.45)
+        result = disc_search_upper_bound(w, z)
+        assert result.found and result.family == "general-disc"
+        assert result.residual < 1e-20
+        assert abs(result.bound.m_scale - mobius_m(0.1, 0.45)) < 1e-12
+
+    def test_start_where_phi_vanishes(self):
+        # psi vanishes at both points, so both have z2 = z3 = 0 and no
+        # closed-form member; phi vanishes at the first
+        p = GeneralDiscParams(0.4, cmath.exp(0.7j), 1, disc_automorphism(0.3),
+                              BlaschkeMap(1, (0.3, -0.5j), 0.8))
+        w, z = eval_general_disc(p, 0.3), eval_general_disc(p, -0.5j)
+        assert w.z3 == 0 and z.z2 == 0
+        result = disc_search_upper_bound(w, z, family="general-disc")
+        assert result.found
+        assert abs(result.bound.m_scale - mobius_m(0.3, -0.5j)) < 1e-12
+
+    @pytest.mark.parametrize("budget", [0, 1, 50])
+    def test_evaluations_count_the_jacobian_calls(self, monkeypatch, budget):
+        calls = []
+
+        def counting(fun, x0, **kwargs):
+            return least_squares(lambda x: calls.append(x) or fun(x), x0, **kwargs)
+
+        monkeypatch.setattr(geodesics, "least_squares", counting)
+        # the README pair: its fits run long and hit the budget
+        w, z = TetraPoint(0.1, 0.05, 0.02), TetraPoint(0.12, 0.07, 0.03)
+        result = disc_search_upper_bound(w, z, budget=budget)
+        assert not result.found
+        assert result.evaluations == len(calls) <= budget + 2
+        assert (result.starts > 0) == (budget >= 3)
 
     @pytest.mark.parametrize("z", [TetraPoint(0.3, 0.0, 0.2), TetraPoint(0.0, 0.3, 0.2),
                                    TetraPoint(0.3, 0.2, 0.0), TetraPoint(0.3, 0.2, 0.06),

@@ -10,9 +10,11 @@ They are not closed under f_omega (magic_f o f_omega is not among them), so
 rotation invariance of c_lower is a property of the random interior pairs
 drawn here, where the Psi families dominate.  Holomorphic discs contract:
 at the images f(l1), f(l2) of a disc, every family bound is at most
-m(l1, l2) (Schwarz-Pick).  At the origin the sandwich closes: the Schwarz
-lemma gives l(0, z) = max(psi_sup(z), psi_sup(sigma z)), and the origin
-geodesic, c_lower and k_upper all reach it.
+m(l1, l2) (Schwarz-Pick); on the general family the general-disc route
+finds the pair and its bound is at most m(l1, l2) too.  At the origin the
+sandwich closes: the Schwarz lemma gives l(0, z) = max(psi_sup(z),
+psi_sup(sigma z)), and the origin geodesic, c_lower and k_upper all reach
+it.
 """
 
 import cmath
@@ -127,6 +129,34 @@ def test_schwarz_pick_contraction(seed, kind):
     if kind == "origin-geodesic":
         # the left inverse recovers lam, so the bound is attained at f(0) = 0
         assert abs(caratheodory_lower_bound(f(0.0), z).m_scale - abs(lam2)) <= 1e-9
+
+
+def degree_map(rng, degree, zero=None):
+    """A Blaschke map of the given degree, an automorphism in half the
+    degree-1 draws, with its first zero at ``zero`` when one is given."""
+    zeros = [random_disc_point(rng) for _ in range(degree)]
+    if zero is not None:
+        zeros[0] = zero
+    scale = 1.0 if rng.uniform() < 0.5 else rng.uniform(0.3, 1.0)
+    return BlaschkeMap(random_unimodular(rng), tuple(zeros), scale)
+
+
+@given(seeds, st.sampled_from([1, 2]), st.sampled_from([1, 2]), st.integers(0, 2))
+@bounded
+def test_general_family_pairs_are_found(seed, phi_degree, psi_degree, draw):
+    rng = np.random.default_rng(seed)
+    lam_w, lam_z = random_disc_point(rng, 0.95), random_disc_point(rng, 0.95)
+    # one draw in three has phi(lam_w) = 0, so w3 = 0
+    phi = degree_map(rng, phi_degree, lam_w if draw == 0 else None)
+    f = general_disc(GeneralDiscParams(rng.uniform(0.0, 1.0), random_unimodular(rng),
+                                       random_unimodular(rng), phi,
+                                       degree_map(rng, psi_degree)))
+    w, z = f(lam_w), f(lam_z)
+    result = disc_search_upper_bound(w, z, family="general-disc")
+    assert result.found
+    k_upper = result.bound.m_scale
+    assert caratheodory_lower_bound(w, z).m_scale <= k_upper + 1e-12
+    assert k_upper <= mobius_m(lam_w, lam_z) + 1e-12
 
 
 #: moves a point (z1, z2, z3) to offset e from a slice where the origin
