@@ -15,11 +15,17 @@ through the supremum over unimodular eta of the rational family
 which stays below 1 in modulus exactly on the domain (for |z1| < 1, the
 supremum over the closed disc in eta reduces to the circle by the maximum
 principle); ``psi_sup`` gives that supremum in closed form.
+
+The domain is (1, 1, 2)-balanced: with z in it, so is (l z1, l z2, l^2 z3)
+for |l| <= 1.  ``rho_functional`` is the gauge of that scaling, found by
+bisection on the same criterion written for the scaled point, to a relative
+width of a few ulps and at every floating-point scale.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
@@ -241,34 +247,53 @@ def g2_membership(w, tol: float = DEFAULT_BOUNDARY_TOL) -> G2MembershipReport:
     return G2MembershipReport(_classify(worst, tol), worst, roots, tol)
 
 
-def rho_functional(z, tol: float = 1e-12) -> float:
+def rho_functional(z, tol: float = 4 * sys.float_info.epsilon) -> float:
     """Quasi-homogeneous gauge of the tetrablock.
 
-    rho(z) is the infimum of t > 0 such that (z1/t, z2/t, z3/t^2) stays in
-    the closed domain, found by bisection; rho(0) = 0 by convention.  It
-    scales as rho(l z1, l z2, l^2 z3) = |l| rho(z) and satisfies
-    rho(z) < 1 iff z is interior.  Monotonicity of membership in t is a
-    star-likeness assumption, exercised empirically by the test suite.
+    rho(z) is the infimum of t > 0 such that (z1/t, z2/t, z3/t^2) lies in
+    the closed domain; rho(0) = 0.  It scales as
+    rho(l z1, l z2, l^2 z3) = |l| rho(z) and satisfies rho(z) < 1 iff z is
+    interior.  The domain is (1, 1, 2)-balanced, so membership is monotone
+    in t, and rho lies in [m, 3m] with m = max(|z1|, |z2|, sqrt|z3|): below m
+    a coordinate leaves the closed disc, and at 3m the defining functional is
+    at most 2/3 + 2/27 + 1/81.  Bisection on the criterion of Abouhajar,
+    White and Young,
+
+        |z2 D + conj(z1) q| + |q| t < D t,   D = t^2 - |z1|^2,  q = z1 z2 - z3,
+
+    (``psi_sup`` < 1 at the scaled point, times t^3) narrows that bracket
+    to a relative width ``tol``.  Written with D and q, the left side keeps
+    its relative accuracy where the criterion changes sign, also on the
+    product points (a, b, ab), where q = 0.  The point is first scaled by a
+    power of two, exactly by quasi-homogeneity, so nothing underflows or
+    overflows.  Python scalars only; non-finite coordinates and a gauge
+    beyond the float range raise ``DomainError``.
     """
-    z = TetraPoint.of(z)
-    if z.z1 == 0 and z.z2 == 0 and z.z3 == 0:
+    _require_tol(tol)
+    parts = [x for c in TetraPoint.of(z) for x in (c.real, c.imag)]
+    if not all(math.isfinite(x) for x in parts):
+        raise DomainError("rho_functional needs finite coordinates")
+    size = max(max(abs(x) for x in parts[:4]), math.sqrt(max(abs(x) for x in parts[4:])))
+    if size == 0.0:
         return 0.0
-
-    def scaled_e(t: float) -> float:
-        return float(e_value_raw(z.z1 / t, z.z2 / t, z.z3 / t ** 2))
-
-    hi = 2.0 * max(abs(z.z1), abs(z.z2), math.sqrt(abs(z.z3)), 1.0)
-    for _ in range(60):
-        if scaled_e(hi) < 1.0:
+    # z1/s, z2/s, z3/s^2 with s = 2^e, exactly
+    e = math.frexp(size)[1]
+    z1, z2, z3 = (complex(math.ldexp(parts[k], -n * e), math.ldexp(parts[k + 1], -n * e))
+                  for k, n in ((0, 1), (2, 1), (4, 2)))
+    r1, q = abs(z1), z1 * z2 - z3
+    shift, c = z1.conjugate() * q, abs(q)
+    lo = max(r1, abs(z2), math.sqrt(abs(z3)))
+    hi = 3.0 * lo
+    while hi - lo > tol * hi:
+        t = 0.5 * (lo + hi)
+        if t <= lo or t >= hi:
             break
-        hi *= 2.0
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if scaled_e(mid) >= 1.0:
-            lo = mid
+        d = (t - r1) * (t + r1)
+        if abs(z2 * d + shift) + c * t < d * t:
+            hi = t
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            lo = t
+    try:
+        return math.ldexp(0.5 * (lo + hi), e)
+    except OverflowError:
+        raise DomainError("rho_functional exceeds the float range") from None

@@ -8,7 +8,10 @@ supremum of the Psi-family bounds (with and without the coordinate swap) is
 exposed separately as ``p_e``; it is always dominated by the full lower
 bound, and on some pairs it is *strictly* smaller -- the separation that the
 ``magic_f`` map detects.  The Psi-family maxima over the unimodular
-parameter are exact: they are taken at the roots of a sextic.
+parameter are exact: they are taken at the roots of a sextic, one for each
+orientation (with and without the swap).  Both sextics are solved together
+as the eigenvalues of a stack of two companion matrices, so ``p_e`` and
+``caratheodory_lower_bound`` make one eigenvalue call each.
 """
 
 from __future__ import annotations
@@ -193,49 +196,91 @@ class ExtremalFamilyId:
             object.__setattr__(self, "parameter", require_unimodular(self.parameter))
 
 
-def _psi_family_bound(w: TetraPoint, z: TetraPoint, swap: bool,
-                      parameter: Optional[complex]) -> float:
-    """m(Psi_eta(w), Psi_eta(z)) at the pinned eta, else its maximum on |eta| = 1.
+#: the shift part of a companion matrix of each degree n <= 6: ones below
+#: the diagonal of the leading n x n block, zeros elsewhere
+_SHIFTS = np.array([np.eye(6, k=-1) * (np.arange(6)[:, None] < n) for n in range(7)],
+                   dtype=complex)
+
+
+def _companion_row(w1, w2, w3, z1, z2, z3):
+    """Degree and companion top row (padded to 6) of the critical polynomial
+    of eta -> m(Psi_eta(w), Psi_eta(z)) on the circle.
 
     On the circle m = |A(eta)| / |B(eta)| (a prime marks the conjugate):
         A = (w2 - z2) + (z3 - w3 + z2 w1 - w2 z1) eta + (w3 z1 - z3 w1) eta^2
         B = (w3' z2 - w1') + (1 + w1' z1 - w3' z3 - w2' z2) eta + (w2' z3 - z1) eta^2
     With a = eta^2 |A|^2 and b = eta^2 |B|^2 (degree 4), the maximizers are
-    unimodular roots of a' b - a b' (degree <= 6); m is taken at eta = 1 and
-    at every root projected to the circle, so the value is attained.
+    unimodular roots of a' b - a b' (degree <= 6).
     """
-    if swap:
-        w, z = sigma(w), sigma(z)
-    if parameter is not None:
-        return mobius_m(psi_eta(parameter, w), psi_eta(parameter, z))
-    wc1, wc2, wc3 = w.z1.conjugate(), w.z2.conjugate(), w.z3.conjugate()
-    A = np.array([w.z2 - z.z2, z.z3 - w.z3 + z.z2 * w.z1 - w.z2 * z.z1,
-                  w.z3 * z.z1 - z.z3 * w.z1])
-    B = np.array([wc3 * z.z2 - wc1, 1.0 + wc1 * z.z1 - wc3 * z.z3 - wc2 * z.z2,
-                  wc2 * z.z3 - z.z1])
-    # eta^2 |P|^2 is P times its reversed conjugate; coefficients ascend
-    a, b = np.convolve(A, A[::-1].conj()), np.convolve(B, B[::-1].conj())
-    order = np.arange(1, 5)
-    crit = np.convolve(a[1:] * order, b) - np.convolve(a, b[1:] * order)
-    # the degree-7 term cancels, so np.roots gets degrees 6..0.  End
-    # coefficients below 1e-14 of the largest are rounding noise: leading
+    wc1, wc2, wc3 = w1.conjugate(), w2.conjugate(), w3.conjugate()
+    A0, A1, A2 = w2 - z2, z3 - w3 + z2 * w1 - w2 * z1, w3 * z1 - z3 * w1
+    B0, B1, B2 = wc3 * z2 - wc1, 1.0 + wc1 * z1 - wc3 * z3 - wc2 * z2, wc2 * z3 - z1
+    # eta^2 |P|^2 is P times its reversed conjugate; its coefficients p0..p4
+    # ascend, with p3 = conj(p1) and p4 = conj(p0)
+    a0, a1 = A0 * A2.conjugate(), A0 * A1.conjugate() + A1 * A2.conjugate()
+    a2 = A0 * A0.conjugate() + A1 * A1.conjugate() + A2 * A2.conjugate()
+    b0, b1 = B0 * B2.conjugate(), B0 * B1.conjugate() + B1 * B2.conjugate()
+    b2 = B0 * B0.conjugate() + B1 * B1.conjugate() + B2 * B2.conjugate()
+    a3, a4, b3, b4 = a1.conjugate(), a0.conjugate(), b1.conjugate(), b0.conjugate()
+    # coefficient k of a' b - a b' is the sum of (i - j) a_i b_j over
+    # i + j = k + 1: the degree-7 term cancels, and coefficient 6 - k is
+    # -conj(coefficient k)
+    c0 = a1 * b0 - a0 * b1
+    c1 = 2.0 * (a2 * b0 - a0 * b2)
+    c2 = 3.0 * (a3 * b0 - a0 * b3) + (a2 * b1 - a1 * b2)
+    c3 = 4.0 * (a4 * b0 - a0 * b4) + 2.0 * (a3 * b1 - a1 * b3)
+    coeffs = (-c0.conjugate(), -c1.conjugate(), -c2.conjugate(), c3, c2, c1, c0)
+    top = max(abs(c) for c in coeffs)
+    if top == 0.0:  # w = z: m vanishes on the whole circle
+        return 0, [0.0] * 6
+    # end coefficients below 1e-14 of the largest are rounding noise: leading
     # ones throw the other roots far off, trailing ones only add roots near
-    # 0, whose angle means nothing (eta = 1 is taken anyway)
-    coeffs = crit[6::-1]
-    kept = np.flatnonzero(np.abs(coeffs) >= 1e-14 * np.abs(coeffs).max())
-    eta = np.exp(1j * np.angle(np.append(np.roots(coeffs[kept[0]:kept[-1] + 1]), 1.0)))
-    return float(np.max(mobius_m(psi_eta(eta, w), psi_eta(eta, z))))
+    # 0, whose angle means nothing (eta = 1 is taken anyway).  Opposite ends
+    # have equal moduli, so as many go from each end
+    first = next(k for k, c in enumerate(coeffs) if abs(c) >= 1e-14 * top)
+    lead = coeffs[first]
+    row = [-c / lead for c in coeffs[first + 1:7 - first]]
+    return len(row), row + [0.0] * (6 - len(row))
+
+
+def _psi_family_bounds(w: TetraPoint, z: TetraPoint) -> Tuple[float, float]:
+    """The maxima over |eta| = 1 of m(Psi_eta(w), Psi_eta(z)) and of
+    m(Psi_eta(sigma w), Psi_eta(sigma z)).
+
+    Both critical polynomials go into 6 x 6 companion matrices (a lower
+    degree leaves zero rows and columns, whose roots 0 give eta = 1) and one
+    eigenvalue solve; m is taken at eta = 1 and at every root projected to
+    the circle, so each value is attained.
+    """
+    (w1, w2, w3), (z1, z2, z3) = w, z
+    (n0, row0), (n1, row1) = (_companion_row(w1, w2, w3, z1, z2, z3),
+                              _companion_row(w2, w1, w3, z2, z1, z3))
+    companions = np.array((_SHIFTS[n0], _SHIFTS[n1]))
+    companions[:, 0, :] = (row0, row1)
+    eta = np.ones((2, 1, 7), dtype=complex)
+    eta[:, 0, :6] = np.exp(1j * np.angle(np.linalg.eigvals(companions)))
+    # axis 0 the orientation, axis 1 the endpoint
+    ends = np.array([[[w1, z1], [w2, z2]], [[w2, z2], [w1, z1]], [[w3, z3], [w3, z3]]])
+    psi = psi_eta(eta, TetraPoint(*ends[..., None]))
+    values = mobius_m(psi[:, 0], psi[:, 1]).max(axis=1)
+    return float(values[0]), float(values[1])
 
 
 TETRABLOCK_FAMILIES = (ExtremalFamily.PSI_OMEGA, ExtremalFamily.PSI_OMEGA_SIGMA,
                        ExtremalFamily.MAGIC_F)
 
 
+#: the row of ``_psi_family_bounds`` that holds each Psi family
+_PSI_ROWS = {ExtremalFamily.PSI_OMEGA: 0, ExtremalFamily.PSI_OMEGA_SIGMA: 1}
+
+
 def _family_bound(fid: ExtremalFamilyId, w: TetraPoint, z: TetraPoint) -> float:
-    if fid.tag is ExtremalFamily.PSI_OMEGA:
-        return _psi_family_bound(w, z, False, fid.parameter)
-    if fid.tag is ExtremalFamily.PSI_OMEGA_SIGMA:
-        return _psi_family_bound(w, z, True, fid.parameter)
+    """The bound of a pinned Psi member or of magic_f; the Psi maxima come
+    from ``_psi_family_bounds``."""
+    if fid.tag in _PSI_ROWS:
+        if fid.tag is ExtremalFamily.PSI_OMEGA_SIGMA:
+            w, z = sigma(w), sigma(z)
+        return mobius_m(psi_eta(fid.parameter, w), psi_eta(fid.parameter, z))
     if fid.tag is ExtremalFamily.MAGIC_F:
         # magic_f o sigma makes the bound sigma-invariant
         return max(mobius_m(magic_f(w), magic_f(z)),
@@ -271,9 +316,7 @@ def p_e(w, z) -> HyperbolicDistance:
     there.
     """
     w, z = _require_interior_pair(w, z)
-    plain = _psi_family_bound(w, z, False, None)
-    swapped = _psi_family_bound(w, z, True, None)
-    return HyperbolicDistance.from_m(max(plain, swapped))
+    return HyperbolicDistance.from_m(max(_psi_family_bounds(w, z)))
 
 
 def caratheodory_lower_bound(w, z, families: Iterable = TETRABLOCK_FAMILIES
@@ -288,8 +331,14 @@ def caratheodory_lower_bound(w, z, families: Iterable = TETRABLOCK_FAMILIES
     if not family_ids:
         raise DomainError("families must be nonempty")
     w, z = _require_interior_pair(w, z)
-    best = 0.0
+    best, psi_rows = 0.0, None
     for fid in family_ids:
-        best = max(best, float(_family_bound(fid, w, z)))
+        if fid.tag in _PSI_ROWS and fid.parameter is None:
+            if psi_rows is None:
+                psi_rows = _psi_family_bounds(w, z)
+            value = psi_rows[_PSI_ROWS[fid.tag]]
+        else:
+            value = _family_bound(fid, w, z)
+        best = max(best, float(value))
     return HyperbolicDistance.from_m(best)
 

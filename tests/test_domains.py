@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tetrablock.domains import (G2Point, Location, TetraPoint, g2_membership,
@@ -12,6 +12,7 @@ from tetrablock.domains import (G2Point, Location, TetraPoint, g2_membership,
                                 tetra_membership)
 from tetrablock.errors import DomainError
 from tetrablock.extremals import f_omega_automorphism, sigma
+from tetrablock.verify import random_interior_points
 
 disc_points = st.complex_numbers(max_magnitude=0.9, allow_nan=False,
                                  allow_infinity=False)
@@ -196,3 +197,58 @@ class TestRho:
             if abs(e - 1.0) < 1e-6:
                 continue
             assert (rho_functional(z) < 1.0) == (e < 1.0)
+
+    @given(disc_points, disc_points)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_product_points(self, a, b):
+        # an underflowed product is no product point: (a, a, 0) has rho 2|a|
+        assume(a == 0 or b == 0 or abs(a * b) >= 1e-300)
+        m = max(abs(a), abs(b))
+        assert abs(rho_functional((a, b, a * b)) - m) <= 1e-14 * m
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.5j, 0.5), (0.3, 0.3 + 1e-9),
+                                      (0.0, 0.7)])
+    def test_product_point_edge_cases(self, a, b):
+        # equal or nearly equal moduli, where the defining functional is
+        # flat to third order toward the boundary, and a factor 0
+        m = max(abs(a), abs(b))
+        assert abs(rho_functional((a, b, a * b)) - m) <= 1e-14 * m
+
+    @pytest.mark.parametrize("t", [1e-300, -3e-200 + 1e-200j, 1e-20j, 0.25, -0.999,
+                                   1e150, 1e300])
+    def test_first_axis_at_every_scale(self, t):
+        assert rho_functional((t, 0, 0)) == pytest.approx(abs(t), rel=1e-14)
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-150, -1e-6j])
+    def test_quasi_homogeneity_at_small_scale(self, lam):
+        for z in random_interior_points(np.random.default_rng(31), 100):
+            scaled = (lam * z.z1, lam * z.z2, lam * lam * z.z3)
+            assert rho_functional(scaled) == pytest.approx(
+                abs(lam) * rho_functional(z), rel=1e-14)
+
+    def test_interior_iff_below_one_on_seeded_points(self):
+        rng = np.random.default_rng(32)
+        points = random_interior_points(rng, 500)
+        # the same points pushed outward, most of them out of the domain
+        points += [TetraPoint(1.5 * z.z1, 1.5 * z.z2, 2.25 * z.z3) for z in points]
+        for z in points:
+            e = tetra_e_value(z)
+            if abs(e - 1.0) < 1e-9:
+                continue
+            assert (rho_functional(z) < 1.0) == (e < 1.0)
+
+    @pytest.mark.parametrize("z", [(1e300, 0, 0), (0, 0, 1e308), (1e308 + 1e308j, 0, 0),
+                                   (1.7e308, -1.7e308, 1.7e308j),
+                                   (1e308 + 1e308j, 1e308 - 1e308j, 0)])
+    def test_huge_points_never_overflow(self, z):
+        try:
+            value = rho_functional(z)
+        except DomainError:
+            return
+        assert math.isfinite(value) and value > 0.0
+
+    @pytest.mark.parametrize("z", [(math.inf, 0, 0), (0, math.nan, 0),
+                                   (0, 0, complex(0, -math.inf))])
+    def test_non_finite_points_rejected(self, z):
+        with pytest.raises(DomainError):
+            rho_functional(z)

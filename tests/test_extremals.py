@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetrablock.domains import TetraPoint, is_interior
 from tetrablock.errors import BranchError, DomainError, PoleError
@@ -14,7 +16,8 @@ from tetrablock.extremals import (ExtremalFamily, ExtremalFamilyId, G2FMap,
 from tetrablock.geodesics import OriginGeodesicParams, eval_origin_geodesic
 from tetrablock.hyperbolic import BlaschkeMap, mobius_m
 from tetrablock.necessary import numeric_gradient
-from tetrablock.verify import random_disc_point, random_interior_points
+from tetrablock.verify import (random_disc_point, random_interior_points,
+                               random_unimodular)
 
 
 class TestPsiEta:
@@ -187,6 +190,118 @@ class TestPE:
             rotated = p_e(f_omega_automorphism(omega, w),
                           f_omega_automorphism(omega, z)).m_scale
             assert rotated == pytest.approx(base, abs=1e-10)
+
+
+def reference_psi_bound(w, z, swap):
+    """The Psi-family maximum one orientation at a time, by np.roots on the
+    sextic: the formula the stacked companion solve replaced."""
+    if swap:
+        w, z = sigma(w), sigma(z)
+    wc1, wc2, wc3 = w.z1.conjugate(), w.z2.conjugate(), w.z3.conjugate()
+    A = np.array([w.z2 - z.z2, z.z3 - w.z3 + z.z2 * w.z1 - w.z2 * z.z1,
+                  w.z3 * z.z1 - z.z3 * w.z1])
+    B = np.array([wc3 * z.z2 - wc1, 1.0 + wc1 * z.z1 - wc3 * z.z3 - wc2 * z.z2,
+                  wc2 * z.z3 - z.z1])
+    a, b = np.convolve(A, A[::-1].conj()), np.convolve(B, B[::-1].conj())
+    order = np.arange(1, 5)
+    crit = np.convolve(a[1:] * order, b) - np.convolve(a, b[1:] * order)
+    coeffs = crit[6::-1]
+    kept = np.flatnonzero(np.abs(coeffs) >= 1e-14 * np.abs(coeffs).max())
+    eta = np.exp(1j * np.angle(np.append(np.roots(coeffs[kept[0]:kept[-1] + 1]), 1.0)))
+    return float(np.max(mobius_m(psi_eta(eta, w), psi_eta(eta, z))))
+
+
+def slice_pair(kind, rng):
+    """An interior pair on one of the slices where the sextic degenerates."""
+    if kind == "w = z":
+        z = random_interior_points(rng, 1)[0]
+        return z, z
+    if kind in ("z1 = 0", "z2 = 0"):
+        # (0, b, c) is interior iff |b| < 1 - |c|
+        ends = []
+        for _ in range(2):
+            c = random_disc_point(rng, 0.9)
+            b = random_disc_point(rng, 1.0 - abs(c))
+            ends.append(TetraPoint(0, b, c) if kind == "z1 = 0" else TetraPoint(b, 0, c))
+        return tuple(ends)
+    if kind == "w3 = 0":
+        # (a, b, 0) is interior iff |a| + |b| < 1
+        a = random_disc_point(rng, 1.0)
+        w = TetraPoint(a, random_disc_point(rng, 1.0 - abs(a)), 0)
+        return w, random_interior_points(rng, 1)[0]
+    if kind == "axis":
+        c = random_disc_point(rng, 0.9)
+        return TetraPoint(0, 0, c), TetraPoint(0, random_disc_point(rng, 1.0 - abs(c)), c)
+    if kind == "product":
+        a, b, c, d = (random_disc_point(rng, 1.0) for _ in range(4))
+        return TetraPoint(a, b, a * b), TetraPoint(c, d, c * d)
+    if kind == "separation":
+        return TetraPoint(0, 0, -0.5), TetraPoint(0, 0.05, -0.5)
+    # w = 0 and |z1| tiny: the sextic's end coefficients are rounding noise
+    c = random_disc_point(rng, 0.9)
+    z1 = 10.0 ** rng.uniform(-12.0, -8.0) * random_unimodular(rng)
+    return TetraPoint(0, 0, 0), TetraPoint(z1, random_disc_point(rng, 0.99 - abs(c)), c)
+
+
+SLICE_KINDS = ["w = z", "z1 = 0", "z2 = 0", "w3 = 0", "axis", "product",
+               "separation", "w = 0, tiny z1"]
+
+
+class TestPsiKernel:
+    """Both orientations from one stacked eigenvalue solve agree with the
+    one-orientation np.roots formula."""
+
+    @staticmethod
+    def assert_matches_reference(w, z):
+        plain, swapped = reference_psi_bound(w, z, False), reference_psi_bound(w, z, True)
+        magic = caratheodory_lower_bound(w, z, [ExtremalFamily.MAGIC_F]).m_scale
+        assert abs(p_e(w, z).m_scale - max(plain, swapped)) <= 4.4e-15
+        assert abs(caratheodory_lower_bound(w, z).m_scale
+                   - max(plain, swapped, magic)) <= 4.4e-15
+        for family, expected in (("psi-omega", plain), ("psi-omega-sigma", swapped)):
+            value = caratheodory_lower_bound(w, z, [family]).m_scale
+            assert abs(value - expected) <= 4.4e-15
+
+    def test_seeded_pairs(self):
+        points = random_interior_points(np.random.default_rng(5), 4000)
+        for w, z in zip(points[:2000], points[2000:]):
+            self.assert_matches_reference(w, z)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(SLICE_KINDS))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_degenerate_slices(self, seed, kind):
+        w, z = slice_pair(kind, np.random.default_rng(seed))
+        assert is_interior(w) and is_interior(z)
+        self.assert_matches_reference(w, z)
+        self.assert_matches_reference(z, w)
+
+    def test_single_families_take_their_own_orientation(self):
+        # the separation pair moved off z1 = 0, where the two orientations
+        # give different maxima
+        w, z = TetraPoint(0.3, 0, -0.5), TetraPoint(0.3, 0.05, -0.5)
+        plain, swapped = reference_psi_bound(w, z, False), reference_psi_bound(w, z, True)
+        assert abs(plain - swapped) > 1e-3
+        for family, expected in (("psi-omega", plain), ("psi-omega-sigma", swapped)):
+            value = caratheodory_lower_bound(w, z, [family]).m_scale
+            assert value == pytest.approx(expected, abs=4.4e-15)
+
+    @pytest.mark.parametrize("bound", [p_e, caratheodory_lower_bound])
+    def test_one_eigenvalue_solve_per_call(self, bound, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigvals(a)
+
+        def forbidden(p):
+            raise AssertionError("np.roots called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        monkeypatch.setattr(np, "roots", forbidden)
+        w, z = random_interior_points(np.random.default_rng(6), 2)
+        bound(w, z)
+        assert calls == [(2, 6, 6)]
 
 
 class TestCaratheodoryLowerBound:
