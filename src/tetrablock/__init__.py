@@ -3,6 +3,10 @@ tetrablock and the symmetrized bidisc."""
 
 __version__ = "1.0.0"
 
+# nothing calls scipy any more; the import stays until the benchmark can
+# time an import without it (ROADMAP item 5)
+import scipy.optimize  # noqa: F401
+
 from .errors import BranchError, DomainError, FitError, PoleError
 from .hyperbolic import (BlaschkeMap, HyperbolicDistance, blaschke_eval,
                          disc_automorphism, mobius_distance, mobius_m,
@@ -14,7 +18,7 @@ from .extremals import (CoordinateMap, ExtremalFamily, ExtremalFamilyId,
                         G2FMap, MagicFMap, PsiOmegaMap,
                         caratheodory_lower_bound, f_omega_automorphism, g2_f,
                         magic_f, p_e, psi_eta, sigma)
-from .geodesics import (DiscMember, DiscSearchResult, DiscVerdict,
+from .geodesics import (DiscSearchResult, DiscVerdict,
                         DiscVerificationReport, G2GeodesicParams, GeneralDiscParams,
                         OriginGeodesicParams, OriginGeodesicSolution,
                         TransportClass, axis_pair, blaschke_interp_origin,
@@ -23,7 +27,6 @@ from .geodesics import (DiscMember, DiscSearchResult, DiscVerdict,
                         eval_general_disc, eval_origin_geodesic,
                         g2_origin_geodesic, g2_geodesic_disc,
                         g2_violation_witness, general_disc,
-                        general_disc_members,
                         is_product_geodesic, left_inverse_residual,
                         lempert_special, origin_geodesic_disc, origin_lempert,
                         product_disc, sample_grid,

@@ -472,7 +472,9 @@ def build_parser() -> Parser:
                         default="psi-omega,psi-omega-sigma,magic-f")
     p_dist.add_argument("--upper-families", default="auto",
                         help="comma list of search families, or auto")
-    p_dist.add_argument("--budget", type=int, default=100000)
+    p_dist.add_argument("--budget", type=int, default=100000,
+                        help="most general discs to build, one per closed-form "
+                             "(C, omega1) of the endpoints (at most six exist)")
     p_dist.add_argument("--json", action="store_true")
     p_dist.set_defaults(func=cmd_distance)
 

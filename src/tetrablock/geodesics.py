@@ -22,10 +22,9 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, e_value_raw,
                       g2_roots, is_interior, psi_eta, psi_sup,
@@ -714,10 +713,9 @@ class DiscSearchResult:
     ``residual`` is |f(lam1) - w|^2 + |f(lam2) - z|^2 of the accepted disc;
     ``bound`` is a certified upper bound for the Lempert function once
     ``found`` is True.  ``reason`` says deterministically how the result was
-    reached, or why nothing was found; ``starts`` and ``evaluations`` count
-    the member fits of the general-disc route and their residual
-    evaluations (finite-difference Jacobian calls included), 0 when it did
-    not run.
+    reached, or why nothing was found; ``starts`` counts the closed-form
+    candidates (C, omega1) of the general-disc route and ``evaluations`` the
+    discs it built from them, 0 when it did not run.
     """
 
     found: bool
@@ -731,15 +729,22 @@ class DiscSearchResult:
     evaluations: int = 0
 
 
+#: squared endpoint residual under which a closed route's disc is accepted
 _SEARCH_ACCEPT = 1e-9
+
+
+def _endpoint_residual(f: Callable, lam_w: complex, w: TetraPoint,
+                       lam_z: complex, z: TetraPoint) -> float:
+    """|f(lam_w) - w|^2 + |f(lam_z) - z|^2."""
+    return (sum(abs(a - b) ** 2 for a, b in zip(TetraPoint.of(f(lam_w)), w))
+            + sum(abs(a - b) ** 2 for a, b in zip(TetraPoint.of(f(lam_z)), z)))
 
 
 def _accepted_disc(family: str, f: Callable, lam_w: complex, w: TetraPoint,
                    lam_z: complex, z: TetraPoint) -> Optional[DiscSearchResult]:
     """The disc f as a result of ``family`` with bound m(lam_w, lam_z), when
-    |f(lam_w) - w|^2 + |f(lam_z) - z|^2 is below the acceptance."""
-    residual = (sum(abs(a - b) ** 2 for a, b in zip(TetraPoint.of(f(lam_w)), w))
-                + sum(abs(a - b) ** 2 for a, b in zip(TetraPoint.of(f(lam_z)), z)))
+    its endpoint residual is below the acceptance of the closed routes."""
+    residual = _endpoint_residual(f, lam_w, w, lam_z, z)
     if residual >= _SEARCH_ACCEPT:
         return None
     return DiscSearchResult(True, HyperbolicDistance.from_m(mobius_m(lam_w, lam_z)),
@@ -826,51 +831,17 @@ def _origin_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearchR
     return _accepted_disc("origin-geodesic", sol.disc(), lam_w, w, lam_z, z)
 
 
-#: each endpoint of an accepted interpolant lies within this distance of a
-#: point its disc passes through exactly (the squared residual is below
-#: _SEARCH_ACCEPT)
-_SEARCH_SLACK = math.sqrt(_SEARCH_ACCEPT)
-#: safety factor on the first-order movement bounds of general_disc_members;
-#: measured movements stay below 0.4 of the factored bound
-_MEMBER_SAFETY = 2.0
-#: largest movement of theta and of arctan C for which the first-order
-#: bound of general_disc_members is trusted
-_MEMBER_RADIUS_CAP = 0.05
+#: squared endpoint residual under which a general disc is accepted.  Its
+#: (C, omega1) is a closed-form member of an endpoint, so a disc of the
+#: family through both endpoints reproduces them to rounding; a disc that
+#: misses one by more is no interpolant, and its m(lam_w, lam_z) can lie
+#: below the Lempert value
+_GENERAL_ACCEPT = 1e-20
 
 
-class DiscMember(NamedTuple):
-    """A (C, omega1) with which a general disc can pass through a point.
-    ``radius`` bounds how far C and the angle of omega1 can move when the
-    point moves by the slack an accepted search residual allows."""
-
-    C: float
-    omega1: complex
-    radius: float
-
-
-def _member_equation(z1: complex, z2: complex, z3: complex):
-    """The angle equation T(theta) = t0 + Im(gamma e^{i theta}) of a point,
-    as t0 and gamma, and its closed-form roots (C, omega1, Q1(omega1)) with
-    real C, at most two, with no range test and no allowance for slack (see
-    ``general_disc_members``)."""
-    b0 = z1 * z2 - z3
-    b1 = z1 * z2 + z3
-    t0 = (b0 * b1.conjugate()).imag
-    gamma = b0.conjugate() * z2 - b0 * (z1 * z3).conjugate()
-    roots: List[Tuple[float, complex, complex]] = []
-    if gamma != 0.0 and abs(t0) <= abs(gamma):
-        tilt = math.asin(-t0 / abs(gamma))
-        for theta in (tilt, math.pi - tilt):
-            omega1 = cmath.exp(1j * (theta - cmath.phase(gamma)))
-            q1 = -z2 * omega1 ** 2 + b1 * omega1 - z1 * z3
-            if q1 != 0.0:
-                roots.append(((-b0 * omega1 / q1).real, omega1, q1))
-    return t0, gamma, roots
-
-
-def general_disc_members(z) -> Optional[List[DiscMember]]:
-    """The (C, omega1) of the general disc family that can reach z, or None
-    when the point is too degenerate or ill-conditioned to decide.
+def _member_roots(z: TetraPoint) -> List[Tuple[float, complex]]:
+    """The (C, omega1) with which a general disc can pass through z, at most
+    two, in closed form and with no range test.
 
     A general disc takes the value z at lam when phi(lam) = z1 (1 + C)/omega1
     - C and omega2 psi(lam) = z3/(omega1 phi(lam)), and the second
@@ -881,82 +852,22 @@ def general_disc_members(z) -> Optional[List[DiscMember]]:
 
     For unimodular omega1 = e^{i theta}, C = -(z1 z2 - z3) omega1 / Q1 is
     real exactly where T(theta) = t0 + Im(gamma e^{i theta}) vanishes (the
-    imaginary part of Q0 conj(Q1)), so a point has at most two members, in
-    closed form.  A member counts when C lies in [0, 1), |phi(lam)| < 1 and
-    |psi(lam)| = |z3|/|phi(lam)| < 1.
-
-    An accepted interpolant only comes within eps = sqrt(1e-9) of each
-    endpoint, so every test allows for a move of z by eps.  To first
-    order T changes by at most d_t, which moves a root theta by d_t/|T'| and
-    C by (|grad_z Q| eps + |dQ/dtheta| d_theta)/|Q1|.  A member's radius is
-    twice the larger of the two, and the range tests widen by the movement
-    of C, |phi| and |phi| - |z3| this allows.  The point is undecided
-    (None) when a move by eps could reach a degenerate point (z2 = 0,
-    z1 z3 = 0 or z3 = z1 z2, where members form a continuum or the formula
-    for psi breaks down), when it could create or merge roots of T (near
-    |t0| = |gamma|, which covers T identically zero), and when theta or
-    arctan C could move by more than 0.05, beyond which the first-order
-    bound is not trusted.  An empty list is a certificate: no point within
-    eps of z lies on a disc of the family.
+    imaginary part of Q0 conj(Q1)), at no more than two angles.
     """
-    z1, z2, z3 = TetraPoint.of(z).as_tuple()
-    eps = _SEARCH_SLACK
-    safety = _MEMBER_SAFETY
+    z1, z2, z3 = z.as_tuple()
     b0 = z1 * z2 - z3
     b1 = z1 * z2 + z3
-    grad_b = math.sqrt(abs(z1) ** 2 + abs(z2) ** 2 + 1.0)  # |grad b0| = |grad b1|
-    if min(abs(z2), abs(z1 * z3), abs(b0) / grad_b) <= safety * eps:
-        return None
-    t0, gamma, roots = _member_equation(z1, z2, z3)
-    d_t = eps * (grad_b * (abs(b0) + abs(b1) + abs(z2) + abs(z1 * z3))
-                 + abs(b0) * (1.0 + math.hypot(abs(z1), abs(z3))))
-    gap = abs(gamma) - abs(t0)
-    if abs(gap) <= safety * d_t:
-        return None
-    if gap < 0.0:
-        return []
-    slope = math.sqrt(abs(gamma) ** 2 - t0 ** 2)  # |T'| at both roots
-    if len(roots) < 2:  # Q1 vanishes at a root
-        return None
-    members: List[DiscMember] = []
-    for C, omega1, q1 in roots:
-        q_omega = -2.0 * C * z2 * omega1 + z1 * z2 * (1.0 + C) - z3 * (1.0 - C)
-        grad_q = math.sqrt(abs(z2 * (1.0 + C) * omega1 - C * z3) ** 2
-                           + abs(z1 * (1.0 + C) * omega1 - C * omega1 ** 2) ** 2
-                           + abs((1.0 - C) * omega1 + C * z1) ** 2)
-        d_theta = d_t / slope
-        d_c = (grad_q * eps + abs(q_omega) * d_theta) / abs(q1)
-        # C has a pole where q1 vanishes and arctan C has none, so the
-        # trust and range tests measure C by its arctangent
-        spread = safety * max(d_theta, d_c / (1.0 + C * C))
-        if spread > _MEMBER_RADIUS_CAP:
-            return None
-        if not -spread < math.atan(C) < math.pi / 4.0 + spread:
-            continue
-        radius = safety * max(d_theta, d_c)
-        phi = z1 * (1.0 + C) / omega1 - C
-        margin = 3.0 * eps + 4.0 * radius
-        if abs(phi) < 1.0 + margin and abs(z3) < abs(phi) + margin:
-            members.append(DiscMember(C, omega1, radius))
-    return members
-
-
-def _general_disc_obstruction(w: TetraPoint, z: TetraPoint) -> Optional[str]:
-    """Why no general disc can interpolate the pair, or None when the
-    member fit has to decide.  C and omega1 are the same all over a disc,
-    so an interpolant needs a member of each endpoint, and the two within
-    the sum of their radii."""
-    ends = {"w": general_disc_members(w), "z": general_disc_members(z)}
-    for name, members in ends.items():
-        if members == []:
-            return f"general-disc: {name} lies on no disc of the family"
-    if ends["w"] is None or ends["z"] is None:
-        return None
-    if any(abs(a.C - b.C) <= a.radius + b.radius
-           and abs(a.omega1 - b.omega1) <= a.radius + b.radius
-           for a in ends["w"] for b in ends["z"]):
-        return None
-    return "general-disc: endpoints share no (C, omega1)"
+    t0 = (b0 * b1.conjugate()).imag
+    gamma = b0.conjugate() * z2 - b0 * (z1 * z3).conjugate()
+    roots: List[Tuple[float, complex]] = []
+    if gamma != 0.0 and abs(t0) <= abs(gamma):
+        tilt = math.asin(-t0 / abs(gamma))
+        for theta in (tilt, math.pi - tilt):
+            omega1 = cmath.exp(1j * (theta - cmath.phase(gamma)))
+            q1 = -z2 * omega1 ** 2 + b1 * omega1 - z1 * z3
+            if q1 != 0.0:
+                roots.append(((-b0 * omega1 / q1).real, omega1))
+    return roots
 
 
 def _endpoint_values(ends: np.ndarray, C: float, omega1: complex):
@@ -967,11 +878,6 @@ def _endpoint_values(ends: np.ndarray, C: float, omega1: complex):
     phi = ends[:, 0] * (1.0 + C) / omega1 - C
     psi = ends[:, 1] * (1.0 + C) / (1.0 + C * phi)
     return phi, psi
-
-
-#: counted residual calls per member fit (scipy's default for two unknowns);
-#: accepted fits took at most 113, fits from an unshared root up to 10^5
-_FIT_NFEV = 200
 
 
 def _self_map_through(a: complex, t: float, b: complex) -> BlaschkeMap:
@@ -985,15 +891,17 @@ def _self_map_through(a: complex, t: float, b: complex) -> BlaschkeMap:
 
 
 def _interpolating_general_disc(w: TetraPoint, z: TetraPoint, C: float,
-                                theta: float) -> Optional[DiscSearchResult]:
-    """The best general disc through the pair with this C and omega1 =
-    e^{i theta}, if it is accepted.  These fix phi and psi at both
+                                omega1: complex) -> Optional[Tuple[float, float]]:
+    """The best general disc with this C and omega1 for the pair, as the
+    lam_z at which it meets z (it meets w at 0) and its squared endpoint
+    residual; None when no disc is built, because C leaves [0, 1) or phi or psi
+    leaves the disc at an endpoint.  (C, omega1) fix phi and psi at both
     endpoints, so by the two-point Schwarz-Pick lemma the least m(lam_w,
     lam_z) is t = max(m(phi_w, phi_z), m(psi_w, psi_z)), reached at lam_w =
     0, lam_z = t by maps of degree <= 1."""
     if not -TOL_CLOSURE <= C < 1.0:
         return None
-    C, omega1 = max(C, 0.0), cmath.exp(1j * theta)
+    C = max(C, 0.0)
     phi, psi = _endpoint_values(np.array([w.as_tuple(), z.as_tuple()]), C, omega1)
     if max(np.max(np.abs(phi)), np.max(np.abs(psi))) >= 1.0:
         return None
@@ -1003,56 +911,38 @@ def _interpolating_general_disc(w: TetraPoint, z: TetraPoint, C: float,
                                    _self_map_through(psi[0], t, psi[1]))
     except DomainError:
         return None
-    return _accepted_disc("general-disc", general_disc(params), 0.0, w, t, z)
+    return t, _endpoint_residual(general_disc(params), 0.0, w, t, z)
 
 
-def _general_disc_fit(w: TetraPoint, z: TetraPoint, budget: int) -> DiscSearchResult:
-    """The least bound over general discs through the pair.  From each start
-    least squares solves omega1 phi psi = z3 at both endpoints (four real
-    equations in C and the angle of omega1), which reconciles members that
-    differ by rounding or slack; the disc at the fit is closed form.  The
-    result counts the fits and their residual evaluations (Jacobian calls
-    included, at most ``budget``), and its reason gives the least squared
-    residual a fit reached."""
-    ends = np.array([w.as_tuple(), z.as_tuple()])
-    evals = 0
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        nonlocal evals
-        evals += 1
-        omega1 = cmath.exp(1j * x[1])
-        phi, psi = _endpoint_values(ends, x[0], omega1)
-        r = omega1 * phi * psi - ends[:, 2]
-        return np.concatenate([r.real, r.imag])
-
-    # start from the raw member roots of both endpoints, and where z3 = 0
-    # and 0 < |z1| < 1/2 from the (C, omega1) at which phi vanishes
-    starts = [(C, omega1) for p in (w, z) for C, omega1, _ in _member_equation(*p)[2]]
-    starts += [(abs(p.z1) / (1.0 - abs(p.z1)), p.z1 / abs(p.z1)) for p in (w, z)
-               if p.z3 == 0.0 and 0.0 < abs(p.z1) < 0.5]
-    best = DiscSearchResult(False, None, math.inf, "none")
-    best_residual = math.inf
-    fits = 0
-    for C0, omega0 in starts:
-        # trf computes the two-call finite-difference Jacobian at most once
-        # per counted residual call, so a fit makes at most 3 max_nfev calls
-        max_nfev = min(_FIT_NFEV, (budget - evals) // 3)
-        if max_nfev < 1:
+def _general_disc_bound(w: TetraPoint, z: TetraPoint, budget: int) -> DiscSearchResult:
+    """The least bound over general discs through the pair, one disc per
+    closed-form candidate (C, omega1): the members of each endpoint, and
+    where p3 = 0 and 0 < |p1| < 1/2 the (C, omega1) at which phi vanishes at
+    p, the only candidate when both endpoints have z2 = z3 = 0.  At most
+    ``budget`` discs are built; a disc counts only when it reproduces both
+    endpoints to rounding.  The result counts the candidates as ``starts``
+    and the discs built as ``evaluations``, and its reason gives the least
+    squared residual of a built disc."""
+    candidates = [root for p in (w, z) for root in _member_roots(p)]
+    candidates += [(abs(p.z1) / (1.0 - abs(p.z1)), p.z1 / abs(p.z1)) for p in (w, z)
+                   if p.z3 == 0.0 and 0.0 < abs(p.z1) < 0.5]
+    discs: List[Tuple[float, float]] = []
+    for C, omega1 in candidates:
+        if len(discs) >= budget:
             break
-        fits += 1
-        try:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                fit = least_squares(residuals, [C0, cmath.phase(omega0)], method="trf",
-                                    xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev)
-        except ValueError:  # residuals not finite at the start
-            continue
-        best_residual = min(best_residual, 2.0 * fit.cost)
-        cand = _interpolating_general_disc(w, z, *fit.x)
-        if cand and (not best.found or cand.bound.m_scale < best.bound.m_scale):
-            best = cand
-    reason = (f"general-disc: {fits} starts, {evals} evaluations, "
+        disc = _interpolating_general_disc(w, z, C, omega1)
+        if disc is not None:
+            discs.append(disc)
+    best_residual = min((residual for _, residual in discs), default=math.inf)
+    reason = (f"general-disc: {len(candidates)} starts, {len(discs)} evaluations, "
               f"best residual {best_residual:#.2g}")
-    return replace(best, reason=reason, starts=fits, evaluations=evals)
+    counts = dict(reason=reason, starts=len(candidates), evaluations=len(discs))
+    exact = [disc for disc in discs if disc[1] <= _GENERAL_ACCEPT]
+    if not exact:
+        return DiscSearchResult(False, None, math.inf, "none", **counts)
+    t, residual = min(exact)
+    return DiscSearchResult(True, HyperbolicDistance.from_m(t), residual, "general-disc",
+                            0.0, t, **counts)
 
 
 def disc_search_upper_bound(w, z, family: str = "auto",
@@ -1062,14 +952,13 @@ def disc_search_upper_bound(w, z, family: str = "auto",
 
     ``family`` is one of ``auto`` (closed-form routes, then the general
     family if none apply), ``axis-pair``, ``product``, ``origin-geodesic``
-    or ``general-disc``.  Interpolants are only accepted at quadratic
-    residual below 1e-9; when nothing qualifies the result carries ``found
-    = False``.  A pair with an endpoint at the origin takes the origin
-    geodesic whenever it is found, since its value is exact (the Schwarz
-    lemma).  The general-disc route runs only on pairs
-    ``general_disc_members`` cannot rule out, and otherwise says why after
-    no residual evaluation; it fits the (C, omega1) the endpoints share in
-    at most ``budget`` residual evaluations, then builds the disc.
+    or ``general-disc``.  The closed routes accept their disc at quadratic
+    endpoint residual below 1e-9, the general-disc route only at 1e-20, so
+    through both endpoints to rounding; when nothing qualifies the result
+    carries ``found = False``.  A pair with an endpoint at the origin takes
+    the origin geodesic whenever it is found, since its value is exact (the
+    Schwarz lemma).  The general-disc route builds one disc per closed-form
+    (C, omega1) of the endpoints, at most ``budget`` discs.
     """
     known = {"auto", "axis-pair", "product", "origin-geodesic", "general-disc"}
     if family not in known:
@@ -1101,13 +990,9 @@ def disc_search_upper_bound(w, z, family: str = "auto",
     failure = DiscSearchResult(False, None, math.inf, "none",
                                reason=f"{family}: not applicable")
     if family == "general-disc" or (family == "auto" and not candidates):
-        obstruction = _general_disc_obstruction(w, z)
-        if obstruction is not None:
-            failure = replace(failure, reason=obstruction)
-        else:
-            failure = _general_disc_fit(w, z, budget)
-            if failure.found:
-                candidates.append(failure)
+        failure = _general_disc_bound(w, z, budget)
+        if failure.found:
+            candidates.append(failure)
     if not candidates:
         return failure
     return min(candidates, key=lambda c: c.bound.m_scale)

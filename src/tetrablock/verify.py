@@ -367,9 +367,10 @@ def suite_rho(seed: int = 0, n_pairs: int = 100) -> SuiteResult:
         lam = rng.uniform(0.05, 1.0)
         scaled = TetraPoint(lam * z.z1, lam * z.z2, lam * lam * z.z3)
         worst = max(worst, abs(rho_functional(scaled) - lam * rho_functional(z)))
-    passed = worst < 1e-7
-    return SuiteResult("rho", passed,
-                       {"pairs": n_pairs, "worst_deviation": worst, "tolerance": 1e-7})
+    # the gauge repeats to a few ulps (1.3e-15 at worst over seeds 0-999)
+    tolerance = 1e-13
+    return SuiteResult("rho", worst < tolerance,
+                       {"pairs": n_pairs, "worst_deviation": worst, "tolerance": tolerance})
 
 
 def suite_transport(seed: int = 0, n_discs: int = 200) -> SuiteResult:
