@@ -3,10 +3,6 @@ tetrablock and the symmetrized bidisc."""
 
 __version__ = "1.0.0"
 
-# nothing calls scipy any more; the import stays until the benchmark can
-# time an import without it (ROADMAP item 5)
-import scipy.optimize  # noqa: F401
-
 from .errors import BranchError, DomainError, FitError, PoleError
 from .hyperbolic import (BlaschkeMap, HyperbolicDistance, blaschke_eval,
                          disc_automorphism, mobius_distance, mobius_m,
@@ -40,3 +36,11 @@ from .necessary import (CheckVerdict, CircularAction, G2_ACTION,
                         numeric_gradient, psi_of_lambda, reinhardt_check,
                         vector_field)
 from .verify import ALL_SUITES, SuiteResult, run_suites
+
+# Nothing here computes with scipy. Two benchmark readers still need it:
+# perfbench/worker.py:import_times takes min() over scipy's entries in
+# ``python -X importtime -c "import tetrablock"`` and fails without them, and
+# the environment block of perfbench/run.py reads scipy's installed version.
+# The bare import costs about 20 ms, as scipy loads its submodules lazily.
+# ROADMAP item 5 drops both readers, then this line and the dependency.
+import scipy  # noqa: E402,F401

@@ -206,6 +206,8 @@ def cmd_member(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    if args.budget < 0:
+        raise _UsageExit("--budget must be non-negative")
     w = TetraPoint(*parse_point(args.w, 3))
     z = TetraPoint(*parse_point(args.z, 3))
     try:

@@ -176,9 +176,20 @@ class TestDistance:
         res = json.loads(out)["results"]
         assert res["k_upper"] is None
         assert res["sandwich_ok"] is None
+        assert ", 0 evaluations, " in res["k_upper_reason"]
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert "sandwich_ok: unknown (no upper bound found)" in out.splitlines()
+
+    @pytest.mark.parametrize("budget", ["-1", "-5"])
+    def test_negative_budget_is_usage_error(self, capsys, monkeypatch, budget):
+        def no_work(*args, **kwargs):
+            raise AssertionError("distance ran before rejecting --budget")
+        monkeypatch.setattr("tetrablock.cli.p_e", no_work)
+        code, out, err = run(capsys, "distance", "0.1,0.05,0.02", "0.12,0.07,0.03",
+                             "--budget", budget)
+        assert code == EXIT_USAGE
+        assert out == "" and "--budget" in err
 
     def test_readme_pair_gets_a_deterministic_reason(self, capsys):
         # four closed-form candidates, none of whose discs meets both points
