@@ -1,7 +1,7 @@
 """Invariant distances, extremal maps and complex geodesics on the
 tetrablock and the symmetrized bidisc."""
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 from .errors import BranchError, DomainError, FitError, PoleError
 from .hyperbolic import (BlaschkeMap, HyperbolicDistance, blaschke_eval,
@@ -31,8 +31,9 @@ from .geodesics import (DiscSearchResult, DiscVerdict,
                         verify_disc)
 from .necessary import (CheckVerdict, CircularAction, G2_ACTION,
                         NecessaryCheckReport, QuadraticFit,
-                        TETRABLOCK_ACTIONS, fit_general_quadratic, fit_grid,
-                        fit_quadratic_form, geodesic_necessary_check,
+                        TETRABLOCK_ACTIONS, fit_general_quadratic,
+                        fit_general_quadratics, fit_grid, fit_quadratic_form,
+                        fit_quadratic_forms, geodesic_necessary_check,
                         numeric_gradient, psi_of_lambda, reinhardt_check,
                         vector_field)
 from .verify import ALL_SUITES, SuiteResult, run_suites

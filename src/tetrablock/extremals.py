@@ -26,15 +26,9 @@ import numpy as np
 from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, as_coordinate,
                       is_interior, psi_eta)
 from .errors import BranchError, DomainError, PoleError
-from .hyperbolic import HyperbolicDistance, mobius_m, require_unimodular
+from .hyperbolic import HyperbolicDistance, least, mobius_m, require_unimodular
 
 _POLE_TOL = 1e-14
-
-
-def _least(values):
-    """The smallest entry of an array, or a scalar itself: guards on array
-    points test every sample."""
-    return values.min() if isinstance(values, np.ndarray) else values
 
 
 def _sqrt(value):
@@ -64,8 +58,8 @@ def magic_f(z) -> complex:
     """
     z = TetraPoint.of(z)
     d = 1.0 + z.z3 - z.z1 * z.z2
-    if _least(d.real) <= 0.0:
-        raise BranchError(f"Re(1 + z3 - z1 z2) = {_least(d.real)} <= 0; input not interior")
+    if least(d.real) <= 0.0:
+        raise BranchError(f"Re(1 + z3 - z1 z2) = {least(d.real)} <= 0; input not interior")
     return z.z2 / _sqrt(d)
 
 
@@ -74,8 +68,8 @@ def g2_f(omega: complex, w) -> complex:
     omega = require_unimodular(omega)
     w = G2Point.of(w)
     den = 2.0 - omega * w.s
-    if _least(abs(den)) < _POLE_TOL:
-        raise PoleError(f"g2_f pole: |2 - omega*s| = {_least(abs(den))}")
+    if least(abs(den)) < _POLE_TOL:
+        raise PoleError(f"g2_f pole: |2 - omega*s| = {least(abs(den))}")
     return (2.0 * omega * w.p - w.s) / den
 
 
@@ -89,13 +83,15 @@ class PsiOmegaMap:
     swap and postmultiplied by a unimodular factor.
 
     ``factor * Psi_eta(sigma^k z)`` with k in {0, 1}; carries closed-form
-    partial derivatives.
+    partial derivatives.  ``eta`` and ``factor`` may be (n, 1) arrays, a
+    stack of n maps applied row by row to points with coordinates of shape
+    (n, m).
     """
 
     def __init__(self, eta: complex, *, swap_first: bool = False, factor: complex = 1.0):
-        self.eta = complex(eta)
+        self.eta = as_coordinate(eta)
         self.swap_first = bool(swap_first)
-        self.factor = complex(factor)
+        self.factor = as_coordinate(factor)
 
     def __call__(self, point) -> complex:
         z = TetraPoint.of(point)
@@ -109,7 +105,7 @@ class PsiOmegaMap:
             z = sigma(z)
         eta = self.eta
         den = eta * z.z1 - 1.0
-        if _least(abs(den)) < _POLE_TOL:
+        if least(abs(den)) < _POLE_TOL:
             raise PoleError("psi gradient pole")
         d1 = -eta * (eta * z.z3 - z.z2) / den ** 2
         d2 = -1.0 / den
@@ -128,7 +124,7 @@ class MagicFMap:
     def gradient(self, point) -> Tuple[complex, complex, complex]:
         z = TetraPoint.of(point)
         d = 1.0 + z.z3 - z.z1 * z.z2
-        if _least(d.real) <= 0.0:
+        if least(d.real) <= 0.0:
             raise BranchError("gradient branch: input not interior")
         root = _sqrt(d)
         den = 2.0 * d * root
@@ -149,7 +145,7 @@ class G2FMap:
         w = G2Point.of(point)
         omega = self.omega
         den = 2.0 - omega * w.s
-        if _least(abs(den)) < _POLE_TOL:
+        if least(abs(den)) < _POLE_TOL:
             raise PoleError("g2_f gradient pole")
         d_s = (-2.0 + 2.0 * omega ** 2 * w.p) / den ** 2
         d_p = 2.0 * omega / den

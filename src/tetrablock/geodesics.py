@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -28,11 +29,12 @@ import numpy as np
 
 from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, e_value_raw,
                       g2_roots, is_interior, psi_eta, psi_sup,
-                      stable_quadratic_roots, tetra_e_value)
+                      stable_quadratic_roots)
 from .errors import DomainError, PoleError
 from .extremals import PsiOmegaMap, sigma
-from .hyperbolic import (TOL_CLOSURE, BlaschkeMap, HyperbolicDistance,
-                         mobius_m, require_disc_point, require_unimodular)
+from .hyperbolic import (TOL_CLOSURE, BlaschkeMap, HyperbolicDistance, largest,
+                         mobius_m, require_disc_point, require_interval,
+                         require_unimodular)
 
 #: deterministic sampling pattern used for residual and membership sweeps
 DEFAULT_RADII: Tuple[float, ...] = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -55,7 +57,7 @@ def _nonempty_grid(radii: Sequence[float], n_angles: int) -> np.ndarray:
 
 
 def _require_phi_open(phi: BlaschkeMap, name: str = "phi") -> BlaschkeMap:
-    if phi.is_constant and abs(phi.constant_offset) >= 1.0:
+    if phi.is_constant and largest(abs(phi.constant_offset)) >= 1.0:
         raise DomainError(f"{name} must map into the open disc")
     return phi
 
@@ -63,6 +65,11 @@ def _require_phi_open(phi: BlaschkeMap, name: str = "phi") -> BlaschkeMap:
 # ---------------------------------------------------------------------------
 # parameter records
 # ---------------------------------------------------------------------------
+#
+# Each record may hold a stack of n discs: C and the unimodular parameters
+# are then arrays of shape (n, 1), the maps stacked BlaschkeMaps of one
+# degree each, and every rule is checked entry by entry.  The evaluators
+# below then give (n, m) arrays at m points.
 
 
 @dataclass(frozen=True)
@@ -76,19 +83,24 @@ class OriginGeodesicParams:
     phi: BlaschkeMap
 
     def __post_init__(self):
-        c = float(self.C)
-        if not -TOL_CLOSURE <= c <= 1.0 + TOL_CLOSURE:
-            raise DomainError(f"C must lie in [0, 1], got {c}")
-        c = min(max(c, 0.0), 1.0)
+        c = require_interval(self.C, 0.0, 1.0, name="C")
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "omega1", require_unimodular(self.omega1, name="omega1"))
         object.__setattr__(self, "omega2", require_unimodular(self.omega2, name="omega2"))
-        phi0 = complex(self.phi(0.0))
-        if abs(phi0 + c) > 1e-12:
+        phi0 = self.phi(0.0)
+        if largest(abs(phi0 + c)) > 1e-12:
             raise DomainError(f"phi(0) must equal -C; got phi(0) = {phi0}, C = {c}")
-        if c > 1.0 - 1e-12 and not self.phi.is_constant:
+        if largest(c) > 1.0 - 1e-12 and not self.phi.is_constant:
             # the closed-disc constraint pins phi identically to -1 here
             raise DomainError("C = 1 forces a constant phi = -1")
+
+    def split(self) -> List["OriginGeodesicParams"]:
+        """The records of a stack one by one, as scalar records in stack
+        order; a scalar record gives a list of one."""
+        phis = self.phi.split()
+        C, omega1, omega2, _ = (x.ravel() for x in np.broadcast_arrays(
+            self.C, self.omega1, self.omega2, np.zeros((len(phis), 1))))
+        return [OriginGeodesicParams(*fields) for fields in zip(C, omega1, omega2, phis)]
 
 
 @dataclass(frozen=True)
@@ -103,10 +115,10 @@ class GeneralDiscParams:
     psi: BlaschkeMap
 
     def __post_init__(self):
-        c = float(self.C)
-        if not -TOL_CLOSURE <= c < 1.0:
+        c = require_interval(self.C, 0.0, 1.0, name="C")
+        if largest(c) >= 1.0:
             raise DomainError(f"C must lie in [0, 1), got {c}")
-        object.__setattr__(self, "C", max(c, 0.0))
+        object.__setattr__(self, "C", c)
         object.__setattr__(self, "omega1", require_unimodular(self.omega1, name="omega1"))
         object.__setattr__(self, "omega2", require_unimodular(self.omega2, name="omega2"))
         _require_phi_open(self.phi, "phi")
@@ -122,10 +134,7 @@ class G2GeodesicParams:
     omega: complex
 
     def __post_init__(self):
-        c = float(self.C)
-        if not 1.0 - TOL_CLOSURE <= c <= 2.0 + TOL_CLOSURE:
-            raise DomainError(f"C must lie in [1, 2], got {c}")
-        object.__setattr__(self, "C", min(max(c, 1.0), 2.0))
+        object.__setattr__(self, "C", require_interval(self.C, 1.0, 2.0, name="C"))
         object.__setattr__(self, "omega", require_unimodular(self.omega))
 
 
@@ -188,9 +197,7 @@ def boundary_disc(C: float, omega1: complex, omega2: complex,
     The defining functional evaluates to (1 - |phi|^2) + |phi|^2 = 1
     identically, so the image sits on the boundary at every point.
     """
-    if not -TOL_CLOSURE <= C <= 1.0 + TOL_CLOSURE:
-        raise DomainError(f"C must lie in [0, 1], got {C}")
-    C = min(max(float(C), 0.0), 1.0)
+    C = require_interval(C, 0.0, 1.0, name="C")
     omega1 = require_unimodular(omega1, name="omega1")
     omega2 = require_unimodular(omega2, name="omega2")
     _require_phi_open(phi)
@@ -229,9 +236,11 @@ def left_inverse_residual(f: Callable, F: Callable, *,
                           radii: Sequence[float] = DEFAULT_RADII,
                           n_angles: int = DEFAULT_N_ANGLES) -> float:
     """max over the sampling grid of |F(f(lam)) - lam|, from one call of f
-    and one of F on the whole grid array."""
+    and one of F on the whole grid array; for a stack of discs, an (n, 1)
+    array with the residual of each."""
     lams = _nonempty_grid(radii, n_angles)
-    return float(np.max(np.abs(F(f(lams)) - lams)))
+    gaps = np.abs(F(f(lams)) - lams)
+    return gaps.max(axis=-1, keepdims=True) if gaps.ndim > 1 else float(gaps.max())
 
 
 class DiscVerdict(Enum):
@@ -313,19 +322,23 @@ class TransportedDisc:
     order 64 and is therefore exact to machine precision for analytic input.
     The image lies either entirely inside the domain or entirely on its
     boundary; ``classify`` reports which.  f must accept arrays of lam, and
-    so does the transported disc.
+    so does the transported disc.  f may be a stack of n discs, whose value
+    at 0 has coordinates of shape (n, 1): every mean and maximum then runs
+    along the last (sample) axis, one per disc.
     """
 
     def __init__(self, f: Callable[[complex], TetraPoint], *,
                  deriv_radius: float = 1e-5, deriv_points: int = 64):
         self._f = f
         origin = TetraPoint.of(f(0.0))
-        if abs(origin.z1) > 1e-12 or abs(origin.z3) > 1e-12:
+        if largest(abs(origin.z1)) > 1e-12 or largest(abs(origin.z3)) > 1e-12:
             raise DomainError("transport needs f1(0) = f3(0) = 0")
         nodes = deriv_radius * np.exp(2j * math.pi * np.arange(deriv_points) / deriv_points)
         value = TetraPoint.of(f(nodes))
-        self._at_zero = TetraPoint(np.mean(value.z1 / nodes), origin.z2,
-                                   np.mean(value.z3 / nodes))
+        stacked = value.z1.ndim > 1
+        self._at_zero = TetraPoint(np.mean(value.z1 / nodes, axis=-1, keepdims=stacked),
+                                   origin.z2,
+                                   np.mean(value.z3 / nodes, axis=-1, keepdims=stacked))
 
     @property
     def value_at_zero(self) -> TetraPoint:
@@ -336,14 +349,16 @@ class TransportedDisc:
 
     def classify(self, *, radii: Sequence[float] = DEFAULT_RADII,
                  n_angles: int = DEFAULT_N_ANGLES,
-                 boundary_tol: float = 1e-8) -> TransportClass:
-        values = np.append(e_value_raw(*self(sample_grid(radii, n_angles))),
-                           tetra_e_value(self._at_zero))
-        if np.max(np.abs(values - 1.0)) <= boundary_tol:
-            return TransportClass.BOUNDARY
-        if np.max(values) < 1.0 - boundary_tol:
-            return TransportClass.INTERIOR
-        return TransportClass.MIXED
+                 boundary_tol: float = 1e-8):
+        """The TransportClass of the disc from the defining functional on the
+        grid and at 0; for a stack, an array with the class of each disc."""
+        values = np.concatenate([e_value_raw(*self(sample_grid(radii, n_angles))),
+                                 np.atleast_1d(e_value_raw(*self._at_zero))], axis=-1)
+        verdict = np.select([np.max(np.abs(values - 1.0), axis=-1) <= boundary_tol,
+                             np.max(values, axis=-1) < 1.0 - boundary_tol],
+                            [TransportClass.BOUNDARY, TransportClass.INTERIOR],
+                            TransportClass.MIXED)
+        return verdict if verdict.ndim else verdict.item()
 
 
 def transport_disc(f: Callable[[complex], TetraPoint], *,
@@ -485,10 +500,7 @@ def blaschke_interp_origin(C: float, lam0: complex, v: complex) -> BlaschkeMap:
     for C = 0: the scale comes from the larger root, taken in the form that
     avoids cancellation.
     """
-    C = float(C)
-    if not -TOL_CLOSURE <= C <= 1.0 + TOL_CLOSURE:
-        raise DomainError(f"C must lie in [0, 1], got {C}")
-    C = min(max(C, 0.0), 1.0)
+    C = require_interval(C, 0.0, 1.0, name="C")
     lam0 = complex(lam0)
     v = complex(v)
     r = abs(lam0)
@@ -789,9 +801,17 @@ def _axis_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearchRes
     return _accepted_disc("axis-pair", f, lam_w, w, lam_z, z)
 
 
+def _on_product_slice(p: TetraPoint) -> bool:
+    """z3 = z1 z2 to rounding: the product and z3 differ by at most four
+    units in the last place of their sizes.  A point farther off has a
+    Lempert distance that the product disc of its projection can undercut."""
+    gap = abs(p.z1 * p.z2 - p.z3)
+    return gap <= 4.0 * sys.float_info.epsilon * (abs(p.z1 * p.z2) + abs(p.z3))
+
+
 def _product_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearchResult]:
     """Exact product disc for pairs in the slice {z1 z2 = z3}."""
-    if abs(w.z1 * w.z2 - w.z3) > 1e-12 or abs(z.z1 * z.z2 - z.z3) > 1e-12:
+    if not (_on_product_slice(w) and _on_product_slice(z)):
         return None
     d1 = mobius_m(w.z1, z.z1)
     d2 = mobius_m(w.z2, z.z2)
@@ -975,8 +995,7 @@ def disc_search_upper_bound(w, z, family: str = "auto",
     if family in ("auto", "origin-geodesic"):
         cand = _origin_pair_candidate(w, z)
         if cand:
-            # the Lempert value itself; the product route accepts points up
-            # to 1e-12 off its slice and would undercut it by a few 1e-12
+            # the Lempert value itself, by the Schwarz lemma
             return cand
     candidates: List[DiscSearchResult] = []
     if family in ("auto", "axis-pair"):

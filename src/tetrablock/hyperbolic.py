@@ -8,13 +8,21 @@ Poincare scale p = artanh(m) (no extra factor 1/2), and the two are kept
 consistent to machine precision.  Comparisons elsewhere in the package are
 done on the m-scale, which is bounded and better conditioned near the
 boundary.
+
+A ``BlaschkeMap`` and the parameter records built on it may also hold a
+stack of n members: every field is then an array of shape (n, 1), and
+evaluation at an array of points of shape (m,) or (n, m) gives an (n, m)
+array.  The validators below accept such arrays and check them entry by
+entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -25,28 +33,82 @@ TOL_CLOSURE = 1e-12
 UNIMODULAR_TOL = 1e-9
 
 
-def require_disc_point(value: complex, *, name: str = "value") -> complex:
-    """Validate a point of the open unit disc and return it as ``complex``."""
-    value = complex(value)
-    if abs(value) >= 1.0:
-        raise DomainError(f"{name} must have modulus < 1, got |{name}| = {abs(value)}")
+def least(values):
+    """The smallest entry of an array, or a scalar itself: guards on array
+    fields test every entry."""
+    return values.min(initial=math.inf) if isinstance(values, np.ndarray) else values
+
+
+def largest(values):
+    """The largest entry of an array, or a scalar itself."""
+    return values.max(initial=-math.inf) if isinstance(values, np.ndarray) else values
+
+
+# The validators take a scalar or an array and apply one rule to every
+# entry.  A scalar is checked in plain Python, without calls into numpy,
+# and a plain Python number is not even tested for being an array, so that
+# scalar records cost what they did before stacks existed.
+_NUMBERS = (complex, float, int)
+
+
+def require_interval(value, lo: float, hi: float, *, name: str = "value"):
+    """Validate a real value, or an array of them, in [lo, hi] up to
+    ``TOL_CLOSURE`` and return it clipped to [lo, hi]: a Python ``float``,
+    or a float array.  NaN is rejected."""
+    if type(value) not in _NUMBERS and isinstance(value, np.ndarray) and value.ndim:
+        value = value.astype(float, copy=False)
+        if not (lo - TOL_CLOSURE <= least(value) and largest(value) <= hi + TOL_CLOSURE):
+            raise DomainError(f"{name} must lie in [{lo:g}, {hi:g}], got {value}")
+        return np.clip(value, lo, hi)
+    value = float(value)
+    if lo <= value <= hi:
+        return value
+    if not lo - TOL_CLOSURE <= value <= hi + TOL_CLOSURE:
+        raise DomainError(f"{name} must lie in [{lo:g}, {hi:g}], got {value}")
+    return min(max(value, lo), hi)
+
+
+def require_disc_point(value, *, name: str = "value"):
+    """Validate a point of the open unit disc, or an array of them, and
+    return it as ``complex`` (or a complex array)."""
+    if type(value) not in _NUMBERS and isinstance(value, np.ndarray) and value.ndim:
+        value = value.astype(complex, copy=False)
+        r = largest(np.abs(value))
+    else:
+        value = complex(value)
+        r = abs(value)
+    if r >= 1.0:
+        raise DomainError(f"{name} must have modulus < 1, got |{name}| = {r}")
     return value
 
 
-def require_closed_disc_point(value: complex, *, name: str = "value") -> complex:
-    """Validate a point of the closed unit disc (up to ``TOL_CLOSURE``)."""
-    value = complex(value)
-    if abs(value) > 1.0 + TOL_CLOSURE:
-        raise DomainError(f"{name} must have modulus <= 1, got |{name}| = {abs(value)}")
+def require_closed_disc_point(value, *, name: str = "value"):
+    """Validate a point of the closed unit disc (up to ``TOL_CLOSURE``), or
+    an array of them."""
+    if type(value) not in _NUMBERS and isinstance(value, np.ndarray) and value.ndim:
+        value = value.astype(complex, copy=False)
+        r = largest(np.abs(value))
+    else:
+        value = complex(value)
+        r = abs(value)
+    if r > 1.0 + TOL_CLOSURE:
+        raise DomainError(f"{name} must have modulus <= 1, got |{name}| = {r}")
     return value
 
 
-def require_unimodular(value: complex, *, name: str = "omega") -> complex:
-    """Validate |value| = 1 up to ``UNIMODULAR_TOL`` and return it normalized."""
-    value = complex(value)
-    r = abs(value)
-    if abs(r - 1.0) > UNIMODULAR_TOL:
-        raise DomainError(f"{name} must be unimodular, got |{name}| = {r}")
+def require_unimodular(value, *, name: str = "omega"):
+    """Validate |value| = 1 up to ``UNIMODULAR_TOL``, entry by entry for an
+    array, and return it normalized."""
+    if type(value) not in _NUMBERS and isinstance(value, np.ndarray) and value.ndim:
+        value = value.astype(complex, copy=False)
+        r = np.abs(value)
+        off = largest(np.abs(r - 1.0))
+    else:
+        value = complex(value)
+        r = abs(value)
+        off = abs(r - 1.0)
+    if off > UNIMODULAR_TOL:
+        raise DomainError(f"{name} must be unimodular, got |{name}| off 1 by {off}")
     return value / r
 
 
@@ -85,6 +147,17 @@ def mobius_distance(lam1: complex, lam2: complex) -> HyperbolicDistance:
     return HyperbolicDistance.from_m(mobius_m(lam1, lam2))
 
 
+def _spread(value, lam):
+    """A map's value broadcast against the points it was evaluated at: a
+    Python ``complex`` when both are scalars, else an array of their common
+    shape (a constant map, or a stack, need not have it yet)."""
+    if isinstance(value, np.ndarray) or isinstance(lam, np.ndarray):
+        shape = np.broadcast_shapes(np.shape(value), np.shape(lam))
+        if shape:
+            return value if np.shape(value) == shape else np.full(shape, value, dtype=complex)
+    return complex(value)
+
+
 @dataclass(frozen=True)
 class BlaschkeMap:
     """A finite Blaschke product scaled into the disc, or a constant map.
@@ -93,6 +166,10 @@ class BlaschkeMap:
     with ``|u| = 1``, ``|a_k| < 1`` and ``scale in [0, 1]``.  With one zero,
     scale 1 and no offset this is a disc automorphism.  The constant-map case
     is encoded by ``constant_offset`` (modulus <= 1) with an empty zero list.
+
+    A stack of maps of one degree has each field (the factor, every zero,
+    the scale, or the offset) an array of shape (n, 1), validated entry by
+    entry; ``is_automorphism`` is then an array too.
 
     Evaluation at any point of the open disc lands in the closed disc; it
     lands in the open disc whenever the representation has any slack
@@ -107,16 +184,11 @@ class BlaschkeMap:
     def __post_init__(self):
         object.__setattr__(self, "unimodular_factor",
                            require_unimodular(self.unimodular_factor, name="unimodular_factor"))
-        object.__setattr__(self, "zeros", tuple(complex(a) for a in self.zeros))
-        for a in self.zeros:
-            if abs(a) >= 1.0:
-                raise DomainError(f"Blaschke zero must have modulus < 1, got {abs(a)}")
-        s = float(self.scale)
-        if not -TOL_CLOSURE <= s <= 1.0 + TOL_CLOSURE:
-            raise DomainError(f"scale must lie in [0, 1], got {s}")
-        object.__setattr__(self, "scale", min(max(s, 0.0), 1.0))
+        object.__setattr__(self, "zeros", tuple([require_disc_point(a, name="Blaschke zero")
+                                                 for a in self.zeros]))
+        object.__setattr__(self, "scale", require_interval(self.scale, 0.0, 1.0, name="scale"))
         if self.constant_offset is not None:
-            c = require_closed_disc_point(complex(self.constant_offset), name="constant_offset")
+            c = require_closed_disc_point(self.constant_offset, name="constant_offset")
             if self.zeros:
                 raise DomainError("a constant BlaschkeMap cannot carry zeros")
             object.__setattr__(self, "constant_offset", c)
@@ -132,7 +204,7 @@ class BlaschkeMap:
         return 0 if self.is_constant else len(self.zeros)
 
     @property
-    def is_automorphism(self) -> bool:
+    def is_automorphism(self):
         return (self.constant_offset is None and len(self.zeros) == 1
                 and self.scale >= 1.0 - 1e-12)
 
@@ -141,34 +213,47 @@ class BlaschkeMap:
         return BlaschkeMap(zeros=(0.0,))
 
     @staticmethod
-    def constant(c: complex) -> "BlaschkeMap":
-        return BlaschkeMap(constant_offset=complex(c))
+    def constant(c) -> "BlaschkeMap":
+        return BlaschkeMap(constant_offset=c)
+
+    def split(self) -> List["BlaschkeMap"]:
+        """The maps of a stack one by one, as scalar maps in stack order; a
+        scalar map gives a list of one."""
+        constant = self.constant_offset is not None
+        u, s, c, *zeros = (x.ravel() for x in np.broadcast_arrays(
+            self.unimodular_factor, self.scale, self.constant_offset if constant else 0.0,
+            *self.zeros))
+        return [BlaschkeMap(u[k], tuple(a[k] for a in zeros), s[k], c[k] if constant else None)
+                for k in range(u.size)]
 
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, lam):
-        """Evaluate; accepts a complex scalar or a numpy array of them."""
+        """Evaluate; accepts a complex scalar or a numpy array of them, and
+        gives a Python ``complex`` for a scalar map at a scalar point."""
         if self.constant_offset is not None:
-            return self.constant_offset + 0.0 * lam
-        out = self.scale * self.unimodular_factor + 0.0 * lam
-        for a in self.zeros:
-            out = out * (lam - a) / (1.0 - a.conjugate() * lam)
-        return out
+            out = self.constant_offset
+        else:
+            out = self.scale * self.unimodular_factor
+            for a in self.zeros:
+                out = out * (lam - a) / (1.0 - a.conjugate() * lam)
+        if type(out) is complex and type(lam) is not np.ndarray:
+            return out  # a scalar map at a scalar point, without a numpy call
+        return _spread(out, lam)
 
     def derivative(self, lam):
         """Complex derivative, by the product rule over Mobius factors."""
         if self.constant_offset is not None:
-            return 0.0 * lam
+            return _spread(np.zeros_like(self.constant_offset), lam)
         factors = [(lam - a) / (1.0 - a.conjugate() * lam) for a in self.zeros]
-        dfactors = [(1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * lam) ** 2 for a in self.zeros]
-        total = 0.0 * lam
-        for k in range(len(self.zeros)):
-            term = dfactors[k] + 0.0 * lam
+        total = 0.0
+        for k, a in enumerate(self.zeros):
+            term = (1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * lam) ** 2
             for j, f in enumerate(factors):
                 if j != k:
                     term = term * f
             total = total + term
-        return self.scale * self.unimodular_factor * total
+        return _spread(self.scale * self.unimodular_factor * total, lam)
 
     def precompose_rotation(self, rho: complex) -> "BlaschkeMap":
         """The map ``lam -> self(rho * lam)`` for unimodular ``rho``."""

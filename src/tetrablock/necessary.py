@@ -14,6 +14,11 @@ The checker samples psi on a fixed disc grid, fits that three-real-parameter
 model by least squares, and passes when the worst deviation is below
 tolerance.  Equivalently, dividing by i, the weighted sum itself equals
 conj(a) lam^2 + C lam + a with a = -i psi0.
+
+The fits take a stack of n sample rows at one grid of m points: the checks
+on the grid run once, one ``lstsq`` call solves all n right-hand sides, and
+the fitted fields are (n, 1) arrays.  The fits of one (lam, value) sample
+list are the stack of one.
 """
 
 from __future__ import annotations
@@ -123,7 +128,8 @@ def psi_of_lambda(F: Callable, f: Callable, action: CircularAction,
 
 @dataclass(frozen=True)
 class QuadraticFit:
-    """Constrained quadratic model -conj(psi0) lam^2 + i C lam + psi0."""
+    """Constrained quadratic model -conj(psi0) lam^2 + i C lam + psi0; a
+    stack of n fits has (n, 1) arrays for its fields."""
 
     psi0: complex
     C: float
@@ -138,25 +144,33 @@ class QuadraticFit:
         return -self.psi0.conjugate() * lam * lam + 1j * self.C * lam + self.psi0
 
 
-def _sample_columns(samples: Sequence[Tuple[complex, complex]],
-                    minimum: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The sample points and values of (lam, value) pairs as two arrays."""
-    if len(samples) < minimum:
-        raise FitError(f"need at least {minimum} samples, got {len(samples)}")
-    pairs = np.asarray(samples, dtype=complex)
-    return pairs[:, 0], pairs[:, 1]
+def _sample_columns(samples: Sequence[Tuple[complex, complex]]
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """The sample points of (lam, value) pairs, and their values as a stack
+    of one row."""
+    pairs = np.asarray(samples, dtype=complex).reshape(-1, 2)
+    return pairs[:, 0], pairs[None, :, 1]
 
 
-def fit_quadratic_form(samples: Sequence[Tuple[complex, complex]]) -> QuadraticFit:
-    """Least-squares fit of the conjugate-coupled quadratic model.
+def _require_samples(lams: np.ndarray, minimum: int) -> None:
+    if lams.size < minimum:
+        raise FitError(f"need at least {minimum} samples, got {lams.size}")
+
+
+def fit_quadratic_forms(lams: np.ndarray, values: np.ndarray) -> QuadraticFit:
+    """Least-squares fits of the conjugate-coupled quadratic model to each
+    row of ``values``, an (n, m) array sampled at the m points ``lams``.
 
     Unknowns are Re psi0, Im psi0 and the real C; the coupling between the
     lam^2 and constant coefficients is built into the (real) design matrix.
-    Needs at least 8 distinct sample points; raises FitError on rank
-    deficiency.  ``samples`` is a sequence of (lam, value) pairs or an
-    (n, 2) complex array.
+    The grid needs at least 8 distinct points and a design of full rank,
+    else FitError; the checks depend on the grid alone and run once.  All
+    rows are solved by one ``lstsq`` call with n right-hand sides, and each
+    gets its own residual.
     """
-    lams, values = _sample_columns(samples, 8)
+    lams = np.asarray(lams, dtype=complex)
+    values = np.asarray(values, dtype=complex)
+    _require_samples(lams, 8)
     distinct = np.unique(np.round(lams.real, 12) + 1j * np.round(lams.imag, 12))
     if distinct.size < 8:
         raise FitError("sample points are not distinct enough")
@@ -165,30 +179,51 @@ def fit_quadratic_form(samples: Sequence[Tuple[complex, complex]]) -> QuadraticF
     # rows 2k and 2k + 1 match the real and imaginary parts of sample k
     matrix = np.stack([np.column_stack([1.0 - a, -b, -d]),
                        np.column_stack([-b, 1.0 + a, c])], axis=1).reshape(-1, 3)
-    target = np.column_stack([values.real, values.imag]).ravel()
+    target = np.stack([values.real, values.imag], axis=-1).reshape(len(values), -1).T
     solution, _, rank, _ = np.linalg.lstsq(matrix, target, rcond=None)
     if rank < 3:
         raise FitError("rank-deficient fit (degenerate sample geometry)")
-    fit = QuadraticFit(complex(solution[0], solution[1]), float(solution[2]), 0.0)
-    return replace(fit, residual=float(np.max(np.abs(fit.evaluate(lams) - values))))
+    fit = QuadraticFit((solution[0] + 1j * solution[1])[:, None], solution[2][:, None], 0.0)
+    return replace(fit, residual=np.max(np.abs(fit.evaluate(lams) - values),
+                                        axis=1, keepdims=True))
 
 
-def fit_general_quadratic(samples: Sequence[Tuple[complex, complex]]
-                          ) -> Tuple[complex, complex, complex, float]:
-    """Unconstrained complex quadratic fit c0 + c1 lam + c2 lam^2.
+def fit_quadratic_form(samples: Sequence[Tuple[complex, complex]]) -> QuadraticFit:
+    """``fit_quadratic_forms`` of one sample list: ``samples`` is a sequence
+    of (lam, value) pairs or an (m, 2) complex array, and the fields are
+    scalars."""
+    fit = fit_quadratic_forms(*_sample_columns(samples))
+    return QuadraticFit(complex(fit.psi0[0, 0]), float(fit.C[0, 0]),
+                        float(fit.residual[0, 0]))
+
+
+def fit_general_quadratics(lams: np.ndarray, values: np.ndarray
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unconstrained complex quadratic fits c0 + c1 lam + c2 lam^2 of each
+    row of ``values`` (n, m) at the m points ``lams``, in one ``lstsq``
+    call; returns (c0, c1, c2, residual) as (n, 1) arrays.
 
     Used as a cross-check that the constrained structure (c0 small / c1
     purely of the expected type / c2 = conj(c0)) emerges from the data
     rather than from the constraint.
     """
-    lams, vals = _sample_columns(samples, 3)
+    lams = np.asarray(lams, dtype=complex)
+    values = np.asarray(values, dtype=complex)
+    _require_samples(lams, 3)
     design = np.vander(lams, 3, increasing=True)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, vals, rcond=None)
+    coeffs, _, rank, _ = np.linalg.lstsq(design, values.T, rcond=None)
     if rank < 3:
         raise FitError("rank-deficient fit")
-    model = design @ coeffs
-    residual = float(np.max(np.abs(model - vals)))
-    return complex(coeffs[0]), complex(coeffs[1]), complex(coeffs[2]), residual
+    residual = np.max(np.abs(design @ coeffs - values.T), axis=0)
+    return coeffs[0][:, None], coeffs[1][:, None], coeffs[2][:, None], residual[:, None]
+
+
+def fit_general_quadratic(samples: Sequence[Tuple[complex, complex]]
+                          ) -> Tuple[complex, complex, complex, float]:
+    """``fit_general_quadratics`` of one list of (lam, value) pairs, as
+    scalars."""
+    c0, c1, c2, residual = fit_general_quadratics(*_sample_columns(samples))
+    return complex(c0[0, 0]), complex(c1[0, 0]), complex(c2[0, 0]), float(residual[0, 0])
 
 
 class CheckVerdict(Enum):

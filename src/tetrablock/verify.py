@@ -22,11 +22,12 @@ from .geodesics import (G2GeodesicParams, GeneralDiscParams,
                         OriginGeodesicParams, TransportClass, boundary_disc,
                         certified_left_inverse, disc_search_upper_bound,
                         g2_geodesic_disc, g2_violation_witness, general_disc,
-                        origin_geodesic_disc, sample_grid, transport_disc,
-                        transported_extremal_disc)
+                        left_inverse_residual, origin_geodesic_disc,
+                        sample_grid, transport_disc, transported_extremal_disc)
 from .hyperbolic import BlaschkeMap, mobius_m
-from .necessary import (G2_ACTION, TETRABLOCK_ACTIONS, fit_general_quadratic,
-                        fit_grid, geodesic_necessary_check, psi_of_lambda)
+from .necessary import (G2_ACTION, HYPOTHESIS_TOL, TETRABLOCK_ACTIONS,
+                        QuadraticFit, fit_general_quadratics,
+                        fit_quadratic_forms, fit_grid, psi_of_lambda)
 
 
 @dataclass(frozen=True)
@@ -43,74 +44,127 @@ class SuiteResult:
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
+#
+# The suites draw their parameters in a few array draws and evaluate whole
+# stacks of discs at once; maps of different degrees go into one stack per
+# degree.  ``random_self_map`` and ``sample_origin_params`` give the members
+# of such stacks one by one, as scalar maps and records.
 
 
-def random_unimodular(rng: np.random.Generator) -> complex:
-    return cmath.exp(2j * math.pi * rng.uniform())
+def random_unimodular(rng: np.random.Generator, size=None):
+    """A uniform point of the unit circle, or an array of them of shape
+    ``size``."""
+    angle = 2j * math.pi * rng.uniform(size=size)
+    return cmath.exp(angle) if size is None else np.exp(angle)
 
 
 def random_disc_point(rng: np.random.Generator, radius: float = 0.9) -> complex:
     return radius * math.sqrt(rng.uniform()) * random_unimodular(rng)
 
 
-def random_disc_points(rng: np.random.Generator, n: int, radius: float = 0.9) -> np.ndarray:
+def random_disc_points(rng: np.random.Generator, n, radius: float = 0.9) -> np.ndarray:
+    """Uniform points of the disc of the given radius, an array of shape
+    ``n`` (an int or a tuple)."""
     return (radius * np.sqrt(rng.uniform(size=n))
             * np.exp(2j * math.pi * rng.uniform(size=n)))
 
 
+@dataclass(frozen=True)
+class SelfMapDraws:
+    """The parameters of n random self-maps of the open disc, entry by
+    entry: the degree (0 for a constant map), the constant, the zeros (one
+    row per possible zero), the scale and the unimodular factor."""
+
+    degree: np.ndarray
+    constant: np.ndarray
+    zeros: np.ndarray
+    scale: np.ndarray
+    factor: np.ndarray
+
+    def stack(self, idx: np.ndarray) -> BlaschkeMap:
+        """The maps at ``idx``, which share one degree, as one stacked map
+        with fields of shape (len(idx), 1)."""
+        degree = int(self.degree[idx[0]])
+        if degree == 0:
+            return BlaschkeMap.constant(self.constant[idx, None])
+        return BlaschkeMap(self.factor[idx, None],
+                           tuple(row[idx, None] for row in self.zeros[:degree]),
+                           self.scale[idx, None])
+
+
+def random_self_maps(rng: np.random.Generator, n: int, max_degree: int = 2) -> SelfMapDraws:
+    """n random finite Blaschke maps into the open disc: the degree is
+    uniform on 0..max_degree, a constant lies in the 0.85 disc, zeros in the
+    0.9 disc, and the scale is 1 with probability 1/2, else U(0.3, 1)."""
+    degree = rng.integers(0, max_degree + 1, size=n)
+    constant = random_disc_points(rng, n, 0.85)
+    zeros = random_disc_points(rng, (max_degree, n), 0.9)
+    scale = np.where(rng.uniform(size=n) < 0.5, 1.0, rng.uniform(0.3, 1.0, size=n))
+    return SelfMapDraws(degree, constant, zeros, scale, random_unimodular(rng, n))
+
+
 def random_self_map(rng: np.random.Generator, max_degree: int = 2) -> BlaschkeMap:
     """A random finite Blaschke map into the open disc."""
-    kind = rng.integers(0, max_degree + 1)
-    if kind == 0:
-        return BlaschkeMap.constant(random_disc_point(rng, 0.85))
-    zeros = tuple(random_disc_point(rng, 0.9) for _ in range(int(kind)))
-    scale = 1.0 if rng.uniform() < 0.5 else rng.uniform(0.3, 1.0)
-    return BlaschkeMap(random_unimodular(rng), zeros, scale)
+    return random_self_maps(rng, 1, max_degree).stack(np.array([0])).split()[0]
 
 
-def random_phi_pinned(rng: np.random.Generator, C: float, kind: str) -> BlaschkeMap:
-    """A random self-map of the closed disc with value -C at the origin.
+def key_groups(keys: np.ndarray) -> Iterator[np.ndarray]:
+    """The indices of the entries that share each key, key by key in
+    increasing order."""
+    for key in np.unique(keys):
+        yield np.flatnonzero(keys == key)
+
+
+def random_phi_pinned(rng: np.random.Generator, C, kind: str) -> BlaschkeMap:
+    """A random self-map of the closed disc with value -C at the origin, or
+    a stack of them, one per entry, when C is an (n, 1) array.
 
     ``kind``: "constant", "automorphism", "scaled" (degree 1, scale < 1) or
     "degree2".
     """
     if kind == "constant":
         return BlaschkeMap.constant(-C)
-    zeta = random_unimodular(rng)
+    size = np.shape(C) or None
+    zeta = random_unimodular(rng, size)
     if kind == "automorphism":
-        return BlaschkeMap(zeta, (C * zeta.conjugate(),), 1.0)
+        return BlaschkeMap(zeta, (C * np.conjugate(zeta),), 1.0)
     if kind == "scaled":
-        s = rng.uniform(C + 0.02 * (1.0 - C) + 1e-6, 1.0) if C < 1.0 else 1.0
-        return BlaschkeMap(zeta, ((C / s) * zeta.conjugate(),), s)
+        s = rng.uniform(C + 0.02 * (1.0 - C) + 1e-6, 1.0, size)
+        return BlaschkeMap(zeta, ((C / s) * np.conjugate(zeta),), s)
     if kind == "degree2":
-        if C == 0.0:
-            return BlaschkeMap(zeta, (0.0, random_disc_point(rng, 0.9)),
-                               rng.uniform(0.5, 1.0))
         # split C = s * r1 * r2 with every factor strictly inside its range
-        s = rng.uniform(C + 0.3 * (1.0 - C), 1.0)
+        s = rng.uniform(C + 0.3 * (1.0 - C), 1.0, size)
         g = C / s
-        r1 = rng.uniform(g + 0.02 * (1.0 - g), g + 0.5 * (1.0 - g))
-        r2 = g / r1
-        beta = 2.0 * math.pi * rng.uniform()
-        gamma = 2.0 * math.pi * rng.uniform()
-        factor = -cmath.exp(-1j * (beta + gamma))
-        return BlaschkeMap(factor, (r1 * cmath.exp(1j * beta), r2 * cmath.exp(1j * gamma)), s)
+        r1 = rng.uniform(g + 0.02 * (1.0 - g), g + 0.5 * (1.0 - g), size)
+        beta = 2.0 * math.pi * rng.uniform(size=size)
+        gamma = 2.0 * math.pi * rng.uniform(size=size)
+        return BlaschkeMap(-np.exp(-1j * (beta + gamma)),
+                           (r1 * np.exp(1j * beta), (g / r1) * np.exp(1j * gamma)), s)
     raise ValueError(f"unknown kind {kind!r}")
 
 
+PHI_KINDS = ("constant", "automorphism", "scaled", "degree2")
+
+
+def sample_origin_stacks(rng: np.random.Generator, n: int) -> List[OriginGeodesicParams]:
+    """n random origin-geodesic parameter records as one stack per phi kind:
+    the kinds cycle through ``PHI_KINDS`` with C ~ U(0, 0.95), and the last
+    record is the degenerate C = 1 edge case (a constant phi = -1), which
+    is always drawn."""
+    kind = np.append(np.arange(max(n - 1, 0)) % len(PHI_KINDS), 0)
+    C = np.append(rng.uniform(0.0, 0.95, size=kind.size - 1), 1.0)
+    omega1, omega2 = random_unimodular(rng, (2, kind.size))
+    stacks = []
+    for idx in key_groups(kind):
+        c = C[idx, None]
+        stacks.append(OriginGeodesicParams(c, omega1[idx, None], omega2[idx, None],
+                                           random_phi_pinned(rng, c, PHI_KINDS[kind[idx[0]]])))
+    return stacks
+
+
 def sample_origin_params(rng: np.random.Generator, n: int) -> List[OriginGeodesicParams]:
-    """Random origin-geodesic parameters mixing all phi shapes, plus the
-    degenerate C = 1 edge case."""
-    kinds = ("constant", "automorphism", "scaled", "degree2")
-    out = []
-    for k in range(n - 1):
-        C = rng.uniform(0.0, 0.95)
-        phi = random_phi_pinned(rng, C, kinds[k % len(kinds)])
-        out.append(OriginGeodesicParams(C, random_unimodular(rng),
-                                        random_unimodular(rng), phi))
-    out.append(OriginGeodesicParams(1.0, random_unimodular(rng),
-                                    random_unimodular(rng), BlaschkeMap.constant(-1.0)))
-    return out
+    """The records of ``sample_origin_stacks`` one by one, kind by kind."""
+    return [params for stack in sample_origin_stacks(rng, n) for params in stack.split()]
 
 
 def random_interior_points(rng: np.random.Generator, n: int) -> List[TetraPoint]:
@@ -136,14 +190,15 @@ def random_interior_points(rng: np.random.Generator, n: int) -> List[TetraPoint]
 def suite_boundary(seed: int = 0, n_discs: int = 1000, n_lams: int = 100) -> SuiteResult:
     """Boundary discs: the defining functional equals 1 identically."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_discs):
-        C = rng.uniform(0.0, 1.0)
-        phi = random_self_map(rng)
-        om1, om2 = random_unimodular(rng), random_unimodular(rng)
-        lams = random_disc_points(rng, n_lams, 0.95)
-        e = e_value_raw(*boundary_disc(C, om1, om2, phi)(lams))
-        worst = max(worst, float(np.max(np.abs(e - 1.0))))
+    C = rng.uniform(0.0, 1.0, size=(n_discs, 1))
+    omega1, omega2 = random_unimodular(rng, (2, n_discs, 1))
+    phi = random_self_maps(rng, n_discs)
+    lams = random_disc_points(rng, (n_discs, n_lams), 0.95)
+    coords = np.empty((3, n_discs, n_lams), dtype=complex)
+    for idx in key_groups(phi.degree):
+        disc = boundary_disc(C[idx], omega1[idx], omega2[idx], phi.stack(idx))
+        coords[:, idx] = disc(lams[idx]).as_tuple()
+    worst = float(np.max(np.abs(e_value_raw(*coords) - 1.0), initial=0.0))
     passed = worst < 1e-12
     return SuiteResult("boundary", passed,
                        {"discs": n_discs, "samples_per_disc": n_lams,
@@ -153,16 +208,18 @@ def suite_boundary(seed: int = 0, n_discs: int = 1000, n_lams: int = 100) -> Sui
 def suite_inclusion(seed: int = 0, n_discs: int = 1000, n_lams: int = 100) -> SuiteResult:
     """General discs stay strictly inside the domain."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    violations = 0
-    for _ in range(n_discs):
-        params = GeneralDiscParams(rng.uniform(0.0, 0.99),
-                                   random_unimodular(rng), random_unimodular(rng),
-                                   random_self_map(rng), random_self_map(rng))
-        lams = random_disc_points(rng, n_lams, 0.9)
-        e = e_value_raw(*general_disc(params)(lams))
-        worst = max(worst, float(np.max(e)))
-        violations += int(np.count_nonzero(e >= 1.0))
+    C = rng.uniform(0.0, 0.99, size=(n_discs, 1))
+    omega1, omega2 = random_unimodular(rng, (2, n_discs, 1))
+    phi, psi = random_self_maps(rng, n_discs), random_self_maps(rng, n_discs)
+    lams = random_disc_points(rng, (n_discs, n_lams), 0.9)
+    coords = np.empty((3, n_discs, n_lams), dtype=complex)
+    for idx in key_groups(3 * phi.degree + psi.degree):
+        params = GeneralDiscParams(C[idx], omega1[idx], omega2[idx],
+                                   phi.stack(idx), psi.stack(idx))
+        coords[:, idx] = general_disc(params)(lams[idx]).as_tuple()
+    e = e_value_raw(*coords)
+    worst = float(np.max(e, initial=0.0))
+    violations = int(np.count_nonzero(e >= 1.0))
     passed = violations == 0
     return SuiteResult("inclusion", passed,
                        {"discs": n_discs, "samples_per_disc": n_lams,
@@ -178,13 +235,11 @@ def suite_certificate(seed: int = 0, n_params: int = 200) -> SuiteResult:
     i.e. upper and lower invariant bounds coincide at origin pairs.
     """
     rng = np.random.default_rng(seed)
-    worst_res = 0.0
-    worst_eq = 0.0
     lams = sample_grid()
-    for params in sample_origin_params(rng, n_params):
-        values = certified_left_inverse(params)(origin_geodesic_disc(params)(lams))
-        worst_res = max(worst_res, float(np.max(np.abs(values - lams))))
-        worst_eq = max(worst_eq, float(np.max(np.abs(mobius_m(0.0, values) - np.abs(lams)))))
+    values = np.concatenate([certified_left_inverse(params)(origin_geodesic_disc(params)(lams))
+                             for params in sample_origin_stacks(rng, n_params)])
+    worst_res = float(np.max(np.abs(values - lams)))
+    worst_eq = float(np.max(np.abs(mobius_m(0.0, values) - np.abs(lams))))
     passed = worst_res < 1e-10 and worst_eq < 1e-12
     return SuiteResult("certificate", passed,
                        {"params": n_params, "worst_left_inverse_residual": worst_res,
@@ -262,42 +317,45 @@ def suite_separation() -> SuiteResult:
                         "separated": c_val > p_val})
 
 
+def _necessary_failures(hypothesis: np.ndarray, fit: QuadraticFit) -> int:
+    """How many discs of a stack fail the necessary check at 1e-7, as
+    ``geodesic_necessary_check`` decides it: the left-inverse residual
+    breaks the check's hypothesis, or the fit leaves a residual."""
+    return int(np.count_nonzero((hypothesis > HYPOTHESIS_TOL) | ~(fit.residual < 1e-7)))
+
+
 def suite_necessary(seed: int = 0, n_params: int = 200) -> SuiteResult:
-    """Quadratic necessary condition on every certified geodesic family."""
+    """Quadratic necessary condition on every certified geodesic family.
+
+    The discs of each family are fitted as stacks, one ``lstsq`` call per
+    rotation action."""
     rng = np.random.default_rng(seed)
+    lams = fit_grid()
+    failures = 0
     worst_fit = 0.0
     worst_origin_psi0 = 0.0
-    failures = 0
-    for params in sample_origin_params(rng, n_params):
-        f = origin_geodesic_disc(params)
-        F = certified_left_inverse(params)
-        for action in TETRABLOCK_ACTIONS:
-            report = geodesic_necessary_check(F, f, action, tol=1e-7)
-            worst_fit = max(worst_fit, report.fit.residual)
-            # the rotation field vanishes at the fixed origin, so psi(0) = 0
-            worst_origin_psi0 = max(worst_origin_psi0, abs(report.fit.psi0))
-            if report.verdict.value != "pass":
-                failures += 1
-    worst_a = 0.0
-    worst_im_c = 0.0
-    worst_c_match = 0.0
-    c_grid = [1.0 + 0.05 * k for k in range(21)]
-    for C in c_grid:
-        params = G2GeodesicParams(C, random_unimodular(rng))
-        f = g2_geodesic_disc(params)
-        F = G2FMap(params.omega)
-        report = geodesic_necessary_check(F, f, G2_ACTION, tol=1e-7)
-        worst_fit = max(worst_fit, report.fit.residual)
-        if report.verdict.value != "pass":
-            failures += 1
-        worst_a = max(worst_a, abs(report.fit.circular_a))
-        worst_c_match = max(worst_c_match, abs(report.fit.C - C))
-        # unconstrained cross-fit of the weighted sum itself
-        lams = fit_grid()
-        samples = np.column_stack([lams, -1j * psi_of_lambda(F, f, G2_ACTION, lams)])
-        c0, c1, _, _ = fit_general_quadratic(samples)
-        worst_a = max(worst_a, abs(c0))
-        worst_im_c = max(worst_im_c, abs(c1.imag))
+    discs = [(origin_geodesic_disc(params), certified_left_inverse(params))
+             for params in sample_origin_stacks(rng, n_params)]
+    hypothesis = np.concatenate([left_inverse_residual(f, F) for f, F in discs])
+    for action in TETRABLOCK_ACTIONS:
+        fit = fit_quadratic_forms(lams, np.concatenate(
+            [psi_of_lambda(F, f, action, lams) for f, F in discs]))
+        failures += _necessary_failures(hypothesis, fit)
+        worst_fit = max(worst_fit, float(np.max(fit.residual)))
+        # the rotation field vanishes at the fixed origin, so psi(0) = 0
+        worst_origin_psi0 = max(worst_origin_psi0, float(np.max(np.abs(fit.psi0))))
+    c_grid = 1.0 + 0.05 * np.arange(21)[:, None]
+    params = G2GeodesicParams(c_grid, random_unimodular(rng, c_grid.shape))
+    f, F = g2_geodesic_disc(params), G2FMap(params.omega)
+    psi = psi_of_lambda(F, f, G2_ACTION, lams)
+    fit = fit_quadratic_forms(lams, psi)
+    failures += _necessary_failures(left_inverse_residual(f, F), fit)
+    worst_fit = max(worst_fit, float(np.max(fit.residual)))
+    # unconstrained cross-fit of the weighted sum itself
+    c0, c1, _, _ = fit_general_quadratics(lams, -1j * psi)
+    worst_a = float(max(np.max(np.abs(fit.circular_a)), np.max(np.abs(c0))))
+    worst_im_c = float(np.max(np.abs(c1.imag)))
+    worst_c_match = float(np.max(np.abs(fit.C - c_grid)))
     passed = (failures == 0 and worst_fit < 1e-7 and worst_a < 1e-9
               and worst_im_c < 1e-9 and worst_c_match < 1e-9
               and worst_origin_psi0 < 1e-9)
@@ -377,24 +435,20 @@ def suite_transport(seed: int = 0, n_discs: int = 200) -> SuiteResult:
     """Transport dichotomy: automorphism phi sends the transported disc to
     the boundary, a scale-0.9 phi keeps it interior; never mixed."""
     rng = np.random.default_rng(seed)
-    counts = {"boundary": 0, "interior": 0, "mixed": 0}
-    misclassified = 0
-    for k in range(n_discs):
-        automorphic = k < n_discs // 2
-        if automorphic:
-            C = rng.uniform(0.0, 0.9)
-            phi = random_phi_pinned(rng, C, "automorphism")
-        else:
-            C = rng.uniform(0.0, 0.85)
-            zeta = random_unimodular(rng)
-            phi = BlaschkeMap(zeta, ((C / 0.9) * zeta.conjugate(),), 0.9)
-        params = OriginGeodesicParams(C, random_unimodular(rng),
-                                      random_unimodular(rng), phi)
-        verdict = transport_disc(origin_geodesic_disc(params)).classify(n_angles=112)
-        counts[verdict.value] += 1
-        expected = TransportClass.BOUNDARY if automorphic else TransportClass.INTERIOR
-        if verdict is not expected:
-            misclassified += 1
+    # the first half: phi an automorphism with C in [0, 0.9]; the second:
+    # phi of scale 0.9 with C in [0, 0.85]
+    automorphic = np.arange(n_discs)[:, None] < n_discs // 2
+    C = rng.uniform(0.0, np.where(automorphic, 0.9, 0.85))
+    scale = np.where(automorphic, 1.0, 0.9)
+    zeta = random_unimodular(rng, C.shape)
+    phi = BlaschkeMap(zeta, ((C / scale) * zeta.conjugate(),), scale)
+    omega1, omega2 = random_unimodular(rng, (2,) + C.shape)
+    params = OriginGeodesicParams(C, omega1, omega2, phi)
+    verdict = transport_disc(origin_geodesic_disc(params)).classify(n_angles=112)
+    expected = np.where(automorphic[:, 0], TransportClass.BOUNDARY, TransportClass.INTERIOR)
+    counts = {kind.value: int(np.count_nonzero(verdict == kind)) for kind in
+              (TransportClass.BOUNDARY, TransportClass.INTERIOR, TransportClass.MIXED)}
+    misclassified = int(np.count_nonzero(verdict != expected))
     passed = misclassified == 0 and counts["mixed"] == 0
     return SuiteResult("transport", passed,
                        {"discs": n_discs, "misclassified": misclassified, **counts})

@@ -281,6 +281,28 @@ class TestProductDisc:
         assert lower.m_scale == pytest.approx(expected, abs=1e-9)
 
 
+    @staticmethod
+    def slice_pairs(seed, offset, n=300):
+        """Pairs (a, b, ab + e1), (c, d, cd + e2) with |e1| = |e2| = offset."""
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            a, b, c, d = (random_disc_point(rng, 0.8) for _ in range(4))
+            e1, e2 = (offset * random_unimodular(rng) for _ in range(2))
+            yield TetraPoint(a, b, a * b + e1), TetraPoint(c, d, c * d + e2)
+
+    def test_product_route_declines_pairs_off_the_slice(self):
+        # at 0.9e-12 off the slice the projected pair's bound undercut
+        # c_lower by up to 4.1e-12 while the route accepted 1e-12
+        for w, z in self.slice_pairs(3, 0.9e-12):
+            assert not disc_search_upper_bound(w, z, family="product").found
+
+    def test_product_route_takes_exact_slice_pairs(self):
+        for w, z in self.slice_pairs(5, 0.0):
+            result = disc_search_upper_bound(w, z)
+            assert result.found and result.family == "product"
+            assert caratheodory_lower_bound(w, z).m_scale <= result.bound.m_scale + 1e-14
+
+
 class TestG2Geodesics:
     def test_c_two_reduces_to_rotation(self):
         omega = cmath.exp(0.4j)
