@@ -34,8 +34,8 @@ from .necessary import (CheckVerdict, CircularAction, G2_ACTION,
                         TETRABLOCK_ACTIONS, fit_general_quadratic,
                         fit_general_quadratics, fit_grid, fit_quadratic_form,
                         fit_quadratic_forms, geodesic_necessary_check,
-                        numeric_gradient, psi_of_lambda, reinhardt_check,
-                        vector_field)
+                        geodesic_necessary_checks, numeric_gradient,
+                        psi_of_lambda, reinhardt_check, vector_field)
 from .verify import ALL_SUITES, SuiteResult, run_suites
 
 # Nothing here computes with scipy. Two benchmark readers still need it:

@@ -96,10 +96,12 @@ class OriginGeodesicParams:
 
     def split(self) -> List["OriginGeodesicParams"]:
         """The records of a stack one by one, as scalar records in stack
-        order; a scalar record gives a list of one."""
+        order; a scalar record gives a list of one, and a scalar phi shared
+        by a stack is the phi of every member."""
         phis = self.phi.split()
         C, omega1, omega2, _ = (x.ravel() for x in np.broadcast_arrays(
             self.C, self.omega1, self.omega2, np.zeros((len(phis), 1))))
+        phis = phis * (C.size // len(phis))
         return [OriginGeodesicParams(*fields) for fields in zip(C, omega1, omega2, phis)]
 
 

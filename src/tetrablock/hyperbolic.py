@@ -51,11 +51,27 @@ def largest(values):
 _NUMBERS = (complex, float, int)
 
 
+def _is_stack(value) -> bool:
+    """Whether a validator gets an array of one or more dimensions, the one
+    case it checks with numpy; anything else is a scalar."""
+    return type(value) not in _NUMBERS and isinstance(value, np.ndarray) and value.ndim > 0
+
+
+def _with_modulus(value):
+    """``value`` as ``complex`` (or a complex array) and its modulus (the
+    largest one of an array)."""
+    if _is_stack(value):
+        value = value.astype(complex, copy=False)
+        return value, largest(np.abs(value))
+    value = complex(value)
+    return value, abs(value)
+
+
 def require_interval(value, lo: float, hi: float, *, name: str = "value"):
     """Validate a real value, or an array of them, in [lo, hi] up to
     ``TOL_CLOSURE`` and return it clipped to [lo, hi]: a Python ``float``,
     or a float array.  NaN is rejected."""
-    if type(value) not in _NUMBERS and isinstance(value, np.ndarray) and value.ndim:
+    if _is_stack(value):
         value = value.astype(float, copy=False)
         if not (lo - TOL_CLOSURE <= least(value) and largest(value) <= hi + TOL_CLOSURE):
             raise DomainError(f"{name} must lie in [{lo:g}, {hi:g}], got {value}")
@@ -71,12 +87,7 @@ def require_interval(value, lo: float, hi: float, *, name: str = "value"):
 def require_disc_point(value, *, name: str = "value"):
     """Validate a point of the open unit disc, or an array of them, and
     return it as ``complex`` (or a complex array)."""
-    if type(value) not in _NUMBERS and isinstance(value, np.ndarray) and value.ndim:
-        value = value.astype(complex, copy=False)
-        r = largest(np.abs(value))
-    else:
-        value = complex(value)
-        r = abs(value)
+    value, r = _with_modulus(value)
     if r >= 1.0:
         raise DomainError(f"{name} must have modulus < 1, got |{name}| = {r}")
     return value
@@ -85,12 +96,7 @@ def require_disc_point(value, *, name: str = "value"):
 def require_closed_disc_point(value, *, name: str = "value"):
     """Validate a point of the closed unit disc (up to ``TOL_CLOSURE``), or
     an array of them."""
-    if type(value) not in _NUMBERS and isinstance(value, np.ndarray) and value.ndim:
-        value = value.astype(complex, copy=False)
-        r = largest(np.abs(value))
-    else:
-        value = complex(value)
-        r = abs(value)
+    value, r = _with_modulus(value)
     if r > 1.0 + TOL_CLOSURE:
         raise DomainError(f"{name} must have modulus <= 1, got |{name}| = {r}")
     return value
@@ -99,7 +105,7 @@ def require_closed_disc_point(value, *, name: str = "value"):
 def require_unimodular(value, *, name: str = "omega"):
     """Validate |value| = 1 up to ``UNIMODULAR_TOL``, entry by entry for an
     array, and return it normalized."""
-    if type(value) not in _NUMBERS and isinstance(value, np.ndarray) and value.ndim:
+    if _is_stack(value):
         value = value.astype(complex, copy=False)
         r = np.abs(value)
         off = largest(np.abs(r - 1.0))

@@ -18,14 +18,15 @@ conj(a) lam^2 + C lam + a with a = -i psi0.
 The fits take a stack of n sample rows at one grid of m points: the checks
 on the grid run once, one ``lstsq`` call solves all n right-hand sides, and
 the fitted fields are (n, 1) arrays.  The fits of one (lam, value) sample
-list are the stack of one.
+list are the stack of one, and so is the check of one geodesic among the
+checks of a stack of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -192,7 +193,11 @@ def fit_quadratic_form(samples: Sequence[Tuple[complex, complex]]) -> QuadraticF
     """``fit_quadratic_forms`` of one sample list: ``samples`` is a sequence
     of (lam, value) pairs or an (m, 2) complex array, and the fields are
     scalars."""
-    fit = fit_quadratic_forms(*_sample_columns(samples))
+    return _first(fit_quadratic_forms(*_sample_columns(samples)))
+
+
+def _first(fit: QuadraticFit) -> QuadraticFit:
+    """The first fit of a stack, with scalar fields."""
     return QuadraticFit(complex(fit.psi0[0, 0]), float(fit.C[0, 0]),
                         float(fit.residual[0, 0]))
 
@@ -234,6 +239,9 @@ class CheckVerdict(Enum):
 
 @dataclass(frozen=True)
 class NecessaryCheckReport:
+    """Outcome of the necessary check; for a stack of n discs the verdict,
+    the fit fields and the hypothesis residual are (n, 1) arrays."""
+
     verdict: CheckVerdict
     fit: Optional[QuadraticFit]
     hypothesis_residual: float
@@ -246,23 +254,49 @@ def _verdict_tol(F: Callable, tol: Optional[float]) -> float:
     return ANALYTIC_TOL if hasattr(F, "gradient") else NUMERIC_TOL
 
 
-def geodesic_necessary_check(F: Callable, f: Callable, action: CircularAction,
-                             tol: Optional[float] = None) -> NecessaryCheckReport:
-    """Check the quadratic necessary condition for a certified geodesic.
+def geodesic_necessary_checks(F: Callable, f: Callable, actions: Sequence[CircularAction],
+                              tol: Optional[float] = None) -> List[NecessaryCheckReport]:
+    """Check the quadratic necessary condition for a stack of n certified
+    geodesics under each rotation action: f and F hold stacked parameters,
+    and f evaluates to (n, m) arrays at m points.  Gives one report per
+    action.
 
-    First verifies the hypothesis F o f = id on the sampling grid (a
-    violation is reported distinctly from a fit failure), then fits psi on
-    the standard grid and passes iff the worst deviation stays below
-    tolerance (1e-7 with closed-form gradients, 1e-5 with numeric ones).
+    First verifies the hypothesis F o f = id on the sampling grid for each
+    disc, once for all actions (a violation is reported distinctly from a
+    fit failure), then fits psi of every disc and action on the standard
+    grid in one ``fit_quadratic_forms`` call, and passes a disc iff its
+    worst deviation stays below tolerance (1e-7 with closed-form gradients,
+    1e-5 with numeric ones).  When no disc satisfies the hypothesis, psi is
+    not evaluated and the fits are None.
     """
     tol = _verdict_tol(F, tol)
-    hyp = left_inverse_residual(f, F)
-    if hyp > HYPOTHESIS_TOL:
-        return NecessaryCheckReport(CheckVerdict.HYPOTHESIS_VIOLATION, None, hyp, tol)
+    hyp = np.reshape(left_inverse_residual(f, F), (-1, 1))
+    violated = hyp > HYPOTHESIS_TOL
+    if violated.all():
+        verdict = np.full(hyp.shape, CheckVerdict.HYPOTHESIS_VIOLATION)
+        return [NecessaryCheckReport(verdict, None, hyp, tol) for _ in actions]
     lams = fit_grid()
-    fit = fit_quadratic_form(np.column_stack([lams, psi_of_lambda(F, f, action, lams)]))
-    verdict = CheckVerdict.PASS if fit.residual < tol else CheckVerdict.FIT_FAIL
-    return NecessaryCheckReport(verdict, fit, hyp, tol)
+    fits = fit_quadratic_forms(lams, np.concatenate(
+        [np.broadcast_to(psi_of_lambda(F, f, action, lams), (len(hyp), lams.size))
+         for action in actions]))
+    reports = []
+    for fit in map(QuadraticFit, *(field.reshape(len(actions), -1, 1)
+                                   for field in (fits.psi0, fits.C, fits.residual))):
+        verdict = np.where(violated, CheckVerdict.HYPOTHESIS_VIOLATION,
+                           np.where(fit.residual < tol, CheckVerdict.PASS, CheckVerdict.FIT_FAIL))
+        reports.append(NecessaryCheckReport(verdict, fit, hyp, tol))
+    return reports
+
+
+def geodesic_necessary_check(F: Callable, f: Callable, action: CircularAction,
+                             tol: Optional[float] = None) -> NecessaryCheckReport:
+    """``geodesic_necessary_checks`` of one certified geodesic and one
+    action, with scalar fields."""
+    report, = geodesic_necessary_checks(F, f, (action,), tol)
+    fit = None if report.fit is None else _first(report.fit)
+    return NecessaryCheckReport(report.verdict[0, 0], fit,
+                                float(report.hypothesis_residual[0, 0]),
+                                report.tolerance_used)
 
 
 def reinhardt_check(F: Callable, f: Callable, j: int, dim: Optional[int] = None,

@@ -17,17 +17,18 @@ import numpy as np
 
 from .domains import (DEFAULT_BOUNDARY_TOL, TetraPoint, e_value_raw, g2_roots,
                       psi_sup, rho_functional)
+from .errors import DomainError
 from .extremals import G2FMap, caratheodory_lower_bound, p_e
 from .geodesics import (G2GeodesicParams, GeneralDiscParams,
                         OriginGeodesicParams, TransportClass, boundary_disc,
                         certified_left_inverse, disc_search_upper_bound,
                         g2_geodesic_disc, g2_violation_witness, general_disc,
-                        left_inverse_residual, origin_geodesic_disc,
-                        sample_grid, transport_disc, transported_extremal_disc)
-from .hyperbolic import BlaschkeMap, mobius_m
-from .necessary import (G2_ACTION, HYPOTHESIS_TOL, TETRABLOCK_ACTIONS,
-                        QuadraticFit, fit_general_quadratics,
-                        fit_quadratic_forms, fit_grid, psi_of_lambda)
+                        origin_geodesic_disc, sample_grid, transport_disc,
+                        transported_extremal_disc)
+from .hyperbolic import BlaschkeMap, largest, mobius_m
+from .necessary import (G2_ACTION, TETRABLOCK_ACTIONS, CheckVerdict,
+                        fit_general_quadratics, fit_grid,
+                        geodesic_necessary_checks, psi_of_lambda)
 
 
 @dataclass(frozen=True)
@@ -120,16 +121,22 @@ def random_phi_pinned(rng: np.random.Generator, C, kind: str) -> BlaschkeMap:
     a stack of them, one per entry, when C is an (n, 1) array.
 
     ``kind``: "constant", "automorphism", "scaled" (degree 1, scale < 1) or
-    "degree2".
+    "degree2".  A constant takes C in [0, 1]; the other kinds need C < 1,
+    since only the constant -1 has value -1 at the origin, and raise
+    DomainError at C = 1.  At C = 0 a degree-2 map has one zero at the
+    origin and the other at modulus U(0.02, 0.5).
     """
     if kind == "constant":
         return BlaschkeMap.constant(-C)
+    if largest(C) >= 1.0:
+        raise DomainError(f"a {kind} phi needs C < 1: C = 1 forces the constant phi = -1")
     size = np.shape(C) or None
     zeta = random_unimodular(rng, size)
     if kind == "automorphism":
         return BlaschkeMap(zeta, (C * np.conjugate(zeta),), 1.0)
     if kind == "scaled":
-        s = rng.uniform(C + 0.02 * (1.0 - C) + 1e-6, 1.0, size)
+        # the 1e-6 margin would pass 1 for C within 1.02e-6 of 1
+        s = rng.uniform(np.minimum(C + 0.02 * (1.0 - C) + 1e-6, 0.5 * (1.0 + C)), 1.0, size)
         return BlaschkeMap(zeta, ((C / s) * np.conjugate(zeta),), s)
     if kind == "degree2":
         # split C = s * r1 * r2 with every factor strictly inside its range
@@ -317,45 +324,34 @@ def suite_separation() -> SuiteResult:
                         "separated": c_val > p_val})
 
 
-def _necessary_failures(hypothesis: np.ndarray, fit: QuadraticFit) -> int:
-    """How many discs of a stack fail the necessary check at 1e-7, as
-    ``geodesic_necessary_check`` decides it: the left-inverse residual
-    breaks the check's hypothesis, or the fit leaves a residual."""
-    return int(np.count_nonzero((hypothesis > HYPOTHESIS_TOL) | ~(fit.residual < 1e-7)))
-
-
 def suite_necessary(seed: int = 0, n_params: int = 200) -> SuiteResult:
     """Quadratic necessary condition on every certified geodesic family.
 
-    The discs of each family are fitted as stacks, one ``lstsq`` call per
-    rotation action."""
+    Each family is checked as stacks of discs, one stacked check per stack
+    for all its rotation actions."""
     rng = np.random.default_rng(seed)
-    lams = fit_grid()
     failures = 0
     worst_fit = 0.0
     worst_origin_psi0 = 0.0
-    discs = [(origin_geodesic_disc(params), certified_left_inverse(params))
-             for params in sample_origin_stacks(rng, n_params)]
-    hypothesis = np.concatenate([left_inverse_residual(f, F) for f, F in discs])
-    for action in TETRABLOCK_ACTIONS:
-        fit = fit_quadratic_forms(lams, np.concatenate(
-            [psi_of_lambda(F, f, action, lams) for f, F in discs]))
-        failures += _necessary_failures(hypothesis, fit)
-        worst_fit = max(worst_fit, float(np.max(fit.residual)))
-        # the rotation field vanishes at the fixed origin, so psi(0) = 0
-        worst_origin_psi0 = max(worst_origin_psi0, float(np.max(np.abs(fit.psi0))))
+    for params in sample_origin_stacks(rng, n_params):
+        f, F = origin_geodesic_disc(params), certified_left_inverse(params)
+        for report in geodesic_necessary_checks(F, f, TETRABLOCK_ACTIONS, tol=1e-7):
+            failures += int(np.count_nonzero(report.verdict != CheckVerdict.PASS))
+            worst_fit = max(worst_fit, float(np.max(report.fit.residual)))
+            # the rotation field vanishes at the fixed origin, so psi(0) = 0
+            worst_origin_psi0 = max(worst_origin_psi0, float(np.max(np.abs(report.fit.psi0))))
     c_grid = 1.0 + 0.05 * np.arange(21)[:, None]
     params = G2GeodesicParams(c_grid, random_unimodular(rng, c_grid.shape))
     f, F = g2_geodesic_disc(params), G2FMap(params.omega)
-    psi = psi_of_lambda(F, f, G2_ACTION, lams)
-    fit = fit_quadratic_forms(lams, psi)
-    failures += _necessary_failures(left_inverse_residual(f, F), fit)
-    worst_fit = max(worst_fit, float(np.max(fit.residual)))
+    report, = geodesic_necessary_checks(F, f, (G2_ACTION,), tol=1e-7)
+    failures += int(np.count_nonzero(report.verdict != CheckVerdict.PASS))
+    worst_fit = max(worst_fit, float(np.max(report.fit.residual)))
     # unconstrained cross-fit of the weighted sum itself
-    c0, c1, _, _ = fit_general_quadratics(lams, -1j * psi)
-    worst_a = float(max(np.max(np.abs(fit.circular_a)), np.max(np.abs(c0))))
+    lams = fit_grid()
+    c0, c1, _, _ = fit_general_quadratics(lams, -1j * psi_of_lambda(F, f, G2_ACTION, lams))
+    worst_a = float(max(np.max(np.abs(report.fit.circular_a)), np.max(np.abs(c0))))
     worst_im_c = float(np.max(np.abs(c1.imag)))
-    worst_c_match = float(np.max(np.abs(fit.C - c_grid)))
+    worst_c_match = float(np.max(np.abs(report.fit.C - c_grid)))
     passed = (failures == 0 and worst_fit < 1e-7 and worst_a < 1e-9
               and worst_im_c < 1e-9 and worst_c_match < 1e-9
               and worst_origin_psi0 < 1e-9)

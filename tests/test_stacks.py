@@ -24,12 +24,14 @@ from tetrablock.geodesics import (G2GeodesicParams, GeneralDiscParams,
                                   left_inverse_residual, origin_geodesic_disc,
                                   sample_grid, transport_disc)
 from tetrablock.hyperbolic import BlaschkeMap, mobius_m
-from tetrablock.necessary import (G2_ACTION, TETRABLOCK_ACTIONS,
+from tetrablock.necessary import (G2_ACTION, TETRABLOCK_ACTIONS, CheckVerdict,
                                   fit_general_quadratic, fit_grid,
                                   fit_quadratic_form, fit_quadratic_forms,
-                                  geodesic_necessary_check, psi_of_lambda)
+                                  geodesic_necessary_check,
+                                  geodesic_necessary_checks, psi_of_lambda)
 from tetrablock.verify import (key_groups, random_disc_points,
-                               random_unimodular, random_self_maps,
+                               random_phi_pinned, random_unimodular,
+                               random_self_maps,
                                sample_origin_params, sample_origin_stacks,
                                suite_boundary, suite_certificate,
                                suite_inclusion, suite_necessary,
@@ -154,6 +156,14 @@ def test_origin_record_split_round_trip():
                     assert abs(coord - value[k, j]) <= TOL
 
 
+def test_origin_record_split_shares_a_scalar_phi():
+    phi = BlaschkeMap.constant(-0.2)
+    stack = OriginGeodesicParams(column([0.2, 0.2, 0.2]), column([1.0, 1j, -1.0]), 1.0, phi)
+    members = stack.split()
+    assert [params.omega1 for params in members] == [1.0, 1j, -1.0]
+    assert all(params.phi == phi and params.C == 0.2 for params in members)
+
+
 def test_stacked_left_inverse_and_fit_match_members():
     stacks = sample_origin_stacks(np.random.default_rng(4), 9)
     lams = fit_grid()
@@ -171,6 +181,48 @@ def test_stacked_left_inverse_and_fit_match_members():
                 assert abs(fit.psi0[k, 0] - single.psi0) <= ROUNDING_TOL
                 assert abs(fit.C[k, 0] - single.C) <= ROUNDING_TOL
                 assert abs(fit.residual[k, 0] - single.residual) <= ROUNDING_TOL
+
+
+def flipped_inverse(params, flip):
+    """The certified left inverse of ``params`` times ``flip`` (+1 or -1 per
+    disc): a flipped disc sends F o f to -lam and breaks the hypothesis."""
+    return PsiOmegaMap(params.omega1.conjugate(), factor=flip * params.omega2.conjugate())
+
+
+def test_stacked_necessary_check_matches_members():
+    for stack in sample_origin_stacks(np.random.default_rng(5), 9):
+        members = stack.split()
+        n = len(members)
+        f = origin_geodesic_disc(stack)
+        for flip in (np.ones((n, 1)), np.where(np.arange(n) % 2, -1.0, 1.0)[:, None]):
+            reports = geodesic_necessary_checks(flipped_inverse(stack, flip), f,
+                                                TETRABLOCK_ACTIONS, tol=1e-7)
+            for action, report in zip(TETRABLOCK_ACTIONS, reports):
+                assert report.verdict.shape == report.hypothesis_residual.shape == (n, 1)
+                for k, params in enumerate(members):
+                    single = geodesic_necessary_check(
+                        flipped_inverse(params, flip[k, 0]), origin_geodesic_disc(params),
+                        action, tol=1e-7)
+                    assert report.verdict[k, 0] is single.verdict
+                    assert (single.verdict is CheckVerdict.PASS) == (flip[k, 0] == 1.0)
+                    assert abs(report.hypothesis_residual[k, 0]
+                               - single.hypothesis_residual) <= ROUNDING_TOL
+                    if single.fit is not None:
+                        assert abs(report.fit.psi0[k, 0] - single.fit.psi0) <= ROUNDING_TOL
+                        assert abs(report.fit.C[k, 0] - single.fit.C) <= ROUNDING_TOL
+                        assert abs(report.fit.residual[k, 0]
+                                   - single.fit.residual) <= ROUNDING_TOL
+
+
+def test_stacked_necessary_check_without_a_valid_disc_skips_the_fit():
+    stack = sample_origin_stacks(np.random.default_rng(6), 9)[2]
+    n = len(stack.split())
+    reports = geodesic_necessary_checks(flipped_inverse(stack, -np.ones((n, 1))),
+                                        origin_geodesic_disc(stack), TETRABLOCK_ACTIONS)
+    assert len(reports) == len(TETRABLOCK_ACTIONS)
+    for report in reports:
+        assert report.fit is None
+        assert all(v is CheckVerdict.HYPOTHESIS_VIOLATION for v in report.verdict.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -363,3 +415,21 @@ def test_unimodular_sampler_shapes():
     assert draws.shape == (2, 3, 1)
     assert np.allclose(np.abs(draws), 1.0)
     assert cmath.isclose(abs(random_unimodular(rng)), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["automorphism", "scaled", "degree2"])
+def test_pinned_phi_needs_c_below_one(kind):
+    rng = np.random.default_rng(8)
+    assert random_phi_pinned(rng, 1.0, "constant")(0.3) == -1.0
+    C = column([0.0, 0.5, 1.0 - 1e-7])
+    stack = random_phi_pinned(rng, C, kind)
+    assert np.max(np.abs(stack(0.0) + C)) <= 1e-12
+    for member, c in zip(stack.split(), C[:, 0]):
+        assert abs(member(0.0) + c) <= 1e-12
+        phi = random_phi_pinned(rng, float(c), kind)
+        assert abs(phi(0.0) + c) <= 1e-12
+        assert (phi.scale < 1.0) == (kind != "automorphism")
+    # only the constant -1 has value -1 at the origin
+    for bad in (1.0, column([0.5, 1.0])):
+        with pytest.raises(DomainError):
+            random_phi_pinned(rng, bad, kind)
