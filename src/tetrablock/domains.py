@@ -197,7 +197,7 @@ def psi_sup(z):
     # numpy scalars too, so a point and its block agree to the last digit
     z1, z2, z3 = (np.asarray(c) for c in TetraPoint.of(z))
     r1 = np.abs(z1)
-    if np.max(r1) >= 1.0:
+    if r1.size and np.max(r1) >= 1.0:
         raise DomainError(f"psi_sup requires |z1| < 1, got {np.max(r1)}")
     val = ((np.abs(z2 - np.conjugate(z1) * z3) + np.abs(z1 * z2 - z3))
            / ((1.0 - r1) * (1.0 + r1)))

@@ -33,7 +33,7 @@ from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, e_value_raw,
 from .errors import DomainError, PoleError
 from .extremals import PsiOmegaMap, sigma
 from .hyperbolic import (TOL_CLOSURE, BlaschkeMap, HyperbolicDistance, largest,
-                         mobius_m, require_disc_point, require_interval,
+                         least, mobius_m, require_disc_point, require_interval,
                          require_unimodular)
 
 #: deterministic sampling pattern used for residual and membership sweeps
@@ -386,15 +386,19 @@ def transported_extremal(C: float, omega1: complex, omega2: complex,
 def transported_extremal_disc(C: float, omega1: complex, omega2: complex,
                               phi: BlaschkeMap) -> Callable[[complex], TetraPoint]:
     """The transported extremal as a map of lam (a scalar or an array): the
-    origin disc with z1 and z3 divided by lam, and phi'(0) filled in at 0."""
-    C = float(C)
-    if not 0.0 < C < 1.0:
+    origin disc with z1 and z3 divided by lam, and phi'(0) filled in at 0.
+
+    Like the parameter records it may hold a stack of n discs, with C, the
+    unimodular parameters and phi as (n, 1) fields checked entry by entry;
+    lam of shape (m,) or (n, m) then gives (n, m) coordinates."""
+    C = require_interval(C, 0.0, 1.0, name="C")
+    if not (0.0 < least(C) and largest(C) < 1.0):
         raise DomainError(f"C must lie in (0, 1), got {C}")
-    if phi.is_automorphism:
+    if np.any(phi.is_automorphism):
         raise DomainError("phi must not be an automorphism")
     omega1 = require_unimodular(omega1, name="omega1")
     omega2 = require_unimodular(omega2, name="omega2")
-    if abs(complex(phi(0.0)) + C) > 1e-12:
+    if largest(abs(phi(0.0) + C)) > 1e-12:
         raise DomainError("phi(0) must equal -C")
     at_zero = TetraPoint(omega1 * phi.derivative(0.0) / (1.0 + C), 0.0,
                          -omega1 * omega2 * C)

@@ -2,7 +2,7 @@
 
 A stacked ``BlaschkeMap`` or parameter record holds n members as (n, 1)
 fields and is evaluated in one array call; each member, built as a scalar
-record, must give the same values.  The five stacked verification suites
+record, must give the same values.  The six stacked verification suites
 are checked the same way: the reference functions below redraw each suite's
 parameters in the suite's order, evaluate disc by disc through the scalar
 records, and must reproduce the suite's figures and verdicts.
@@ -13,7 +13,9 @@ import cmath
 import numpy as np
 import pytest
 
-from tetrablock.domains import e_value_raw, tetra_e_value
+from tetrablock import verify
+from tetrablock.domains import (DEFAULT_BOUNDARY_TOL, e_value_raw, g2_roots,
+                               tetra_e_value)
 from tetrablock.errors import DomainError
 from tetrablock.extremals import G2FMap, PsiOmegaMap
 from tetrablock.geodesics import (G2GeodesicParams, GeneralDiscParams,
@@ -22,7 +24,8 @@ from tetrablock.geodesics import (G2GeodesicParams, GeneralDiscParams,
                                   eval_boundary_disc, eval_general_disc,
                                   g2_geodesic_disc, general_disc,
                                   left_inverse_residual, origin_geodesic_disc,
-                                  sample_grid, transport_disc)
+                                  sample_grid, transport_disc,
+                                  transported_extremal_disc)
 from tetrablock.hyperbolic import BlaschkeMap, mobius_m
 from tetrablock.necessary import (G2_ACTION, TETRABLOCK_ACTIONS, CheckVerdict,
                                   fit_general_quadratic, fit_grid,
@@ -34,8 +37,9 @@ from tetrablock.verify import (key_groups, random_disc_points,
                                random_self_maps,
                                sample_origin_params, sample_origin_stacks,
                                suite_boundary, suite_certificate,
-                               suite_inclusion, suite_necessary,
-                               suite_transport)
+                               suite_g2_window, suite_inclusion,
+                               suite_lempert, suite_membership,
+                               suite_necessary, suite_rho, suite_transport)
 
 TOL = 1e-15
 # numpy and Python complex division differ in the last digits, and the
@@ -162,6 +166,42 @@ def test_origin_record_split_shares_a_scalar_phi():
     members = stack.split()
     assert [params.omega1 for params in members] == [1.0, 1j, -1.0]
     assert all(params.phi == phi and params.C == 0.2 for params in members)
+
+
+@pytest.mark.parametrize("kind", ["constant", "scaled", "degree2"])
+def test_stacked_transported_extremal_matches_members(kind):
+    rng = np.random.default_rng(12)
+    C = column(rng.uniform(0.05, 0.9, size=6))
+    omega1, omega2 = random_unimodular(rng, (2,) + C.shape)
+    phi = random_phi_pinned(rng, C, kind)
+    stack = transported_extremal_disc(C, omega1, omega2, phi)
+    shared = np.append(0.0, random_disc_points(rng, 4, 0.95))
+    per_disc = np.hstack([np.zeros_like(C), random_disc_points(rng, C.shape, 0.95)])
+    for lams in (shared, per_disc):
+        values = stack(lams)
+        assert all(coord.shape == (len(C), lams.shape[-1]) for coord in values)
+        for k, single in enumerate(phi.split()):
+            disc = transported_extremal_disc(C[k, 0], omega1[k, 0], omega2[k, 0], single)
+            for j, lam in enumerate(np.broadcast_to(lams, values.z1.shape)[k]):
+                for coord, value in zip(disc(complex(lam)), values):
+                    assert abs(coord - value[k, j]) <= ROUNDING_TOL
+
+
+def test_stacked_transported_extremal_validates_each_entry():
+    C = column([0.2, 0.3, 0.4])
+    zeta = column([1.0, 1j, -1.0])
+    scaled = BlaschkeMap(zeta, ((C / 0.9) * zeta.conjugate(),), 0.9)
+    transported_extremal_disc(C, 1.0, zeta, scaled)
+    scale = column([0.9, 1.0, 0.9])
+    bad = [
+        (column([0.2, 0.0, 0.4]), BlaschkeMap.constant(-column([0.2, 0.0, 0.4])), r"\(0, 1\)"),
+        (column([0.2, 1.0, 0.4]), BlaschkeMap.constant(-column([0.2, 1.0, 0.4])), r"\(0, 1\)"),
+        (C, BlaschkeMap(zeta, ((C / scale) * zeta.conjugate(),), scale), "automorphism"),
+        (column([0.2, 0.3 + 1e-6, 0.4]), scaled, r"phi\(0\)"),
+    ]
+    for c, phi, reason in bad:
+        with pytest.raises(DomainError, match=reason):
+            transported_extremal_disc(c, 1.0, zeta, phi)
 
 
 def test_stacked_left_inverse_and_fit_match_members():
@@ -367,6 +407,26 @@ def test_transport_suite_matches_disc_by_disc(seed):
     assert details["mixed"] == details["misclassified"] == 0
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_g2_window_suite_matches_disc_by_disc(seed):
+    lams = sample_grid()
+    worst_res = worst_root = 0.0
+    failures = 0
+    for k in range(21):
+        for j in range(8):
+            params = G2GeodesicParams(1.0 + 0.05 * k, cmath.exp(2j * cmath.pi * j / 8.0))
+            point = g2_geodesic_disc(params)(lams)
+            roots = np.abs(g2_roots(point)[0])
+            worst_root = max(worst_root, np.max(roots))
+            failures += np.count_nonzero(~(roots < 1.0 - DEFAULT_BOUNDARY_TOL))
+            worst_res = max(worst_res, np.max(np.abs(G2FMap(params.omega)(point) - lams)))
+    details = suite_g2_window(seed=seed).details
+    assert details["grid_points"] == 21 * 8
+    assert details["in_window_failures"] == failures == 0
+    assert abs(details["worst_root_modulus"] - worst_root) <= TOL
+    assert abs(details["worst_left_inverse_residual"] - worst_res) <= ROUNDING_TOL
+
+
 def test_transport_of_a_stack_keeps_columns():
     stack = sample_origin_stacks(np.random.default_rng(9), 9)[1]
     transported = transport_disc(origin_geodesic_disc(stack))
@@ -395,6 +455,9 @@ SUITE_KEYS = {
                        "worst_constant_coeff", "worst_imag_linear_coeff",
                        "worst_c_mismatch"}),
     suite_transport: ({"discs": 200}, {"misclassified", "boundary", "interior", "mixed"}),
+    suite_g2_window: ({"grid_points": 168},
+                      {"in_window_failures", "worst_left_inverse_residual",
+                       "worst_root_modulus", "witnesses_found"}),
 }
 
 
@@ -406,6 +469,31 @@ def test_stacked_suites_pass_over_seeds(suite):
         assert result.passed, (seed, result.details)
         assert set(result.details) == set(counts) | other_keys
         assert {key: result.details[key] for key in counts} == counts
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_blocks_do_not_change_results(seed, monkeypatch):
+    """Every figure is a maximum or a count over rows, so one disc per block
+    and one block per stack give the figures of the default blocks."""
+    suites = (suite_boundary, suite_inclusion, suite_transport, suite_g2_window)
+    default = [suite(seed=seed).details for suite in suites]
+    for block_points in (1, 10 ** 9):
+        monkeypatch.setattr(verify, "_BLOCK_POINTS", block_points)
+        assert [suite(seed=seed).details for suite in suites] == default
+
+
+@pytest.mark.parametrize("suite, empty", [
+    (suite_boundary, dict(n_discs=0)),
+    (suite_boundary, dict(n_lams=0)),
+    (suite_inclusion, dict(n_discs=0)),
+    (suite_inclusion, dict(n_lams=0)),
+    (suite_transport, dict(n_discs=0)),
+    (suite_membership, dict(n_points=0)),
+    (suite_rho, dict(n_pairs=0)),
+    (suite_lempert, dict(n_side=0)),
+], ids=lambda value: getattr(value, "__name__", None) or next(iter(value)))
+def test_a_suite_without_samples_does_not_pass(suite, empty):
+    assert not suite(**empty).passed
 
 
 def test_unimodular_sampler_shapes():
