@@ -17,7 +17,6 @@ import cmath
 import csv
 import json
 import math
-import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -147,19 +146,6 @@ def emit(env: Dict, as_json: bool, human_lines: Sequence[str]) -> None:
             print(line)
 
 
-def default_tol() -> float:
-    text = os.environ.get("TETRA_DEFAULT_TOL")
-    if text is None:
-        return DEFAULT_BOUNDARY_TOL
-    try:
-        value = float(text)
-    except ValueError:
-        raise _UsageExit(f"TETRA_DEFAULT_TOL is not a number: {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise _UsageExit("TETRA_DEFAULT_TOL must be finite and positive")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -170,7 +156,7 @@ _LOCATION_EXIT = {Location.INTERIOR: EXIT_OK, Location.BOUNDARY: EXIT_BOUNDARY,
 
 
 def cmd_member(args) -> int:
-    tol = args.tol if args.tol is not None else default_tol()
+    tol = args.tol
     if not (math.isfinite(tol) and tol > 0):
         raise _UsageExit("--tol must be finite and positive")
     if args.domain == "tetrablock":
@@ -324,7 +310,7 @@ def cmd_geodesic(args) -> int:
     # solve
     z = TetraPoint(*parse_point(args.point, 3))
     lam0 = parse_complex(args.lambda0)
-    solution = solve_origin_geodesic_through(z, lam0, phi_degree=args.phi_degree)
+    solution = solve_origin_geodesic_through(z, lam0)
     if solution is None:
         env = envelope("geodesic-solve",
                        {"point": [cnum(c) for c in z], "lambda0": cnum(lam0)},
@@ -351,8 +337,7 @@ def cmd_geodesic(args) -> int:
              f"phi degree = {phi.degree}, swapped = {solution.swapped}",
              f"residual (raw) = {solution.residual!r}"]
     env = envelope("geodesic-solve",
-                   {"point": [cnum(c) for c in z], "lambda0": cnum(lam0),
-                    "phi_degree": args.phi_degree},
+                   {"point": [cnum(c) for c in z], "lambda0": cnum(lam0)},
                    results, {"version": __version__})
     emit(env, args.json, human)
     return EXIT_OK
@@ -463,7 +448,7 @@ def build_parser() -> Parser:
     p_member.add_argument("domain", choices=["tetrablock", "g2"])
     p_member.add_argument("components", nargs="+",
                           help="complex components, e.g. 0 0.3+0.1i 0.5")
-    p_member.add_argument("--tol", type=float, default=None)
+    p_member.add_argument("--tol", type=float, default=DEFAULT_BOUNDARY_TOL)
     p_member.add_argument("--json", action="store_true")
     p_member.set_defaults(func=cmd_member)
 
@@ -497,7 +482,6 @@ def build_parser() -> Parser:
                        help="angles per radius in verification sweeps")
     p_geo.add_argument("--point", default=None, help="solve target z1,z2,z3")
     p_geo.add_argument("--lambda0", default=None, help="solve preimage")
-    p_geo.add_argument("--phi-degree", type=int, default=1)
     p_geo.add_argument("--json", action="store_true")
     p_geo.set_defaults(func=cmd_geodesic)
 

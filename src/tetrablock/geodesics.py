@@ -264,13 +264,12 @@ class DiscVerificationReport:
 
 def verify_disc(f: Callable, F: Optional[Callable] = None, *,
                 domain: str = "tetrablock",
-                residual_tol: float = 1e-10,
                 radii: Sequence[float] = DEFAULT_RADII,
                 n_angles: int = DEFAULT_N_ANGLES) -> DiscVerificationReport:
     """Sweep a disc for membership and (optionally) a left-inverse identity.
 
     Verdict: GEODESIC_VERIFIED needs the image inside the open domain and
-    residual below tolerance; without a left inverse the best verdict is
+    residual below 1e-10; without a left inverse the best verdict is
     IN_DOMAIN_ONLY.  f and F are each called once, on the whole grid array;
     an empty grid raises DomainError.
     """
@@ -287,7 +286,7 @@ def verify_disc(f: Callable, F: Optional[Callable] = None, *,
         verdict = DiscVerdict.IN_DOMAIN_ONLY if in_domain else DiscVerdict.FAILED
         return DiscVerificationReport(worst_e, math.inf, lams.size, verdict)
     residual = float(np.max(np.abs(F(point) - lams)))
-    if in_domain and residual < residual_tol:
+    if in_domain and residual < 1e-10:
         verdict = DiscVerdict.GEODESIC_VERIFIED
     else:
         verdict = DiscVerdict.FAILED
@@ -315,6 +314,10 @@ def _divided_by_lam(lam, value: TetraPoint, at_zero: TetraPoint) -> TetraPoint:
                       np.where(small, at_zero.z3, value.z3 / safe))
 
 
+#: the band around 1 of the defining functional of a boundary disc
+_TRANSPORT_BOUNDARY_TOL = 1e-8
+
+
 class TransportedDisc:
     """The transported disc (f1(lam)/lam, f2(lam), f3(lam)/lam).
 
@@ -323,19 +326,18 @@ class TransportedDisc:
     (radius 1e-5, 64 points), which annihilates every Taylor mode below
     order 64 and is therefore exact to machine precision for analytic input.
     The image lies either entirely inside the domain or entirely on its
-    boundary; ``classify`` reports which.  f must accept arrays of lam, and
-    so does the transported disc.  f may be a stack of n discs, whose value
-    at 0 has coordinates of shape (n, 1): every mean and maximum then runs
-    along the last (sample) axis, one per disc.
+    boundary (to 1e-8); ``classify`` reports which.  f must accept arrays of
+    lam, and so does the transported disc.  f may be a stack of n discs,
+    whose value at 0 has coordinates of shape (n, 1): every mean and maximum
+    then runs along the last (sample) axis, one per disc.
     """
 
-    def __init__(self, f: Callable[[complex], TetraPoint], *,
-                 deriv_radius: float = 1e-5, deriv_points: int = 64):
+    def __init__(self, f: Callable[[complex], TetraPoint]):
         self._f = f
         origin = TetraPoint.of(f(0.0))
         if largest(abs(origin.z1)) > 1e-12 or largest(abs(origin.z3)) > 1e-12:
             raise DomainError("transport needs f1(0) = f3(0) = 0")
-        nodes = deriv_radius * np.exp(2j * math.pi * np.arange(deriv_points) / deriv_points)
+        nodes = 1e-5 * np.exp(2j * math.pi * np.arange(64) / 64)
         value = TetraPoint.of(f(nodes))
         stacked = value.z1.ndim > 1
         self._at_zero = TetraPoint(np.mean(value.z1 / nodes, axis=-1, keepdims=stacked),
@@ -349,25 +351,21 @@ class TransportedDisc:
     def __call__(self, lam) -> TetraPoint:
         return _divided_by_lam(lam, TetraPoint.of(self._f(lam)), self._at_zero)
 
-    def classify(self, *, radii: Sequence[float] = DEFAULT_RADII,
-                 n_angles: int = DEFAULT_N_ANGLES,
-                 boundary_tol: float = 1e-8):
+    def classify(self, *, n_angles: int = DEFAULT_N_ANGLES):
         """The TransportClass of the disc from the defining functional on the
         grid and at 0; for a stack, an array with the class of each disc."""
-        values = np.concatenate([e_value_raw(*self(sample_grid(radii, n_angles))),
+        values = np.concatenate([e_value_raw(*self(sample_grid(DEFAULT_RADII, n_angles))),
                                  np.atleast_1d(e_value_raw(*self._at_zero))], axis=-1)
-        verdict = np.select([np.max(np.abs(values - 1.0), axis=-1) <= boundary_tol,
-                             np.max(values, axis=-1) < 1.0 - boundary_tol],
+        verdict = np.select([np.max(np.abs(values - 1.0), axis=-1) <= _TRANSPORT_BOUNDARY_TOL,
+                             np.max(values, axis=-1) < 1.0 - _TRANSPORT_BOUNDARY_TOL],
                             [TransportClass.BOUNDARY, TransportClass.INTERIOR],
                             TransportClass.MIXED)
         return verdict if verdict.ndim else verdict.item()
 
 
-def transport_disc(f: Callable[[complex], TetraPoint], *,
-                   deriv_radius: float = 1e-5,
-                   deriv_points: int = 64) -> TransportedDisc:
+def transport_disc(f: Callable[[complex], TetraPoint]) -> TransportedDisc:
     """Transport a disc with f1(0) = f3(0) = 0 to (f1/lam, f2, f3/lam)."""
-    return TransportedDisc(f, deriv_radius=deriv_radius, deriv_points=deriv_points)
+    return TransportedDisc(f)
 
 
 def transported_extremal(C: float, omega1: complex, omega2: complex,
@@ -466,23 +464,22 @@ def g2_geodesic_disc(p: G2GeodesicParams) -> Callable[[complex], G2Point]:
     return lambda lam: g2_disc_raw(p.C, p.omega, lam)
 
 
-def g2_violation_witness(C: float, omega: complex, *,
-                         radii: Optional[Sequence[float]] = None,
-                         n_angles: int = 64,
-                         tol: float = DEFAULT_BOUNDARY_TOL) -> Optional[complex]:
+#: the witness search grid: 64 angles on each of 19 radii from 0.05 to 0.95
+_WITNESS_GRID = sample_grid(np.linspace(0.05, 0.95, 19), 64)
+
+
+def g2_violation_witness(C: float, omega: complex) -> Optional[complex]:
     """Grid-search a lam with the out-of-window disc leaving the domain.
 
-    Returns the first witness lam in grid order (a pole counts as one), or
-    None when every sample stays interior (the expected outcome for C in
+    Returns the first witness lam in grid order (a pole, or a root of
+    modulus within ``DEFAULT_BOUNDARY_TOL`` of 1 or beyond, counts as one),
+    or None when every sample stays interior (the expected outcome for C in
     [1, 2]).
     """
-    if radii is None:
-        radii = tuple(np.linspace(0.05, 0.95, 19))
-    lams = sample_grid(radii, n_angles)
-    s, p, pole = _g2_coords(C, require_unimodular(omega), lams)
-    interior = np.abs(stable_quadratic_roots(s, p)[0]) < 1.0 - tol
+    s, p, pole = _g2_coords(C, require_unimodular(omega), _WITNESS_GRID)
+    interior = np.abs(stable_quadratic_roots(s, p)[0]) < 1.0 - DEFAULT_BOUNDARY_TOL
     hits = np.flatnonzero(pole | ~interior)
-    return complex(lams[hits[0]]) if hits.size else None
+    return complex(_WITNESS_GRID[hits[0]]) if hits.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +545,17 @@ def blaschke_interp_origin(C: float, lam0: complex, v: complex) -> BlaschkeMap:
 # origin-geodesic solver
 # ---------------------------------------------------------------------------
 
+#: a point with every coordinate, or a disc value lam0, below this modulus
+#: is the origin
+_ORIGIN_TOL = 1e-13
+
+#: coordinate residual under which a closed-form origin disc is accepted
+_ORIGIN_ACCEPT = 1e-8
+
+
+def _at_origin(z: TetraPoint) -> bool:
+    return max(abs(c) for c in z.as_tuple()) < _ORIGIN_TOL
+
 
 @dataclass(frozen=True)
 class OriginGeodesicSolution:
@@ -573,14 +581,24 @@ class OriginGeodesicSolution:
         return HyperbolicDistance.from_m(abs(self.lam0))
 
 
-def _candidate_at(zz: TetraPoint, theta: float) -> Optional[OriginGeodesicSolution]:
-    """Assemble params for one circle angle; returns None when inconsistent."""
-    eta = cmath.exp(1j * theta)
-    try:
-        mu = psi_eta(eta, zz)
-    except PoleError:
-        return None
-    if abs(mu) < 1e-13 or abs(mu) >= 1.0:
+def _solution(p: OriginGeodesicParams, lam: complex, zz: TetraPoint,
+              swapped: bool) -> Optional[OriginGeodesicSolution]:
+    """The origin geodesic p through zz (z, or sigma z when ``swapped``) at
+    lam; None when a coordinate misses by ``_ORIGIN_ACCEPT`` or more."""
+    residual = max(abs(a - b) for a, b in zip(eval_origin_geodesic(p, lam), zz))
+    return OriginGeodesicSolution(p, lam, swapped, residual) if residual < _ORIGIN_ACCEPT else None
+
+
+def _origin_disc(z: TetraPoint, swapped: bool) -> Optional[OriginGeodesicSolution]:
+    """The origin geodesic through z, or sigma z when ``swapped``, at the
+    eta where |Psi_eta| is largest: lam0 = mu = Psi_eta, v = phi(mu) = eta
+    z3/mu, and the real C that best fits the first two coordinates.  None
+    when |mu| is below ``_ORIGIN_TOL``, when no self-map phi interpolates
+    (C, mu, v) in the closed disc, or when the disc misses the point."""
+    zz = sigma(z) if swapped else z
+    eta = cmath.exp(1j * _maximizing_angle(zz))
+    mu = psi_eta(eta, zz)
+    if abs(mu) < _ORIGIN_TOL:
         return None
     v = eta * zz.z3 / mu
     # one real scale C must satisfy two complex linear conditions;
@@ -589,35 +607,13 @@ def _candidate_at(zz: TetraPoint, theta: float) -> Optional[OriginGeodesicSoluti
     b1 = zz.z1 - eta.conjugate() * v
     a2 = mu * v - zz.z2
     b2 = zz.z2 - mu
-    den = abs(a1) ** 2 + abs(a2) ** 2
-    if den < 1e-20:
-        return None
-    C = ((a1.conjugate() * b1 + a2.conjugate() * b2).real) / den
-    if C < -1e-9 or C > 1.0 + 1e-9:
-        return None
+    C = ((a1.conjugate() * b1 + a2.conjugate() * b2).real) / (abs(a1) ** 2 + abs(a2) ** 2)
     C = min(max(C, 0.0), 1.0)
-    if C > 1.0 - 1e-9:
-        if abs(v + 1.0) > 1e-7:
-            return None
-        phi = BlaschkeMap.constant(-1.0)
-        C = 1.0
-    else:
-        if abs(1.0 + C * v) < 1e-14:
-            return None
-        m_cv = abs(v + C) / abs(1.0 + C * v)
-        if m_cv > abs(mu) * (1.0 + 1e-9):
-            return None
-        try:
-            phi = blaschke_interp_origin(C, mu, v)
-        except DomainError:
-            return None
     try:
-        params = OriginGeodesicParams(C, eta.conjugate(), 1.0, phi)
+        params = OriginGeodesicParams(C, eta.conjugate(), 1.0, blaschke_interp_origin(C, mu, v))
     except DomainError:
         return None
-    value = eval_origin_geodesic(params, mu)
-    residual = max(abs(value.z1 - zz.z1), abs(value.z2 - zz.z2), abs(value.z3 - zz.z3))
-    return OriginGeodesicSolution(params, mu, False, residual)
+    return _solution(params, mu, zz, swapped)
 
 
 def _maximizing_angle(zz: TetraPoint) -> float:
@@ -644,79 +640,47 @@ def _maximizing_angle(zz: TetraPoint) -> float:
     return -cmath.phase(z1 + (1.0 - abs(z1) ** 2) / (z1.conjugate() + u))
 
 
-def _origin_solutions(z, residual_tol: float = 1e-8) -> List[OriginGeodesicSolution]:
-    """The closed-form candidates at the maximizing angle of z and of sigma
-    z, on each side whose psi_sup is the larger (both when they tie): by the
-    Schwarz lemma only those sides carry a geodesic through 0 and z."""
-    z = TetraPoint.of(z)
-    if not is_interior(z):
-        raise DomainError("target must be interior to the tetrablock")
-    sides = [(False, z), (True, sigma(z))]
-    sups = [psi_sup(zz) for _, zz in sides]
-    solutions: List[OriginGeodesicSolution] = []
-    for (swapped, zz), sup in zip(sides, sups):
-        if sup < max(sups):
-            continue
-        sol = _candidate_at(zz, _maximizing_angle(zz))
-        if sol is not None and sol.residual < residual_tol:
-            solutions.append(replace(sol, swapped=swapped))
-    return solutions
-
-
-def _solution_order(sol: OriginGeodesicSolution):
-    return (abs(sol.lam0), sol.params.phi.degree, sol.params.C, sol.swapped)
-
-
 def origin_lempert(z) -> Optional[OriginGeodesicSolution]:
     """Solve for a geodesic through 0 and z; its |lam0| is the Lempert (and
     Caratheodory) m-scale value of the pair (0, z), max(psi_sup(z),
-    psi_sup(sigma z)).  None if the closed-form disc misses z by more than
-    the residual tolerance, which does not prove non-existence."""
+    psi_sup(sigma z)).  The disc is built on each side, z or sigma z, whose
+    psi_sup is the larger (both when they tie): by the Schwarz lemma only
+    those sides carry a geodesic through 0 and z.  Ties break toward the
+    lowest phi degree, then the smallest C, then the unswapped side.  None
+    if the closed-form disc misses z, which does not prove non-existence."""
     z = TetraPoint.of(z)
-    if max(abs(c) for c in z.as_tuple()) < 1e-13:
+    if _at_origin(z):
         params = OriginGeodesicParams(0.0, 1.0, 1.0, BlaschkeMap.constant(0.0))
         return OriginGeodesicSolution(params, 0.0, False, 0.0)
-    solutions = _origin_solutions(z)
-    if not solutions:
-        return None
-    return min(solutions, key=_solution_order)
+    if not is_interior(z):
+        raise DomainError("target must be interior to the tetrablock")
+    sups = (psi_sup(z), psi_sup(sigma(z)))
+    solutions = [_origin_disc(z, swapped) for swapped in (False, True)
+                 if sups[swapped] == max(sups)]
+    return min(filter(None, solutions), default=None,
+               key=lambda s: (s.params.phi.degree, s.params.C, s.swapped))
 
 
-def solve_origin_geodesic_through(z, lam0: complex,
-                                  phi_degree: int = 1) -> Optional[OriginGeodesicSolution]:
-    """Find origin-geodesic parameters with f(lam0) = z, trying the swap of
-    the first two coordinates as well.
+def solve_origin_geodesic_through(z, lam0: complex) -> Optional[OriginGeodesicSolution]:
+    """Origin-geodesic parameters with f(lam0) = z: the disc of
+    ``origin_lempert(z)`` turned by a rotation of the disc onto lam0.
 
-    Solvable only when |lam0| equals the Lempert value of (0, z).
-    ``phi_degree`` caps the Blaschke degree of the returned phi (the
-    construction needs at most degree 1).  Ties break toward the lowest
-    degree, then the smallest C.
+    Solvable only when |lam0| equals the Lempert value of (0, z); None
+    otherwise, and when the turned disc misses z.
     """
     z = TetraPoint.of(z)
     lam0 = require_disc_point(lam0, name="lam0")
-    if abs(lam0) < 1e-13:
-        if max(abs(c) for c in z.as_tuple()) < 1e-12:
-            params = OriginGeodesicParams(0.0, 1.0, 1.0, BlaschkeMap.constant(0.0))
-            return OriginGeodesicSolution(params, 0.0, False, 0.0)
+    sol = origin_lempert(z)
+    at_zero = abs(lam0) < _ORIGIN_TOL
+    if sol is None or at_zero != (sol.lam0 == 0.0) or abs(abs(sol.lam0) - abs(lam0)) > 1e-7:
         return None
-    matches: List[OriginGeodesicSolution] = []
-    for sol in _origin_solutions(z):
-        if abs(abs(sol.lam0) - abs(lam0)) > 1e-7 or sol.params.phi.degree > phi_degree:
-            continue
-        rho = sol.lam0 / lam0
-        rho /= abs(rho)
-        params = OriginGeodesicParams(sol.params.C, sol.params.omega1,
-                                      sol.params.omega2 * rho,
-                                      sol.params.phi.precompose_rotation(rho))
-        zz = sigma(z) if sol.swapped else z
-        value = eval_origin_geodesic(params, lam0)
-        residual = max(abs(value.z1 - zz.z1), abs(value.z2 - zz.z2),
-                       abs(value.z3 - zz.z3))
-        if residual < 1e-8:
-            matches.append(OriginGeodesicSolution(params, lam0, sol.swapped, residual))
-    if not matches:
-        return None
-    return min(matches, key=lambda s: (s.params.phi.degree, s.params.C, s.swapped))
+    if at_zero:
+        return sol
+    rho = sol.lam0 / lam0
+    rho /= abs(rho)
+    params = replace(sol.params, omega2=sol.params.omega2 * rho,
+                     phi=sol.params.phi.precompose_rotation(rho))
+    return _solution(params, lam0, sigma(z) if sol.swapped else z, sol.swapped)
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +809,7 @@ def _product_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearch
 
 
 def _origin_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearchResult]:
-    w_zero = max(abs(coord) for coord in w.as_tuple()) < 1e-13
-    z_zero = max(abs(coord) for coord in z.as_tuple()) < 1e-13
+    w_zero, z_zero = _at_origin(w), _at_origin(z)
     if not (w_zero or z_zero):
         return None
     target = z if w_zero else w

@@ -39,9 +39,16 @@ def least(values):
     return values.min(initial=math.inf) if isinstance(values, np.ndarray) else values
 
 
+_BOOL = np.dtype(bool)
+
+
 def largest(values):
-    """The largest entry of an array, or a scalar itself."""
-    return values.max(initial=-math.inf) if isinstance(values, np.ndarray) else values
+    """The largest entry of an array, or a scalar itself.  A boolean array
+    gives whether any entry is True: the -inf start of the maximum would be
+    cast to True."""
+    if not isinstance(values, np.ndarray):
+        return values
+    return values.any() if values.dtype is _BOOL else values.max(initial=-math.inf)
 
 
 # The validators take a scalar or an array and apply one rule to every

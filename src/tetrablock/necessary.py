@@ -75,22 +75,21 @@ def vector_field(action: CircularAction, point) -> Tuple[complex, ...]:
     return tuple(1j * a * c for a, c in zip(action.alpha, coords))
 
 
-def fit_grid(radii: Sequence[float] = FIT_RADII,
-             n_angles: int = FIT_N_ANGLES) -> np.ndarray:
+def fit_grid() -> np.ndarray:
     """The fit sample points, radius by radius, as one complex array."""
-    return sample_grid(radii, n_angles)
+    return sample_grid(FIT_RADII, FIT_N_ANGLES)
 
 
-def numeric_gradient(fn: Callable, coords: Sequence[complex],
-                     step: float = 1e-5) -> Tuple[complex, ...]:
+def numeric_gradient(fn: Callable, coords: Sequence[complex]) -> Tuple[complex, ...]:
     """Complex partial derivatives by 4-point central differences.
 
-    Two central stencils at h and h/2 along the real axis of each
+    Two central stencils at h = 1e-5 and h/2 along the real axis of each
     coordinate, combined by Richardson extrapolation; valid because the
     target functions are holomorphic.  Array coordinates give arrays of
     partials, with ``fn`` called once per stencil point on all samples.
     """
     coords = tuple(as_coordinate(c) for c in coords)
+    step = 1e-5
     out = []
     for j in range(len(coords)):
         def shifted(delta: float) -> complex:
@@ -299,15 +298,14 @@ def geodesic_necessary_check(F: Callable, f: Callable, action: CircularAction,
                                 report.tolerance_used)
 
 
-def reinhardt_check(F: Callable, f: Callable, j: int, dim: Optional[int] = None,
+def reinhardt_check(F: Callable, f: Callable, j: int,
                     tol: Optional[float] = None) -> NecessaryCheckReport:
     """Single-coordinate variant for fully rotation-invariant domains.
 
-    Runs the check with the j-th unit weight vector (0-based index), so the
-    fitted quantity is dF/dz_j(f(lam)) * i * f_j(lam).
+    Runs the check with the j-th unit weight vector (0-based index) of the
+    dimension of f, so the fitted quantity is dF/dz_j(f(lam)) * i * f_j(lam).
     """
-    if dim is None:
-        dim = len(tuple(f(0.1)))
+    dim = len(tuple(f(0.1)))
     if not 0 <= j < dim:
         raise DomainError(f"coordinate index {j} out of range for dim {dim}")
     weights = tuple(1.0 if k == j else 0.0 for k in range(dim))

@@ -104,20 +104,24 @@ class SelfMapDraws:
                            self.scale[idx, None])
 
 
-def random_self_maps(rng: np.random.Generator, n: int, max_degree: int = 2) -> SelfMapDraws:
+#: the largest degree of a random self-map
+_MAX_SELF_MAP_DEGREE = 2
+
+
+def random_self_maps(rng: np.random.Generator, n: int) -> SelfMapDraws:
     """n random finite Blaschke maps into the open disc: the degree is
-    uniform on 0..max_degree, a constant lies in the 0.85 disc, zeros in the
-    0.9 disc, and the scale is 1 with probability 1/2, else U(0.3, 1)."""
-    degree = rng.integers(0, max_degree + 1, size=n)
+    uniform on 0..2, a constant lies in the 0.85 disc, zeros in the 0.9
+    disc, and the scale is 1 with probability 1/2, else U(0.3, 1)."""
+    degree = rng.integers(0, _MAX_SELF_MAP_DEGREE + 1, size=n)
     constant = random_disc_points(rng, n, 0.85)
-    zeros = random_disc_points(rng, (max_degree, n), 0.9)
+    zeros = random_disc_points(rng, (_MAX_SELF_MAP_DEGREE, n), 0.9)
     scale = np.where(rng.uniform(size=n) < 0.5, 1.0, rng.uniform(0.3, 1.0, size=n))
     return SelfMapDraws(degree, constant, zeros, scale, random_unimodular(rng, n))
 
 
-def random_self_map(rng: np.random.Generator, max_degree: int = 2) -> BlaschkeMap:
+def random_self_map(rng: np.random.Generator) -> BlaschkeMap:
     """A random finite Blaschke map into the open disc."""
-    return random_self_maps(rng, 1, max_degree).stack(np.array([0])).split()[0]
+    return random_self_maps(rng, 1).stack(np.array([0])).split()[0]
 
 
 def key_groups(keys: np.ndarray) -> Iterator[np.ndarray]:

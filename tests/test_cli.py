@@ -103,22 +103,6 @@ class TestMember:
         assert code == EXIT_USAGE
         assert out == "" and "--tol" in err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-    def test_env_var_tolerance_must_be_finite_and_positive(self, capsys, monkeypatch,
-                                                           value):
-        monkeypatch.setenv("TETRA_DEFAULT_TOL", value)
-        code, out, err = run(capsys, "member", "tetrablock", "0", "0.3", "0.5")
-        assert code == EXIT_USAGE
-        assert out == "" and "TETRA_DEFAULT_TOL" in err
-
-    def test_env_var_tolerance(self, capsys, monkeypatch):
-        monkeypatch.setenv("TETRA_DEFAULT_TOL", "1e-3")
-        code, out, _ = run(capsys, "member", "tetrablock", "--json",
-                           "0.9995", "0", "0")
-        env = json.loads(out)
-        assert env["diagnostics"]["tolerance"] == 1e-3
-        assert code == EXIT_BOUNDARY
-
 
 class TestDistance:
     def test_separation_pair_report(self, capsys):
@@ -288,6 +272,13 @@ class TestGeodesic:
         assert env["results"]["found"] is True
         assert env["results"]["C"]["value"] == pytest.approx(0.0, abs=1e-9)
         assert env["results"]["residual"]["value"] < 1e-9
+
+    def test_solve_prints_a_positive_zero_c(self, capsys):
+        code, out, _ = run(capsys, "geodesic", "solve",
+                           "--point", "0.5,0.5,0.25", "--lambda0", "0.5", "--json")
+        C = json.loads(out)["results"]["C"]["value"]
+        assert code == EXIT_OK
+        assert C == 0.0 and math.copysign(1.0, C) == 1.0
 
     def test_solve_not_found(self, capsys):
         code, out, _ = run(capsys, "geodesic", "solve",

@@ -397,10 +397,41 @@ class TestOriginSolver:
                                           random_phi_pinned(rng, C, kind))
             lam0 = (0.15 + 0.6 * rng.uniform()) * random_unimodular(rng)
             z = eval_origin_geodesic(params, lam0)
-            sol = solve_origin_geodesic_through(z, lam0, phi_degree=2)
+            sol = solve_origin_geodesic_through(z, lam0)
             assert sol is not None, (C, kind)
             target = sol.disc()(lam0)
             assert max(abs(a - b) for a, b in zip(target, z)) < 1e-9
+
+    def test_solve_turns_the_origin_lempert_disc(self):
+        # at lam0 = e^{it} |lam| the solver gives the disc of origin_lempert
+        # precomposed with a rotation, on sigma-tie and product points too
+        rng = np.random.default_rng(43)
+        points = [TetraPoint(0.9 * z.z1, 0.9 * z.z2, 0.81 * z.z3)
+                  for z in random_interior_points(rng, 30)]
+        for _ in range(10):
+            a, c = random_disc_point(rng, 0.7), random_disc_point(rng, 0.3)
+            b = random_disc_point(rng)
+            points += [TetraPoint(a, a, c), TetraPoint(a, b, a * b)]
+        checked = 0
+        for z in points:
+            if not is_interior(z):
+                continue
+            sol = origin_lempert(z)
+            lam0 = random_unimodular(rng) * abs(sol.lam0)
+            turned = solve_origin_geodesic_through(z, lam0)
+            assert turned is not None
+            assert turned.params.C == sol.params.C
+            assert turned.swapped == sol.swapped
+            assert turned.params.phi.degree == sol.params.phi.degree
+            assert turned.residual < 1e-12
+            assert max(abs(a - b) for a, b in zip(turned.disc()(lam0), z)) < 1e-12
+            rho = sol.lam0 / lam0
+            rho /= abs(rho)
+            for lam in (0.3, -0.2 + 0.5j):
+                assert max(abs(a - b) for a, b in
+                           zip(turned.disc()(lam), sol.disc()(rho * lam))) < 1e-14
+            checked += 1
+        assert checked >= 40
 
     def test_spec_point(self):
         sol = solve_origin_geodesic_through(TetraPoint(0.5, 0.5, 0.25), 0.5)

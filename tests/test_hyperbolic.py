@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from tetrablock.errors import DomainError
 from tetrablock.hyperbolic import (BlaschkeMap, HyperbolicDistance,
-                                   blaschke_eval, disc_automorphism,
-                                   mobius_distance, mobius_m,
+                                   blaschke_eval, disc_automorphism, largest,
+                                   least, mobius_distance, mobius_m,
                                    schwarz_pick_check)
 
 # strategies for points of the open disc (kept away from the boundary so the
@@ -17,6 +17,15 @@ from tetrablock.hyperbolic import (BlaschkeMap, HyperbolicDistance,
 disc_points = st.complex_numbers(max_magnitude=0.95, allow_nan=False,
                                  allow_infinity=False)
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
+
+
+class TestReductions:
+    def test_largest_of_booleans(self):
+        # the -inf start of a float maximum must not be cast to True
+        assert not largest(np.array([[False]]))
+        assert largest(np.array([[False], [True]]))
+        assert not largest(np.zeros((0, 1), dtype=bool))
+        assert not least(np.array([[True], [False]]))
 
 
 class TestMobiusDistance:
