@@ -129,9 +129,12 @@ class G2MembershipReport:
 
 def e_value_raw(z1, z2, z3):
     """Defining functional of the tetrablock; accepts scalars or arrays."""
+    # a product, not ** 2: a Python float power raises OverflowError where
+    # the product gives inf
+    r3 = abs(z3)
     return (abs(z1 - np.conjugate(z2) * z3)
             + abs(z2 - np.conjugate(z1) * z3)
-            + abs(z3) ** 2)
+            + r3 * r3)
 
 
 def tetra_e_value(z) -> float:

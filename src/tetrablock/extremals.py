@@ -10,13 +10,18 @@ bound, and on some pairs it is *strictly* smaller -- the separation that the
 ``magic_f`` map detects.  The Psi-family maxima over the unimodular
 parameter are exact: they are taken at the roots of a sextic, one for each
 orientation (with and without the swap).  Both sextics are solved together
-as the eigenvalues of a stack of two companion matrices, so ``p_e`` and
-``caratheodory_lower_bound`` make one eigenvalue call each.
+as the eigenvalues of a stack of two companion matrices.  Every caller asks
+for ``p_e`` and then ``caratheodory_lower_bound`` on the same pair, so the
+solve remembers its last pair and the two share one eigenvalue call.  It
+remembers exactly one pair, which is all those two calls need: a caller
+that goes over a fixed list of pairs again still pays one solve per pair,
+as it would without the memory.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Tuple
@@ -239,6 +244,7 @@ def _companion_row(w1, w2, w3, z1, z2, z3):
     return len(row), row + [0.0] * (6 - len(row))
 
 
+@functools.lru_cache(maxsize=1)
 def _psi_family_bounds(w: TetraPoint, z: TetraPoint) -> Tuple[float, float]:
     """The maxima over |eta| = 1 of m(Psi_eta(w), Psi_eta(z)) and of
     m(Psi_eta(sigma w), Psi_eta(sigma z)).
@@ -246,7 +252,8 @@ def _psi_family_bounds(w: TetraPoint, z: TetraPoint) -> Tuple[float, float]:
     Both critical polynomials go into 6 x 6 companion matrices (a lower
     degree leaves zero rows and columns, whose roots 0 give eta = 1) and one
     eigenvalue solve; m is taken at eta = 1 and at every root projected to
-    the circle, so each value is attained.
+    the circle, so each value is attained.  The last pair's result is kept,
+    keyed on the six coordinates (array points are rejected before this).
     """
     (w1, w2, w3), (z1, z2, z3) = w, z
     (n0, row0), (n1, row1) = (_companion_row(w1, w2, w3, z1, z2, z3),

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from tetrablock import extremals
 from tetrablock.cli import (EXIT_BOUNDARY, EXIT_EXTERIOR, EXIT_INVARIANT,
                             EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION,
                             MAX_SAMPLES, MAX_SWEEP_ROWS, main, parse_complex,
@@ -60,6 +62,11 @@ class TestMember:
     def test_exterior(self, capsys):
         code, out, _ = run(capsys, "member", "tetrablock", "0", "2", "0")
         assert code == EXIT_EXTERIOR
+
+    def test_huge_coordinate_is_exterior(self, capsys):
+        code, out, err = run(capsys, "member", "tetrablock", "0", "0", "1e155")
+        assert code == EXIT_EXTERIOR
+        assert "e_value (raw): inf" in out and err == ""
 
     def test_g2_with_guard(self, capsys):
         code, out, _ = run(capsys, "member", "g2", "--", "-0.8", "0.16")
@@ -210,6 +217,29 @@ class TestDistance:
         code, _, err = run(capsys, "distance", "2,0,0", "0,0,0")
         assert code == EXIT_INVARIANT
         assert "invariant violation" in err
+
+    @pytest.mark.parametrize("argv", [["distance", "0,0,1e155", "0,0,0"],
+                                      ["geodesic", "solve", "--point", "0,0,1e155",
+                                       "--lambda0", "0.5"]],
+                             ids=["distance", "geodesic-solve"])
+    def test_huge_coordinate_is_an_invariant_violation(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INVARIANT
+        assert out == "" and "must be interior" in err
+
+    def test_one_eigenvalue_solve_per_pair(self, capsys, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        extremals._psi_family_bounds.cache_clear()
+        code, _, _ = run(capsys, "distance", "0.1,0.05,0.02", "0.12,0.07,0.03")
+        assert code == EXIT_OK
+        assert calls == [(2, 6, 6)]
 
 
 class TestGeodesic:

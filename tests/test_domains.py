@@ -45,6 +45,17 @@ class TestEValue:
         assert tetra_e_value(rotated) == pytest.approx(tetra_e_value(z),
                                                        rel=1e-14, abs=1e-14)
 
+    @pytest.mark.parametrize("z", [(0, 0, 1e155), (0, 0, 1e200j), (0.5, 0, 1e155 + 1e155j)])
+    def test_huge_points_give_inf(self, z):
+        # |z3|^2 beyond the float range is inf, not an OverflowError
+        assert tetra_e_value(z) == math.inf
+        assert tetra_membership(z).location is Location.EXTERIOR
+
+    def test_square_term_is_a_correctly_rounded_product(self):
+        # some C libraries give 2.7394895929391466e-06 ** 2 one ulp off
+        r = 2.7394895929391466e-06
+        assert tetra_e_value((0, 0, r)) == r * r
+
 
 class TestMembership:
     def test_origin_interior(self):

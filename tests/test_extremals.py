@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tetrablock import extremals
 from tetrablock.domains import TetraPoint, is_interior
 from tetrablock.errors import BranchError, DomainError, PoleError
 from tetrablock.extremals import (ExtremalFamily, ExtremalFamilyId, G2FMap,
@@ -285,8 +286,10 @@ class TestPsiKernel:
             value = caratheodory_lower_bound(w, z, [family]).m_scale
             assert value == pytest.approx(expected, abs=4.4e-15)
 
-    @pytest.mark.parametrize("bound", [p_e, caratheodory_lower_bound])
-    def test_one_eigenvalue_solve_per_call(self, bound, monkeypatch):
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The shapes passed to np.linalg.eigvals, starting from an empty
+        pair cache; np.roots is forbidden."""
         calls = []
         eigvals = np.linalg.eigvals
 
@@ -299,9 +302,38 @@ class TestPsiKernel:
 
         monkeypatch.setattr(np.linalg, "eigvals", counted)
         monkeypatch.setattr(np, "roots", forbidden)
+        extremals._psi_family_bounds.cache_clear()
+        return calls
+
+    @pytest.mark.parametrize("bound", [p_e, caratheodory_lower_bound])
+    def test_one_eigenvalue_solve_per_call(self, bound, solves):
         w, z = random_interior_points(np.random.default_rng(6), 2)
         bound(w, z)
-        assert calls == [(2, 6, 6)]
+        assert solves == [(2, 6, 6)]
+
+    def test_both_bounds_of_a_pair_share_one_solve(self, solves):
+        w, z, v = random_interior_points(np.random.default_rng(6), 3)
+        p_e(w, z)
+        caratheodory_lower_bound(w, z)
+        assert solves == [(2, 6, 6)]
+        caratheodory_lower_bound(TetraPoint(*w), TetraPoint(*z))
+        assert len(solves) == 1
+        p_e(w, v)
+        assert len(solves) == 2
+        # one pair is kept: going back to the first pair solves again
+        p_e(w, z)
+        assert len(solves) == 3
+        caratheodory_lower_bound(z, w)
+        assert len(solves) == 4
+
+    def test_kept_pair_gives_the_bits_of_a_fresh_solve(self):
+        points = random_interior_points(np.random.default_rng(8), 200)
+        for w, z in zip(points[:100], points[100:]):
+            kept = (p_e(w, z).m_scale, caratheodory_lower_bound(w, z).m_scale)
+            extremals._psi_family_bounds.cache_clear()
+            fresh_c = caratheodory_lower_bound(w, z).m_scale
+            extremals._psi_family_bounds.cache_clear()
+            assert kept == (p_e(w, z).m_scale, fresh_c)
 
 
 class TestCaratheodoryLowerBound:
