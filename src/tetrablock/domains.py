@@ -127,13 +127,26 @@ class G2MembershipReport:
     tolerance_used: float
 
 
+def _modulus(x):
+    """|x| of a scalar or an array; inf where Python's ``abs`` of a finite
+    complex beyond the float range raises OverflowError."""
+    try:
+        return abs(x)
+    except OverflowError:
+        return math.inf
+
+
 def e_value_raw(z1, z2, z3):
-    """Defining functional of the tetrablock; accepts scalars or arrays."""
+    """Defining functional of the tetrablock; accepts scalars or arrays.
+
+    A Python scalar point stays in Python arithmetic, which overflows to inf
+    without a warning (numpy scalars warn); the moduli are the same C
+    ``hypot`` values as numpy's."""
     # a product, not ** 2: a Python float power raises OverflowError where
     # the product gives inf
-    r3 = abs(z3)
-    return (abs(z1 - np.conjugate(z2) * z3)
-            + abs(z2 - np.conjugate(z1) * z3)
+    r3 = _modulus(z3)
+    return (_modulus(z1 - z2.conjugate() * z3)
+            + _modulus(z2 - z1.conjugate() * z3)
             + r3 * r3)
 
 

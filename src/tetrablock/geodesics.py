@@ -306,12 +306,15 @@ class TransportClass(Enum):
 
 def _divided_by_lam(lam, value: TetraPoint, at_zero: TetraPoint) -> TetraPoint:
     """(z1/lam, z2, z3/lam) of a disc value, taking ``at_zero`` where lam
-    vanishes; lam may be a scalar or an array."""
+    vanishes; lam may be a scalar or an array.  The fill runs only when some
+    sample vanishes, which no sample grid does: there it would copy three
+    whole blocks for nothing."""
     small = np.abs(lam) < 1e-12
     safe = np.where(small, 1.0, lam)
-    return TetraPoint(np.where(small, at_zero.z1, value.z1 / safe),
-                      np.where(small, at_zero.z2, value.z2),
-                      np.where(small, at_zero.z3, value.z3 / safe))
+    coords = (value.z1 / safe, value.z2, value.z3 / safe)
+    if np.any(small):
+        coords = (np.where(small, fill, c) for fill, c in zip(at_zero, coords))
+    return TetraPoint(*coords)
 
 
 #: the band around 1 of the defining functional of a boundary disc

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,15 @@ class TestMember:
 
     def test_huge_coordinate_is_exterior(self, capsys):
         code, out, err = run(capsys, "member", "tetrablock", "0", "0", "1e155")
+        assert code == EXIT_EXTERIOR
+        assert "e_value (raw): inf" in out and err == ""
+
+    @pytest.mark.parametrize("coords", [("1e308", "1e308", "0"),
+                                        ("1.7e308", "1.7e308", "1.7e308")])
+    def test_overflowing_sums_are_exterior_without_a_warning(self, capsys, coords):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "member", "tetrablock", *coords)
         assert code == EXIT_EXTERIOR
         assert "e_value (raw): inf" in out and err == ""
 

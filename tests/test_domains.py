@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,16 @@ class TestEValue:
         # |z3|^2 beyond the float range is inf, not an OverflowError
         assert tetra_e_value(z) == math.inf
         assert tetra_membership(z).location is Location.EXTERIOR
+
+    @pytest.mark.parametrize("z", [(1e308, 1e308, 0), (1.7e308, 1.7e308, 1.7e308),
+                                   (1.7e308j, -1.7e308, 1.7e308 + 1.7e308j)])
+    def test_sums_beyond_the_float_range_give_inf_silently(self, z):
+        # a scalar point stays in Python arithmetic: no numpy-scalar warning
+        # and no OverflowError from abs of a huge complex
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tetra_e_value(z) == math.inf
+            assert tetra_membership(z).location is Location.EXTERIOR
 
     def test_square_term_is_a_correctly_rounded_product(self):
         # some C libraries give 2.7394895929391466e-06 ** 2 one ulp off

@@ -2,37 +2,42 @@
 
 A stacked ``BlaschkeMap`` or parameter record holds n members as (n, 1)
 fields and is evaluated in one array call; each member, built as a scalar
-record, must give the same values.  The six stacked verification suites
+record, must give the same values.  The seven stacked verification suites
 are checked the same way: the reference functions below redraw each suite's
 parameters in the suite's order, evaluate disc by disc through the scalar
-records, and must reproduce the suite's figures and verdicts.
+records, and must reproduce the suite's figures and verdicts.  Disc
+transport fills in the value at lam = 0 only when a sample vanishes; it must
+give the bits of a fill over every sample.
 """
 
 import cmath
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from tetrablock import verify
-from tetrablock.domains import (DEFAULT_BOUNDARY_TOL, e_value_raw, g2_roots,
-                               tetra_e_value)
+from tetrablock import geodesics, verify
+from tetrablock.domains import (DEFAULT_BOUNDARY_TOL, TetraPoint, e_value_raw,
+                               g2_roots, tetra_e_value)
 from tetrablock.errors import DomainError
 from tetrablock.extremals import G2FMap, PsiOmegaMap
 from tetrablock.geodesics import (G2GeodesicParams, GeneralDiscParams,
                                   OriginGeodesicParams, TransportClass,
                                   boundary_disc, certified_left_inverse,
+                                  disc_coords, disc_search_upper_bound,
                                   eval_boundary_disc, eval_general_disc,
                                   g2_geodesic_disc, general_disc,
                                   left_inverse_residual, origin_geodesic_disc,
                                   sample_grid, transport_disc,
                                   transported_extremal_disc)
-from tetrablock.hyperbolic import BlaschkeMap, mobius_m
+from tetrablock.hyperbolic import BlaschkeMap, mobius_m, require_unimodular
 from tetrablock.necessary import (G2_ACTION, TETRABLOCK_ACTIONS, CheckVerdict,
                                   fit_general_quadratic, fit_grid,
                                   fit_quadratic_form, fit_quadratic_forms,
                                   geodesic_necessary_check,
                                   geodesic_necessary_checks, psi_of_lambda)
-from tetrablock.verify import (key_groups, random_disc_points,
+from tetrablock.verify import (key_groups, lempert_grid, random_disc_points,
                                random_phi_pinned, random_unimodular,
                                random_self_maps,
                                sample_origin_params, sample_origin_stacks,
@@ -307,6 +312,15 @@ def inclusion_reference(seed, n_discs, n_lams):
     return e, stacked
 
 
+def test_scalar_e_value_matches_the_block():
+    rng = np.random.default_rng(31)
+    coords = random_disc_points(rng, (3, 2000), 1.2)
+    block = e_value_raw(*coords)
+    scalar = [e_value_raw(*map(complex, point)) for point in coords.T]
+    assert all(type(e) is float for e in scalar)
+    assert np.max(np.abs(np.array(scalar) - block)) <= E_TOL
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_boundary_suite_matches_disc_by_disc(seed):
     e, stacked = boundary_reference(seed, 24, 9)
@@ -436,6 +450,176 @@ def test_transport_of_a_stack_keeps_columns():
     single = transport_disc(origin_geodesic_disc(stack.split()[0]))
     assert isinstance(single.classify(), TransportClass)
     assert all(type(c) is complex for c in single.value_at_zero)
+
+
+# ---------------------------------------------------------------------------
+# the lempert suite: searches pair by pair, extremals as one stack
+# ---------------------------------------------------------------------------
+
+
+def lempert_reference(n_side, search=disc_search_upper_bound):
+    """The lempert suite's figures with one transported extremal per pair,
+    evaluated at the scalars 0 and z/(1 - |w|)."""
+    worst_high, worst_low, worst_extremal = -math.inf, math.inf, 0.0
+    pairs = not_found = 0
+    for z, w in lempert_grid(n_side):
+        pairs += 1
+        closed = abs(z) / (1.0 - abs(w))
+        result = search(TetraPoint(0, 0, w), TetraPoint(0, z, w))
+        if not result.found:
+            not_found += 1
+            continue
+        gap = result.bound.m_scale - closed
+        worst_high, worst_low = max(worst_high, gap), min(worst_low, gap)
+        C = abs(w)
+        disc = transported_extremal_disc(C, -w / C, 1.0, BlaschkeMap.constant(-C))
+        lam2 = z / (1.0 - C)
+        p0, p2 = disc(0.0), disc(lam2)
+        worst_extremal = max(worst_extremal, abs(p0.z1), abs(p0.z2), abs(p0.z3 - w),
+                             abs(p2.z1), abs(p2.z2 - z), abs(p2.z3 - w),
+                             abs(mobius_m(0.0, lam2) - closed))
+    return {"pairs": pairs, "search_failures": not_found,
+            "worst_above_closed_form": worst_high, "worst_below_closed_form": worst_low,
+            "worst_extremal_deviation": worst_extremal}
+
+
+def assert_lempert_matches(details, reference):
+    assert set(details) == set(reference)
+    for key in ("pairs", "search_failures", "worst_above_closed_form",
+                "worst_below_closed_form"):
+        assert details[key] == reference[key], key
+    assert abs(details["worst_extremal_deviation"]
+               - reference["worst_extremal_deviation"]) <= 1e-15
+
+
+@pytest.mark.parametrize("n_side", [1, 3, 10])
+def test_lempert_suite_matches_pair_by_pair(n_side):
+    result = suite_lempert(n_side=n_side)
+    assert_lempert_matches(result.details, lempert_reference(n_side))
+    assert result.passed and result.details["worst_extremal_deviation"] < 1e-15
+
+
+def test_lempert_suite_stacks_only_the_found_pairs(monkeypatch):
+    grid = list(lempert_grid(3))
+    missed = {grid[1], grid[4]}
+
+    def search(w, z):
+        result = disc_search_upper_bound(w, z)
+        if (z.z2, z.z3) in missed:
+            return dataclasses.replace(result, found=False, bound=None)
+        return result
+
+    stacked = []
+
+    def extremal(C, *args):
+        stacked.append(C)
+        return transported_extremal_disc(C, *args)
+
+    monkeypatch.setattr(verify, "disc_search_upper_bound", search)
+    monkeypatch.setattr(verify, "transported_extremal_disc", extremal)
+    result = suite_lempert(n_side=3)
+    assert_lempert_matches(result.details, lempert_reference(3, search))
+    assert result.details["search_failures"] == 2 and not result.passed
+    C, = stacked
+    assert C.shape == (len(grid) - 2, 1)
+    assert list(C[:, 0]) == [abs(w) for z, w in grid if (z, w) not in missed]
+
+
+def test_lempert_suite_without_found_pairs_builds_no_extremal(monkeypatch):
+    def search(w, z):
+        return dataclasses.replace(disc_search_upper_bound(w, z), found=False, bound=None)
+
+    def extremal(*args):
+        raise AssertionError("no pair was found")
+
+    monkeypatch.setattr(verify, "disc_search_upper_bound", search)
+    monkeypatch.setattr(verify, "transported_extremal_disc", extremal)
+    details = suite_lempert(n_side=3).details
+    assert details["search_failures"] == details["pairs"] == 9
+    assert details["worst_extremal_deviation"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# disc transport: the value at 0 is filled in only where a sample vanishes
+# ---------------------------------------------------------------------------
+
+
+def divided_reference(lam, value, at_zero):
+    """(z1/lam, z2, z3/lam) with ``at_zero`` selected at every sample."""
+    small = np.abs(lam) < 1e-12
+    safe = np.where(small, 1.0, lam)
+    return TetraPoint(np.where(small, at_zero.z1, value.z1 / safe),
+                      np.where(small, at_zero.z2, value.z2),
+                      np.where(small, at_zero.z3, value.z3 / safe))
+
+
+def bits(point):
+    return [(type(c), np.shape(c), np.asarray(c).tobytes()) for c in point]
+
+
+def transport_lams(kind, rows, with_zero):
+    """A scalar lam, a grid or an (rows, 5) stack of lams, with a 0 among
+    them or not."""
+    rng = np.random.default_rng(17)
+    if kind == "scalar":
+        return 0.0 if with_zero else 0.3 - 0.2j
+    lams = sample_grid() if kind == "grid" else random_disc_points(rng, (rows, 5), 0.9)
+    if with_zero:
+        lams = lams.copy()
+        lams.flat[lams.size // 2] = 0.0
+    return lams
+
+
+def transport_stack(stacked):
+    """C, omega1, omega2 and a non-automorphic phi with phi(0) = -C, as
+    (4, 1) fields or as the scalars of the first entry."""
+    rng = np.random.default_rng(23)
+    C = column(rng.uniform(0.05, 0.9, size=4))
+    omega1, omega2 = random_unimodular(rng, (2,) + C.shape)
+    phi = random_phi_pinned(rng, C, "scaled")
+    if stacked:
+        return C, omega1, omega2, phi
+    return float(C[0, 0]), complex(omega1[0, 0]), complex(omega2[0, 0]), phi.split()[0]
+
+
+@pytest.mark.parametrize("with_zero", [False, True], ids=["no-zero", "zero"])
+@pytest.mark.parametrize("kind", ["scalar", "grid", "stack"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+def test_transport_fills_zero_bit_for_bit(stacked, kind, with_zero):
+    C, omega1, omega2, phi = transport_stack(stacked)
+    lams = transport_lams(kind, 4, with_zero)
+    f = origin_geodesic_disc(OriginGeodesicParams(C, omega1, omega2, phi))
+    transported = transport_disc(f)
+    want = divided_reference(lams, TetraPoint.of(f(lams)), transported.value_at_zero)
+    assert bits(transported(lams)) == bits(want)
+    extremal = transported_extremal_disc(C, omega1, omega2, phi)
+    # the disc normalizes its unimodular parameters
+    omega1, omega2 = require_unimodular(omega1), require_unimodular(omega2)
+    at_zero = TetraPoint(omega1 * phi.derivative(0.0) / (1.0 + C), 0.0, -omega1 * omega2 * C)
+    value = TetraPoint(*disc_coords(C, omega1, omega2, phi(lams), lams))
+    assert bits(extremal(lams)) == bits(divided_reference(lams, value, at_zero))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+def test_transport_at_zero_gives_the_value_at_zero(stacked):
+    C, omega1, omega2, phi = transport_stack(stacked)
+    transported = transport_disc(origin_geodesic_disc(OriginGeodesicParams(C, omega1,
+                                                                           omega2, phi)))
+    assert bits(transported(0.0)) == bits(transported.value_at_zero)
+    extremal = transported_extremal_disc(C, omega1, omega2, phi)
+    omega1, omega2 = require_unimodular(omega1), require_unimodular(omega2)
+    at_zero = TetraPoint(omega1 * phi.derivative(0.0) / (1.0 + C), 0.0, -omega1 * omega2 * C)
+    for got, want in zip(extremal(0.0), at_zero):
+        assert np.asarray(got).tobytes() == np.broadcast_to(want, np.shape(got)).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_transport_suite_unchanged_by_the_conditional_fill(seed, monkeypatch):
+    details = suite_transport(seed=seed).details
+    monkeypatch.setattr(geodesics, "_divided_by_lam", divided_reference)
+    assert suite_transport(seed=seed).details == details
+    assert details == {"discs": 200, "misclassified": 0, "boundary": 100,
+                       "interior": 100, "mixed": 0}
 
 
 # ---------------------------------------------------------------------------
