@@ -1,7 +1,7 @@
 """Invariant distances, extremal maps and complex geodesics on the
 tetrablock and the symmetrized bidisc."""
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 from .errors import BranchError, DomainError, FitError, PoleError
 from .hyperbolic import (BlaschkeMap, HyperbolicDistance, blaschke_eval,
@@ -10,13 +10,13 @@ from .hyperbolic import (BlaschkeMap, HyperbolicDistance, blaschke_eval,
 from .domains import (G2MembershipReport, G2Point, Location, MembershipReport,
                       TetraPoint, g2_membership, g2_roots, psi_sup,
                       rho_functional, tetra_e_value, tetra_membership)
-from .extremals import (CoordinateMap, ExtremalFamily, ExtremalFamilyId,
-                        G2FMap, MagicFMap, PsiOmegaMap,
-                        caratheodory_lower_bound, f_omega_automorphism, g2_f,
-                        magic_f, p_e, psi_eta, sigma)
+from .extremals import (CoordinateMap, ExtremalFamily, G2FMap, MagicFMap,
+                        PsiOmegaMap, caratheodory_lower_bound,
+                        f_omega_automorphism, family_bounds, g2_f, magic_f,
+                        p_e, psi_eta, sigma)
 from .geodesics import (DiscSearchResult, DiscVerdict,
                         DiscVerificationReport, G2GeodesicParams, GeneralDiscParams,
-                        OriginGeodesicParams, OriginGeodesicSolution,
+                        OriginGeodesicParams, OriginGeodesicSolution, PairReport,
                         TransportClass, axis_pair, blaschke_interp_origin,
                         boundary_disc, certified_left_inverse, disc_coords,
                         disc_search_upper_bound, eval_boundary_disc,
@@ -25,7 +25,7 @@ from .geodesics import (DiscSearchResult, DiscVerdict,
                         g2_violation_witness, general_disc,
                         is_product_geodesic, left_inverse_residual,
                         lempert_special, origin_geodesic_disc, origin_lempert,
-                        product_disc, sample_grid,
+                        pair_report, product_disc, sample_grid,
                         solve_origin_geodesic_through, transport_disc,
                         transported_extremal, transported_extremal_disc,
                         verify_disc)

@@ -24,15 +24,13 @@ from . import __version__
 from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, Location, TetraPoint,
                       g2_membership, psi_sup, tetra_membership)
 from .errors import DomainError
-from .extremals import (ExtremalFamily, caratheodory_lower_bound, magic_f,
-                        mobius_m, p_e)
+from .extremals import ExtremalFamily, G2FMap
 from .geodesics import (DiscVerdict, G2GeodesicParams, GeneralDiscParams,
-                        OriginGeodesicParams, axis_pair, disc_search_upper_bound,
-                        certified_left_inverse, eval_origin_geodesic,
+                        OriginGeodesicParams, certified_left_inverse,
+                        disc_search_upper_bound, eval_origin_geodesic,
                         g2_geodesic_disc, g2_origin_geodesic, general_disc,
-                        lempert_special, origin_geodesic_disc,
+                        lempert_special, origin_geodesic_disc, pair_report,
                         solve_origin_geodesic_through, verify_disc)
-from .extremals import G2FMap
 from .hyperbolic import BlaschkeMap, HyperbolicDistance
 from .verify import ALL_SUITES, lempert_grid, run_suites
 
@@ -200,38 +198,30 @@ def cmd_distance(args) -> int:
         families = [ExtremalFamily(name) for name in args.lower_families.split(",")]
     except ValueError:
         raise _UsageExit(f"unknown family in --lower-families {args.lower_families!r}")
-    p_val = p_e(w, z)
-    c_val = caratheodory_lower_bound(w, z, families)
-    search = None
-    for upper in args.upper_families.split(","):
-        candidate = disc_search_upper_bound(w, z, family=upper, budget=args.budget)
-        if search is None or (candidate.found and (not search.found
-                              or candidate.bound.m_scale < search.bound.m_scale)):
-            search = candidate
-    pair = axis_pair(w, z)
-    closed = lempert_special(pair[1], pair[0]) if pair is not None else None
-    # without an upper bound there is nothing to hold the lower bound against
-    sandwich_ok = c_val.m_scale <= search.bound.m_scale + 1e-9 if search.found else None
+    report = pair_report(w, z, families, args.upper_families.split(","), args.budget)
+    search, closed, k_upper = report.search, report.closed_form, report.search.bound
     results = {
-        "p_e": dist(p_val),
-        "c_lower": dist(c_val),
-        "k_upper": dist(search.bound) if search.found else None,
+        "p_e": dist(report.p_e),
+        "c_lower": dist(report.c_lower),
+        "k_upper": dist(k_upper) if k_upper is not None else None,
         "k_upper_family": search.family,
-        "k_upper_residual": raw(search.residual) if search.found else None,
+        "k_upper_residual": raw(search.residual) if k_upper is not None else None,
         "k_upper_reason": search.reason,
         "closed_form": dist(closed) if closed is not None else None,
-        "sandwich_ok": sandwich_ok,
+        "gap": raw(report.gap) if k_upper is not None else None,
+        "sandwich_ok": report.sandwich_ok,
     }
-    human = [f"p_e: m_scale {p_val.m_scale!r}, p_scale {p_val.p_scale!r}",
-             f"c_lower: m_scale {c_val.m_scale!r}, p_scale {c_val.p_scale!r}"]
-    if search.found:
-        human.append(f"k_upper: m_scale {search.bound.m_scale!r} (family {search.family})")
+    human = [f"{name}: m_scale {d.m_scale!r}, p_scale {d.p_scale!r}"
+             for name, d in (("p_e", report.p_e), ("c_lower", report.c_lower))]
+    if k_upper is not None:
+        human += [f"k_upper: m_scale {k_upper.m_scale!r} (family {search.family})",
+                  f"gap: m_scale {report.gap!r}"]
     else:
         human.append(f"k_upper: not found ({search.reason})")
     if closed is not None:
         human.append(f"closed_form: m_scale {closed.m_scale!r}")
-    human.append("sandwich_ok: unknown (no upper bound found)" if sandwich_ok is None
-                 else f"sandwich_ok: {sandwich_ok}")
+    human.append("sandwich_ok: unknown (no upper bound found)" if k_upper is None
+                 else f"sandwich_ok: {report.sandwich_ok}")
     env = envelope("distance",
                    {"w": [cnum(c) for c in w], "z": [cnum(c) for c in z],
                     "lower_families": args.lower_families,
@@ -240,7 +230,7 @@ def cmd_distance(args) -> int:
                    {"budget": args.budget, "tolerance": DEFAULT_BOUNDARY_TOL,
                     "version": __version__})
     emit(env, args.json, human)
-    return EXIT_VERIFICATION if sandwich_ok is False else EXIT_OK
+    return EXIT_VERIFICATION if report.sandwich_ok is False else EXIT_OK
 
 
 def _build_tetra_params(args):
@@ -400,14 +390,11 @@ def cmd_sweep(args) -> int:
             C = args.c_min + k * args.c_step
             if C <= 0.0 or C >= 1.0 or C > args.c_max + 1e-12:
                 continue
-            w = TetraPoint(0.0, 0.0, -C)
-            z = TetraPoint(0.0, lam * (1.0 - C), -C)
-            p_val = p_e(w, z).m_scale
-            c_val = caratheodory_lower_bound(w, z).m_scale
-            magic = mobius_m(magic_f(w), magic_f(z))
-            rows.append({"C": C, "c_lower_m": c_val, "lam_modulus": lam,
-                         "magic_lower_m": magic, "p_e_m": p_val,
-                         "separated": c_val > p_val + 1e-12})
+            # magic_f o sigma vanishes at both points: the family is magic_f
+            report = pair_report((0.0, 0.0, -C), (0.0, lam * (1.0 - C), -C), upper=())
+            rows.append({"C": C, "c_lower_m": report.c_lower.m_scale, "lam_modulus": lam,
+                         "magic_lower_m": report.lower[ExtremalFamily.MAGIC_F],
+                         "p_e_m": report.p_e.m_scale, "separated": report.separated})
         columns = ["C", "c_lower_m", "lam_modulus", "magic_lower_m", "p_e_m",
                    "separated"]
     else:  # lempert

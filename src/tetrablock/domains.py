@@ -208,13 +208,20 @@ def psi_sup(z):
     (z2 - conj(z1) z3) / (1 - |z1|^2) and radius |z1 z2 - z3| / (1 - |z1|^2);
     the sum of both moduli is taken over (1 - |z1|)(1 + |z1|), accurate as
     |z1| -> 1.  The value is < 1 exactly when the defining functional is.
-    Array points give one supremum per sample, a scalar point a float.
+    Array points give one supremum per sample, a scalar point a float, inf
+    without a warning when the value leaves the float range.
     """
+    point = TetraPoint.of(z)
     # numpy scalars too, so a point and its block agree to the last digit
-    z1, z2, z3 = (np.asarray(c) for c in TetraPoint.of(z))
+    z1, z2, z3 = (np.asarray(c) for c in point)
     r1 = np.abs(z1)
     if r1.size and np.max(r1) >= 1.0:
         raise DomainError(f"psi_sup requires |z1| < 1, got {np.max(r1)}")
+    # z2, z3 components below 1e290 keep it below 6.5e306, as 1 - |z1|^2 >= 2^-53
+    if not r1.ndim and max(abs(point.z2.real), abs(point.z2.imag), abs(point.z3.real),
+                           abs(point.z3.imag)) >= 1e290:
+        with np.errstate(over="ignore"):
+            return float(psi_sup(TetraPoint(z1[None], z2[None], z3[None]))[0])
     val = ((np.abs(z2 - np.conjugate(z1) * z3) + np.abs(z1 * z2 - z3))
            / ((1.0 - r1) * (1.0 + r1)))
     return val if val.ndim else float(val)

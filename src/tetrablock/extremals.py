@@ -2,29 +2,23 @@
 and the distance-type quantities built from them.
 
 The families shipped here map the domains holomorphically into the unit
-disc, so any Mobius distance between their values at two points is a
-certified lower bound for the Caratheodory pseudodistance of the pair.  The
-supremum of the Psi-family bounds (with and without the coordinate swap) is
-exposed separately as ``p_e``; it is always dominated by the full lower
-bound, and on some pairs it is *strictly* smaller -- the separation that the
-``magic_f`` map detects.  The Psi-family maxima over the unimodular
-parameter are exact: they are taken at the roots of a sextic, one for each
-orientation (with and without the swap).  Both sextics are solved together
-as the eigenvalues of a stack of two companion matrices.  Every caller asks
-for ``p_e`` and then ``caratheodory_lower_bound`` on the same pair, so the
-solve remembers its last pair and the two share one eigenvalue call.  It
-remembers exactly one pair, which is all those two calls need: a caller
-that goes over a fixed list of pairs again still pays one solve per pair,
-as it would without the memory.
+disc, so the Mobius distance of their values at two points is a certified
+lower bound for the Caratheodory pseudodistance; ``family_bounds`` gives it
+for each family.  ``p_e``, the larger of the two Psi-family bounds (with and
+without the coordinate swap), is dominated by ``caratheodory_lower_bound``,
+the largest over the requested families, and on some pairs *strictly* --
+the separation that ``magic_f`` detects.  The Psi-family maxima over the
+unimodular parameter are exact: both orientations' sextics are solved as
+the eigenvalues of one stack of two companion matrices, once per pair for
+``geodesics.pair_report``.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -185,18 +179,6 @@ class ExtremalFamily(Enum):
     G2_F_OMEGA = "g2-f-omega"
 
 
-@dataclass(frozen=True)
-class ExtremalFamilyId:
-    """A family tag, optionally pinned to one member by a unimodular omega."""
-
-    tag: ExtremalFamily
-    parameter: Optional[complex] = None
-
-    def __post_init__(self):
-        if self.parameter is not None:
-            object.__setattr__(self, "parameter", require_unimodular(self.parameter))
-
-
 #: the shift part of a companion matrix of each degree n <= 6: ones below
 #: the diagonal of the leading n x n block, zeros elsewhere
 _SHIFTS = np.array([np.eye(6, k=-1) * (np.arange(6)[:, None] < n) for n in range(7)],
@@ -253,7 +235,10 @@ def _psi_family_bounds(w: TetraPoint, z: TetraPoint) -> Tuple[float, float]:
     degree leaves zero rows and columns, whose roots 0 give eta = 1) and one
     eigenvalue solve; m is taken at eta = 1 and at every root projected to
     the circle, so each value is attained.  The last pair's result is kept,
-    keyed on the six coordinates (array points are rejected before this).
+    keyed on the six coordinates (array points are rejected before this), so
+    a caller of ``p_e`` and then ``caratheodory_lower_bound`` on one pair, as
+    the benchmark's pair report is, pays one solve.  The memory goes once the
+    benchmark reads ``geodesics.pair_report`` (ROADMAP item 4).
     """
     (w1, w2, w3), (z1, z2, z3) = w, z
     (n0, row0), (n1, row1) = (_companion_row(w1, w2, w3, z1, z2, z3),
@@ -272,76 +257,45 @@ def _psi_family_bounds(w: TetraPoint, z: TetraPoint) -> Tuple[float, float]:
 TETRABLOCK_FAMILIES = (ExtremalFamily.PSI_OMEGA, ExtremalFamily.PSI_OMEGA_SIGMA,
                        ExtremalFamily.MAGIC_F)
 
-
-#: the row of ``_psi_family_bounds`` that holds each Psi family
-_PSI_ROWS = {ExtremalFamily.PSI_OMEGA: 0, ExtremalFamily.PSI_OMEGA_SIGMA: 1}
-
-
-def _family_bound(fid: ExtremalFamilyId, w: TetraPoint, z: TetraPoint) -> float:
-    """The bound of a pinned Psi member or of magic_f; the Psi maxima come
-    from ``_psi_family_bounds``."""
-    if fid.tag in _PSI_ROWS:
-        if fid.tag is ExtremalFamily.PSI_OMEGA_SIGMA:
-            w, z = sigma(w), sigma(z)
-        return mobius_m(psi_eta(fid.parameter, w), psi_eta(fid.parameter, z))
-    if fid.tag is ExtremalFamily.MAGIC_F:
-        # magic_f o sigma makes the bound sigma-invariant
-        return max(mobius_m(magic_f(w), magic_f(z)),
-                   mobius_m(magic_f(sigma(w)), magic_f(sigma(z))))
-    raise DomainError(f"family {fid.tag.value} does not apply to tetrablock points")
+#: the Psi families, in the order of ``_psi_family_bounds``
+PSI_FAMILIES = TETRABLOCK_FAMILIES[:2]
 
 
-def _resolve_family(entry) -> ExtremalFamilyId:
-    if isinstance(entry, ExtremalFamilyId):
-        return entry
-    if isinstance(entry, ExtremalFamily):
-        return ExtremalFamilyId(entry)
-    if isinstance(entry, str):
-        return ExtremalFamilyId(ExtremalFamily(entry))
-    raise DomainError(f"unrecognized family spec: {entry!r}")
-
-
-def _require_interior_pair(w, z) -> Tuple[TetraPoint, TetraPoint]:
-    w = TetraPoint.of(w)
-    z = TetraPoint.of(z)
+def family_bounds(w, z, families: Iterable[ExtremalFamily] = TETRABLOCK_FAMILIES
+                  ) -> Tuple[float, ...]:
+    """The m-scale Caratheodory lower bound of each family, in order, on a
+    pair of interior points: a Psi family's maximum over the unimodular
+    parameter (both from one solve), and for ``magic_f`` the larger of its
+    distance and that of ``magic_f o sigma``, which makes it sigma-invariant."""
+    families = tuple(families)
+    if not families or not all(map(TETRABLOCK_FAMILIES.__contains__, families)):
+        raise DomainError("families must be a nonempty list of tetrablock families, "
+                          f"got {[getattr(f, 'value', f) for f in families]}")
+    w, z = TetraPoint.of(w), TetraPoint.of(z)
     for name, point in (("w", w), ("z", z)):
         if not is_interior(point, DEFAULT_BOUNDARY_TOL):
             raise DomainError(f"{name} must be interior to the tetrablock")
-    return w, z
+    psi = _psi_family_bounds(w, z) if any(map(PSI_FAMILIES.__contains__, families)) else ()
+    magic = None
+    if ExtremalFamily.MAGIC_F in families:
+        # magic_f and magic_f o sigma: z2 and z1 over one root, as in magic_f
+        rw, rz = (_sqrt(1.0 + p.z3 - p.z1 * p.z2) for p in (w, z))
+        magic = float(max(mobius_m(w.z2 / rw, z.z2 / rz), mobius_m(w.z1 / rw, z.z1 / rz)))
+    return tuple(magic if f is ExtremalFamily.MAGIC_F else psi[PSI_FAMILIES.index(f)]
+                 for f in families)
 
 
 def p_e(w, z) -> HyperbolicDistance:
     """sup over unimodular omega of the Psi-family distances, with and
-    without the coordinate swap applied to both arguments.
-
-    A lower bound for the Caratheodory pseudodistance of the pair; dominated
-    by ``caratheodory_lower_bound`` whenever both Psi families are included
-    there.
-    """
-    w, z = _require_interior_pair(w, z)
-    return HyperbolicDistance.from_m(max(_psi_family_bounds(w, z)))
+    without the coordinate swap applied to both arguments: a lower bound for
+    the Caratheodory pseudodistance, dominated by ``caratheodory_lower_bound``
+    whenever both Psi families are included there."""
+    return HyperbolicDistance.from_m(max(family_bounds(w, z, PSI_FAMILIES)))
 
 
-def caratheodory_lower_bound(w, z, families: Iterable = TETRABLOCK_FAMILIES
+def caratheodory_lower_bound(w, z, families: Iterable[ExtremalFamily] = TETRABLOCK_FAMILIES
                              ) -> HyperbolicDistance:
-    """Best certified Caratheodory lower bound over the given families.
-
-    Each family contributes the Mobius distance of its values (maximized
-    over the unimodular parameter where one exists); the result is reported
-    as a lower bound, never as the pseudodistance itself.
-    """
-    family_ids = [_resolve_family(f) for f in families]
-    if not family_ids:
-        raise DomainError("families must be nonempty")
-    w, z = _require_interior_pair(w, z)
-    best, psi_rows = 0.0, None
-    for fid in family_ids:
-        if fid.tag in _PSI_ROWS and fid.parameter is None:
-            if psi_rows is None:
-                psi_rows = _psi_family_bounds(w, z)
-            value = psi_rows[_PSI_ROWS[fid.tag]]
-        else:
-            value = _family_bound(fid, w, z)
-        best = max(best, float(value))
-    return HyperbolicDistance.from_m(best)
-
+    """Best certified Caratheodory lower bound over the given families, the
+    largest of their ``family_bounds``; reported as a lower bound, never as
+    the pseudodistance itself."""
+    return HyperbolicDistance.from_m(max(0.0, *family_bounds(w, z, families)))

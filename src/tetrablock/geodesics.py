@@ -1,7 +1,8 @@
 """Analytic-disc constructions in the tetrablock and the symmetrized bidisc:
 the origin-geodesic family, general in-domain discs, boundary discs, product
 discs, disc transport, transported extremals, and the closed-form / search
-machinery for Lempert-function values.
+machinery for Lempert-function values, and the pair report that holds a
+pair's lower bounds against its upper bound.
 
 The origin-geodesic family through 0 is
 
@@ -23,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +32,8 @@ from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, e_value_raw,
                       g2_roots, is_interior, psi_eta, psi_sup,
                       stable_quadratic_roots)
 from .errors import DomainError, PoleError
-from .extremals import PsiOmegaMap, sigma
+from .extremals import (PSI_FAMILIES, TETRABLOCK_FAMILIES, ExtremalFamily,
+                        PsiOmegaMap, family_bounds, sigma)
 from .hyperbolic import (TOL_CLOSURE, BlaschkeMap, HyperbolicDistance, largest,
                          least, mobius_m, require_disc_point, require_interval,
                          require_unimodular)
@@ -987,3 +989,54 @@ def disc_search_upper_bound(w, z, family: str = "auto",
     if not candidates:
         return failure
     return min(candidates, key=lambda c: c.bound.m_scale)
+
+
+#: how far c_lower may exceed k_upper with the sandwich closed; the
+#: general-disc route undercuts c_lower by up to 2.9e-12 (ROADMAP item 1)
+SANDWICH_TOL = 1e-9
+#: how far c_lower must exceed p_e for the pair to separate the two
+SEPARATION_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class PairReport:
+    """A pair's sandwich p_e <= c_lower <= l_E <= k_upper: ``lower`` holds each
+    lower family's m-value, ``search`` the best search (None when none ran),
+    whose ``bound`` is k_upper; ``gap`` (k_upper - c_lower, m-scale) and
+    ``sandwich_ok`` are None without it; ``closed_form`` is an axis pair's l_E."""
+
+    p_e: HyperbolicDistance
+    c_lower: HyperbolicDistance
+    lower: Dict[ExtremalFamily, float]
+    search: Optional[DiscSearchResult]
+    closed_form: Optional[HyperbolicDistance]
+    gap: Optional[float]
+    separated: bool
+    sandwich_ok: Optional[bool]
+
+
+def pair_report(w, z, lower: Iterable[ExtremalFamily] = TETRABLOCK_FAMILIES,
+                upper: Iterable[str] = ("auto",), budget: int = 100000) -> PairReport:
+    """p_e and c_lower over ``lower`` from one Psi-family solve, and the best
+    ``disc_search_upper_bound`` over the ``upper`` families: a found bound
+    beats none, a smaller one a larger, and the first of equals wins.
+    ``upper=()`` runs no search."""
+    lower = tuple(lower)
+    if not lower:
+        raise DomainError("lower families must be nonempty")
+    w, z = TetraPoint.of(w), TetraPoint.of(z)
+    values = family_bounds(w, z, lower + PSI_FAMILIES)
+    p_val = HyperbolicDistance.from_m(max(values[len(lower):]))
+    c_val = HyperbolicDistance.from_m(max(0.0, *values[:len(lower)]))
+    searches = [disc_search_upper_bound(w, z, family=f, budget=budget) for f in upper]
+    search = min(searches, key=lambda s: (not s.found, s.bound.m_scale if s.found else 0.0),
+                 default=None)
+    k_upper = search.bound if search is not None else None  # None when not found
+    pair = axis_pair(w, z)
+    closed = lempert_special(pair[1], pair[0]) if pair is not None else None
+    gap = sandwich_ok = None
+    if k_upper is not None:
+        gap = k_upper.m_scale - c_val.m_scale
+        sandwich_ok = c_val.m_scale <= k_upper.m_scale + SANDWICH_TOL
+    return PairReport(p_val, c_val, dict(zip(lower, values)), search, closed, gap,
+                      c_val.m_scale > p_val.m_scale + SEPARATION_TOL, sandwich_ok)

@@ -18,13 +18,13 @@ import numpy as np
 from .domains import (DEFAULT_BOUNDARY_TOL, TetraPoint, e_value_raw, g2_roots,
                       psi_sup, rho_functional)
 from .errors import DomainError
-from .extremals import G2FMap, caratheodory_lower_bound, p_e
+from .extremals import G2FMap
 from .geodesics import (G2GeodesicParams, GeneralDiscParams,
                         OriginGeodesicParams, TransportClass, boundary_disc,
                         certified_left_inverse, disc_search_upper_bound,
                         g2_geodesic_disc, g2_violation_witness, general_disc,
-                        origin_geodesic_disc, sample_grid, transport_disc,
-                        transported_extremal_disc)
+                        origin_geodesic_disc, pair_report, sample_grid,
+                        transport_disc, transported_extremal_disc)
 from .hyperbolic import BlaschkeMap, largest, mobius_m
 from .necessary import (G2_ACTION, TETRABLOCK_ACTIONS, CheckVerdict,
                         fit_general_quadratics, fit_grid,
@@ -341,20 +341,18 @@ def suite_lempert(n_side: int = 10) -> SuiteResult:
 
 
 def suite_separation() -> SuiteResult:
-    """The Psi-family supremum is strictly below the full lower bound at the
-    reference pair, separating the two invariants."""
-    w = TetraPoint(0.0, 0.0, -0.5)
-    z = TetraPoint(0.0, 0.05, -0.5)
-    p_val = p_e(w, z).m_scale
-    c_val = caratheodory_lower_bound(w, z).m_scale
-    expected_p = 0.1 / 1.45
-    expected_c = 0.1 * math.sqrt(0.5)
+    """The Psi-family supremum is below the full lower bound at the reference
+    pair, by more than the report's separation tolerance, separating the two
+    invariants."""
+    report = pair_report(TetraPoint(0.0, 0.0, -0.5), TetraPoint(0.0, 0.05, -0.5), upper=())
+    p_val, c_val = report.p_e.m_scale, report.c_lower.m_scale
+    expected_p, expected_c = 0.1 / 1.45, 0.1 * math.sqrt(0.5)
     passed = (abs(p_val - expected_p) < 1e-6 and abs(c_val - expected_c) < 1e-6
-              and c_val > p_val)
+              and report.separated)
     return SuiteResult("separation", passed,
                        {"p_e_m": p_val, "c_lower_m": c_val,
                         "expected_p_e": expected_p, "expected_c_lower": expected_c,
-                        "separated": c_val > p_val})
+                        "separated": report.separated})
 
 
 def suite_necessary(seed: int = 0, n_params: int = 200) -> SuiteResult:

@@ -133,6 +133,8 @@ class TestDistance:
                                                           abs=1e-6)
         assert res["k_upper"]["m_scale"] == pytest.approx(0.1, abs=1e-9)
         assert res["closed_form"]["m_scale"] == pytest.approx(0.1, abs=1e-12)
+        assert res["gap"] == {"scale": "raw", "value": res["k_upper"]["m_scale"]
+                              - res["c_lower"]["m_scale"]}
         assert res["sandwich_ok"] is True
 
     def test_swapped_axis_pair_closed_form(self, capsys):
@@ -176,7 +178,7 @@ class TestDistance:
         assert code == EXIT_OK
         res = json.loads(out)["results"]
         assert res["k_upper"] is None
-        assert res["sandwich_ok"] is None
+        assert res["gap"] is None and res["sandwich_ok"] is None
         assert ", 0 evaluations, " in res["k_upper_reason"]
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
@@ -186,7 +188,7 @@ class TestDistance:
     def test_negative_budget_is_usage_error(self, capsys, monkeypatch, budget):
         def no_work(*args, **kwargs):
             raise AssertionError("distance ran before rejecting --budget")
-        monkeypatch.setattr("tetrablock.cli.p_e", no_work)
+        monkeypatch.setattr("tetrablock.cli.pair_report", no_work)
         code, out, err = run(capsys, "distance", "0.1,0.05,0.02", "0.12,0.07,0.03",
                              "--budget", budget)
         assert code == EXIT_USAGE

@@ -16,7 +16,7 @@ EXIT_CODES = {0, 1, 2, 64, 65, 70, 74}
 OUT = "<out>"
 
 NUMBERS = ["nan", "inf", "-inf", "-1", "0", "0.1", "0.25", "0.5", "0.9", "2",
-           "1e-3", "1e999", "1e155", "abc", "", "0.1+0.2i", "i"]
+           "1e-3", "1e999", "1e155", "1.7e308", "1e-320", "abc", "", "0.1+0.2i", "i"]
 INTEGERS = ["-3", "-1", "0", "1", "2", "3", "nan", "1.5", "x"]
 POINTS = ["0,0,0", "0.1,0.05,0.02", "0.12,0.07,0.03", "0,0,-0.5",
           "0,0.05,-0.5", "0.2,0,-0.3", "0.3,0.2,0.06", "1,0,0", "2,0,0",
@@ -97,6 +97,8 @@ def strip_none(argv):
 @example(["member", "tetrablock", "--tol", "nan", "0", "0.3", "0.5"])
 @example(["verify", "--suite", "separation", "--seed", "-1"])
 @example(["member", "tetrablock", "0", "0", "1e155"])
+@example(["member", "tetrablock", "0.5", "0", "1.7e308"])
+@example(["member", "tetrablock", "0.5", "1.7e308", "1.7e308"])
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_every_argv_ends_in_a_documented_exit_code(argv):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tetrablock import extremals
 from tetrablock.domains import TetraPoint, is_interior
 from tetrablock.errors import BranchError, DomainError, PoleError
-from tetrablock.extremals import (ExtremalFamily, ExtremalFamilyId, G2FMap,
+from tetrablock.extremals import (ExtremalFamily, G2FMap,
                                   MagicFMap, PsiOmegaMap,
                                   caratheodory_lower_bound,
                                   f_omega_automorphism, g2_f, magic_f, p_e,
@@ -259,7 +259,8 @@ class TestPsiKernel:
         assert abs(p_e(w, z).m_scale - max(plain, swapped)) <= 4.4e-15
         assert abs(caratheodory_lower_bound(w, z).m_scale
                    - max(plain, swapped, magic)) <= 4.4e-15
-        for family, expected in (("psi-omega", plain), ("psi-omega-sigma", swapped)):
+        for family, expected in ((ExtremalFamily.PSI_OMEGA, plain),
+                                 (ExtremalFamily.PSI_OMEGA_SIGMA, swapped)):
             value = caratheodory_lower_bound(w, z, [family]).m_scale
             assert abs(value - expected) <= 4.4e-15
 
@@ -282,7 +283,8 @@ class TestPsiKernel:
         w, z = TetraPoint(0.3, 0, -0.5), TetraPoint(0.3, 0.05, -0.5)
         plain, swapped = reference_psi_bound(w, z, False), reference_psi_bound(w, z, True)
         assert abs(plain - swapped) > 1e-3
-        for family, expected in (("psi-omega", plain), ("psi-omega-sigma", swapped)):
+        for family, expected in ((ExtremalFamily.PSI_OMEGA, plain),
+                                 (ExtremalFamily.PSI_OMEGA_SIGMA, swapped)):
             value = caratheodory_lower_bound(w, z, [family]).m_scale
             assert value == pytest.approx(expected, abs=4.4e-15)
 
@@ -359,14 +361,6 @@ class TestCaratheodoryLowerBound:
         z = TetraPoint(0, 0, 0)
         with pytest.raises(DomainError):
             caratheodory_lower_bound(z, z, families=[])
-
-    def test_pinned_member(self):
-        w = TetraPoint(0, 0.1, 0)
-        z = TetraPoint(0, -0.2, 0)
-        pinned = ExtremalFamilyId(ExtremalFamily.PSI_OMEGA, parameter=1.0)
-        value = caratheodory_lower_bound(w, z, [pinned]).m_scale
-        assert value == pytest.approx(mobius_m(psi_eta(1, w), psi_eta(1, z)),
-                                      abs=1e-15)
 
     def test_g2_family_rejected_for_tetra_points(self):
         z = TetraPoint(0, 0.1, 0)
