@@ -17,15 +17,14 @@ supremum over the closed disc in eta reduces to the circle by the maximum
 principle); ``psi_sup`` gives that supremum in closed form.
 
 The domain is (1, 1, 2)-balanced: with z in it, so is (l z1, l z2, l^2 z3)
-for |l| <= 1.  ``rho_functional`` is the gauge of that scaling, found by
-bisection on the same criterion written for the scaled point, to a relative
-width of a few ulps and at every floating-point scale.
+for |l| <= 1.  ``rho_functional`` is the gauge of that scaling, in closed
+form: the boundary case of the same criterion for the scaled point is a
+quadratic equation, solved at every floating-point scale to a few ulps.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
@@ -54,7 +53,10 @@ class Location(Enum):
     EXTERIOR = "exterior"
 
 
-@dataclass(frozen=True)
+# The points are frozen dataclasses whose hand-written ``__init__`` sets each
+# field once, already converted; ``==``, ``hash`` and ``dataclasses.replace``
+# are the generated ones.
+@dataclass(frozen=True, init=False)
 class TetraPoint:
     """A point of C^3 (or an array of sample points), classified against the
     tetrablock."""
@@ -63,10 +65,10 @@ class TetraPoint:
     z2: complex
     z3: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "z1", as_coordinate(self.z1))
-        object.__setattr__(self, "z2", as_coordinate(self.z2))
-        object.__setattr__(self, "z3", as_coordinate(self.z3))
+    def __init__(self, z1, z2, z3):
+        object.__setattr__(self, "z1", as_coordinate(z1))
+        object.__setattr__(self, "z2", as_coordinate(z2))
+        object.__setattr__(self, "z3", as_coordinate(z3))
 
     @staticmethod
     def of(value) -> "TetraPoint":
@@ -82,7 +84,7 @@ class TetraPoint:
         return iter(self.as_tuple())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class G2Point:
     """A point (s, p) of C^2 (or an array of sample points) classified
     against the symmetrized bidisc."""
@@ -90,9 +92,9 @@ class G2Point:
     s: complex
     p: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", as_coordinate(self.s))
-        object.__setattr__(self, "p", as_coordinate(self.p))
+    def __init__(self, s, p):
+        object.__setattr__(self, "s", as_coordinate(s))
+        object.__setattr__(self, "p", as_coordinate(p))
 
     @staticmethod
     def of(value) -> "G2Point":
@@ -136,12 +138,24 @@ def _modulus(x):
         return math.inf
 
 
+def _has_array(z1, z2, z3) -> bool:
+    return isinstance(z1, np.ndarray) or isinstance(z2, np.ndarray) or isinstance(z3, np.ndarray)
+
+
 def e_value_raw(z1, z2, z3):
     """Defining functional of the tetrablock; accepts scalars or arrays.
 
     A Python scalar point stays in Python arithmetic, which overflows to inf
-    without a warning (numpy scalars warn); the moduli are the same C
-    ``hypot`` values as numpy's."""
+    without a warning (numpy scalars warn); arrays overflow to inf under
+    ``np.errstate``, silently too.  Python's complex modulus can differ from
+    numpy's in the last bit, so a point and its block may too."""
+    if _has_array(z1, z2, z3):
+        with np.errstate(over="ignore"):
+            return _e_value(z1, z2, z3)
+    return _e_value(z1, z2, z3)
+
+
+def _e_value(z1, z2, z3):
     # a product, not ** 2: a Python float power raises OverflowError where
     # the product gives inf
     r3 = _modulus(z3)
@@ -151,9 +165,10 @@ def e_value_raw(z1, z2, z3):
 
 
 def tetra_e_value(z) -> float:
-    """|z1 - conj(z2) z3| + |z2 - conj(z1) z3| + |z3|^2, always >= 0."""
+    """|z1 - conj(z2) z3| + |z2 - conj(z1) z3| + |z3|^2, always >= 0, of a
+    scalar point (a block goes to ``e_value_raw``)."""
     z = TetraPoint.of(z)
-    return float(e_value_raw(z.z1, z.z2, z.z3))
+    return float(_e_value(z.z1, z.z2, z.z3))
 
 
 def _classify(value: float, tol: float) -> Location:
@@ -208,8 +223,8 @@ def psi_sup(z):
     (z2 - conj(z1) z3) / (1 - |z1|^2) and radius |z1 z2 - z3| / (1 - |z1|^2);
     the sum of both moduli is taken over (1 - |z1|)(1 + |z1|), accurate as
     |z1| -> 1.  The value is < 1 exactly when the defining functional is.
-    Array points give one supremum per sample, a scalar point a float, inf
-    without a warning when the value leaves the float range.
+    Array points give one supremum per sample, a scalar point a float; both
+    give inf without a warning when the value leaves the float range.
     """
     point = TetraPoint.of(z)
     # numpy scalars too, so a point and its block agree to the last digit
@@ -217,14 +232,19 @@ def psi_sup(z):
     r1 = np.abs(z1)
     if r1.size and np.max(r1) >= 1.0:
         raise DomainError(f"psi_sup requires |z1| < 1, got {np.max(r1)}")
-    # z2, z3 components below 1e290 keep it below 6.5e306, as 1 - |z1|^2 >= 2^-53
+    # z2, z3 components below 1e290 keep a scalar point below 6.5e306, as
+    # 1 - |z1|^2 >= 2^-53: only there can the value skip the errstate
     if not r1.ndim and max(abs(point.z2.real), abs(point.z2.imag), abs(point.z3.real),
-                           abs(point.z3.imag)) >= 1e290:
-        with np.errstate(over="ignore"):
-            return float(psi_sup(TetraPoint(z1[None], z2[None], z3[None]))[0])
-    val = ((np.abs(z2 - np.conjugate(z1) * z3) + np.abs(z1 * z2 - z3))
-           / ((1.0 - r1) * (1.0 + r1)))
+                           abs(point.z3.imag)) < 1e290:
+        return float(_psi_value(z1, z2, z3, r1))
+    with np.errstate(over="ignore"):
+        val = _psi_value(z1, z2, z3, r1)
     return val if val.ndim else float(val)
+
+
+def _psi_value(z1, z2, z3, r1):
+    return ((np.abs(z2 - np.conjugate(z1) * z3) + np.abs(z1 * z2 - z3))
+            / ((1.0 - r1) * (1.0 + r1)))
 
 
 def stable_quadratic_roots(s, p):
@@ -270,53 +290,86 @@ def g2_membership(w, tol: float = DEFAULT_BOUNDARY_TOL) -> G2MembershipReport:
     return G2MembershipReport(_classify(worst, tol), worst, roots, tol)
 
 
-def rho_functional(z, tol: float = 4 * sys.float_info.epsilon) -> float:
+def rho_functional(z):
     """Quasi-homogeneous gauge of the tetrablock.
 
     rho(z) is the infimum of t > 0 such that (z1/t, z2/t, z3/t^2) lies in
     the closed domain; rho(0) = 0.  It scales as
     rho(l z1, l z2, l^2 z3) = |l| rho(z) and satisfies rho(z) < 1 iff z is
-    interior.  The domain is (1, 1, 2)-balanced, so membership is monotone
-    in t, and rho lies in [m, 3m] with m = max(|z1|, |z2|, sqrt|z3|): below m
-    a coordinate leaves the closed disc, and at 3m the defining functional is
-    at most 2/3 + 2/27 + 1/81.  Bisection on the criterion of Abouhajar,
-    White and Young,
+    interior.  At t = rho the criterion of Abouhajar, White and Young
+    (``psi_sup`` < 1 at the scaled point, times t^3) holds with equality:
 
-        |z2 D + conj(z1) q| + |q| t < D t,   D = t^2 - |z1|^2,  q = z1 z2 - z3,
+        |z2 D + conj(z1) q| = t (D - c),  D = t^2 - |z1|^2,  q = z1 z2 - z3,  c = |q|.
 
-    (``psi_sup`` < 1 at the scaled point, times t^3) narrows that bracket
-    to a relative width ``tol``.  Written with D and q, the left side keeps
-    its relative accuracy where the criterion changes sign, also on the
-    product points (a, b, ab), where q = 0.  The point is first scaled by a
-    power of two, exactly by quasi-homogeneity, so nothing underflows or
-    overflows.  Python scalars only; non-finite coordinates and a gauge
-    beyond the float range raise ``DomainError``.
+    Squared, this is a cubic in D whose constant term cancels; with
+    D = c + u, what is left is the quadratic
+    u^2 + (|z1|^2 - |z2|^2) u - c |z1 + conj(z2) q / c|^2 = 0, whose root
+    u >= 0 gives
+
+        rho^2 = c + (|z1|^2 + |z2|^2
+                     + sqrt((|z2|^2 - |z1|^2)^2 + 4 c |z1 + conj(z2) q / c|^2)) / 2,
+
+    a sum of non-negative terms (the last one is 0 where c = 0), accurate to
+    a few ulps, also on the product points (a, b, ab).  Near a double root
+    (z3 = z1 z2, |z1| = |z2|) the gauge is as sensitive as a square root to
+    the rounding of q, as any evaluation from the float point is.  The point is first
+    scaled by a power of two, exactly by quasi-homogeneity, so nothing
+    underflows or overflows.  A scalar point stays in Python arithmetic and
+    gives a float; an array point gives one gauge per sample, through the
+    same formula.  Non-finite coordinates and a gauge beyond the float range
+    raise ``DomainError``.
     """
-    _require_tol(tol)
-    parts = [x for c in TetraPoint.of(z) for x in (c.real, c.imag)]
-    if not all(math.isfinite(x) for x in parts):
+    z1, z2, z3 = TetraPoint.of(z).as_tuple()
+    if _has_array(z1, z2, z3):
+        return _rho_block(*np.broadcast_arrays(z1, z2, z3))
+    parts = (z1.real, z1.imag, z2.real, z2.imag, z3.real, z3.imag)
+    if not all(map(math.isfinite, parts)):
         raise DomainError("rho_functional needs finite coordinates")
-    size = max(max(abs(x) for x in parts[:4]), math.sqrt(max(abs(x) for x in parts[4:])))
+    size = max(*map(abs, parts[:4]), math.sqrt(max(abs(parts[4]), abs(parts[5]))))
     if size == 0.0:
         return 0.0
     # z1/s, z2/s, z3/s^2 with s = 2^e, exactly
     e = math.frexp(size)[1]
-    z1, z2, z3 = (complex(math.ldexp(parts[k], -n * e), math.ldexp(parts[k + 1], -n * e))
-                  for k, n in ((0, 1), (2, 1), (4, 2)))
-    r1, q = abs(z1), z1 * z2 - z3
-    shift, c = z1.conjugate() * q, abs(q)
-    lo = max(r1, abs(z2), math.sqrt(abs(z3)))
-    hi = 3.0 * lo
-    while hi - lo > tol * hi:
-        t = 0.5 * (lo + hi)
-        if t <= lo or t >= hi:
-            break
-        d = (t - r1) * (t + r1)
-        if abs(z2 * d + shift) + c * t < d * t:
-            hi = t
-        else:
-            lo = t
+    x1, y1, x2, y2 = (math.ldexp(x, -e) for x in parts[:4])
+    z1, z2 = complex(x1, y1), complex(x2, y2)
+    z3 = complex(math.ldexp(parts[4], -2 * e), math.ldexp(parts[5], -2 * e))
     try:
-        return math.ldexp(0.5 * (lo + hi), e)
+        return math.ldexp(_scaled_gauge(z1, z2, z1 * z2 - z3, math.sqrt), e)
     except OverflowError:
         raise DomainError("rho_functional exceeds the float range") from None
+
+
+def _rho_block(z1, z2, z3):
+    """``rho_functional`` of an array point, scaled sample by sample."""
+    parts = (z1.real, z1.imag, z2.real, z2.imag, z3.real, z3.imag)
+    if not all(np.isfinite(x).all() for x in parts):
+        raise DomainError("rho_functional needs finite coordinates")
+    size = np.maximum.reduce([np.abs(x) for x in parts[:4]]
+                             + [np.sqrt(np.maximum(np.abs(z3.real), np.abs(z3.imag)))])
+    # frexp(0) = (0, 0): a zero sample stays 0
+    e = np.frexp(size)[1]
+    x1, y1, x2, y2, x3, y3 = (np.ldexp(x, -n * e) for x, n in zip(parts, (1, 1, 1, 1, 2, 2)))
+    # q component by component, as Python multiplies complex numbers (numpy's
+    # complex product may fuse a multiply and an add): near a double root q
+    # cancels, the gauge is as sensitive as a square root to its rounding, and
+    # a block must round it as its points do
+    q = (x1 * x2 - y1 * y2 - x3) + 1j * (x1 * y2 + y1 * x2 - y3)
+    with np.errstate(over="ignore"):
+        rho = np.ldexp(_scaled_gauge(x1 + 1j * y1, x2 + 1j * y2, q, np.sqrt), e)
+    if np.isinf(rho).any():
+        raise DomainError("rho_functional exceeds the float range")
+    return rho
+
+
+def _scaled_gauge(z1, z2, q, sqrt):
+    """The closed form of ``rho_functional`` for a point scaled to components
+    below 1 (those of z3 below 1 in square root), given z1, z2 and
+    q = z1 z2 - z3 as Python complex numbers or complex arrays, with the
+    matching ``sqrt``."""
+    c = abs(q)
+    # q = 0 where c = 0, and the term vanishes there: divide by 1 instead
+    w = abs(z1 + z2.conjugate() * q / (c + (c == 0.0)))
+    r1, r2 = abs(z1), abs(z2)
+    s1, s2 = r1 * r1, r2 * r2
+    d = s2 - s1
+    return sqrt(c + 0.5 * (s1 + s2 + sqrt(d * d + 4.0 * c * w * w)))

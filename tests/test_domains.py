@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tetrablock.domains import (G2Point, Location, TetraPoint, g2_membership,
-                                psi_sup, rho_functional,
+from tetrablock.domains import (G2Point, Location, TetraPoint, e_value_raw,
+                                g2_membership, psi_sup, rho_functional,
                                 stable_quadratic_roots, tetra_e_value,
                                 tetra_membership)
 from tetrablock.errors import DomainError
@@ -17,6 +19,8 @@ from tetrablock.verify import random_interior_points
 
 disc_points = st.complex_numbers(max_magnitude=0.9, allow_nan=False,
                                  allow_infinity=False)
+
+EPS = sys.float_info.epsilon
 
 
 class TestEValue:
@@ -274,3 +278,167 @@ class TestRho:
     def test_non_finite_points_rejected(self, z):
         with pytest.raises(DomainError):
             rho_functional(z)
+
+
+def bisection_gauge(z, tol: float = 0.0) -> float:
+    """The gauge by bisection, as ``rho_functional`` computed it before its
+    closed form: the point is scaled by a power of two, the criterion of
+    Abouhajar, White and Young for the scaled point,
+    |z2 D + conj(z1) q| + |q| t < D t with D = t^2 - |z1|^2, q = z1 z2 - z3,
+    narrows the bracket [m, 3m] to a relative width ``tol``, and the midpoint
+    is returned.  At ``tol`` = 0 it runs to adjacent floats."""
+    parts = [x for c in TetraPoint.of(z) for x in (c.real, c.imag)]
+    size = max(max(abs(x) for x in parts[:4]), math.sqrt(max(abs(x) for x in parts[4:])))
+    if size == 0.0:
+        return 0.0
+    e = math.frexp(size)[1]
+    z1, z2, z3 = (complex(math.ldexp(parts[k], -n * e), math.ldexp(parts[k + 1], -n * e))
+                  for k, n in ((0, 1), (2, 1), (4, 2)))
+    r1, q = abs(z1), z1 * z2 - z3
+    shift, c = z1.conjugate() * q, abs(q)
+    lo = max(r1, abs(z2), math.sqrt(abs(z3)))
+    hi = 3.0 * lo
+    while hi - lo > tol * hi:
+        t = 0.5 * (lo + hi)
+        if t <= lo or t >= hi:
+            break
+        d = (t - r1) * (t + r1)
+        if abs(z2 * d + shift) + c * t < d * t:
+            hi = t
+        else:
+            lo = t
+    return math.ldexp(0.5 * (lo + hi), e)
+
+
+def eps_apart(a: float, b: float) -> float:
+    """|a - b| in units of eps |b| (0 when both vanish)."""
+    return abs(a - b) / (EPS * abs(b)) if b else abs(a) / EPS
+
+
+# components 0 or of size at least 1e-150: a rotated or scaled component near
+# the subnormal range keeps only a few bits
+gauge_parts = st.floats(-0.9, 0.9).filter(lambda x: x == 0.0 or abs(x) >= 1e-150)
+gauge_points = st.builds(TetraPoint, *(st.builds(complex, gauge_parts, gauge_parts)
+                                       for _ in range(3)))
+
+
+class TestGaugeProperties:
+    """The closed-form gauge against the bisection and the theory's
+    invariants, each to 4 eps relative."""
+
+    @given(gauge_points, st.integers(-150, 150))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_closed_form_matches_bisection(self, z, k):
+        s = 10.0 ** k
+        z = TetraPoint(s * z.z1, s * z.z2, s * s * z.z3)
+        assert eps_apart(rho_functional(z), bisection_gauge(z)) <= 4.0
+
+    @given(gauge_points, st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_automorphism_invariance(self, z, theta):
+        rho = rho_functional(z)
+        assert eps_apart(rho_functional(sigma(z)), rho) <= 4.0
+        rotated = f_omega_automorphism(cmath.exp(1j * theta), z)
+        assert eps_apart(rho_functional(rotated), rho) <= 4.0
+
+    @given(gauge_points, st.floats(0.05, 1.0), st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_quasi_homogeneity_for_complex_lambda(self, z, r, theta):
+        lam = cmath.rect(r, theta)
+        scaled = TetraPoint(lam * z.z1, lam * z.z2, lam * lam * z.z3)
+        assert eps_apart(rho_functional(scaled), abs(lam) * rho_functional(z)) <= 4.0
+
+    @given(st.lists(gauge_points, min_size=1, max_size=20), st.integers(-150, 150))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_block_matches_points(self, points, k):
+        s = 10.0 ** k
+        points = [TetraPoint(s * z.z1, s * z.z2, s * s * z.z3) for z in points]
+        block = rho_functional(TetraPoint(*(np.array(c) for c in zip(*points))))
+        assert block.shape == (len(points),)
+        for value, z in zip(block, points):
+            assert eps_apart(float(value), rho_functional(z)) <= 4.0
+
+    @given(st.lists(st.tuples(disc_points, disc_points, disc_points), min_size=1,
+                    max_size=20), st.floats(0.5, 1.5))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_below_one_iff_interior(self, coords, stretch):
+        points = [TetraPoint(stretch * a, stretch * b, stretch * stretch * c)
+                  for a, b, c in coords]
+        block = rho_functional(TetraPoint(*(np.array(c) for c in zip(*points))))
+        for value, z in zip(block, points):
+            e = tetra_e_value(z)
+            if abs(e - 1.0) < 1e-9:
+                continue
+            assert (rho_functional(z) < 1.0) == (e < 1.0) == (value < 1.0)
+
+    def test_array_point_shapes(self):
+        z1 = np.array([[0.1, 0.2], [0.3, 0.4]])
+        block = rho_functional(TetraPoint(z1, 0.5, 0))
+        assert block.shape == (2, 2)
+        assert block[1, 0] == pytest.approx(rho_functional((0.3, 0.5, 0)), rel=4 * EPS)
+        empty = rho_functional(TetraPoint(np.array([]), np.array([]), np.array([])))
+        assert empty.shape == (0,)
+
+    def test_array_point_scales_sample_by_sample(self):
+        block = rho_functional(TetraPoint(np.array([1e300, 0.0, 1e-300, 0.0]), 0,
+                                          np.array([1e308j, 0.0, 1e-310, 1e-300])))
+        assert block[1] == 0.0
+        for value, expected in zip(block[[0, 2, 3]], (1e300, 1e-155, 1e-150)):
+            assert value == pytest.approx(expected, rel=4 * EPS)
+
+    @pytest.mark.parametrize("z", [(np.array([0.5, math.inf]), 0, 0),
+                                   (0, np.array([math.nan]), 0),
+                                   (0, 0, np.array([0.1, complex(0, -math.inf)]))])
+    def test_non_finite_array_points_rejected(self, z):
+        with pytest.raises(DomainError):
+            rho_functional(TetraPoint(*z))
+
+    def test_array_gauge_beyond_the_float_range_raises(self):
+        with pytest.raises(DomainError):
+            rho_functional(TetraPoint(np.array([0.5, 1.7e308 + 1.7e308j]),
+                                      np.array([0.0, 1.7e308]), 0))
+
+
+class TestArraysBeyondTheFloatRange:
+    """Blocks whose values leave the float range give inf silently, as their
+    scalar points do."""
+
+    def test_psi_sup_block(self):
+        z = TetraPoint(np.array([0.5, 0.5]), np.array([0j, 1.7e308]), np.array([1.7e308, 1.7e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(psi_sup(z)) == [math.inf, math.inf]
+            assert psi_sup(TetraPoint(0.5, 0, 1.7e308)) == math.inf
+
+    def test_e_value_block(self):
+        big = np.array([1e308, 1.7e308j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(e_value_raw(big, big, big)) == [math.inf, math.inf]
+            assert list(e_value_raw(np.zeros(2), 0j, big)) == [math.inf, math.inf]
+
+
+class TestPointRecords:
+    """The hand-written constructors keep the generated dataclass behaviour."""
+
+    def test_equality_converts_coordinates(self):
+        assert TetraPoint(0, 0.5, -1) == TetraPoint(0j, 0.5 + 0j, -1.0)
+        assert TetraPoint(0, 0.5, -1) != TetraPoint(0, 0.5, 1)
+        assert G2Point(1, 0.25) == G2Point(1 + 0j, 0.25)
+        assert type(TetraPoint(0.1, 0.2, 0.3).z1) is complex
+
+    def test_hash_follows_equality(self):
+        assert hash(TetraPoint(0, 0.5, -1)) == hash(TetraPoint(0j, 0.5 + 0j, -1.0))
+        assert len({TetraPoint(0, 0.5, -1), TetraPoint(0.0, 0.5, -1.0),
+                    TetraPoint(0, 0.5, 1)}) == 2
+        assert hash(G2Point(1, 0.25)) == hash(G2Point(1.0, 0.25 + 0j))
+
+    def test_replace_converts_the_new_field(self):
+        z = dataclasses.replace(TetraPoint(0.1, 0.2, 0.3), z2=1)
+        assert z == TetraPoint(0.1, 1, 0.3) and type(z.z2) is complex
+        w = dataclasses.replace(G2Point(0.5, 0.1), p=np.array([0.1, 0.2]))
+        assert w.s == 0.5 and w.p.dtype == complex
+
+    def test_points_stay_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TetraPoint(0, 0, 0).z1 = 1
