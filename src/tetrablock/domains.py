@@ -25,6 +25,7 @@ quadratic equation, solved at every floating-point scale to a few ulps.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
@@ -32,6 +33,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DomainError, PoleError
+from .hyperbolic import modulus
 
 #: default width of the boundary band in membership classification
 DEFAULT_BOUNDARY_TOL = 1e-10
@@ -129,15 +131,6 @@ class G2MembershipReport:
     tolerance_used: float
 
 
-def _modulus(x):
-    """|x| of a scalar or an array; inf where Python's ``abs`` of a finite
-    complex beyond the float range raises OverflowError."""
-    try:
-        return abs(x)
-    except OverflowError:
-        return math.inf
-
-
 def _has_array(z1, z2, z3) -> bool:
     return isinstance(z1, np.ndarray) or isinstance(z2, np.ndarray) or isinstance(z3, np.ndarray)
 
@@ -158,9 +151,9 @@ def e_value_raw(z1, z2, z3):
 def _e_value(z1, z2, z3):
     # a product, not ** 2: a Python float power raises OverflowError where
     # the product gives inf
-    r3 = _modulus(z3)
-    return (_modulus(z1 - z2.conjugate() * z3)
-            + _modulus(z2 - z1.conjugate() * z3)
+    r3 = modulus(z3)
+    return (modulus(z1 - z2.conjugate() * z3)
+            + modulus(z2 - z1.conjugate() * z3)
             + r3 * r3)
 
 
@@ -361,14 +354,20 @@ def _rho_block(z1, z2, z3):
     return rho
 
 
+_SMALLEST_NORMAL = sys.float_info.min
+
+
 def _scaled_gauge(z1, z2, q, sqrt):
     """The closed form of ``rho_functional`` for a point scaled to components
     below 1 (those of z3 below 1 in square root), given z1, z2 and
     q = z1 z2 - z3 as Python complex numbers or complex arrays, with the
     matching ``sqrt``."""
     c = abs(q)
-    # q = 0 where c = 0, and the term vanishes there: divide by 1 instead
-    w = abs(z1 + z2.conjugate() * q / (c + (c == 0.0)))
+    # Below the smallest normal float, divide by 1 instead of c: q = 0 where
+    # c = 0; a subnormal c leaves 4 c w^2 far below the rounding of the other
+    # terms (some component is at least 1/2 after the scaling), and numpy's
+    # complex quotient would overflow there, as it multiplies by 1 / c
+    w = abs(z1 + z2.conjugate() * q / (c + (c < _SMALLEST_NORMAL)))
     r1, r2 = abs(z1), abs(z2)
     s1, s2 = r1 * r1, r2 * r2
     d = s2 - s1

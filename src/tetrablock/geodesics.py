@@ -20,6 +20,7 @@ the Caratheodory pseudodistance against the origin.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -46,9 +47,19 @@ DEFAULT_N_ANGLES = 16
 def sample_grid(radii: Sequence[float] = DEFAULT_RADII,
                 n_angles: int = DEFAULT_N_ANGLES) -> np.ndarray:
     """Roots of unity scaled by the given radii, radius by radius, as one
-    complex array in a deterministic order."""
+    complex array in a deterministic order.
+
+    The array is computed once per (radii, n_angles) and shared by every
+    caller, so it is read-only: copy it to change it."""
+    return _cached_grid(tuple(map(float, radii)), n_angles)
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_grid(radii: Tuple[float, ...], n_angles: int) -> np.ndarray:
     roots = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
-    return (np.asarray(radii, dtype=float)[:, None] * roots).ravel()
+    grid = (np.asarray(radii, dtype=float)[:, None] * roots).ravel()
+    grid.flags.writeable = False
+    return grid
 
 
 def _nonempty_grid(radii: Sequence[float], n_angles: int) -> np.ndarray:
@@ -155,10 +166,17 @@ def disc_coords(C: float, omega1: complex, omega2: complex, phival, psival):
     at values phi = phi(lam), psi = psi(lam); broadcasts over arrays.  Origin
     geodesics take psi = lam, boundary discs psi = 1, and general discs a
     second self-map psi.
+
+    The factors w1/(1 + C), w2/(1 + C) and w1 w2 are formed once per disc,
+    so a sample costs products and sums and no division.  The per-sample
+    temporary is the left factor of each product, as in
+    ``BlaschkeMap.__call__``, so no value depends on the size of the stack.
     """
-    f1 = omega1 * (phival + C) / (1.0 + C)
-    f2 = omega2 * psival * (1.0 + C * phival) / (1.0 + C)
-    f3 = omega1 * omega2 * phival * psival
+    a1 = omega1 / (1.0 + C)
+    a2 = omega2 / (1.0 + C)
+    f1 = a1 * phival + a1 * C
+    f2 = (1.0 + C * phival) * (a2 * psival)
+    f3 = (phival * psival) * (omega1 * omega2)
     return f1, f2, f3
 
 
@@ -322,6 +340,11 @@ def _divided_by_lam(lam, value: TetraPoint, at_zero: TetraPoint) -> TetraPoint:
 #: the band around 1 of the defining functional of a boundary disc
 _TRANSPORT_BOUNDARY_TOL = 1e-8
 
+#: the circle of radius 1e-5 whose 64 points give a transported disc its
+#: value at 0
+_ZERO_FILL_NODES = 1e-5 * np.exp(2j * math.pi * np.arange(64) / 64)
+_ZERO_FILL_NODES.flags.writeable = False
+
 
 class TransportedDisc:
     """The transported disc (f1(lam)/lam, f2(lam), f3(lam)/lam).
@@ -342,12 +365,11 @@ class TransportedDisc:
         origin = TetraPoint.of(f(0.0))
         if largest(abs(origin.z1)) > 1e-12 or largest(abs(origin.z3)) > 1e-12:
             raise DomainError("transport needs f1(0) = f3(0) = 0")
-        nodes = 1e-5 * np.exp(2j * math.pi * np.arange(64) / 64)
-        value = TetraPoint.of(f(nodes))
+        value = TetraPoint.of(f(_ZERO_FILL_NODES))
         stacked = value.z1.ndim > 1
-        self._at_zero = TetraPoint(np.mean(value.z1 / nodes, axis=-1, keepdims=stacked),
-                                   origin.z2,
-                                   np.mean(value.z3 / nodes, axis=-1, keepdims=stacked))
+        self._at_zero = TetraPoint(
+            np.mean(value.z1 / _ZERO_FILL_NODES, axis=-1, keepdims=stacked), origin.z2,
+            np.mean(value.z3 / _ZERO_FILL_NODES, axis=-1, keepdims=stacked))
 
     @property
     def value_at_zero(self) -> TetraPoint:
@@ -358,11 +380,17 @@ class TransportedDisc:
 
     def classify(self, *, n_angles: int = DEFAULT_N_ANGLES):
         """The TransportClass of the disc from the defining functional on the
-        grid and at 0; for a stack, an array with the class of each disc."""
-        values = np.concatenate([e_value_raw(*self(sample_grid(DEFAULT_RADII, n_angles))),
-                                 np.atleast_1d(e_value_raw(*self._at_zero))], axis=-1)
-        verdict = np.select([np.max(np.abs(values - 1.0), axis=-1) <= _TRANSPORT_BOUNDARY_TOL,
-                             np.max(values, axis=-1) < 1.0 - _TRANSPORT_BOUNDARY_TOL],
+        grid and at 0; for a stack, an array with the class of each disc.
+
+        The largest and smallest value decide: within the band, v - 1 is
+        exact (Sterbenz), so the band test on them is |v - 1| <= tol for
+        every v, and a NaN anywhere gives MIXED."""
+        on_grid = e_value_raw(*self(sample_grid(DEFAULT_RADII, n_angles)))
+        at_zero = np.reshape(e_value_raw(*self._at_zero), on_grid.shape[:-1])
+        high = np.maximum(np.max(on_grid, axis=-1, initial=-math.inf), at_zero)
+        low = np.minimum(np.min(on_grid, axis=-1, initial=math.inf), at_zero)
+        tol = _TRANSPORT_BOUNDARY_TOL
+        verdict = np.select([(high - 1.0 <= tol) & (1.0 - low <= tol), high < 1.0 - tol],
                             [TransportClass.BOUNDARY, TransportClass.INTERIOR],
                             TransportClass.MIXED)
         return verdict if verdict.ndim else verdict.item()

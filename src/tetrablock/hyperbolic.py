@@ -64,6 +64,15 @@ def _is_stack(value) -> bool:
     return type(value) not in _NUMBERS and isinstance(value, np.ndarray) and value.ndim > 0
 
 
+def modulus(x):
+    """|x| of a scalar or an array; inf where Python's ``abs`` of a finite
+    complex beyond the float range raises OverflowError."""
+    try:
+        return abs(x)
+    except OverflowError:
+        return math.inf
+
+
 def _with_modulus(value):
     """``value`` as ``complex`` (or a complex array) and its modulus (the
     largest one of an array)."""
@@ -71,7 +80,7 @@ def _with_modulus(value):
         value = value.astype(complex, copy=False)
         return value, largest(np.abs(value))
     value = complex(value)
-    return value, abs(value)
+    return value, modulus(value)
 
 
 def require_interval(value, lo: float, hi: float, *, name: str = "value"):
@@ -118,7 +127,7 @@ def require_unimodular(value, *, name: str = "omega"):
         off = largest(np.abs(r - 1.0))
     else:
         value = complex(value)
-        r = abs(value)
+        r = modulus(value)
         off = abs(r - 1.0)
     if off > UNIMODULAR_TOL:
         raise DomainError(f"{name} must be unimodular, got |{name}| off 1 by {off}")
@@ -243,13 +252,22 @@ class BlaschkeMap:
 
     def __call__(self, lam):
         """Evaluate; accepts a complex scalar or a numpy array of them, and
-        gives a Python ``complex`` for a scalar map at a scalar point."""
+        gives a Python ``complex`` for a scalar map at a scalar point.  The
+        numerators and the denominators of the factors are multiplied
+        separately, so a map costs one division per point."""
         if self.constant_offset is not None:
             out = self.constant_offset
         else:
-            out = self.scale * self.unimodular_factor
+            # numpy evaluates x * t as t *= x when t is a temporary of 256 KiB
+            # or more, and its complex product is not bitwise commutative (one
+            # cross term of the imaginary part is fused): with the temporary
+            # on the left the factor order, and so every bit, is the same at
+            # every array size
+            numerator, denominator = self.scale * self.unimodular_factor, 1.0
             for a in self.zeros:
-                out = out * (lam - a) / (1.0 - a.conjugate() * lam)
+                numerator = (lam - a) * numerator
+                denominator = (1.0 - a.conjugate() * lam) * denominator
+            out = numerator / denominator
         if type(out) is complex and type(lam) is not np.ndarray:
             return out  # a scalar map at a scalar point, without a numpy call
         return _spread(out, lam)

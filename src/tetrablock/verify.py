@@ -71,14 +71,33 @@ def random_unimodular(rng: np.random.Generator, size=None):
 
 
 def random_disc_point(rng: np.random.Generator, radius: float = 0.9) -> complex:
-    return radius * math.sqrt(rng.uniform()) * random_unimodular(rng)
+    """A uniform point of the disc of the given radius: a draw of one from
+    ``random_disc_points``."""
+    return complex(random_disc_points(rng, 1, radius)[0])
 
 
 def random_disc_points(rng: np.random.Generator, n, radius: float = 0.9) -> np.ndarray:
     """Uniform points of the disc of the given radius, an array of shape
-    ``n`` (an int or a tuple)."""
-    return (radius * np.sqrt(rng.uniform(size=n))
-            * np.exp(2j * math.pi * rng.uniform(size=n)))
+    ``n`` (an int or a tuple).
+
+    Points x + iy with (x, y) uniform on [-1, 1)^2 are kept where their
+    modulus, as ``require_disc_point`` takes it, is below 1, in draw order,
+    and the batches are topped up until n are kept; then they are scaled by
+    the radius.  No trigonometric call is made, and how many uniforms a
+    draw consumes depends on the stream, not only on n."""
+    shape = (n,) if isinstance(n, (int, np.integer)) else tuple(n)
+    if min(shape, default=0) < 0:
+        raise ValueError(f"negative dimensions are not allowed, got {shape}")
+    size = math.prod(shape)
+    points = np.empty(0, dtype=complex)
+    while points.size < size:
+        # 4/3 candidates per missing point against an acceptance of pi/4,
+        # so a top-up is rare
+        pairs = rng.uniform(-1.0, 1.0, size=((4 * (size - points.size)) // 3 + 16, 2))
+        candidates = pairs.view(complex).ravel()
+        inside = candidates[np.abs(candidates) < 1.0]
+        points = np.concatenate([points, inside]) if points.size else inside
+    return radius * points[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -447,12 +466,8 @@ def suite_membership(seed: int = 0, n_points: int = 10000) -> SuiteResult:
 def suite_rho(seed: int = 0, n_pairs: int = 100) -> SuiteResult:
     """Quasi-homogeneity of the gauge under the weighted scaling."""
     rng = np.random.default_rng(seed)
-    coords, lams = [], []
-    for _ in range(n_pairs):
-        coords.append([0.7 * random_disc_point(rng) for _ in range(3)])
-        lams.append(rng.uniform(0.05, 1.0))
-    z1, z2, z3 = np.array(coords, dtype=complex).reshape(n_pairs, 3).T
-    lam = np.array(lams)
+    z1, z2, z3 = 0.7 * random_disc_points(rng, (3, n_pairs))
+    lam = rng.uniform(0.05, 1.0, n_pairs)
     points = rho_functional(TetraPoint(z1, z2, z3))
     scaled = rho_functional(TetraPoint(lam * z1, lam * z2, lam * lam * z3))
     worst = float(np.max(np.abs(scaled - lam * points), initial=0.0))

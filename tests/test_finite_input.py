@@ -1,0 +1,139 @@
+"""Kernels on finite input: a value that is finite or inf, or DomainError.
+
+Every kernel below is given finite numbers of any size (subnormal up to
+1.7e308) in its record fields and points.  It must return values without
+NaN, or raise ``DomainError``, and it must not warn: a warning is an error
+here, as under ``python -W error``.  The disc evaluators and Blaschke maps
+are defined on the open unit disc; their validated entry points
+(``eval_*``) take any finite lam, and the maps they return take arrays of
+points of the open disc.
+"""
+
+import cmath
+import warnings
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tetrablock.domains import TetraPoint, e_value_raw, psi_sup, rho_functional
+from tetrablock.errors import DomainError
+from tetrablock.geodesics import (GeneralDiscParams, OriginGeodesicParams,
+                                  boundary_disc, eval_boundary_disc,
+                                  eval_general_disc, eval_origin_geodesic,
+                                  general_disc, origin_geodesic_disc)
+from tetrablock.hyperbolic import BlaschkeMap
+from tetrablock.verify import PHI_KINDS, random_phi_pinned
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False)
+open_disc = st.complex_numbers(max_magnitude=1.0, allow_nan=False).filter(lambda z: abs(z) < 1.0)
+unimodular = st.floats(-10.0, 10.0).map(lambda t: cmath.exp(1j * t))
+# mostly in range, sometimes any finite number
+coefficient = st.one_of(st.floats(0.0, 1.0), finite)
+point_of_disc = st.one_of(open_disc, finite_complex)
+unit_factor = st.one_of(unimodular, finite_complex)
+checked = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def has_nan(value) -> bool:
+    parts = value if isinstance(value, TetraPoint) else (value,)
+    return any(np.isnan(np.asarray(part, dtype=complex)).any() for part in parts)
+
+
+def attempt(fn, *args):
+    """fn(*args), or None when it raises DomainError; a warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fn(*args)
+        except DomainError:
+            return None
+
+
+def outcome(fn, *args):
+    """``attempt`` for a kernel whose values must hold no NaN."""
+    value = attempt(fn, *args)
+    assert value is None or not has_nan(value), (fn, args, value)
+    return value
+
+
+def column(values):
+    return np.array(values)[:, None]
+
+
+@st.composite
+def blaschke_maps(draw, n=None):
+    """A scalar map (n None) or a stack of n maps of one degree, from finite
+    fields that are valid more often than not."""
+    degree = draw(st.integers(0, 2))
+    size = 1 if n is None else n
+
+    def field(strategy):
+        values = draw(st.lists(strategy, min_size=size, max_size=size))
+        return values[0] if n is None else column(values)
+
+    if degree == 0:
+        return BlaschkeMap.constant(field(point_of_disc))
+    return BlaschkeMap(field(unit_factor), tuple(field(point_of_disc) for _ in range(degree)),
+                       field(coefficient))
+
+
+def disc_points(draw, n, m):
+    return np.array(draw(st.lists(open_disc, min_size=n * m, max_size=n * m))).reshape(n, m)
+
+
+@given(st.lists(finite_complex, min_size=3, max_size=24))
+# scaled by 2^-1024, q is subnormal, and numpy's complex quotient by it
+# overflowed in the gauge of a block
+@example([1j, 8.98846567431158e307j, 0j])
+@checked
+def test_point_kernels(coordinates):
+    k = len(coordinates) // 3
+    blocks = [np.array(coordinates[j * k:(j + 1) * k]) for j in range(3)]
+    for point in (TetraPoint(*coordinates[:3]), TetraPoint(*blocks)):
+        outcome(e_value_raw, *point)
+        outcome(psi_sup, point)
+        outcome(rho_functional, point)
+
+
+@given(st.data(), st.integers(1, 4))
+@checked
+def test_blaschke_stacks(data, n):
+    b = attempt(lambda: data.draw(blaschke_maps(n)))
+    scalar = attempt(lambda: data.draw(blaschke_maps()))
+    lams = disc_points(data.draw, n, 3)
+    if b is not None:
+        for points in (lams, lams[0], complex(lams[0, 0])):
+            outcome(b, points)
+    if scalar is not None:
+        outcome(scalar, complex(lams[0, 0]))
+        outcome(scalar, lams)
+
+
+@given(st.data(), coefficient, unit_factor, unit_factor, st.sampled_from(PHI_KINDS),
+       st.integers(0, 2 ** 32 - 1), finite_complex)
+@checked
+def test_origin_geodesics(data, C, omega1, omega2, kind, seed, lam):
+    # phi pinned at C clipped to its range [0, 1]; the record checks C itself
+    phi = attempt(random_phi_pinned, np.random.default_rng(seed), min(max(C, 0.0), 1.0), kind)
+    params = phi and attempt(OriginGeodesicParams, C, omega1, omega2, phi)
+    if params is not None:
+        outcome(eval_origin_geodesic, params, lam)
+        outcome(origin_geodesic_disc(params), disc_points(data.draw, 1, 5)[0])
+
+
+@given(st.data(), coefficient, unit_factor, unit_factor, finite_complex)
+@checked
+def test_general_and_boundary_discs(data, C, omega1, omega2, lam):
+    phi = attempt(lambda: data.draw(blaschke_maps()))
+    psi = attempt(lambda: data.draw(blaschke_maps()))
+    lams = disc_points(data.draw, 1, 5)[0]
+    params = phi and psi and attempt(GeneralDiscParams, C, omega1, omega2, phi, psi)
+    if params is not None:
+        outcome(eval_general_disc, params, lam)
+        outcome(general_disc(params), lams)
+    disc = phi and attempt(boundary_disc, C, omega1, omega2, phi)
+    if disc is not None:
+        outcome(eval_boundary_disc, C, omega1, omega2, phi, lam)
+        outcome(disc, lams)

@@ -7,7 +7,9 @@ are checked the same way: the reference functions below redraw each suite's
 parameters in the suite's order, evaluate disc by disc through the scalar
 records, and must reproduce the suite's figures and verdicts.  Disc
 transport fills in the value at lam = 0 only when a sample vanishes; it must
-give the bits of a fill over every sample.
+give the bits of a fill over every sample.  The division-free disc formula
+and Blaschke product are held against the dividing formulas they replaced,
+and the rejection sampler of the disc against its contract.
 """
 
 import cmath
@@ -31,13 +33,15 @@ from tetrablock.geodesics import (G2GeodesicParams, GeneralDiscParams,
                                   left_inverse_residual, origin_geodesic_disc,
                                   sample_grid, transport_disc,
                                   transported_extremal_disc)
-from tetrablock.hyperbolic import BlaschkeMap, mobius_m, require_unimodular
+from tetrablock.hyperbolic import (BlaschkeMap, mobius_m, require_disc_point,
+                                   require_unimodular)
 from tetrablock.necessary import (G2_ACTION, TETRABLOCK_ACTIONS, CheckVerdict,
                                   fit_general_quadratic, fit_grid,
                                   fit_quadratic_form, fit_quadratic_forms,
                                   geodesic_necessary_check,
                                   geodesic_necessary_checks, psi_of_lambda)
-from tetrablock.verify import (key_groups, lempert_grid, random_disc_points,
+from tetrablock.verify import (key_groups, lempert_grid, random_disc_point,
+                               random_disc_points,
                                random_phi_pinned, random_unimodular,
                                random_self_maps,
                                sample_origin_params, sample_origin_stacks,
@@ -268,6 +272,183 @@ def test_stacked_necessary_check_without_a_valid_disc_skips_the_fit():
     for report in reports:
         assert report.fit is None
         assert all(v is CheckVerdict.HYPOTHESIS_VIOLATION for v in report.verdict.ravel())
+
+
+# ---------------------------------------------------------------------------
+# the division-free kernels against the dividing formulas they replaced
+# ---------------------------------------------------------------------------
+
+# Both sides round each product, sum and quotient once, in a different order
+# and number: a few ulps of values of modulus at most 2 (at most 3.5 eps was
+# seen on 5 10^5 samples with zeros and points up to modulus 0.999)
+ORACLE_TOL = 6 * np.finfo(float).eps
+
+
+def dividing_disc_coords(C, omega1, omega2, phival, psival):
+    """The disc formula with its two divisions by 1 + C per sample."""
+    f1 = omega1 * (phival + C) / (1.0 + C)
+    f2 = omega2 * psival * (1.0 + C * phival) / (1.0 + C)
+    f3 = omega1 * omega2 * phival * psival
+    return f1, f2, f3
+
+
+def factor_by_factor(b, lam):
+    """A Blaschke product with one division per factor."""
+    if b.is_constant:
+        return np.broadcast_to(b.constant_offset, np.broadcast_shapes(
+            np.shape(b.constant_offset), np.shape(lam)))
+    out = b.scale * b.unimodular_factor
+    for a in b.zeros:
+        out = out * (lam - a) / (1.0 - a.conjugate() * lam)
+    return out
+
+
+def oracle_lams(rng, shape):
+    """Points of the 0.999 disc, a fifth of them on the circle of radius
+    0.999."""
+    lams = random_disc_points(rng, shape, 0.999)
+    rim = rng.uniform(size=shape) < 0.2
+    return np.where(rim, 0.999 * random_unimodular(rng, shape), lams)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_blaschke_product_matches_factor_by_factor(degree):
+    rng = np.random.default_rng(200 + degree)
+    raw = raw_maps(rng, degree, n=40)
+    raw["zeros"] = random_disc_points(rng, (degree, 40), 0.999)
+    stack, single = stacked_and_single(raw, degree)
+    lams = oracle_lams(rng, (40, 25))
+    assert np.max(np.abs(stack(lams) - factor_by_factor(stack, lams))) <= ORACLE_TOL
+    for member, row in zip(single, lams):
+        for lam in map(complex, row[:5]):
+            value = member(lam)
+            assert type(value) is complex
+            assert abs(value - factor_by_factor(member, lam)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("seed, degree", [(300, None), (301, 0), (302, 1), (303, 2)])
+def test_disc_coords_match_the_dividing_formula(seed, degree):
+    """phi the identity (degree None) or a map of the given degree; psi the
+    points, 1 or other points."""
+    rng = np.random.default_rng(seed)
+    C = column(np.concatenate([[0.0, 1.0 - 1e-7], rng.uniform(0.0, 1.0, size=30)]))
+    omega1, omega2 = random_unimodular(rng, (2,) + C.shape)
+    lams = oracle_lams(rng, (C.shape[0], 25))
+    phival = lams if degree is None else stacked_and_single(
+        raw_maps(rng, degree, n=C.shape[0]), degree)[0](lams)
+    for psival in (lams, 1.0, oracle_lams(rng, lams.shape)):
+        want = dividing_disc_coords(C, omega1, omega2, phival, psival)
+        got = disc_coords(C, omega1, omega2, phival, psival)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.max(np.abs(g - w)) <= ORACLE_TOL
+        # one disc at a time, in Python complex arithmetic
+        for k in (0, 1, 2):
+            args = (float(C[k, 0]), complex(omega1[k, 0]), complex(omega2[k, 0]),
+                    complex(phival[k, 3]), complex(np.broadcast_to(psival, lams.shape)[k, 3]))
+            got = disc_coords(*args)
+            assert all(type(g) is complex for g in got)
+            for g, w in zip(got, dividing_disc_coords(*args)):
+                assert abs(g - w) <= ORACLE_TOL
+
+
+def test_sample_grid_is_cached_and_read_only():
+    radii, n_angles = (0.0, 0.25, 0.5), 12
+    grid = sample_grid(radii, n_angles)
+    roots = np.exp(2j * math.pi * np.arange(n_angles) / n_angles)
+    assert np.array_equal(grid, (np.array(radii)[:, None] * roots).ravel())
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+    # the same radii as an array or a list give the same array
+    assert sample_grid(np.array(radii), n_angles) is grid
+    assert sample_grid(list(radii), n_angles) is grid
+    default = sample_grid()
+    assert default is sample_grid(geodesics.DEFAULT_RADII, geodesics.DEFAULT_N_ANGLES)
+    roots = np.exp(2j * math.pi * np.arange(16) / 16)
+    assert np.array_equal(default, (np.array(geodesics.DEFAULT_RADII)[:, None] * roots).ravel())
+    assert not default.flags.writeable
+    assert sample_grid((), 4).size == sample_grid((0.5,), 0).size == 0
+
+
+# ---------------------------------------------------------------------------
+# the disc sampler
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, shape", [(5, (5,)), ((3, 4), (3, 4)), ((2, 1, 3), (2, 1, 3)),
+                                      (0, (0,)), ((0, 3), (0, 3)), (np.int64(2), (2,))])
+def test_disc_sampler_shapes(n, shape):
+    draws = random_disc_points(np.random.default_rng(4), n)
+    assert draws.shape == shape and draws.dtype == complex
+
+
+def test_disc_sampler_rejects_negative_sizes():
+    with pytest.raises(ValueError):
+        random_disc_points(np.random.default_rng(4), -1)
+
+
+@pytest.mark.parametrize("radius", [0.5, 0.9, 1.0])
+def test_disc_sampler_stays_strictly_inside(radius):
+    draws = random_disc_points(np.random.default_rng(5), (200, 100), radius)
+    assert np.max(np.abs(draws)) < radius
+    if radius == 1.0:
+        assert require_disc_point(draws) is not None
+        for z in draws[0]:
+            require_disc_point(complex(z))
+    point = random_disc_point(np.random.default_rng(5), radius)
+    assert type(point) is complex and abs(point) < radius
+
+
+def test_disc_sampler_repeats_per_seed():
+    first = random_disc_points(np.random.default_rng(6), (50, 7), 0.8)
+    assert np.array_equal(first, random_disc_points(np.random.default_rng(6), (50, 7), 0.8))
+    # the scalar sampler is a draw of one from the array sampler
+    assert random_disc_point(np.random.default_rng(6), 0.8) == complex(
+        random_disc_points(np.random.default_rng(6), 1, 0.8)[0])
+
+
+class ShortFirstBatch:
+    """A generator whose first draw puts every pair in the corner (1, 1)
+    of the square, outside the disc; later draws come from a real
+    generator."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def uniform(self, low, high, size):
+        self.sizes.append(size)
+        if len(self.sizes) == 1:
+            return np.full(size, np.nextafter(high, low))
+        return self.rng.uniform(low, high, size)
+
+
+def test_disc_sampler_tops_up_a_short_batch():
+    stub = ShortFirstBatch(7)
+    draws = random_disc_points(stub, (4, 25), 0.9)
+    assert len(stub.sizes) == 2 and stub.sizes[1] == stub.sizes[0]
+    assert draws.shape == (4, 25) and np.max(np.abs(draws)) < 0.9
+    # the kept points are the second batch's points inside the disc, in order
+    pairs = np.random.default_rng(7).uniform(-1.0, 1.0, stub.sizes[1])
+    candidates = pairs.view(complex).ravel()
+    assert np.array_equal(draws.ravel(), 0.9 * candidates[np.abs(candidates) < 1.0][:100])
+
+
+def test_disc_sampler_is_uniform():
+    # with n draws a count of probability p lies within 5 standard
+    # deviations, 5 sqrt(n p (1 - p)), of n p; the seed is fixed
+    n, radius = 40_000, 0.7
+    draws = random_disc_points(np.random.default_rng(8), n, radius)
+
+    def within(count, p):
+        return abs(count - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p))
+
+    assert within(np.count_nonzero(np.abs(draws) < radius / math.sqrt(2.0)), 0.5)
+    for re_sign in (-1, 1):
+        for im_sign in (-1, 1):
+            quadrant = (np.sign(draws.real) == re_sign) & (np.sign(draws.imag) == im_sign)
+            assert within(np.count_nonzero(quadrant), 0.25)
 
 
 # ---------------------------------------------------------------------------
