@@ -27,9 +27,10 @@ from .errors import DomainError
 from .extremals import ExtremalFamily, G2FMap
 from .geodesics import (DiscVerdict, G2GeodesicParams, GeneralDiscParams,
                         OriginGeodesicParams, certified_left_inverse,
-                        disc_search_upper_bound, eval_origin_geodesic,
-                        g2_geodesic_disc, g2_origin_geodesic, general_disc,
-                        lempert_special, origin_geodesic_disc, pair_report,
+                        disc_search_upper_bound, eval_general_disc,
+                        eval_origin_geodesic, g2_geodesic_disc,
+                        g2_origin_geodesic, general_disc, lempert_special,
+                        origin_geodesic_disc, pair_report,
                         solve_origin_geodesic_through, verify_disc)
 from .hyperbolic import BlaschkeMap, HyperbolicDistance
 from .verify import ALL_SUITES, lempert_grid, run_suites
@@ -198,7 +199,7 @@ def cmd_distance(args) -> int:
         families = [ExtremalFamily(name) for name in args.lower_families.split(",")]
     except ValueError:
         raise _UsageExit(f"unknown family in --lower-families {args.lower_families!r}")
-    report = pair_report(w, z, families, args.upper_families.split(","), args.budget)
+    report = pair_report(w, z, families, budget=args.budget)
     search, closed, k_upper = report.search, report.closed_form, report.search.bound
     results = {
         "p_e": dist(report.p_e),
@@ -224,8 +225,7 @@ def cmd_distance(args) -> int:
                  else f"sandwich_ok: {report.sandwich_ok}")
     env = envelope("distance",
                    {"w": [cnum(c) for c in w], "z": [cnum(c) for c in z],
-                    "lower_families": args.lower_families,
-                    "upper_families": args.upper_families},
+                    "lower_families": args.lower_families},
                    results,
                    {"budget": args.budget, "tolerance": DEFAULT_BOUNDARY_TOL,
                     "version": __version__})
@@ -255,7 +255,7 @@ def cmd_geodesic(args) -> int:
         else:
             params = _build_tetra_params(args)
             if isinstance(params, GeneralDiscParams):
-                point = general_disc(params)(lam)
+                point = eval_general_disc(params, lam)
             else:
                 point = eval_origin_geodesic(params, lam)
             results = {"point": [cnum(c) for c in point]}
@@ -273,7 +273,7 @@ def cmd_geodesic(args) -> int:
         if args.domain == "g2":
             params = G2GeodesicParams(args.C, parse_complex(args.omega))
             report = verify_disc(g2_geodesic_disc(params), G2FMap(params.omega),
-                                 domain="g2", n_angles=args.samples)
+                                 n_angles=args.samples)
             inputs = {"domain": "g2", "C": args.C, "omega": cnum(params.omega)}
         else:
             params = _build_tetra_params(args)
@@ -391,7 +391,7 @@ def cmd_sweep(args) -> int:
             if C <= 0.0 or C >= 1.0 or C > args.c_max + 1e-12:
                 continue
             # magic_f o sigma vanishes at both points: the family is magic_f
-            report = pair_report((0.0, 0.0, -C), (0.0, lam * (1.0 - C), -C), upper=())
+            report = pair_report((0.0, 0.0, -C), (0.0, lam * (1.0 - C), -C), search=False)
             rows.append({"C": C, "c_lower_m": report.c_lower.m_scale, "lam_modulus": lam,
                          "magic_lower_m": report.lower[ExtremalFamily.MAGIC_F],
                          "p_e_m": report.p_e.m_scale, "separated": report.separated})
@@ -444,8 +444,6 @@ def build_parser() -> Parser:
     p_dist.add_argument("z")
     p_dist.add_argument("--lower-families",
                         default="psi-omega,psi-omega-sigma,magic-f")
-    p_dist.add_argument("--upper-families", default="auto",
-                        help="comma list of search families, or auto")
     p_dist.add_argument("--budget", type=int, default=100000,
                         help="most general discs to build, one per closed-form "
                              "(C, omega1) of the endpoints (at most six exist)")

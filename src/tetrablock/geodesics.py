@@ -62,13 +62,6 @@ def _cached_grid(radii: Tuple[float, ...], n_angles: int) -> np.ndarray:
     return grid
 
 
-def _nonempty_grid(radii: Sequence[float], n_angles: int) -> np.ndarray:
-    lams = sample_grid(radii, n_angles)
-    if lams.size == 0:
-        raise DomainError("the sample grid is empty: need radii and n_angles >= 1")
-    return lams
-
-
 def _require_phi_open(phi: BlaschkeMap, name: str = "phi") -> BlaschkeMap:
     if phi.is_constant and largest(abs(phi.constant_offset)) >= 1.0:
         raise DomainError(f"{name} must map into the open disc")
@@ -254,13 +247,11 @@ def is_product_geodesic(a: BlaschkeMap, b: BlaschkeMap) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def left_inverse_residual(f: Callable, F: Callable, *,
-                          radii: Sequence[float] = DEFAULT_RADII,
-                          n_angles: int = DEFAULT_N_ANGLES) -> float:
+def left_inverse_residual(f: Callable, F: Callable) -> float:
     """max over the sampling grid of |F(f(lam)) - lam|, from one call of f
     and one of F on the whole grid array; for a stack of discs, an (n, 1)
     array with the residual of each."""
-    lams = _nonempty_grid(radii, n_angles)
+    lams = sample_grid()
     gaps = np.abs(F(f(lams)) - lams)
     return gaps.max(axis=-1, keepdims=True) if gaps.ndim > 1 else float(gaps.max())
 
@@ -283,24 +274,32 @@ class DiscVerificationReport:
 
 
 def verify_disc(f: Callable, F: Optional[Callable] = None, *,
-                domain: str = "tetrablock",
-                radii: Sequence[float] = DEFAULT_RADII,
                 n_angles: int = DEFAULT_N_ANGLES) -> DiscVerificationReport:
-    """Sweep a disc for membership and (optionally) a left-inverse identity.
+    """Sweep a disc for membership and (optionally) a left-inverse identity,
+    on the sampling grid with ``n_angles`` angles on each radius.
 
-    Verdict: GEODESIC_VERIFIED needs the image inside the open domain and
-    residual below 1e-10; without a left inverse the best verdict is
-    IN_DOMAIN_ONLY.  f and F are each called once, on the whole grid array;
-    an empty grid raises DomainError.
+    The domain is read off the disc's values: two coordinates (a G2Point)
+    mean the symmetrized bidisc, three (a TetraPoint) the tetrablock, and
+    anything else raises DomainError, as does an empty grid.  Verdict:
+    GEODESIC_VERIFIED needs the image inside the open domain and residual
+    below 1e-10; without a left inverse the best verdict is IN_DOMAIN_ONLY.
+    f and F are each called once, on the whole grid array.
     """
-    lams = _nonempty_grid(radii, n_angles)
+    lams = sample_grid(DEFAULT_RADII, n_angles)
+    if lams.size == 0:
+        raise DomainError(f"the sample grid is empty: need n_angles >= 1, got {n_angles}")
     point = f(lams)
-    if domain == "tetrablock":
+    try:
+        coords = tuple(point)
+    except TypeError:  # a scalar, no point
+        coords = ()
+    if len(coords) == 3:
         worst_e = float(np.max(e_value_raw(*TetraPoint.of(point))))
-    elif domain == "g2":
+    elif len(coords) == 2:
         worst_e = float(np.max(np.abs(g2_roots(point)[0])))
     else:
-        raise DomainError(f"unknown domain {domain!r}")
+        raise DomainError("a disc must give two (G2Point) or three (TetraPoint) "
+                          f"coordinates, got {type(point).__name__}")
     in_domain = worst_e < 1.0
     if F is None:
         verdict = DiscVerdict.IN_DOMAIN_ONLY if in_domain else DiscVerdict.FAILED
@@ -892,16 +891,6 @@ def _member_roots(z: TetraPoint) -> List[Tuple[float, complex]]:
     return roots
 
 
-def _endpoint_values(ends: np.ndarray, C: float, omega1: complex):
-    """phi and psi at which a general disc with (C, omega1) takes the first
-    two coordinates of each row of ``ends``, with omega2 = 1 (omega2 psi is
-    itself a self-map).  Taking psi from the second coordinate never
-    divides by phi."""
-    phi = ends[:, 0] * (1.0 + C) / omega1 - C
-    psi = ends[:, 1] * (1.0 + C) / (1.0 + C * phi)
-    return phi, psi
-
-
 def _self_map_through(a: complex, t: float, b: complex) -> BlaschkeMap:
     """A self-map of degree <= 1 with g(0) = a and g(t) = b, given m(a, b)
     <= t: the interpolant with value -|a| at 0, rotated onto a."""
@@ -920,12 +909,21 @@ def _interpolating_general_disc(w: TetraPoint, z: TetraPoint, C: float,
     leaves the disc at an endpoint.  (C, omega1) fix phi and psi at both
     endpoints, so by the two-point Schwarz-Pick lemma the least m(lam_w,
     lam_z) is t = max(m(phi_w, phi_z), m(psi_w, psi_z)), reached at lam_w =
-    0, lam_z = t by maps of degree <= 1."""
+    0, lam_z = t by maps of degree <= 1.
+
+    At an endpoint p the disc takes p1 where phi = p1 (1 + C)/omega1 - C
+    and, with omega2 = 1 (omega2 psi is itself a self-map), p2 where psi =
+    p2 (1 + C)/(1 + C phi).  psi is formed only once |phi| < 1, where the
+    divisor 1 + C phi cannot vanish."""
     if not -TOL_CLOSURE <= C < 1.0:
         return None
     C = max(C, 0.0)
-    phi, psi = _endpoint_values(np.array([w.as_tuple(), z.as_tuple()]), C, omega1)
-    if max(np.max(np.abs(phi)), np.max(np.abs(psi))) >= 1.0:
+    ends = np.array([w.as_tuple(), z.as_tuple()])
+    phi = ends[:, 0] * (1.0 + C) / omega1 - C
+    if np.max(np.abs(phi)) >= 1.0:
+        return None
+    psi = ends[:, 1] * (1.0 + C) / (1.0 + C * phi)
+    if np.max(np.abs(psi)) >= 1.0:
         return None
     t = float(max(mobius_m(phi[0], phi[1]), mobius_m(psi[0], psi[1])))
     try:
@@ -967,24 +965,25 @@ def _general_disc_bound(w: TetraPoint, z: TetraPoint, budget: int) -> DiscSearch
                             0.0, t, **counts)
 
 
-def disc_search_upper_bound(w, z, family: str = "auto",
-                            budget: int = 100000) -> DiscSearchResult:
-    """Least Mobius distance of disc preimages found over interpolating
-    families; a certified upper bound for the Lempert function.
+#: the closed routes in the order the search tries them: the origin geodesic
+#: when an endpoint is 0 (its value is exact, by the Schwarz lemma), then the
+#: axis-pair and the product disc
+_CLOSED_ROUTES = (_origin_pair_candidate, _axis_pair_candidate, _product_pair_candidate)
 
-    ``family`` is one of ``auto`` (closed-form routes, then the general
-    family if none apply), ``axis-pair``, ``product``, ``origin-geodesic``
-    or ``general-disc``.  The closed routes accept their disc at quadratic
-    endpoint residual below 1e-9, the general-disc route only at 1e-20, so
-    through both endpoints to rounding; when nothing qualifies the result
-    carries ``found = False``.  A pair with an endpoint at the origin takes
-    the origin geodesic whenever it is found, since its value is exact (the
-    Schwarz lemma).  The general-disc route builds one disc per closed-form
-    (C, omega1) of the endpoints, at most ``budget`` discs.
+
+def disc_search_upper_bound(w, z, budget: int = 100000) -> DiscSearchResult:
+    """A certified upper bound for the Lempert function of the pair: the
+    Mobius distance of the preimages of w and z on an interpolating disc.
+
+    The routes run as one chain and the first that finds a disc gives the
+    result: the closed routes in the order of ``_CLOSED_ROUTES``, then the
+    general family, whose result ends the chain found or not (``found =
+    False``).  A route that applies but misses falls through to the next.
+    The closed routes accept their disc at quadratic endpoint residual below
+    1e-9, the general-disc route only at 1e-20, so through both endpoints to
+    rounding; it builds one disc per closed-form (C, omega1) of the
+    endpoints, at most ``budget`` discs.
     """
-    known = {"auto", "axis-pair", "product", "origin-geodesic", "general-disc"}
-    if family not in known:
-        raise DomainError(f"unknown search family {family!r}; known: {sorted(known)}")
     w = TetraPoint.of(w)
     z = TetraPoint.of(z)
     for name, point in (("w", w), ("z", z)):
@@ -993,30 +992,11 @@ def disc_search_upper_bound(w, z, family: str = "auto",
     if max(abs(a - b) for a, b in zip(w, z)) < 1e-14:
         return DiscSearchResult(True, HyperbolicDistance.zero(), 0.0, "trivial", 0.0, 0.0,
                                 reason="trivial: w = z")
-
-    if family in ("auto", "origin-geodesic"):
-        cand = _origin_pair_candidate(w, z)
-        if cand:
-            # the Lempert value itself, by the Schwarz lemma
-            return cand
-    candidates: List[DiscSearchResult] = []
-    if family in ("auto", "axis-pair"):
-        cand = _axis_pair_candidate(w, z)
-        if cand:
-            candidates.append(cand)
-    if family in ("auto", "product"):
-        cand = _product_pair_candidate(w, z)
-        if cand:
-            candidates.append(cand)
-    failure = DiscSearchResult(False, None, math.inf, "none",
-                               reason=f"{family}: not applicable")
-    if family == "general-disc" or (family == "auto" and not candidates):
-        failure = _general_disc_bound(w, z, budget)
-        if failure.found:
-            candidates.append(failure)
-    if not candidates:
-        return failure
-    return min(candidates, key=lambda c: c.bound.m_scale)
+    for route in _CLOSED_ROUTES:
+        result = route(w, z)
+        if result is not None:
+            return result
+    return _general_disc_bound(w, z, budget)
 
 
 #: how far c_lower may exceed k_upper with the sandwich closed; the
@@ -1029,7 +1009,7 @@ SEPARATION_TOL = 1e-12
 @dataclass(frozen=True)
 class PairReport:
     """A pair's sandwich p_e <= c_lower <= l_E <= k_upper: ``lower`` holds each
-    lower family's m-value, ``search`` the best search (None when none ran),
+    lower family's m-value, ``search`` the upper-bound search (None when none ran),
     whose ``bound`` is k_upper; ``gap`` (k_upper - c_lower, m-scale) and
     ``sandwich_ok`` are None without it; ``closed_form`` is an axis pair's l_E."""
 
@@ -1044,11 +1024,9 @@ class PairReport:
 
 
 def pair_report(w, z, lower: Iterable[ExtremalFamily] = TETRABLOCK_FAMILIES,
-                upper: Iterable[str] = ("auto",), budget: int = 100000) -> PairReport:
-    """p_e and c_lower over ``lower`` from one Psi-family solve, and the best
-    ``disc_search_upper_bound`` over the ``upper`` families: a found bound
-    beats none, a smaller one a larger, and the first of equals wins.
-    ``upper=()`` runs no search."""
+                search: bool = True, budget: int = 100000) -> PairReport:
+    """p_e and c_lower over ``lower`` from one Psi-family solve, and, unless
+    ``search`` is False, the ``disc_search_upper_bound`` of the pair."""
     lower = tuple(lower)
     if not lower:
         raise DomainError("lower families must be nonempty")
@@ -1056,15 +1034,13 @@ def pair_report(w, z, lower: Iterable[ExtremalFamily] = TETRABLOCK_FAMILIES,
     values = family_bounds(w, z, lower + PSI_FAMILIES)
     p_val = HyperbolicDistance.from_m(max(values[len(lower):]))
     c_val = HyperbolicDistance.from_m(max(0.0, *values[:len(lower)]))
-    searches = [disc_search_upper_bound(w, z, family=f, budget=budget) for f in upper]
-    search = min(searches, key=lambda s: (not s.found, s.bound.m_scale if s.found else 0.0),
-                 default=None)
-    k_upper = search.bound if search is not None else None  # None when not found
+    result = disc_search_upper_bound(w, z, budget) if search else None
+    k_upper = result.bound if result is not None else None  # None when not found
     pair = axis_pair(w, z)
     closed = lempert_special(pair[1], pair[0]) if pair is not None else None
     gap = sandwich_ok = None
     if k_upper is not None:
         gap = k_upper.m_scale - c_val.m_scale
         sandwich_ok = c_val.m_scale <= k_upper.m_scale + SANDWICH_TOL
-    return PairReport(p_val, c_val, dict(zip(lower, values)), search, closed, gap,
+    return PairReport(p_val, c_val, dict(zip(lower, values)), result, closed, gap,
                       c_val.m_scale > p_val.m_scale + SEPARATION_TOL, sandwich_ok)

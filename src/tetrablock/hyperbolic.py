@@ -102,25 +102,25 @@ def require_interval(value, lo: float, hi: float, *, name: str = "value"):
 
 def require_disc_point(value, *, name: str = "value"):
     """Validate a point of the open unit disc, or an array of them, and
-    return it as ``complex`` (or a complex array)."""
+    return it as ``complex`` (or a complex array).  NaN is rejected."""
     value, r = _with_modulus(value)
-    if r >= 1.0:
+    if not r < 1.0:
         raise DomainError(f"{name} must have modulus < 1, got |{name}| = {r}")
     return value
 
 
 def require_closed_disc_point(value, *, name: str = "value"):
     """Validate a point of the closed unit disc (up to ``TOL_CLOSURE``), or
-    an array of them."""
+    an array of them.  NaN is rejected."""
     value, r = _with_modulus(value)
-    if r > 1.0 + TOL_CLOSURE:
+    if not r <= 1.0 + TOL_CLOSURE:
         raise DomainError(f"{name} must have modulus <= 1, got |{name}| = {r}")
     return value
 
 
 def require_unimodular(value, *, name: str = "omega"):
     """Validate |value| = 1 up to ``UNIMODULAR_TOL``, entry by entry for an
-    array, and return it normalized."""
+    array, and return it normalized.  NaN is rejected."""
     if _is_stack(value):
         value = value.astype(complex, copy=False)
         r = np.abs(value)
@@ -129,7 +129,7 @@ def require_unimodular(value, *, name: str = "omega"):
         value = complex(value)
         r = modulus(value)
         off = abs(r - 1.0)
-    if off > UNIMODULAR_TOL:
+    if not off <= UNIMODULAR_TOL:
         raise DomainError(f"{name} must be unimodular, got |{name}| off 1 by {off}")
     return value / r
 
@@ -150,7 +150,7 @@ class HyperbolicDistance:
     @staticmethod
     def from_m(m: float) -> "HyperbolicDistance":
         m = float(m)
-        if m < 0.0 or m >= 1.0:
+        if not 0.0 <= m < 1.0:
             raise DomainError(f"m-scale distance must lie in [0, 1), got {m}")
         return HyperbolicDistance(m, math.atanh(m))
 

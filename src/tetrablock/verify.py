@@ -363,7 +363,7 @@ def suite_separation() -> SuiteResult:
     """The Psi-family supremum is below the full lower bound at the reference
     pair, by more than the report's separation tolerance, separating the two
     invariants."""
-    report = pair_report(TetraPoint(0.0, 0.0, -0.5), TetraPoint(0.0, 0.05, -0.5), upper=())
+    report = pair_report(TetraPoint(0.0, 0.0, -0.5), TetraPoint(0.0, 0.05, -0.5), search=False)
     p_val, c_val = report.p_e.m_scale, report.c_lower.m_scale
     expected_p, expected_c = 0.1 / 1.45, 0.1 * math.sqrt(0.5)
     passed = (abs(p_val - expected_p) < 1e-6 and abs(c_val - expected_c) < 1e-6

@@ -154,7 +154,7 @@ def test_sweeps_match_scalar_loops():
     verdicts = set()
     for f, F, domain in sweep_cases():
         worst, residual, verdict = loop_verify(f, F, domain, lams)
-        report = verify_disc(f, F, domain=domain)
+        report = verify_disc(f, F)
         assert report.verdict is verdict
         assert report.samples == lams.size
         assert abs(report.max_e_value - worst) <= 1e-14

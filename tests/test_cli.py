@@ -159,6 +159,14 @@ class TestDistance:
                                                           abs=1e-14)
         assert res["sandwich_ok"] is True
 
+    def test_one_search_and_no_route_option(self, capsys):
+        code, out, _ = run(capsys, "distance", "0,0,-0.5", "0,0.05,-0.5", "--json")
+        assert code == EXIT_OK
+        assert set(json.loads(out)["inputs"]) == {"w", "z", "lower_families"}
+        code, out, err = run(capsys, "distance", "0,0,-0.5", "0,0.05,-0.5",
+                             "--upper-families", "auto")
+        assert code == EXIT_USAGE and out == ""
+
     def test_unknown_lower_family_is_usage_error(self, capsys):
         code, _, err = run(capsys, "distance", "0,0,-0.5", "0,0.05,-0.5",
                            "--lower-families", "bogus")
@@ -304,6 +312,17 @@ class TestGeodesic:
         code, _, err = run(capsys, "geodesic", "eval", "--C", "0.5",
                            "--phi", "const:-0.4")
         assert code == EXIT_INVARIANT
+
+    @pytest.mark.parametrize("params", [["--phi", "id"],
+                                        ["--C", "0.2", "--phi", "const:0.3", "--psi", "id"],
+                                        ["--domain", "g2", "--C", "1.5"]],
+                             ids=["origin", "general", "g2"])
+    def test_eval_outside_the_disc_is_an_invariant_violation(self, capsys, params):
+        # the general branch used to print f(3) = (0.4166..., 2.65..., 0.8999...),
+        # a point outside the tetrablock, and exit 0
+        code, out, err = run(capsys, "geodesic", "eval", *params, "--lambda", "3")
+        assert code == EXIT_INVARIANT
+        assert out == "" and "lam must have modulus < 1" in err
 
     def test_solve_round_trip(self, capsys):
         code, out, _ = run(capsys, "geodesic", "solve",

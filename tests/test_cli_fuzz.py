@@ -50,9 +50,6 @@ distance = st.tuples(
     st.sampled_from(["-1", "0", "1", "50", "200", "nan"]),
     flags(option("--lower-families",
                  st.sampled_from(["psi-omega", "magic-f,psi-omega-sigma", "bogus", ""])),
-          option("--upper-families",
-                 st.sampled_from(["auto", "axis-pair", "product,origin-geodesic",
-                                  "general-disc", "bogus"])),
           option("--json", st.just(None))),
 ).map(lambda t: ["distance", "--budget", t[2], *t[3], "--", t[0], t[1]])
 
@@ -99,6 +96,8 @@ def strip_none(argv):
 @example(["member", "tetrablock", "0", "0", "1e155"])
 @example(["member", "tetrablock", "0.5", "0", "1.7e308"])
 @example(["member", "tetrablock", "0.5", "1.7e308", "1.7e308"])
+@example(["geodesic", "eval", "--C", "0.2", "--phi", "const:0.3", "--psi", "id",
+          "--lambda", "3"])
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_every_argv_ends_in_a_documented_exit_code(argv):

@@ -47,6 +47,11 @@ class TestOriginGeodesic:
         assert point.z2 == pytest.approx(0.25)
         assert point.z3 == pytest.approx(-0.25)
 
+    def test_nan_parameters_rejected(self):
+        # a NaN omega1 used to give a record with omega1 = nan+nanj
+        with pytest.raises(DomainError):
+            OriginGeodesicParams(0.3, math.nan, 1, BlaschkeMap.constant(-0.3))
+
     def test_phi_value_constraint_enforced(self):
         with pytest.raises(DomainError):
             OriginGeodesicParams(0.5, 1, 1, BlaschkeMap.constant(-0.4))
@@ -144,14 +149,22 @@ class TestLeftInverseResidual:
         residual = left_inverse_residual(g2_geodesic_disc(p), G2FMap(p.omega))
         assert residual < 1e-12
 
-    @pytest.mark.parametrize("grid", [{"n_angles": 0}, {"radii": ()}])
+    @pytest.mark.parametrize("grid", [{"n_angles": 0}, {"n_angles": -3}])
     def test_empty_grid_rejected(self, grid):
         params = OriginGeodesicParams(0.5, 1, 1, disc_automorphism(0.5))
         f, F = origin_geodesic_disc(params), certified_left_inverse(params)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="grid is empty"):
             verify_disc(f, F, **grid)
-        with pytest.raises(DomainError):
-            left_inverse_residual(f, F, **grid)
+
+    def test_verify_disc_reads_the_domain_off_the_disc(self):
+        # a G2 disc used to need domain="g2" and raised a bare ValueError
+        p = G2GeodesicParams(1.5, 1)
+        report = verify_disc(g2_geodesic_disc(p), G2FMap(p.omega))
+        assert report.verdict is DiscVerdict.GEODESIC_VERIFIED
+        assert verify_disc(g2_geodesic_disc(p)).verdict is DiscVerdict.IN_DOMAIN_ONLY
+        for f in (lambda lam: lam, lambda lam: 0.5, lambda lam: (lam,) * 4):
+            with pytest.raises(DomainError, match="two .* or three"):
+                verify_disc(f)
 
     def test_verify_disc_without_left_inverse(self):
         p = GeneralDiscParams(0.2, 1, 1, BlaschkeMap.constant(0.3),
@@ -294,7 +307,7 @@ class TestProductDisc:
         # at 0.9e-12 off the slice the projected pair's bound undercut
         # c_lower by up to 4.1e-12 while the route accepted 1e-12
         for w, z in self.slice_pairs(3, 0.9e-12):
-            assert not disc_search_upper_bound(w, z, family="product").found
+            assert disc_search_upper_bound(w, z).family != "product"
 
     def test_product_route_takes_exact_slice_pairs(self):
         for w, z in self.slice_pairs(5, 0.0):
@@ -570,7 +583,7 @@ class TestGeneralDiscCertificate:
         rng = np.random.default_rng(100 + degree)
         for _ in range(150):
             ends, lams = moved_family_pair(rng, degree, scale)
-            result = disc_search_upper_bound(*ends, family="general-disc")
+            result = disc_search_upper_bound(*ends)
             assert result.found and result.family == "general-disc"
             c_lower = caratheodory_lower_bound(*ends).m_scale
             assert c_lower - 1e-12 <= result.bound.m_scale <= mobius_m(*lams) + 1e-12
@@ -606,7 +619,7 @@ class TestGeneralDiscCertificate:
         pairs += [moved_family_pair(rng, 1, 0.0)[0] for _ in range(10)]
         for w, z in pairs:
             built.clear()
-            result = disc_search_upper_bound(w, z, family="general-disc", budget=budget)
+            result = disc_search_upper_bound(w, z, budget=budget)
             assert result.evaluations == len(built) <= min(budget, result.starts)
             if budget == 0:
                 assert not result.found
@@ -622,8 +635,9 @@ class TestGeneralDiscCertificate:
     def test_search_reports_its_counts(self):
         p = GeneralDiscParams(0.3, 1, 1, BlaschkeMap.constant(0.1), BlaschkeMap.identity())
         w, z = eval_general_disc(p, 0.1), eval_general_disc(p, 0.45)
-        result = disc_search_upper_bound(w, z, family="general-disc", budget=300)
-        assert result.found and result.starts >= 1 and 0 < result.evaluations <= 300
+        result = disc_search_upper_bound(w, z, budget=300)
+        assert result.found and result.family == "general-disc"
+        assert result.starts >= 1 and 0 < result.evaluations <= 300
         prefix = (f"general-disc: {result.starts} starts, {result.evaluations} "
                   "evaluations, best residual ")
         assert result.reason.startswith(prefix)
@@ -640,19 +654,29 @@ class TestGeneralDiscCertificate:
         assert abs(result.bound.m_scale - mobius_m(0.1, 0.45)) < 1e-12
 
     def test_start_where_phi_vanishes(self):
-        # psi vanishes at both points, so both have z2 = z3 = 0 and no
-        # closed-form member; phi vanishes at the first
+        # phi vanishes at w, so w3 = 0, and psi at z, so z2 = z3 = 0; a pair
+        # with z2 = z3 = 0 at both ends lies in the product slice, and the
+        # product route takes it first
         p = GeneralDiscParams(0.4, cmath.exp(0.7j), 1, disc_automorphism(0.3),
-                              BlaschkeMap(1, (0.3, -0.5j), 0.8))
+                              BlaschkeMap(1, (-0.5j,), 0.8))
         w, z = eval_general_disc(p, 0.3), eval_general_disc(p, -0.5j)
-        assert w.z3 == 0 and z.z2 == 0
-        result = disc_search_upper_bound(w, z, family="general-disc")
-        assert result.found
+        assert w.z3 == 0 and z.z2 == z.z3 == 0
+        result = disc_search_upper_bound(w, z)
+        assert result.found and result.family == "general-disc"
         assert abs(result.bound.m_scale - mobius_m(0.3, -0.5j)) < 1e-12
+
+    def test_candidate_with_phi_outside_at_an_endpoint(self):
+        # the candidates of z put phi at -(omega1 - z1)/omega1 there, where
+        # 1 + C phi vanishes: the candidate is dropped before psi is formed,
+        # which divided 0 by 0 and warned
+        c = 0.2685207162460927 + 0.21796437345909297j
+        w, z = TetraPoint(0, 0, c), TetraPoint(0.2520728284575709 - 0.09951278528655141j,
+                                               0, c + 1e-3)
+        result = disc_search_upper_bound(w, z)
+        assert not result.found
+        assert result.reason == "general-disc: 2 starts, 0 evaluations, best residual inf"
 
     def test_closed_routes_give_their_reason(self):
         result = disc_search_upper_bound(TetraPoint(0, 0, -0.5), TetraPoint(0, 0.05, -0.5))
         assert result.reason == "axis-pair: closed form"
         assert (result.starts, result.evaluations) == (0, 0)
-        missing = disc_search_upper_bound(BENCH_W, BENCH_Z, family="product")
-        assert not missing.found and missing.reason == "product: not applicable"

@@ -10,7 +10,8 @@ from tetrablock.errors import DomainError
 from tetrablock.hyperbolic import (BlaschkeMap, HyperbolicDistance,
                                    blaschke_eval, disc_automorphism, largest,
                                    least, mobius_distance, mobius_m,
-                                   schwarz_pick_check)
+                                   require_closed_disc_point, require_disc_point,
+                                   require_unimodular, schwarz_pick_check)
 
 # strategies for points of the open disc (kept away from the boundary so the
 # quotient stays well conditioned)
@@ -48,7 +49,8 @@ class TestMobiusDistance:
         assert mobius_distance(a, b).m_scale == pytest.approx(
             mobius_distance(b, a).m_scale, abs=1e-15)
 
-    @pytest.mark.parametrize("bad", [1.0, 1.2, -1.0, 0.8 + 0.7j])
+    @pytest.mark.parametrize("bad", [1.0, 1.2, -1.0, 0.8 + 0.7j, math.nan,
+                                     complex(0.1, math.nan)])
     def test_rejects_points_outside(self, bad):
         with pytest.raises(DomainError):
             mobius_distance(bad, 0.1)
@@ -80,6 +82,37 @@ class TestScales:
     def test_from_m_rejects_one(self):
         with pytest.raises(DomainError):
             HyperbolicDistance.from_m(1.0)
+
+    def test_from_m_rejects_nan(self):
+        with pytest.raises(DomainError):
+            HyperbolicDistance.from_m(math.nan)
+
+
+class TestValidatorsRejectNan:
+    """NaN fails every comparison, so each validator asks whether its value
+    lies inside the range, and NaN lands outside."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: disc_automorphism(math.nan),
+        lambda: disc_automorphism(0.1, complex(math.nan, 0.0)),
+        lambda: BlaschkeMap.constant(math.nan),
+        lambda: BlaschkeMap(zeros=(complex(0.0, math.nan),))],
+        ids=["automorphism-zero", "automorphism-factor", "constant", "zero"])
+    def test_maps(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    @pytest.mark.parametrize("check, inside", [(require_disc_point, 0.5),
+                                               (require_closed_disc_point, 1.0),
+                                               (require_unimodular, 1.0)],
+                             ids=["disc", "closed-disc", "unimodular"])
+    def test_scalars_and_array_entries(self, check, inside):
+        # an array with a NaN entry raised no error, and require_unimodular
+        # warned while normalizing it
+        check(np.array([inside, inside]))
+        for bad in (np.array([inside, math.nan]), complex(inside, math.nan)):
+            with pytest.raises(DomainError):
+                check(bad)
 
 
 class TestBlaschkeMap:

@@ -156,8 +156,8 @@ def test_general_family_pairs_are_found(seed, phi_degree, psi_degree, draw, near
                                        random_unimodular(rng), phi,
                                        degree_map(rng, psi_degree)))
     w, z = f(lam_w), f(lam_z)
-    result = disc_search_upper_bound(w, z, family="general-disc")
-    assert result.found
+    result = disc_search_upper_bound(w, z)
+    assert result.found and result.family == "general-disc"
     k_upper = result.bound.m_scale
     assert caratheodory_lower_bound(w, z).m_scale <= k_upper + 1e-12
     assert k_upper <= mobius_m(lam_w, lam_z) + 1e-12
