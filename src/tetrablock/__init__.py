@@ -1,7 +1,7 @@
 """Invariant distances, extremal maps and complex geodesics on the
 tetrablock and the symmetrized bidisc."""
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 from .errors import BranchError, DomainError, FitError, PoleError
 from .hyperbolic import (BlaschkeMap, HyperbolicDistance, blaschke_eval,
@@ -10,7 +10,7 @@ from .hyperbolic import (BlaschkeMap, HyperbolicDistance, blaschke_eval,
 from .domains import (G2MembershipReport, G2Point, Location, MembershipReport,
                       TetraPoint, g2_membership, g2_roots, psi_sup,
                       rho_functional, tetra_e_value, tetra_membership)
-from .extremals import (CoordinateMap, ExtremalFamily, G2FMap, MagicFMap,
+from .extremals import (CoordinateMap, FamilyBounds, G2FMap, MagicFMap,
                         PsiOmegaMap, caratheodory_lower_bound,
                         f_omega_automorphism, family_bounds, g2_f, magic_f,
                         p_e, psi_eta, sigma)

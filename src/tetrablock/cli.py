@@ -24,7 +24,7 @@ from . import __version__
 from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, Location, TetraPoint,
                       g2_membership, psi_sup, tetra_membership)
 from .errors import DomainError
-from .extremals import ExtremalFamily, G2FMap
+from .extremals import G2FMap
 from .geodesics import (DiscVerdict, G2GeodesicParams, GeneralDiscParams,
                         OriginGeodesicParams, certified_left_inverse,
                         disc_search_upper_bound, eval_general_disc,
@@ -191,15 +191,9 @@ def cmd_member(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    if args.budget < 0:
-        raise _UsageExit("--budget must be non-negative")
     w = TetraPoint(*parse_point(args.w, 3))
     z = TetraPoint(*parse_point(args.z, 3))
-    try:
-        families = [ExtremalFamily(name) for name in args.lower_families.split(",")]
-    except ValueError:
-        raise _UsageExit(f"unknown family in --lower-families {args.lower_families!r}")
-    report = pair_report(w, z, families, budget=args.budget)
+    report = pair_report(w, z)
     search, closed, k_upper = report.search, report.closed_form, report.search.bound
     results = {
         "p_e": dist(report.p_e),
@@ -224,11 +218,9 @@ def cmd_distance(args) -> int:
     human.append("sandwich_ok: unknown (no upper bound found)" if k_upper is None
                  else f"sandwich_ok: {report.sandwich_ok}")
     env = envelope("distance",
-                   {"w": [cnum(c) for c in w], "z": [cnum(c) for c in z],
-                    "lower_families": args.lower_families},
+                   {"w": [cnum(c) for c in w], "z": [cnum(c) for c in z]},
                    results,
-                   {"budget": args.budget, "tolerance": DEFAULT_BOUNDARY_TOL,
-                    "version": __version__})
+                   {"tolerance": DEFAULT_BOUNDARY_TOL, "version": __version__})
     emit(env, args.json, human)
     return EXIT_VERIFICATION if report.sandwich_ok is False else EXIT_OK
 
@@ -393,7 +385,7 @@ def cmd_sweep(args) -> int:
             # magic_f o sigma vanishes at both points: the family is magic_f
             report = pair_report((0.0, 0.0, -C), (0.0, lam * (1.0 - C), -C), search=False)
             rows.append({"C": C, "c_lower_m": report.c_lower.m_scale, "lam_modulus": lam,
-                         "magic_lower_m": report.lower[ExtremalFamily.MAGIC_F],
+                         "magic_lower_m": report.lower.magic_f,
                          "p_e_m": report.p_e.m_scale, "separated": report.separated})
         columns = ["C", "c_lower_m", "lam_modulus", "magic_lower_m", "p_e_m",
                    "separated"]
@@ -442,11 +434,6 @@ def build_parser() -> Parser:
     p_dist = sub.add_parser("distance", help="invariant-distance report for a pair")
     p_dist.add_argument("w", help="comma-separated triple, e.g. 0,0,-0.5")
     p_dist.add_argument("z")
-    p_dist.add_argument("--lower-families",
-                        default="psi-omega,psi-omega-sigma,magic-f")
-    p_dist.add_argument("--budget", type=int, default=100000,
-                        help="most general discs to build, one per closed-form "
-                             "(C, omega1) of the endpoints (at most six exist)")
     p_dist.add_argument("--json", action="store_true")
     p_dist.set_defaults(func=cmd_distance)
 

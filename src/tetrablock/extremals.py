@@ -4,10 +4,11 @@ and the distance-type quantities built from them.
 The families shipped here map the domains holomorphically into the unit
 disc, so the Mobius distance of their values at two points is a certified
 lower bound for the Caratheodory pseudodistance; ``family_bounds`` gives it
-for each family.  ``p_e``, the larger of the two Psi-family bounds (with and
-without the coordinate swap), is dominated by ``caratheodory_lower_bound``,
-the largest over the requested families, and on some pairs *strictly* --
-the separation that ``magic_f`` detects.  The Psi-family maxima over the
+for each of the three tetrablock families as one ``FamilyBounds`` record.
+``p_e``, the larger of the two Psi-family bounds (with and without the
+coordinate swap), is dominated by ``caratheodory_lower_bound``, the largest
+of the three, and on some pairs *strictly* -- the separation that
+``magic_f`` detects.  The Psi-family maxima over the
 unimodular parameter are exact: both orientations' sextics are solved as
 the eigenvalues of one stack of two companion matrices, once per pair for
 ``geodesics.pair_report``.
@@ -17,8 +18,7 @@ from __future__ import annotations
 
 import cmath
 import functools
-from enum import Enum
-from typing import Iterable, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -172,13 +172,6 @@ class CoordinateMap:
 # ---------------------------------------------------------------------------
 
 
-class ExtremalFamily(Enum):
-    PSI_OMEGA = "psi-omega"
-    PSI_OMEGA_SIGMA = "psi-omega-sigma"
-    MAGIC_F = "magic-f"
-    G2_F_OMEGA = "g2-f-omega"
-
-
 #: the shift part of a companion matrix of each degree n <= 6: ones below
 #: the diagonal of the leading n x n block, zeros elsewhere
 _SHIFTS = np.array([np.eye(6, k=-1) * (np.arange(6)[:, None] < n) for n in range(7)],
@@ -219,8 +212,9 @@ def _companion_row(w1, w2, w3, z1, z2, z3):
     # end coefficients below 1e-14 of the largest are rounding noise: leading
     # ones throw the other roots far off, trailing ones only add roots near
     # 0, whose angle means nothing (eta = 1 is taken anyway).  Opposite ends
-    # have equal moduli, so as many go from each end
-    first = next(k for k, c in enumerate(coeffs) if abs(c) >= 1e-14 * top)
+    # have equal moduli, so as many go from each end.  A zero one is dropped
+    # also where 1e-14 top underflows to 0
+    first = next(k for k, c in enumerate(coeffs) if abs(c) >= 1e-14 * top and c != 0.0)
     lead = coeffs[first]
     row = [-c / lead for c in coeffs[first + 1:7 - first]]
     return len(row), row + [0.0] * (6 - len(row))
@@ -254,48 +248,47 @@ def _psi_family_bounds(w: TetraPoint, z: TetraPoint) -> Tuple[float, float]:
     return float(values[0]), float(values[1])
 
 
-TETRABLOCK_FAMILIES = (ExtremalFamily.PSI_OMEGA, ExtremalFamily.PSI_OMEGA_SIGMA,
-                       ExtremalFamily.MAGIC_F)
+class FamilyBounds(NamedTuple):
+    """The m-scale Caratheodory lower bound of each tetrablock family on a
+    pair: the Psi family with and without the coordinate swap, and
+    ``magic_f`` together with ``magic_f o sigma``."""
 
-#: the Psi families, in the order of ``_psi_family_bounds``
-PSI_FAMILIES = TETRABLOCK_FAMILIES[:2]
+    psi_omega: float
+    psi_omega_sigma: float
+    magic_f: float
 
 
-def family_bounds(w, z, families: Iterable[ExtremalFamily] = TETRABLOCK_FAMILIES
-                  ) -> Tuple[float, ...]:
-    """The m-scale Caratheodory lower bound of each family, in order, on a
-    pair of interior points: a Psi family's maximum over the unimodular
-    parameter (both from one solve), and for ``magic_f`` the larger of its
-    distance and that of ``magic_f o sigma``, which makes it sigma-invariant."""
-    families = tuple(families)
-    if not families or not all(map(TETRABLOCK_FAMILIES.__contains__, families)):
-        raise DomainError("families must be a nonempty list of tetrablock families, "
-                          f"got {[getattr(f, 'value', f) for f in families]}")
+def _interior_pair(w, z) -> Tuple[TetraPoint, TetraPoint]:
     w, z = TetraPoint.of(w), TetraPoint.of(z)
     for name, point in (("w", w), ("z", z)):
         if not is_interior(point, DEFAULT_BOUNDARY_TOL):
             raise DomainError(f"{name} must be interior to the tetrablock")
-    psi = _psi_family_bounds(w, z) if any(map(PSI_FAMILIES.__contains__, families)) else ()
-    magic = None
-    if ExtremalFamily.MAGIC_F in families:
-        # magic_f and magic_f o sigma: z2 and z1 over one root, as in magic_f
-        rw, rz = (_sqrt(1.0 + p.z3 - p.z1 * p.z2) for p in (w, z))
-        magic = float(max(mobius_m(w.z2 / rw, z.z2 / rz), mobius_m(w.z1 / rw, z.z1 / rz)))
-    return tuple(magic if f is ExtremalFamily.MAGIC_F else psi[PSI_FAMILIES.index(f)]
-                 for f in families)
+    return w, z
+
+
+def family_bounds(w, z) -> FamilyBounds:
+    """Each family's bound on a pair of interior points: the Psi families'
+    maxima over the unimodular parameter (both from one solve), and for
+    ``magic_f`` the larger of its distance and that of ``magic_f o sigma``,
+    which makes it sigma-invariant."""
+    w, z = _interior_pair(w, z)
+    # magic_f and magic_f o sigma: z2 and z1 over one root, as in magic_f
+    rw, rz = (_sqrt(1.0 + p.z3 - p.z1 * p.z2) for p in (w, z))
+    magic = float(max(mobius_m(w.z2 / rw, z.z2 / rz), mobius_m(w.z1 / rw, z.z1 / rz)))
+    return FamilyBounds(*_psi_family_bounds(w, z), magic)
 
 
 def p_e(w, z) -> HyperbolicDistance:
     """sup over unimodular omega of the Psi-family distances, with and
-    without the coordinate swap applied to both arguments: a lower bound for
-    the Caratheodory pseudodistance, dominated by ``caratheodory_lower_bound``
-    whenever both Psi families are included there."""
-    return HyperbolicDistance.from_m(max(family_bounds(w, z, PSI_FAMILIES)))
+    without the coordinate swap applied to both arguments: the larger Psi
+    field of ``family_bounds``, without the ``magic_f`` term, and a lower
+    bound for the Caratheodory pseudodistance dominated by
+    ``caratheodory_lower_bound``."""
+    return HyperbolicDistance.from_m(max(_psi_family_bounds(*_interior_pair(w, z))))
 
 
-def caratheodory_lower_bound(w, z, families: Iterable[ExtremalFamily] = TETRABLOCK_FAMILIES
-                             ) -> HyperbolicDistance:
-    """Best certified Caratheodory lower bound over the given families, the
-    largest of their ``family_bounds``; reported as a lower bound, never as
+def caratheodory_lower_bound(w, z) -> HyperbolicDistance:
+    """Best certified Caratheodory lower bound of the shipped families, the
+    largest field of ``family_bounds``; reported as a lower bound, never as
     the pseudodistance itself."""
-    return HyperbolicDistance.from_m(max(0.0, *family_bounds(w, z, families)))
+    return HyperbolicDistance.from_m(max(family_bounds(w, z)))

@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, e_value_raw,
                       g2_roots, is_interior, psi_eta, psi_sup,
                       stable_quadratic_roots)
 from .errors import DomainError, PoleError
-from .extremals import (PSI_FAMILIES, TETRABLOCK_FAMILIES, ExtremalFamily,
-                        PsiOmegaMap, family_bounds, sigma)
+from .extremals import FamilyBounds, PsiOmegaMap, family_bounds, sigma
 from .hyperbolic import (TOL_CLOSURE, BlaschkeMap, HyperbolicDistance, largest,
                          least, mobius_m, require_disc_point, require_interval,
                          require_unimodular)
@@ -893,8 +892,11 @@ def _member_roots(z: TetraPoint) -> List[Tuple[float, complex]]:
 
 def _self_map_through(a: complex, t: float, b: complex) -> BlaschkeMap:
     """A self-map of degree <= 1 with g(0) = a and g(t) = b, given m(a, b)
-    <= t: the interpolant with value -|a| at 0, rotated onto a."""
-    rho = -a / abs(a) if a != 0.0 else 1.0
+    <= t: the interpolant with value -|a| at 0, rotated onto a.  numpy
+    divides a complex by |a| through its reciprocal, which overflows for a
+    subnormal a, so such an a is first scaled up by 2^54, exactly."""
+    unit = a if abs(a) >= sys.float_info.min else a * 2.0 ** 54
+    rho = -unit / abs(unit) if a != 0.0 else 1.0
     g = blaschke_interp_origin(abs(a), t, b / rho)
     if g.is_constant:
         return BlaschkeMap.constant(a)
@@ -937,15 +939,16 @@ def _interpolating_general_disc(w: TetraPoint, z: TetraPoint, C: float,
 def _general_disc_bound(w: TetraPoint, z: TetraPoint, budget: int) -> DiscSearchResult:
     """The least bound over general discs through the pair, one disc per
     closed-form candidate (C, omega1): the members of each endpoint, and
-    where p3 = 0 and 0 < |p1| < 1/2 the (C, omega1) at which phi vanishes at
-    p, the only candidate when both endpoints have z2 = z3 = 0.  At most
-    ``budget`` discs are built; a disc counts only when it reproduces both
-    endpoints to rounding.  The result counts the candidates as ``starts``
-    and the discs built as ``evaluations``, and its reason gives the least
-    squared residual of a built disc."""
+    for an endpoint p with p2 = p3 = 0 and 0 < |p1| < 1/2, which has no
+    members, the (C, omega1) at which phi vanishes at p.  (With p3 = 0 alone
+    that candidate is one of the members.)  At most ``budget`` discs are
+    built; a disc counts only when it reproduces both endpoints to rounding.
+    The result counts the candidates as ``starts`` and the discs built as
+    ``evaluations``, and its reason gives the least squared residual of a
+    built disc."""
     candidates = [root for p in (w, z) for root in _member_roots(p)]
     candidates += [(abs(p.z1) / (1.0 - abs(p.z1)), p.z1 / abs(p.z1)) for p in (w, z)
-                   if p.z3 == 0.0 and 0.0 < abs(p.z1) < 0.5]
+                   if p.z2 == p.z3 == 0.0 and 0.0 < abs(p.z1) < 0.5]
     discs: List[Tuple[float, float]] = []
     for C, omega1 in candidates:
         if len(discs) >= budget:
@@ -1015,7 +1018,7 @@ class PairReport:
 
     p_e: HyperbolicDistance
     c_lower: HyperbolicDistance
-    lower: Dict[ExtremalFamily, float]
+    lower: FamilyBounds
     search: Optional[DiscSearchResult]
     closed_form: Optional[HyperbolicDistance]
     gap: Optional[float]
@@ -1023,18 +1026,14 @@ class PairReport:
     sandwich_ok: Optional[bool]
 
 
-def pair_report(w, z, lower: Iterable[ExtremalFamily] = TETRABLOCK_FAMILIES,
-                search: bool = True, budget: int = 100000) -> PairReport:
-    """p_e and c_lower over ``lower`` from one Psi-family solve, and, unless
-    ``search`` is False, the ``disc_search_upper_bound`` of the pair."""
-    lower = tuple(lower)
-    if not lower:
-        raise DomainError("lower families must be nonempty")
-    w, z = TetraPoint.of(w), TetraPoint.of(z)
-    values = family_bounds(w, z, lower + PSI_FAMILIES)
-    p_val = HyperbolicDistance.from_m(max(values[len(lower):]))
-    c_val = HyperbolicDistance.from_m(max(0.0, *values[:len(lower)]))
-    result = disc_search_upper_bound(w, z, budget) if search else None
+def pair_report(w, z, search: bool = True) -> PairReport:
+    """p_e, c_lower and the three lower families from one Psi-family solve,
+    and, unless ``search`` is False, the ``disc_search_upper_bound`` of the
+    pair."""
+    lower = family_bounds(w, z)
+    p_val = HyperbolicDistance.from_m(max(lower.psi_omega, lower.psi_omega_sigma))
+    c_val = HyperbolicDistance.from_m(max(lower))
+    result = disc_search_upper_bound(w, z) if search else None
     k_upper = result.bound if result is not None else None  # None when not found
     pair = axis_pair(w, z)
     closed = lempert_special(pair[1], pair[0]) if pair is not None else None
@@ -1042,5 +1041,5 @@ def pair_report(w, z, lower: Iterable[ExtremalFamily] = TETRABLOCK_FAMILIES,
     if k_upper is not None:
         gap = k_upper.m_scale - c_val.m_scale
         sandwich_ok = c_val.m_scale <= k_upper.m_scale + SANDWICH_TOL
-    return PairReport(p_val, c_val, dict(zip(lower, values)), result, closed, gap,
+    return PairReport(p_val, c_val, lower, result, closed, gap,
                       c_val.m_scale > p_val.m_scale + SEPARATION_TOL, sandwich_ok)

@@ -38,7 +38,7 @@ from .geodesics import left_inverse_residual, sample_grid
 FIT_RADII: Tuple[float, ...] = (0.15, 0.35, 0.55, 0.75)
 FIT_N_ANGLES = 16
 
-#: default verdict tolerances
+#: verdict tolerances, with closed-form and with numeric gradients
 ANALYTIC_TOL = 1e-7
 NUMERIC_TOL = 1e-5
 
@@ -247,14 +247,8 @@ class NecessaryCheckReport:
     tolerance_used: float
 
 
-def _verdict_tol(F: Callable, tol: Optional[float]) -> float:
-    if tol is not None:
-        return float(tol)
-    return ANALYTIC_TOL if hasattr(F, "gradient") else NUMERIC_TOL
-
-
-def geodesic_necessary_checks(F: Callable, f: Callable, actions: Sequence[CircularAction],
-                              tol: Optional[float] = None) -> List[NecessaryCheckReport]:
+def geodesic_necessary_checks(F: Callable, f: Callable, actions: Sequence[CircularAction]
+                              ) -> List[NecessaryCheckReport]:
     """Check the quadratic necessary condition for a stack of n certified
     geodesics under each rotation action: f and F hold stacked parameters,
     and f evaluates to (n, m) arrays at m points.  Gives one report per
@@ -268,7 +262,7 @@ def geodesic_necessary_checks(F: Callable, f: Callable, actions: Sequence[Circul
     1e-5 with numeric ones).  When no disc satisfies the hypothesis, psi is
     not evaluated and the fits are None.
     """
-    tol = _verdict_tol(F, tol)
+    tol = ANALYTIC_TOL if hasattr(F, "gradient") else NUMERIC_TOL
     hyp = np.reshape(left_inverse_residual(f, F), (-1, 1))
     violated = hyp > HYPOTHESIS_TOL
     if violated.all():
@@ -287,19 +281,18 @@ def geodesic_necessary_checks(F: Callable, f: Callable, actions: Sequence[Circul
     return reports
 
 
-def geodesic_necessary_check(F: Callable, f: Callable, action: CircularAction,
-                             tol: Optional[float] = None) -> NecessaryCheckReport:
+def geodesic_necessary_check(F: Callable, f: Callable, action: CircularAction
+                             ) -> NecessaryCheckReport:
     """``geodesic_necessary_checks`` of one certified geodesic and one
     action, with scalar fields."""
-    report, = geodesic_necessary_checks(F, f, (action,), tol)
+    report, = geodesic_necessary_checks(F, f, (action,))
     fit = None if report.fit is None else _first(report.fit)
     return NecessaryCheckReport(report.verdict[0, 0], fit,
                                 float(report.hypothesis_residual[0, 0]),
                                 report.tolerance_used)
 
 
-def reinhardt_check(F: Callable, f: Callable, j: int,
-                    tol: Optional[float] = None) -> NecessaryCheckReport:
+def reinhardt_check(F: Callable, f: Callable, j: int) -> NecessaryCheckReport:
     """Single-coordinate variant for fully rotation-invariant domains.
 
     Runs the check with the j-th unit weight vector (0-based index) of the
@@ -309,4 +302,4 @@ def reinhardt_check(F: Callable, f: Callable, j: int,
     if not 0 <= j < dim:
         raise DomainError(f"coordinate index {j} out of range for dim {dim}")
     weights = tuple(1.0 if k == j else 0.0 for k in range(dim))
-    return geodesic_necessary_check(F, f, CircularAction(weights), tol)
+    return geodesic_necessary_check(F, f, CircularAction(weights))

@@ -385,7 +385,7 @@ def suite_necessary(seed: int = 0, n_params: int = 200) -> SuiteResult:
     worst_origin_psi0 = 0.0
     for params in sample_origin_stacks(rng, n_params):
         f, F = origin_geodesic_disc(params), certified_left_inverse(params)
-        for report in geodesic_necessary_checks(F, f, TETRABLOCK_ACTIONS, tol=1e-7):
+        for report in geodesic_necessary_checks(F, f, TETRABLOCK_ACTIONS):
             failures += int(np.count_nonzero(report.verdict != CheckVerdict.PASS))
             worst_fit = max(worst_fit, float(np.max(report.fit.residual)))
             # the rotation field vanishes at the fixed origin, so psi(0) = 0
@@ -393,7 +393,7 @@ def suite_necessary(seed: int = 0, n_params: int = 200) -> SuiteResult:
     c_grid = 1.0 + 0.05 * np.arange(21)[:, None]
     params = G2GeodesicParams(c_grid, random_unimodular(rng, c_grid.shape))
     f, F = g2_geodesic_disc(params), G2FMap(params.omega)
-    report, = geodesic_necessary_checks(F, f, (G2_ACTION,), tol=1e-7)
+    report, = geodesic_necessary_checks(F, f, (G2_ACTION,))
     failures += int(np.count_nonzero(report.verdict != CheckVerdict.PASS))
     worst_fit = max(worst_fit, float(np.max(report.fit.residual)))
     # unconstrained cross-fit of the weighted sum itself

@@ -162,16 +162,37 @@ class TestDistance:
     def test_one_search_and_no_route_option(self, capsys):
         code, out, _ = run(capsys, "distance", "0,0,-0.5", "0,0.05,-0.5", "--json")
         assert code == EXIT_OK
-        assert set(json.loads(out)["inputs"]) == {"w", "z", "lower_families"}
+        env = json.loads(out)
+        assert set(env["inputs"]) == {"w", "z"}
+        assert set(env["diagnostics"]) == {"tolerance", "version"}
         code, out, err = run(capsys, "distance", "0,0,-0.5", "0,0.05,-0.5",
                              "--upper-families", "auto")
         assert code == EXIT_USAGE and out == ""
 
     def test_unknown_lower_family_is_usage_error(self, capsys):
+        # --lower-families is gone: every report has all three families
         code, _, err = run(capsys, "distance", "0,0,-0.5", "0,0.05,-0.5",
                            "--lower-families", "bogus")
         assert code == EXIT_USAGE
         assert "bogus" in err
+
+    @pytest.mark.parametrize("option", [["--lower-families", "psi-omega"], ["--budget", "5"]])
+    def test_removed_options_are_usage_errors(self, capsys, option):
+        code, out, err = run(capsys, "distance", "0,0,-0.5", "0,0.05,-0.5", *option)
+        assert code == EXIT_USAGE
+        assert out == "" and option[0] in err
+
+    @pytest.mark.parametrize("pair", [
+        # 1e-14 times the largest sextic coefficient underflowed to 0, and a
+        # zero coefficient was taken as the leading one
+        ["0.49j,1e-160,0", "-1e-16j,1e-160,0"],
+        # a subnormal phi at w: -a / |a| overflowed in numpy
+        ["0.3,1e-320j,1e-320-0.3j", "1e-08,-0.49,1e-8j"]])
+    def test_pairs_at_extreme_magnitudes(self, capsys, pair):
+        code, out, err = run(capsys, "distance", "--json", "--", *pair)
+        assert code == EXIT_OK and err == ""
+        res = json.loads(out)["results"]
+        assert res["p_e"]["m_scale"] <= res["c_lower"]["m_scale"]
 
     def test_coincident_pair(self, capsys):
         code, out, _ = run(capsys, "distance", "0.1,0.1,0.01", "0.1,0.1,0.01",
@@ -181,19 +202,20 @@ class TestDistance:
         assert env["results"]["k_upper"]["m_scale"] == 0.0
 
     def test_no_verdict_without_upper_bound(self, capsys):
-        argv = ("distance", "0.1,0.05,0.02", "0.12,0.07,0.03", "--budget", "0")
+        argv = ("distance", "0.1,0.05,0.02", "0.12,0.07,0.03")
         code, out, _ = run(capsys, *argv, "--json")
         assert code == EXIT_OK
         res = json.loads(out)["results"]
         assert res["k_upper"] is None
         assert res["gap"] is None and res["sandwich_ok"] is None
-        assert ", 0 evaluations, " in res["k_upper_reason"]
+        assert res["k_upper_reason"].startswith("general-disc: 4 starts, 2 evaluations, ")
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert "sandwich_ok: unknown (no upper bound found)" in out.splitlines()
 
     @pytest.mark.parametrize("budget", ["-1", "-5"])
     def test_negative_budget_is_usage_error(self, capsys, monkeypatch, budget):
+        # --budget is gone: any value is an unknown option
         def no_work(*args, **kwargs):
             raise AssertionError("distance ran before rejecting --budget")
         monkeypatch.setattr("tetrablock.cli.pair_report", no_work)

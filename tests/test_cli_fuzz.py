@@ -20,7 +20,8 @@ NUMBERS = ["nan", "inf", "-inf", "-1", "0", "0.1", "0.25", "0.5", "0.9", "2",
 INTEGERS = ["-3", "-1", "0", "1", "2", "3", "nan", "1.5", "x"]
 POINTS = ["0,0,0", "0.1,0.05,0.02", "0.12,0.07,0.03", "0,0,-0.5",
           "0,0.05,-0.5", "0.2,0,-0.3", "0.3,0.2,0.06", "1,0,0", "2,0,0",
-          "0,0,1e155", "nan,0,0", "0.1,0.1", "a,b,c", ""]
+          "0,0,1e155", "nan,0,0", "0.1,0.1", "a,b,c", "", "0.49j,1e-160,0",
+          "-1e-16j,1e-160,0", "0.3,1e-320j,1e-320-0.3j", "1e-08,-0.49,1e-8j"]
 PHIS = ["id", "const:0.5", "const:-0.4", "const:nan", "auto:0.5",
         "auto:0.5,i", "auto:2", "blaschke:1|0.9|0.5;-0.2", "blaschke:1|abc|0.5",
         "blaschke:1|0.9", "bogus"]
@@ -45,13 +46,13 @@ member = st.tuples(
     flags(option("--tol", numbers), option("--json", st.just(None))),
 ).map(lambda t: ["member", t[0], *t[3], *t[1], *t[2]])
 
+# --budget and --lower-families are gone, and so usage errors
 distance = st.tuples(
     st.sampled_from(POINTS), st.sampled_from(POINTS),
-    st.sampled_from(["-1", "0", "1", "50", "200", "nan"]),
-    flags(option("--lower-families",
-                 st.sampled_from(["psi-omega", "magic-f,psi-omega-sigma", "bogus", ""])),
+    flags(option("--budget", st.sampled_from(["-1", "0", "50", "nan"])),
+          option("--lower-families", st.sampled_from(["psi-omega", "bogus", ""])),
           option("--json", st.just(None))),
-).map(lambda t: ["distance", "--budget", t[2], *t[3], "--", t[0], t[1]])
+).map(lambda t: ["distance", *t[2], "--", t[0], t[1]])
 
 geodesic = st.tuples(
     st.sampled_from(["eval", "verify", "solve", "bogus"]),
@@ -98,6 +99,8 @@ def strip_none(argv):
 @example(["member", "tetrablock", "0.5", "1.7e308", "1.7e308"])
 @example(["geodesic", "eval", "--C", "0.2", "--phi", "const:0.3", "--psi", "id",
           "--lambda", "3"])
+@example(["distance", "--", "0.49j,1e-160,0", "-1e-16j,1e-160,0"])
+@example(["distance", "--", "0.3,1e-320j,1e-320-0.3j", "1e-08,-0.49,1e-8j"])
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_every_argv_ends_in_a_documented_exit_code(argv):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from tetrablock import extremals
 from tetrablock.domains import TetraPoint, is_interior
 from tetrablock.errors import BranchError, DomainError, PoleError
-from tetrablock.extremals import (ExtremalFamily, G2FMap,
+from tetrablock.extremals import (FamilyBounds, G2FMap,
                                   MagicFMap, PsiOmegaMap,
-                                  caratheodory_lower_bound,
+                                  caratheodory_lower_bound, family_bounds,
                                   f_omega_automorphism, g2_f, magic_f, p_e,
                                   psi_eta, sigma)
 from tetrablock.geodesics import OriginGeodesicParams, eval_origin_geodesic
@@ -271,14 +271,12 @@ class TestPsiKernel:
     @staticmethod
     def assert_matches_reference(w, z):
         plain, swapped = reference_psi_bound(w, z, False), reference_psi_bound(w, z, True)
-        magic = caratheodory_lower_bound(w, z, [ExtremalFamily.MAGIC_F]).m_scale
+        bounds = family_bounds(w, z)
         assert abs(p_e(w, z).m_scale - max(plain, swapped)) <= 4.4e-15
         assert abs(caratheodory_lower_bound(w, z).m_scale
-                   - max(plain, swapped, magic)) <= 4.4e-15
-        for family, expected in ((ExtremalFamily.PSI_OMEGA, plain),
-                                 (ExtremalFamily.PSI_OMEGA_SIGMA, swapped)):
-            value = caratheodory_lower_bound(w, z, [family]).m_scale
-            assert abs(value - expected) <= 4.4e-15
+                   - max(plain, swapped, bounds.magic_f)) <= 4.4e-15
+        assert abs(bounds.psi_omega - plain) <= 4.4e-15
+        assert abs(bounds.psi_omega_sigma - swapped) <= 4.4e-15
 
     def test_seeded_pairs(self):
         points = random_interior_points(np.random.default_rng(5), 4000)
@@ -299,10 +297,9 @@ class TestPsiKernel:
         w, z = TetraPoint(0.3, 0, -0.5), TetraPoint(0.3, 0.05, -0.5)
         plain, swapped = reference_psi_bound(w, z, False), reference_psi_bound(w, z, True)
         assert abs(plain - swapped) > 1e-3
-        for family, expected in ((ExtremalFamily.PSI_OMEGA, plain),
-                                 (ExtremalFamily.PSI_OMEGA_SIGMA, swapped)):
-            value = caratheodory_lower_bound(w, z, [family]).m_scale
-            assert value == pytest.approx(expected, abs=4.4e-15)
+        bounds = family_bounds(w, z)
+        assert bounds.psi_omega == pytest.approx(plain, abs=4.4e-15)
+        assert bounds.psi_omega_sigma == pytest.approx(swapped, abs=4.4e-15)
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -373,15 +370,26 @@ class TestCaratheodoryLowerBound:
             assert (p_e(w, z).m_scale
                     <= caratheodory_lower_bound(w, z).m_scale + 1e-12)
 
-    def test_empty_families_rejected(self):
-        z = TetraPoint(0, 0, 0)
-        with pytest.raises(DomainError):
-            caratheodory_lower_bound(z, z, families=[])
+    def test_bounds_are_fields_of_one_record(self):
+        points = random_interior_points(np.random.default_rng(13), 40)
+        for w, z in zip(points[:20], points[20:]):
+            bounds = family_bounds(w, z)
+            assert isinstance(bounds, FamilyBounds)
+            assert p_e(w, z).m_scale == max(bounds.psi_omega, bounds.psi_omega_sigma)
+            assert caratheodory_lower_bound(w, z).m_scale == max(bounds)
 
-    def test_g2_family_rejected_for_tetra_points(self):
-        z = TetraPoint(0, 0.1, 0)
-        with pytest.raises(DomainError):
-            caratheodory_lower_bound(z, z, [ExtremalFamily.G2_F_OMEGA])
+    def test_p_e_takes_no_magic_f(self, monkeypatch):
+        def no_root(value):
+            raise AssertionError("magic_f computed")
+
+        monkeypatch.setattr(extremals, "_sqrt", no_root)
+        w, z = random_interior_points(np.random.default_rng(14), 2)
+        p_e(w, z)
+
+    @pytest.mark.parametrize("bound", [family_bounds, caratheodory_lower_bound])
+    def test_exterior_endpoint_rejected(self, bound):
+        with pytest.raises(DomainError, match="z must be interior"):
+            bound(TetraPoint(0, 0, 0), TetraPoint(0, 0, 2))
 
 
 class TestG2F:

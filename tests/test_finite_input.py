@@ -6,10 +6,12 @@ NaN, or raise ``DomainError``, and it must not warn: a warning is an error
 here, as under ``python -W error``.  The disc evaluators and Blaschke maps
 are defined on the open unit disc; their validated entry points
 (``eval_*``) take any finite lam, and the maps they return take arrays of
-points of the open disc.
+points of the open disc.  The pair kernels, from the Caratheodory lower
+bounds to the pair report, take two such points.
 """
 
 import cmath
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,10 +20,12 @@ from hypothesis import strategies as st
 
 from tetrablock.domains import TetraPoint, e_value_raw, psi_sup, rho_functional
 from tetrablock.errors import DomainError
+from tetrablock.extremals import caratheodory_lower_bound, family_bounds, p_e
 from tetrablock.geodesics import (GeneralDiscParams, OriginGeodesicParams,
-                                  boundary_disc, eval_boundary_disc,
-                                  eval_general_disc, eval_origin_geodesic,
-                                  general_disc, origin_geodesic_disc)
+                                  boundary_disc, disc_search_upper_bound,
+                                  eval_boundary_disc, eval_general_disc,
+                                  eval_origin_geodesic, general_disc,
+                                  origin_geodesic_disc, pair_report)
 from tetrablock.hyperbolic import BlaschkeMap
 from tetrablock.verify import PHI_KINDS, random_phi_pinned
 
@@ -34,6 +38,15 @@ coefficient = st.one_of(st.floats(0.0, 1.0), finite)
 point_of_disc = st.one_of(open_disc, finite_complex)
 unit_factor = st.one_of(unimodular, finite_complex)
 checked = settings(max_examples=150, deadline=None, derandomize=True)
+#: coordinate parts from subnormal to near the float limit, around the
+#: scales where the interior ends
+MAGNITUDES = (0.0, 5e-324, 1e-320, 1e-300, 1e-160, 1e-16, 1e-8, 0.3, 0.49, 0.7,
+              0.999999, 1e155, 1.7e308)
+signed_part = st.builds(lambda m, sign: sign * m, st.sampled_from(MAGNITUDES),
+                        st.sampled_from((1.0, -1.0)))
+pair_coordinate = st.one_of(st.builds(complex, signed_part, signed_part), finite_complex)
+pair_point = st.tuples(pair_coordinate, pair_coordinate, pair_coordinate).map(
+    lambda c: TetraPoint(*c))
 
 
 def has_nan(value) -> bool:
@@ -137,3 +150,26 @@ def test_general_and_boundary_discs(data, C, omega1, omega2, lam):
     if disc is not None:
         outcome(eval_boundary_disc, C, omega1, omega2, phi, lam)
         outcome(disc, lams)
+
+
+def numbers(value) -> list:
+    """The numbers a result holds, through its records and tuples."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, tuple):
+        return [x for part in value for x in numbers(part)]
+    return [value] if isinstance(value, (int, float, complex)) else []
+
+
+@given(pair_point, pair_point)
+# 1e-14 times the largest sextic coefficient underflowed to 0, and the
+# Psi-family solve divided by a zero coefficient
+@example(TetraPoint(0.49j, 1e-160, 0), TetraPoint(-1e-16j, 1e-160, 0))
+# a subnormal phi at w: numpy's -a / |a| overflowed in the general-disc route
+@example(TetraPoint(0.3, 1e-320j, 1e-320 - 0.3j), TetraPoint(1e-08, -0.49, 1e-8j))
+@checked
+def test_pair_kernels(w, z):
+    for kernel in (family_bounds, p_e, caratheodory_lower_bound, disc_search_upper_bound,
+                   pair_report):
+        value = attempt(kernel, w, z)
+        assert not any(map(cmath.isnan, numbers(value))), (kernel, w, z, value)

@@ -653,17 +653,42 @@ class TestGeneralDiscCertificate:
         assert result.residual < 1e-20
         assert abs(result.bound.m_scale - mobius_m(0.1, 0.45)) < 1e-12
 
-    def test_start_where_phi_vanishes(self):
-        # phi vanishes at w, so w3 = 0, and psi at z, so z2 = z3 = 0; a pair
-        # with z2 = z3 = 0 at both ends lies in the product slice, and the
-        # product route takes it first
+    @staticmethod
+    def phi_vanishing_pair():
+        """phi vanishes at w, so w3 = 0, and psi at z, so z2 = z3 = 0; a pair
+        with z2 = z3 = 0 at both ends lies in the product slice, and the
+        product route takes it first."""
         p = GeneralDiscParams(0.4, cmath.exp(0.7j), 1, disc_automorphism(0.3),
                               BlaschkeMap(1, (-0.5j,), 0.8))
         w, z = eval_general_disc(p, 0.3), eval_general_disc(p, -0.5j)
-        assert w.z3 == 0 and z.z2 == z.z3 == 0
+        assert w.z3 == 0 and w.z2 != 0 and z.z2 == z.z3 == 0
+        return w, z
+
+    def test_start_where_phi_vanishes(self):
+        # the two members of w and the start of z, which has no members;
+        # w's start would repeat one of its members.  The (C, omega1) of the
+        # disc's second member lies outside [0, 1), so it builds no disc
+        w, z = self.phi_vanishing_pair()
         result = disc_search_upper_bound(w, z)
         assert result.found and result.family == "general-disc"
+        assert (result.starts, result.evaluations) == (3, 2)
         assert abs(result.bound.m_scale - mobius_m(0.3, -0.5j)) < 1e-12
+
+    def test_start_where_phi_vanishes_alone_finds_the_bound(self, monkeypatch):
+        # phi and psi vanish at z, so z = (omega1 C/(1 + C), 0, 0), and w is
+        # off the product slice: z has no members, and its start is the
+        # disc's (C, omega1)
+        p = GeneralDiscParams(0.4, cmath.exp(0.7j), 1, BlaschkeMap(1j, (-0.5j,), 0.9),
+                              BlaschkeMap(1, (-0.5j,), 0.8))
+        w, z = eval_general_disc(p, 0.3), eval_general_disc(p, -0.5j)
+        assert z.z2 == z.z3 == 0 and abs(w.z1 * w.z2 - w.z3) > 0.1
+        full = disc_search_upper_bound(w, z)
+        monkeypatch.setattr(geodesics, "_member_roots", lambda p: [])
+        result = disc_search_upper_bound(w, z)
+        assert result.found and result.family == "general-disc"
+        assert (result.starts, result.evaluations) == (1, 1)
+        assert abs(result.bound.m_scale - full.bound.m_scale) < 1e-12
+        assert result.bound.m_scale <= mobius_m(0.3, -0.5j) + 1e-12
 
     def test_candidate_with_phi_outside_at_an_endpoint(self):
         # the candidates of z put phi at -(omega1 - z1)/omega1 there, where

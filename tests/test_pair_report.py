@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from tetrablock import extremals, geodesics
 from tetrablock.domains import TetraPoint, is_interior
 from tetrablock.errors import DomainError
-from tetrablock.extremals import (TETRABLOCK_FAMILIES, ExtremalFamily,
-                                  caratheodory_lower_bound, family_bounds, p_e)
+from tetrablock.extremals import (FamilyBounds, caratheodory_lower_bound,
+                                  family_bounds, p_e)
 from tetrablock.geodesics import (SANDWICH_TOL, SEPARATION_TOL, GeneralDiscParams,
                                   disc_search_upper_bound, general_disc,
                                   lempert_special, pair_report)
@@ -71,15 +71,14 @@ def test_report_has_the_bits_of_the_separate_calls(route):
         assert report.search.family == ("none" if route == "generic" else route)
 
 
-@pytest.mark.parametrize("lower", [[ExtremalFamily.MAGIC_F],
-                                   [ExtremalFamily.PSI_OMEGA_SIGMA],
-                                   [ExtremalFamily.PSI_OMEGA, ExtremalFamily.MAGIC_F]])
-def test_lower_families_give_their_own_values(lower):
+@pytest.mark.parametrize("field", FamilyBounds._fields)
+def test_lower_fields_are_the_family_bounds(field):
     w, z = random_interior_points(np.random.default_rng(11), 2)
-    report = fresh(pair_report, w, z, lower, False)
-    assert report.c_lower == fresh(caratheodory_lower_bound, w, z, lower)
-    assert report.p_e == fresh(p_e, w, z)
-    assert report.lower == dict(zip(lower, fresh(family_bounds, w, z, lower)))
+    report = fresh(pair_report, w, z, False)
+    bounds = fresh(family_bounds, w, z)
+    assert isinstance(report.lower, FamilyBounds)
+    assert getattr(report.lower, field) == getattr(bounds, field)
+    assert report.c_lower.m_scale == max(bounds) >= getattr(bounds, field)
 
 
 def test_one_eigenvalue_solve(monkeypatch):
@@ -92,7 +91,7 @@ def test_one_eigenvalue_solve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
     w, z = random_interior_points(np.random.default_rng(12), 2)
-    fresh(pair_report, w, z, [ExtremalFamily.MAGIC_F], False)
+    fresh(pair_report, w, z, False)
     assert calls == [(2, 6, 6)]
 
 
@@ -106,13 +105,6 @@ def test_no_search_when_search_is_off(monkeypatch):
     assert report.gap is None and report.sandwich_ok is None
     assert report.closed_form == lempert_special(0.05, -0.5)
     assert report.separated is True
-
-
-def test_empty_or_foreign_lower_families_rejected():
-    z = TetraPoint(0.1, 0.05, 0.02)
-    for lower in ([], [ExtremalFamily.G2_F_OMEGA], ["psi-omega"]):
-        with pytest.raises(DomainError):
-            pair_report(z, z, lower, False)
 
 
 def test_exterior_endpoint_rejected():
@@ -131,8 +123,9 @@ def test_sandwich_holds(seed, route):
     assert is_interior(w) and is_interior(z)
     report = pair_report(w, z)
     assert report.p_e.m_scale <= report.c_lower.m_scale
-    assert set(report.lower) == set(TETRABLOCK_FAMILIES)
-    assert report.c_lower.m_scale == max(report.lower.values())
+    assert isinstance(report.lower, FamilyBounds)
+    assert report.p_e.m_scale == max(report.lower.psi_omega, report.lower.psi_omega_sigma)
+    assert report.c_lower.m_scale == max(report.lower)
     assert report.separated is (report.c_lower.m_scale > report.p_e.m_scale + SEPARATION_TOL)
     if report.search.found:
         k_upper = report.search.bound.m_scale

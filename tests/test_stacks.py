@@ -245,13 +245,13 @@ def test_stacked_necessary_check_matches_members():
         f = origin_geodesic_disc(stack)
         for flip in (np.ones((n, 1)), np.where(np.arange(n) % 2, -1.0, 1.0)[:, None]):
             reports = geodesic_necessary_checks(flipped_inverse(stack, flip), f,
-                                                TETRABLOCK_ACTIONS, tol=1e-7)
+                                                TETRABLOCK_ACTIONS)
             for action, report in zip(TETRABLOCK_ACTIONS, reports):
                 assert report.verdict.shape == report.hypothesis_residual.shape == (n, 1)
                 for k, params in enumerate(members):
                     single = geodesic_necessary_check(
                         flipped_inverse(params, flip[k, 0]), origin_geodesic_disc(params),
-                        action, tol=1e-7)
+                        action)
                     assert report.verdict[k, 0] is single.verdict
                     assert (single.verdict is CheckVerdict.PASS) == (flip[k, 0] == 1.0)
                     assert abs(report.hypothesis_residual[k, 0]
@@ -550,7 +550,7 @@ def test_necessary_suite_matches_disc_by_disc(seed):
     for params in sample_origin_params(rng, 9):
         f, F = origin_geodesic_disc(params), certified_left_inverse(params)
         for action in TETRABLOCK_ACTIONS:
-            report = geodesic_necessary_check(F, f, action, tol=1e-7)
+            report = geodesic_necessary_check(F, f, action)
             failures += report.verdict.value != "pass"
             worst_fit = max(worst_fit, report.fit.residual)
             worst_psi0 = max(worst_psi0, abs(report.fit.psi0))
@@ -560,7 +560,7 @@ def test_necessary_suite_matches_disc_by_disc(seed):
     for C, omega in zip(c_grid, random_unimodular(rng, (21, 1))[:, 0]):
         params = G2GeodesicParams(C, omega)
         f, F = g2_geodesic_disc(params), G2FMap(params.omega)
-        report = geodesic_necessary_check(F, f, G2_ACTION, tol=1e-7)
+        report = geodesic_necessary_check(F, f, G2_ACTION)
         failures += report.verdict.value != "pass"
         worst_fit = max(worst_fit, report.fit.residual)
         worst_c = max(worst_c, abs(report.fit.C - C))
