@@ -33,7 +33,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .hyperbolic import modulus
+from .hyperbolic import largest, least, modulus
 
 #: default width of the boundary band in membership classification
 DEFAULT_BOUNDARY_TOL = 1e-10
@@ -188,23 +188,43 @@ def is_interior(z, tol: float = DEFAULT_BOUNDARY_TOL) -> bool:
     return tetra_e_value(z) < 1.0 - tol
 
 
+#: the largest real or imaginary part of a coordinate that the family maps
+#: (``psi_eta`` and those of ``extremals``) accept.  Below it, with their
+#: poles kept 1e-14 away, no value or derivative of theirs overflows, so
+#: none is NaN
+MAP_COORDINATE_MAX = 1e100
+
+
+def require_map_point(point):
+    """Reject a point (or an array point) with a coordinate part beyond
+    ``MAP_COORDINATE_MAX`` in absolute value, or NaN, with ``DomainError``.
+    Parts, not moduli: an array's parts take half the time."""
+    for c in point:
+        if not (largest(abs(c.real)) <= MAP_COORDINATE_MAX
+                and largest(abs(c.imag)) <= MAP_COORDINATE_MAX):
+            raise DomainError(f"coordinate parts must lie within {MAP_COORDINATE_MAX:g}, got {c}")
+
+
 def psi_eta(eta, z):
     """The rational membership family (eta z3 - z2) / (eta z1 - 1).
 
-    Requires eta in the closed disc and eta z1 != 1; on interior points the
-    value has modulus < 1.  Array etas and array points broadcast against
-    each other and give an array of values.
+    Requires eta in the closed disc, eta z1 != 1 and the coordinate parts
+    within ``MAP_COORDINATE_MAX``; on interior points the value has modulus
+    < 1.
+    Array etas and array points broadcast against each other and give an
+    array of values.  A scalar eta and point are checked without numpy.
     """
     z = TetraPoint.of(z)
+    require_map_point(z)
     eta = as_coordinate(eta)
-    eta_max = np.abs(eta).max()
-    if eta_max > 1.0 + 1e-12:
+    eta_max = largest(modulus(eta))
+    if not eta_max <= 1.0 + 1e-12:
         raise DomainError(f"eta must lie in the closed disc, got |eta| = {eta_max}")
     den = eta * z.z1 - 1.0
     # |den| >= 1 - |eta| |z1|, so the sample-by-sample test runs only when
     # that bound does not already clear the pole
-    if 1.0 - eta_max * np.abs(z.z1).max() < _POLE_TOL and np.abs(den).min() < _POLE_TOL:
-        raise PoleError(f"psi_eta pole: |eta*z1 - 1| = {np.abs(den).min()}")
+    if 1.0 - eta_max * largest(modulus(z.z1)) < _POLE_TOL and least(modulus(den)) < _POLE_TOL:
+        raise PoleError(f"psi_eta pole: |eta*z1 - 1| = {least(modulus(den))}")
     return (eta * z.z3 - z.z2) / den
 
 
@@ -216,28 +236,62 @@ def psi_sup(z):
     (z2 - conj(z1) z3) / (1 - |z1|^2) and radius |z1 z2 - z3| / (1 - |z1|^2);
     the sum of both moduli is taken over (1 - |z1|)(1 + |z1|), accurate as
     |z1| -> 1.  The value is < 1 exactly when the defining functional is.
-    Array points give one supremum per sample, a scalar point a float; both
-    give inf without a warning when the value leaves the float range.
+    Array points give one supremum per sample, a scalar point a float.  Both
+    run one kernel on real and imaginary parts, a point in Python floats and
+    a block in numpy, in one order of operations and with one modulus rule
+    (``_hypot``), so a point gives the same bits as its block at every scale
+    from subnormal up.  A value beyond the float range is inf, without a
+    warning.
     """
-    point = TetraPoint.of(z)
-    # numpy scalars too, so a point and its block agree to the last digit
-    z1, z2, z3 = (np.asarray(c) for c in point)
-    r1 = np.abs(z1)
-    if r1.size and np.max(r1) >= 1.0:
-        raise DomainError(f"psi_sup requires |z1| < 1, got {np.max(r1)}")
-    # z2, z3 components below 1e290 keep a scalar point below 6.5e306, as
-    # 1 - |z1|^2 >= 2^-53: only there can the value skip the errstate
-    if not r1.ndim and max(abs(point.z2.real), abs(point.z2.imag), abs(point.z3.real),
-                           abs(point.z3.imag)) < 1e290:
-        return float(_psi_value(z1, z2, z3, r1))
+    z1, z2, z3 = TetraPoint.of(z).as_tuple()
+    if not _has_array(z1, z2, z3):
+        r1 = _hypot(z1.real, z1.imag)
+        if r1 >= 1.0:
+            raise DomainError(f"psi_sup requires |z1| < 1, got {r1}")
+        return _psi_value(z1, z2, z3, r1, _hypot)
+    z1, z2, z3 = np.broadcast_arrays(z1, z2, z3)
     with np.errstate(over="ignore"):
-        val = _psi_value(z1, z2, z3, r1)
-    return val if val.ndim else float(val)
+        r1 = _hypot_block(z1.real, z1.imag)
+        if largest(r1 >= 1.0):
+            raise DomainError(f"psi_sup requires |z1| < 1, got {largest(r1)}")
+        return _psi_value(z1, z2, z3, r1, _hypot_block)
 
 
-def _psi_value(z1, z2, z3, r1):
-    return ((np.abs(z2 - np.conjugate(z1) * z3) + np.abs(z1 * z2 - z3))
-            / ((1.0 - r1) * (1.0 + r1)))
+#: the sums of squares at which sqrt(x^2 + y^2) is a modulus to an ulp: the
+#: larger square is a normal float, and nothing overflowed
+_SQUARES_MIN, _SQUARES_MAX = 2.0 ** -968, sys.float_info.max
+
+
+def _hypot(x: float, y: float) -> float:
+    """The modulus of x + i y: sqrt(x^2 + y^2) where the squares keep their
+    bits, else the C library's ``hypot`` (Python's complex modulus, as
+    ``np.hypot`` is; ``math.hypot`` rounds differently)."""
+    squares = x * x + y * y
+    if _SQUARES_MIN <= squares <= _SQUARES_MAX:
+        return math.sqrt(squares)
+    return modulus(complex(x, y))
+
+
+def _hypot_block(x, y):
+    """``_hypot`` of arrays, entry by entry, with the same bits."""
+    squares = x * x + y * y
+    out = np.sqrt(squares)
+    far = ~((squares >= _SQUARES_MIN) & (squares <= _SQUARES_MAX))
+    if far.any():
+        out[far] = np.hypot(x[far], y[far])
+    return out
+
+
+def _psi_value(z1, z2, z3, r1, hypot):
+    """The closed form of ``psi_sup`` from z1, z2, z3 (Python complex numbers
+    or complex arrays), r1 = |z1| and the matching ``hypot``.  The centre
+    z2 - conj(z1) z3 and q = z1 z2 - z3 are formed part by part, as Python
+    multiplies complex numbers (numpy's complex product may fuse a multiply
+    and an add), so a block rounds them as its points do."""
+    x1, y1, x2, y2, x3, y3 = z1.real, z1.imag, z2.real, z2.imag, z3.real, z3.imag
+    centre = hypot(x2 - (x1 * x3 + y1 * y3), y2 - (x1 * y3 - y1 * x3))
+    radius = hypot(x1 * x2 - y1 * y2 - x3, x1 * y2 + y1 * x2 - y3)
+    return (centre + radius) / ((1.0 - r1) * (1.0 + r1))
 
 
 def stable_quadratic_roots(s, p):

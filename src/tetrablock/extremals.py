@@ -11,7 +11,9 @@ of the three, and on some pairs *strictly* -- the separation that
 ``magic_f`` detects.  The Psi-family maxima over the
 unimodular parameter are exact: both orientations' sextics are solved as
 the eigenvalues of one stack of two companion matrices, once per pair for
-``geodesics.pair_report``.
+``geodesics.pair_report``, and the distance is then taken in Python complex
+arithmetic at the 14 candidate parameters, the roots projected to the
+circle and eta = 1 for each orientation.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, as_coordinate,
-                      is_interior, psi_eta)
+                      is_interior, psi_eta, require_map_point)
 from .errors import BranchError, DomainError, PoleError
-from .hyperbolic import HyperbolicDistance, least, mobius_m, require_unimodular
+from .hyperbolic import (HyperbolicDistance, least, mobius_m, modulus,
+                         require_closed_disc_point, require_unimodular)
 
 _POLE_TOL = 1e-14
 
@@ -56,6 +59,7 @@ def magic_f(z) -> complex:
     modulus < 1.  A non-positive real part signals non-interior input.
     """
     z = TetraPoint.of(z)
+    require_map_point(z)
     d = 1.0 + z.z3 - z.z1 * z.z2
     if least(d.real) <= 0.0:
         raise BranchError(f"Re(1 + z3 - z1 z2) = {least(d.real)} <= 0; input not interior")
@@ -66,9 +70,10 @@ def g2_f(omega: complex, w) -> complex:
     """The symmetrized-bidisc family (2 omega p - s) / (2 - omega s)."""
     omega = require_unimodular(omega)
     w = G2Point.of(w)
+    require_map_point(w)
     den = 2.0 - omega * w.s
-    if least(abs(den)) < _POLE_TOL:
-        raise PoleError(f"g2_f pole: |2 - omega*s| = {least(abs(den))}")
+    if least(modulus(den)) < _POLE_TOL:
+        raise PoleError(f"g2_f pole: |2 - omega*s| = {least(modulus(den))}")
     return (2.0 * omega * w.p - w.s) / den
 
 
@@ -79,7 +84,8 @@ def g2_f(omega: complex, w) -> complex:
 
 class PsiOmegaMap:
     """Psi_eta as a map on C^3, optionally precomposed with the coordinate
-    swap and postmultiplied by a unimodular factor.
+    swap and postmultiplied by a factor of the closed disc (unimodular for
+    a certified left inverse).
 
     ``factor * Psi_eta(sigma^k z)`` with k in {0, 1}; carries closed-form
     partial derivatives.  ``eta`` and ``factor`` may be (n, 1) arrays, a
@@ -88,9 +94,9 @@ class PsiOmegaMap:
     """
 
     def __init__(self, eta: complex, *, swap_first: bool = False, factor: complex = 1.0):
-        self.eta = as_coordinate(eta)
+        self.eta = require_closed_disc_point(eta, name="eta")
         self.swap_first = bool(swap_first)
-        self.factor = as_coordinate(factor)
+        self.factor = require_closed_disc_point(factor, name="factor")
 
     def __call__(self, point) -> complex:
         z = TetraPoint.of(point)
@@ -100,13 +106,14 @@ class PsiOmegaMap:
 
     def gradient(self, point) -> Tuple[complex, complex, complex]:
         z = TetraPoint.of(point)
+        require_map_point(z)
         if self.swap_first:
             z = sigma(z)
         eta = self.eta
         den = eta * z.z1 - 1.0
-        if least(abs(den)) < _POLE_TOL:
+        if least(modulus(den)) < _POLE_TOL:
             raise PoleError("psi gradient pole")
-        d1 = -eta * (eta * z.z3 - z.z2) / den ** 2
+        d1 = -eta * (eta * z.z3 - z.z2) / (den * den)
         d2 = -1.0 / den
         d3 = eta / den
         if self.swap_first:
@@ -122,12 +129,16 @@ class MagicFMap:
 
     def gradient(self, point) -> Tuple[complex, complex, complex]:
         z = TetraPoint.of(point)
+        require_map_point(z)
         d = 1.0 + z.z3 - z.z1 * z.z2
         if least(d.real) <= 0.0:
             raise BranchError("gradient branch: input not interior")
+        # the branch point d = 0 is a pole of the gradient
+        if least(modulus(d)) < _POLE_TOL:
+            raise PoleError("magic_f gradient pole")
         root = _sqrt(d)
         den = 2.0 * d * root
-        return (z.z2 ** 2 / den, (2.0 * d + z.z1 * z.z2) / den, -z.z2 / den)
+        return (z.z2 * z.z2 / den, (2.0 * d + z.z1 * z.z2) / den, -z.z2 / den)
 
 
 class G2FMap:
@@ -135,18 +146,19 @@ class G2FMap:
 
     def __init__(self, omega: complex, *, factor: complex = 1.0):
         self.omega = require_unimodular(omega)
-        self.factor = complex(factor)
+        self.factor = require_closed_disc_point(factor, name="factor")
 
     def __call__(self, point) -> complex:
         return self.factor * g2_f(self.omega, point)
 
     def gradient(self, point) -> Tuple[complex, complex]:
         w = G2Point.of(point)
+        require_map_point(w)
         omega = self.omega
         den = 2.0 - omega * w.s
-        if least(abs(den)) < _POLE_TOL:
+        if least(modulus(den)) < _POLE_TOL:
             raise PoleError("g2_f gradient pole")
-        d_s = (-2.0 + 2.0 * omega ** 2 * w.p) / den ** 2
+        d_s = (-2.0 + 2.0 * omega ** 2 * w.p) / (den * den)
         d_p = 2.0 * omega / den
         return (self.factor * d_s, self.factor * d_p)
 
@@ -227,25 +239,39 @@ def _psi_family_bounds(w: TetraPoint, z: TetraPoint) -> Tuple[float, float]:
 
     Both critical polynomials go into 6 x 6 companion matrices (a lower
     degree leaves zero rows and columns, whose roots 0 give eta = 1) and one
-    eigenvalue solve; m is taken at eta = 1 and at every root projected to
-    the circle, so each value is attained.  The last pair's result is kept,
+    eigenvalue solve.  m is then taken in Python complex arithmetic, by
+    ``_circle_max``, at eta = 1 and at every root projected to the circle,
+    so each value is attained.  The last pair's result is kept,
     keyed on the six coordinates (array points are rejected before this), so
     a caller of ``p_e`` and then ``caratheodory_lower_bound`` on one pair, as
     the benchmark's pair report is, pays one solve.  The memory goes once the
     benchmark reads ``geodesics.pair_report`` (ROADMAP item 4).
     """
-    (w1, w2, w3), (z1, z2, z3) = w, z
+    w1, w2, w3, z1, z2, z3 = w.z1, w.z2, w.z3, z.z1, z.z2, z.z3
     (n0, row0), (n1, row1) = (_companion_row(w1, w2, w3, z1, z2, z3),
                               _companion_row(w2, w1, w3, z2, z1, z3))
     companions = np.array((_SHIFTS[n0], _SHIFTS[n1]))
     companions[:, 0, :] = (row0, row1)
-    eta = np.ones((2, 1, 7), dtype=complex)
-    eta[:, 0, :6] = np.exp(1j * np.angle(np.linalg.eigvals(companions)))
-    # axis 0 the orientation, axis 1 the endpoint
-    ends = np.array([[[w1, z1], [w2, z2]], [[w2, z2], [w1, z1]], [[w3, z3], [w3, z3]]])
-    psi = psi_eta(eta, TetraPoint(*ends[..., None]))
-    values = mobius_m(psi[:, 0], psi[:, 1]).max(axis=1)
-    return float(values[0]), float(values[1])
+    roots0, roots1 = np.linalg.eigvals(companions).tolist()
+    return (_circle_max(w1, w2, w3, z1, z2, z3, roots0),
+            _circle_max(w2, w1, w3, z2, z1, z3, roots1))
+
+
+def _circle_max(w1, w2, w3, z1, z2, z3, roots) -> float:
+    """The largest m(Psi_eta(w), Psi_eta(z)) over eta = 1 and the roots
+    projected to the circle (a root 0 gives eta = 1), in Python complex
+    arithmetic.  A NaN value raises ``DomainError``, where ``max`` would
+    skip it."""
+    best = 0.0
+    for eta in (1.0, *[cmath.rect(1.0, cmath.phase(root)) for root in roots]):
+        a = (eta * w3 - w2) / (eta * w1 - 1.0)
+        b = (eta * z3 - z2) / (eta * z1 - 1.0)
+        m = abs((a - b) / (1.0 - a.conjugate() * b))
+        if not m <= best:
+            if m != m:
+                raise DomainError("the Psi-family distance is NaN at a critical point")
+            best = m
+    return best
 
 
 class FamilyBounds(NamedTuple):

@@ -341,6 +341,24 @@ class TestPsiKernel:
         caratheodory_lower_bound(z, w)
         assert len(solves) == 4
 
+    @pytest.mark.parametrize("bound", [family_bounds, p_e, caratheodory_lower_bound])
+    @pytest.mark.parametrize("position", [0, 5])
+    def test_nan_candidate_raises(self, bound, position, monkeypatch):
+        # a NaN root projects to a NaN eta and a NaN distance, the second or
+        # the last of an orientation's seven; Python's max would skip it
+        eigvals = np.linalg.eigvals
+
+        def with_nan(a):
+            roots = eigvals(a)
+            roots[:, position] = np.nan
+            return roots
+
+        monkeypatch.setattr(np.linalg, "eigvals", with_nan)
+        extremals._psi_family_bounds.cache_clear()
+        w, z = random_interior_points(np.random.default_rng(6), 2)
+        with pytest.raises(DomainError, match="NaN"):
+            bound(w, z)
+
     def test_kept_pair_gives_the_bits_of_a_fresh_solve(self):
         points = random_interior_points(np.random.default_rng(8), 200)
         for w, z in zip(points[:100], points[100:]):

@@ -7,26 +7,31 @@ here, as under ``python -W error``.  The disc evaluators and Blaschke maps
 are defined on the open unit disc; their validated entry points
 (``eval_*``) take any finite lam, and the maps they return take arrays of
 points of the open disc.  The pair kernels, from the Caratheodory lower
-bounds to the pair report, take two such points.
+bounds to the pair report, take two such points.  The family maps and
+their gradients (``PsiOmegaMap``, ``magic_f`` and ``MagicFMap``, ``g2_f``
+and ``G2FMap``) may also raise ``PoleError`` or ``BranchError``, both
+kinds of ``DomainError``.
 """
 
 import cmath
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tetrablock.domains import TetraPoint, e_value_raw, psi_sup, rho_functional
+from tetrablock.domains import G2Point, TetraPoint, e_value_raw, psi_sup, rho_functional
 from tetrablock.errors import DomainError
-from tetrablock.extremals import caratheodory_lower_bound, family_bounds, p_e
+from tetrablock.extremals import (G2FMap, MagicFMap, PsiOmegaMap, caratheodory_lower_bound,
+                                  family_bounds, g2_f, magic_f, p_e)
 from tetrablock.geodesics import (GeneralDiscParams, OriginGeodesicParams,
                                   boundary_disc, disc_search_upper_bound,
                                   eval_boundary_disc, eval_general_disc,
                                   eval_origin_geodesic, general_disc,
                                   origin_geodesic_disc, pair_report)
-from tetrablock.hyperbolic import BlaschkeMap
+from tetrablock.hyperbolic import BlaschkeMap, modulus
 from tetrablock.verify import PHI_KINDS, random_phi_pinned
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -108,6 +113,68 @@ def test_point_kernels(coordinates):
         outcome(e_value_raw, *point)
         outcome(psi_sup, point)
         outcome(rho_functional, point)
+
+
+def oracle_psi_sup(z1: complex, z2: complex, z3: complex) -> float:
+    """The closed form of ``psi_sup`` in Python complex arithmetic, with
+    complex moduli."""
+    r1 = modulus(z1)
+    return (modulus(z2 - z1.conjugate() * z3) + modulus(z1 * z2 - z3)) / ((1.0 - r1) * (1.0 + r1))
+
+
+def extreme_coordinates(rng, n: int, top: float):
+    """n complex numbers of every scale from subnormal up to parts of
+    ``top``: most with both parts of one scale, where moduli round hardest,
+    some with parts of unrelated scales; a tenth of the parts are zero."""
+    scale, own = (10.0 ** rng.uniform(-323.5, math.log10(top), size) for size in (n, (2, n)))
+    parts = np.where(rng.uniform(size=(2, n)) < 0.3, own, scale * rng.uniform(size=(2, n)))
+    parts *= rng.choice((-1.0, 1.0), (2, n)) * (rng.uniform(size=(2, n)) >= 0.1)
+    return parts[0] + 1j * parts[1]
+
+
+def test_psi_sup_point_equals_block():
+    rng = np.random.default_rng(61)
+    n = 20000
+    # z1 inside the disc (parts up to 0.7), z2 and z3 up to 1.7e308
+    z1, z2, z3 = (extreme_coordinates(rng, n, top) for top in (0.7, 1.7e308, 1.7e308))
+    block = psi_sup(TetraPoint(z1, z2, z3))
+    for k in range(n):
+        point = complex(z1[k]), complex(z2[k]), complex(z3[k])
+        value, oracle = psi_sup(TetraPoint(*point)), oracle_psi_sup(*point)
+        assert value == block[k], (point, value, block[k])
+        if math.isinf(oracle):
+            assert math.isinf(value), (point, value)
+        else:
+            assert math.isfinite(value) and abs(value - oracle) <= 1e-14 * oracle, \
+                (point, value, oracle)
+
+
+@given(st.lists(pair_coordinate, min_size=3, max_size=12), st.one_of(unimodular, pair_coordinate),
+       st.one_of(unimodular, pair_coordinate), st.booleans())
+# the branch point of magic_f: its gradient divided by a product that
+# underflowed to 0
+@example([1e-150, -1e-150, -1], 1.0, 1.0, False)
+# eta far outside the disc, and a point beyond 1e100: (eta z1 - 1) ** 2
+# raised OverflowError in the Psi and G2 gradients
+@example([1j, 0j, 0j], 1e155j, 1.0, False)
+@example([1e200, 1e-3, 0j], 1.0, 1.0, True)
+@checked
+def test_family_maps(coordinates, eta, factor, swap):
+    k = len(coordinates) // 3
+    blocks = [np.array(coordinates[j * k:(j + 1) * k]) for j in range(3)]
+    psi = attempt(lambda: PsiOmegaMap(eta, swap_first=swap, factor=factor))
+    g2 = attempt(lambda: G2FMap(eta, factor=factor))
+    for point in (TetraPoint(*coordinates[:3]), TetraPoint(*blocks)):
+        pair = G2Point(point.z1, point.z2)
+        outcome(magic_f, point)
+        outcome(MagicFMap().gradient, point)
+        outcome(g2_f, eta, pair)
+        if psi is not None:
+            outcome(psi, point)
+            outcome(psi.gradient, point)
+        if g2 is not None:
+            outcome(g2, pair)
+            outcome(g2.gradient, pair)
 
 
 @given(st.data(), st.integers(1, 4))
