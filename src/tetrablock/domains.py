@@ -198,11 +198,20 @@ MAP_COORDINATE_MAX = 1e100
 def require_map_point(point):
     """Reject a point (or an array point) with a coordinate part beyond
     ``MAP_COORDINATE_MAX`` in absolute value, or NaN, with ``DomainError``.
-    Parts, not moduli: an array's parts take half the time."""
+    An array coordinate whose squared moduli sum to at most a quarter of
+    ``MAP_COORDINATE_MAX`` squared (one BLAS pass, ``np.vdot``) has no such
+    part; any other is read part by part."""
     for c in point:
+        if isinstance(c, np.ndarray) and np.vdot(c, c).real <= _MAP_SQUARES_MAX:
+            continue
         if not (largest(abs(c.real)) <= MAP_COORDINATE_MAX
                 and largest(abs(c.imag)) <= MAP_COORDINATE_MAX):
             raise DomainError(f"coordinate parts must lie within {MAP_COORDINATE_MAX:g}, got {c}")
+
+
+#: a quarter of ``MAP_COORDINATE_MAX`` squared: a block whose rounded sum of
+#: squared moduli is at most this has no part beyond the bound
+_MAP_SQUARES_MAX = MAP_COORDINATE_MAX ** 2 / 4
 
 
 def psi_eta(eta, z):
@@ -258,7 +267,9 @@ def psi_sup(z):
 
 
 #: the sums of squares at which sqrt(x^2 + y^2) is a modulus to an ulp: the
-#: larger square is a normal float, and nothing overflowed
+#: larger square is a normal float, and nothing overflowed.  On a block
+#: ``psi_sup`` takes a third of the time it takes with ``np.hypot``
+#: throughout, so ``hypot`` is kept for the rest
 _SQUARES_MIN, _SQUARES_MAX = 2.0 ** -968, sys.float_info.max
 
 
@@ -276,8 +287,8 @@ def _hypot_block(x, y):
     """``_hypot`` of arrays, entry by entry, with the same bits."""
     squares = x * x + y * y
     out = np.sqrt(squares)
-    far = ~((squares >= _SQUARES_MIN) & (squares <= _SQUARES_MAX))
-    if far.any():
+    if not (least(squares) >= _SQUARES_MIN and largest(squares) <= _SQUARES_MAX):
+        far = ~((squares >= _SQUARES_MIN) & (squares <= _SQUARES_MAX))
         out[far] = np.hypot(x[far], y[far])
     return out
 

@@ -266,7 +266,7 @@ def _circle_max(w1, w2, w3, z1, z2, z3, roots) -> float:
     for eta in (1.0, *[cmath.rect(1.0, cmath.phase(root)) for root in roots]):
         a = (eta * w3 - w2) / (eta * w1 - 1.0)
         b = (eta * z3 - z2) / (eta * z1 - 1.0)
-        m = abs((a - b) / (1.0 - a.conjugate() * b))
+        m = mobius_m(a, b)
         if not m <= best:
             if m != m:
                 raise DomainError("the Psi-family distance is NaN at a critical point")

@@ -118,12 +118,22 @@ def psi_of_lambda(F: Callable, f: Callable, action: CircularAction,
     An array of ``lam`` calls f once and the gradient once on all of them
     and gives an array of values.
     """
+    value, = _psi_of_actions(F, f, (action,), lam)
+    return value
+
+
+def _psi_of_actions(F: Callable, f: Callable, actions: Sequence[CircularAction],
+                    lam: complex) -> List[complex]:
+    """``psi_of_lambda`` for each action, from one call of f and one of the
+    gradient."""
     coords = tuple(as_coordinate(c) for c in f(lam))
     grads = gradient_of(F, coords)
-    if len(grads) != action.dim:
-        raise DomainError("gradient dimension does not match the action")
-    field = vector_field(action, coords)
-    return sum(g * gamma for g, gamma in zip(grads, field))
+    values = []
+    for action in actions:
+        if len(grads) != action.dim:
+            raise DomainError("gradient dimension does not match the action")
+        values.append(sum(g * gamma for g, gamma in zip(grads, vector_field(action, coords))))
+    return values
 
 
 @dataclass(frozen=True)
@@ -270,8 +280,8 @@ def geodesic_necessary_checks(F: Callable, f: Callable, actions: Sequence[Circul
         return [NecessaryCheckReport(verdict, None, hyp, tol) for _ in actions]
     lams = fit_grid()
     fits = fit_quadratic_forms(lams, np.concatenate(
-        [np.broadcast_to(psi_of_lambda(F, f, action, lams), (len(hyp), lams.size))
-         for action in actions]))
+        [np.broadcast_to(psi, (len(hyp), lams.size))
+         for psi in _psi_of_actions(F, f, actions, lams)]))
     reports = []
     for fit in map(QuadraticFit, *(field.reshape(len(actions), -1, 1)
                                    for field in (fits.psi0, fits.C, fits.residual))):

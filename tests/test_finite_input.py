@@ -19,10 +19,12 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tetrablock.domains import G2Point, TetraPoint, e_value_raw, psi_sup, rho_functional
+from tetrablock.domains import (MAP_COORDINATE_MAX, G2Point, TetraPoint, e_value_raw, psi_sup,
+                               require_map_point, rho_functional)
 from tetrablock.errors import DomainError
 from tetrablock.extremals import (G2FMap, MagicFMap, PsiOmegaMap, caratheodory_lower_bound,
                                   family_bounds, g2_f, magic_f, p_e)
@@ -175,6 +177,21 @@ def test_family_maps(coordinates, eta, factor, swap):
         if g2 is not None:
             outcome(g2, pair)
             outcome(g2.gradient, pair)
+
+
+def test_map_point_bound_is_by_part_in_a_block():
+    # parts at the bound pass however many there are, though their squares
+    # sum past the one-pass test; one part just beyond it, or a NaN, among
+    # small ones fails
+    n = 10000
+    at_bound = np.full(n, MAP_COORDINATE_MAX * (1 - 1j))
+    require_map_point(TetraPoint(at_bound, at_bound, at_bound))
+    require_map_point(TetraPoint(*np.full((3, n), 0.5 + 0.5j)))
+    for bad in (np.nextafter(MAP_COORDINATE_MAX, math.inf), math.nan):
+        block = np.full(n, 0.5j)
+        block[n // 3] = complex(0.0, -bad)
+        with pytest.raises(DomainError, match="coordinate parts"):
+            require_map_point(TetraPoint(0.5j, block, 0.5j))
 
 
 @given(st.data(), st.integers(1, 4))
