@@ -373,47 +373,35 @@ def rho_functional(z):
     the rounding of q, as any evaluation from the float point is.  The point is first
     scaled by a power of two, exactly by quasi-homogeneity, so nothing
     underflows or overflows.  A scalar point stays in Python arithmetic and
-    gives a float; an array point gives one gauge per sample, through the
-    same formula.  Non-finite coordinates and a gauge beyond the float range
-    raise ``DomainError``.
+    gives a float; an array point gives one gauge per sample.  Both run one
+    real-arithmetic kernel, so a point gives the same bits as its block.
+    Non-finite coordinates and a gauge beyond the float range raise
+    ``DomainError``.
     """
     z1, z2, z3 = TetraPoint.of(z).as_tuple()
-    if _has_array(z1, z2, z3):
-        return _rho_block(*np.broadcast_arrays(z1, z2, z3))
     parts = (z1.real, z1.imag, z2.real, z2.imag, z3.real, z3.imag)
-    if not all(map(math.isfinite, parts)):
-        raise DomainError("rho_functional needs finite coordinates")
-    size = max(*map(abs, parts[:4]), math.sqrt(max(abs(parts[4]), abs(parts[5]))))
-    if size == 0.0:
-        return 0.0
-    # z1/s, z2/s, z3/s^2 with s = 2^e, exactly
-    e = math.frexp(size)[1]
-    x1, y1, x2, y2 = (math.ldexp(x, -e) for x in parts[:4])
-    z1, z2 = complex(x1, y1), complex(x2, y2)
-    z3 = complex(math.ldexp(parts[4], -2 * e), math.ldexp(parts[5], -2 * e))
-    try:
-        return math.ldexp(_scaled_gauge(z1, z2, z1 * z2 - z3, math.sqrt), e)
-    except OverflowError:
-        raise DomainError("rho_functional exceeds the float range") from None
-
-
-def _rho_block(z1, z2, z3):
-    """``rho_functional`` of an array point, scaled sample by sample."""
-    parts = (z1.real, z1.imag, z2.real, z2.imag, z3.real, z3.imag)
+    if not _has_array(z1, z2, z3):
+        if not all(map(math.isfinite, parts)):
+            raise DomainError("rho_functional needs finite coordinates")
+        x1, y1, x2, y2, x3, y3 = parts
+        # z1/s, z2/s, z3/s^2 with s = 2^e, exactly; frexp(0) = (0, 0)
+        e = math.frexp(max(abs(x1), abs(y1), abs(x2), abs(y2),
+                           math.sqrt(max(abs(x3), abs(y3)))))[1]
+        ldexp = math.ldexp
+        try:
+            return ldexp(_gauge_value(ldexp(x1, -e), ldexp(y1, -e), ldexp(x2, -e),
+                                      ldexp(y2, -e), ldexp(x3, -2 * e), ldexp(y3, -2 * e),
+                                      _hypot, math.sqrt), e)
+        except OverflowError:
+            raise DomainError("rho_functional exceeds the float range") from None
+    parts = np.broadcast_arrays(*parts)
     if not all(np.isfinite(x).all() for x in parts):
         raise DomainError("rho_functional needs finite coordinates")
-    size = np.maximum.reduce([np.abs(x) for x in parts[:4]]
-                             + [np.sqrt(np.maximum(np.abs(z3.real), np.abs(z3.imag)))])
-    # frexp(0) = (0, 0): a zero sample stays 0
-    e = np.frexp(size)[1]
-    x1, y1, x2, y2, x3, y3 = (np.ldexp(x, -n * e) for x, n in zip(parts, (1, 1, 1, 1, 2, 2)))
-    # q component by component, as Python multiplies complex numbers (numpy's
-    # complex product may fuse a multiply and an add): near a double root q
-    # cancels, the gauge is as sensitive as a square root to its rounding, and
-    # a block must round it as its points do
-    q = (x1 * x2 - y1 * y2 - x3) + 1j * (x1 * y2 + y1 * x2 - y3)
+    e = np.frexp(np.maximum.reduce([np.abs(x) for x in parts[:4]]
+                                   + [np.sqrt(np.maximum(np.abs(parts[4]), np.abs(parts[5])))]))[1]
+    scaled = [np.ldexp(x, -n * e) for x, n in zip(parts, (1, 1, 1, 1, 2, 2))]
     with np.errstate(over="ignore"):
-        rho = np.ldexp(_scaled_gauge(x1 + 1j * y1, x2 + 1j * y2, q, np.sqrt), e)
+        rho = np.ldexp(_gauge_value(*scaled, _hypot_block, np.sqrt), e)
     if np.isinf(rho).any():
         raise DomainError("rho_functional exceeds the float range")
     return rho
@@ -422,18 +410,24 @@ def _rho_block(z1, z2, z3):
 _SMALLEST_NORMAL = sys.float_info.min
 
 
-def _scaled_gauge(z1, z2, q, sqrt):
-    """The closed form of ``rho_functional`` for a point scaled to components
-    below 1 (those of z3 below 1 in square root), given z1, z2 and
-    q = z1 z2 - z3 as Python complex numbers or complex arrays, with the
-    matching ``sqrt``."""
-    c = abs(q)
-    # Below the smallest normal float, divide by 1 instead of c: q = 0 where
-    # c = 0; a subnormal c leaves 4 c w^2 far below the rounding of the other
-    # terms (some component is at least 1/2 after the scaling), and numpy's
-    # complex quotient would overflow there, as it multiplies by 1 / c
-    w = abs(z1 + z2.conjugate() * q / (c + (c < _SMALLEST_NORMAL)))
-    r1, r2 = abs(z1), abs(z2)
-    s1, s2 = r1 * r1, r2 * r2
+def _gauge_value(x1, y1, x2, y2, x3, y3, hypot, sqrt):
+    """The closed form of ``rho_functional`` from the real and imaginary
+    parts of z1, z2 and z3, scaled to parts below 1 (those of z3 below 1 in
+    square root): Python floats with ``_hypot`` and ``math.sqrt`` for a
+    point, arrays with ``_hypot_block`` and ``np.sqrt`` for a block.  Both
+    take the same real operations in the same order, so a point gives the
+    same bits as its block; that matters near a double root, where
+    q = z1 z2 - z3 cancels and the gauge is as sensitive as a square root
+    to its rounding."""
+    qx, qy = x1 * x2 - y1 * y2 - x3, x1 * y2 + y1 * x2 - y3
+    c = hypot(qx, qy)
+    # w = z1 + conj(z2) q / c.  Below the smallest normal float, divide by 1
+    # instead of c: q = 0 where c = 0, and a subnormal c leaves 4 c |w|^2
+    # far below the rounding of the other terms (some part is at least 1/2
+    # after the scaling)
+    den = c + (c < _SMALLEST_NORMAL)
+    wx = x1 + (x2 * qx + y2 * qy) / den
+    wy = y1 + (x2 * qy - y2 * qx) / den
+    s1, s2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
     d = s2 - s1
-    return sqrt(c + 0.5 * (s1 + s2 + sqrt(d * d + 4.0 * c * w * w)))
+    return sqrt(c + 0.5 * (s1 + s2 + sqrt(d * d + 4.0 * c * (wx * wx + wy * wy))))

@@ -24,8 +24,8 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, as_coordinate,
-                      is_interior, psi_eta, require_map_point)
+from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, is_interior,
+                      psi_eta, require_map_point)
 from .errors import BranchError, DomainError, PoleError
 from .hyperbolic import (HyperbolicDistance, least, mobius_m, modulus,
                          require_closed_disc_point, require_unimodular)
@@ -161,22 +161,6 @@ class G2FMap:
         d_s = (-2.0 + 2.0 * omega ** 2 * w.p) / (den * den)
         d_p = 2.0 * omega / den
         return (self.factor * d_s, self.factor * d_p)
-
-
-class CoordinateMap:
-    """The j-th coordinate function on C^dim, with gradient."""
-
-    def __init__(self, index: int, dim: int):
-        if not 0 <= index < dim:
-            raise DomainError(f"coordinate index {index} out of range for dim {dim}")
-        self.index = index
-        self.dim = dim
-
-    def __call__(self, point) -> complex:
-        return as_coordinate(tuple(point)[self.index])
-
-    def gradient(self, point) -> Tuple[complex, ...]:
-        return tuple(1.0 + 0.0j if j == self.index else 0.0j for j in range(self.dim))
 
 
 # ---------------------------------------------------------------------------

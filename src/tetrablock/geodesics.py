@@ -218,29 +218,6 @@ def boundary_disc(C: float, omega1: complex, omega2: complex,
     return lambda lam: TetraPoint(*disc_coords(C, omega1, omega2, phi(lam), 1.0))
 
 
-def eval_boundary_disc(C: float, omega1: complex, omega2: complex,
-                       phi: BlaschkeMap, lam: complex) -> TetraPoint:
-    """Evaluate the boundary disc at a point of the open disc."""
-    return boundary_disc(C, omega1, omega2, phi)(require_disc_point(lam, name="lam"))
-
-
-def product_disc(a: BlaschkeMap, b: BlaschkeMap, lam: complex) -> TetraPoint:
-    """The disc lam -> (a(lam), b(lam), a(lam) b(lam)).
-
-    Its image lies in the slice {z1 z2 = z3}; the disc is a geodesic when
-    one of the factors is a disc automorphism (see ``is_product_geodesic``).
-    """
-    _require_phi_open(a, "a")
-    _require_phi_open(b, "b")
-    lam = require_disc_point(lam, name="lam")
-    av, bv = a(lam), b(lam)
-    return TetraPoint(av, bv, av * bv)
-
-
-def is_product_geodesic(a: BlaschkeMap, b: BlaschkeMap) -> bool:
-    return a.is_automorphism or b.is_automorphism
-
-
 # ---------------------------------------------------------------------------
 # residuals and verification
 # ---------------------------------------------------------------------------
@@ -397,19 +374,6 @@ class TransportedDisc:
 def transport_disc(f: Callable[[complex], TetraPoint]) -> TransportedDisc:
     """Transport a disc with f1(0) = f3(0) = 0 to (f1/lam, f2, f3/lam)."""
     return TransportedDisc(f)
-
-
-def transported_extremal(C: float, omega1: complex, omega2: complex,
-                         phi: BlaschkeMap, lam: complex) -> TetraPoint:
-    """Transported origin geodesic: an extremal disc avoiding {z1 z2 = z3}.
-
-    ``lam -> (w1 (phi(lam)+C)/(lam (1+C)), w2 lam (1+C phi(lam))/(1+C),
-    w1 w2 phi(lam))`` for non-automorphism phi with phi(0) = -C, C in (0, 1).
-    At 0 the value is (w1 phi'(0)/(1+C), 0, -w1 w2 C), interior because
-    |phi'(0)| < 1 - C^2 strictly for non-automorphisms.
-    """
-    disc = transported_extremal_disc(C, omega1, omega2, phi)
-    return disc(lam)
 
 
 def transported_extremal_disc(C: float, omega1: complex, omega2: complex,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -301,19 +301,3 @@ def disc_automorphism(a: complex, omega: complex = 1.0) -> BlaschkeMap:
     a = require_disc_point(a, name="a")
     omega = require_unimodular(omega)
     return BlaschkeMap(unimodular_factor=omega, zeros=(a,), scale=1.0)
-
-
-def blaschke_eval(b: BlaschkeMap, lam: complex) -> complex:
-    """Evaluate a BlaschkeMap at a point of the open disc."""
-    lam = require_disc_point(lam, name="lam")
-    return b(lam)
-
-
-def schwarz_pick_check(g: Callable[[complex], complex], lam1: complex, lam2: complex,
-                       *, tol: float = 1e-12) -> bool:
-    """True iff m(g(l1), g(l2)) <= m(l1, l2) + tol for a sampled self-map g."""
-    lam1 = require_disc_point(lam1, name="lam1")
-    lam2 = require_disc_point(lam2, name="lam2")
-    v1 = require_closed_disc_point(complex(g(lam1)), name="g(lam1)")
-    v2 = require_closed_disc_point(complex(g(lam2)), name="g(lam2)")
-    return mobius_m(v1, v2) <= mobius_m(lam1, lam2) + tol

@@ -17,9 +17,8 @@ conj(a) lam^2 + C lam + a with a = -i psi0.
 
 The fits take a stack of n sample rows at one grid of m points: the checks
 on the grid run once, one ``lstsq`` call solves all n right-hand sides, and
-the fitted fields are (n, 1) arrays.  The fits of one (lam, value) sample
-list are the stack of one, and so is the check of one geodesic among the
-checks of a stack of them.
+the fitted fields are (n, 1) arrays.  One sample row is a stack of one,
+and one geodesic is checked as a stack of one disc.
 """
 
 from __future__ import annotations
@@ -154,14 +153,6 @@ class QuadraticFit:
         return -self.psi0.conjugate() * lam * lam + 1j * self.C * lam + self.psi0
 
 
-def _sample_columns(samples: Sequence[Tuple[complex, complex]]
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """The sample points of (lam, value) pairs, and their values as a stack
-    of one row."""
-    pairs = np.asarray(samples, dtype=complex).reshape(-1, 2)
-    return pairs[:, 0], pairs[None, :, 1]
-
-
 def _require_samples(lams: np.ndarray, minimum: int) -> None:
     if lams.size < minimum:
         raise FitError(f"need at least {minimum} samples, got {lams.size}")
@@ -198,19 +189,6 @@ def fit_quadratic_forms(lams: np.ndarray, values: np.ndarray) -> QuadraticFit:
                                         axis=1, keepdims=True))
 
 
-def fit_quadratic_form(samples: Sequence[Tuple[complex, complex]]) -> QuadraticFit:
-    """``fit_quadratic_forms`` of one sample list: ``samples`` is a sequence
-    of (lam, value) pairs or an (m, 2) complex array, and the fields are
-    scalars."""
-    return _first(fit_quadratic_forms(*_sample_columns(samples)))
-
-
-def _first(fit: QuadraticFit) -> QuadraticFit:
-    """The first fit of a stack, with scalar fields."""
-    return QuadraticFit(complex(fit.psi0[0, 0]), float(fit.C[0, 0]),
-                        float(fit.residual[0, 0]))
-
-
 def fit_general_quadratics(lams: np.ndarray, values: np.ndarray
                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Unconstrained complex quadratic fits c0 + c1 lam + c2 lam^2 of each
@@ -230,14 +208,6 @@ def fit_general_quadratics(lams: np.ndarray, values: np.ndarray
         raise FitError("rank-deficient fit")
     residual = np.max(np.abs(design @ coeffs - values.T), axis=0)
     return coeffs[0][:, None], coeffs[1][:, None], coeffs[2][:, None], residual[:, None]
-
-
-def fit_general_quadratic(samples: Sequence[Tuple[complex, complex]]
-                          ) -> Tuple[complex, complex, complex, float]:
-    """``fit_general_quadratics`` of one list of (lam, value) pairs, as
-    scalars."""
-    c0, c1, c2, residual = fit_general_quadratics(*_sample_columns(samples))
-    return complex(c0[0, 0]), complex(c1[0, 0]), complex(c2[0, 0]), float(residual[0, 0])
 
 
 class CheckVerdict(Enum):
@@ -289,27 +259,3 @@ def geodesic_necessary_checks(F: Callable, f: Callable, actions: Sequence[Circul
                            np.where(fit.residual < tol, CheckVerdict.PASS, CheckVerdict.FIT_FAIL))
         reports.append(NecessaryCheckReport(verdict, fit, hyp, tol))
     return reports
-
-
-def geodesic_necessary_check(F: Callable, f: Callable, action: CircularAction
-                             ) -> NecessaryCheckReport:
-    """``geodesic_necessary_checks`` of one certified geodesic and one
-    action, with scalar fields."""
-    report, = geodesic_necessary_checks(F, f, (action,))
-    fit = None if report.fit is None else _first(report.fit)
-    return NecessaryCheckReport(report.verdict[0, 0], fit,
-                                float(report.hypothesis_residual[0, 0]),
-                                report.tolerance_used)
-
-
-def reinhardt_check(F: Callable, f: Callable, j: int) -> NecessaryCheckReport:
-    """Single-coordinate variant for fully rotation-invariant domains.
-
-    Runs the check with the j-th unit weight vector (0-based index) of the
-    dimension of f, so the fitted quantity is dF/dz_j(f(lam)) * i * f_j(lam).
-    """
-    dim = len(tuple(f(0.1)))
-    if not 0 <= j < dim:
-        raise DomainError(f"coordinate index {j} out of range for dim {dim}")
-    weights = tuple(1.0 if k == j else 0.0 for k in range(dim))
-    return geodesic_necessary_check(F, f, CircularAction(weights))

@@ -21,16 +21,16 @@ from tetrablock.extremals import (G2FMap, MagicFMap, caratheodory_lower_bound,
 from tetrablock.geodesics import (DEFAULT_RADII, DiscVerdict, G2GeodesicParams,
                                   GeneralDiscParams, OriginGeodesicParams,
                                   TransportClass, boundary_disc,
-                                  certified_left_inverse, eval_boundary_disc,
+                                  certified_left_inverse,
                                   eval_general_disc, eval_origin_geodesic,
                                   g2_geodesic_disc, g2_origin_geodesic,
                                   general_disc, left_inverse_residual,
                                   origin_geodesic_disc, sample_grid,
-                                  transport_disc, transported_extremal,
-                                  transported_extremal_disc, verify_disc)
+                                  transport_disc, transported_extremal_disc,
+                                  verify_disc)
 from tetrablock.hyperbolic import BlaschkeMap, mobius_m
 from tetrablock.necessary import (G2_ACTION, TETRABLOCK_ACTIONS, CheckVerdict,
-                                  fit_grid, geodesic_necessary_check,
+                                  fit_grid, geodesic_necessary_checks,
                                   psi_of_lambda)
 from tetrablock.verify import (random_interior_points, random_phi_pinned,
                                random_self_map, random_unimodular,
@@ -57,18 +57,18 @@ def general_family(rng):
 
 def boundary_family(rng):
     for _ in range(20):
-        args = (rng.uniform(0.0, 1.0), random_unimodular(rng),
-                random_unimodular(rng), random_self_map(rng))
-        yield boundary_disc(*args), lambda lam, a=args: eval_boundary_disc(*a, lam)
+        # the map at one Python complex lam is the scalar evaluation
+        disc = boundary_disc(rng.uniform(0.0, 1.0), random_unimodular(rng),
+                             random_unimodular(rng), random_self_map(rng))
+        yield disc, disc
 
 
 def transported_family(rng):
     for k in range(21):
         C = rng.uniform(0.1, 0.8)
         phi = random_phi_pinned(rng, C, ("constant", "scaled", "degree2")[k % 3])
-        args = (C, random_unimodular(rng), random_unimodular(rng), phi)
-        yield (transported_extremal_disc(*args),
-               lambda lam, a=args: transported_extremal(*a, lam))
+        disc = transported_extremal_disc(C, random_unimodular(rng), random_unimodular(rng), phi)
+        yield disc, disc
 
 
 def g2_family(rng):
@@ -321,7 +321,7 @@ def necessary_cases():
 def test_necessary_check_matches_per_lambda_loop():
     seen = set()
     for name, F, f, action in necessary_cases():
-        report = geodesic_necessary_check(F, f, action)
+        report, = geodesic_necessary_checks(F, f, (action,))
         samples = [(complex(lam), psi_of_lambda(F, f, action, complex(lam)))
                    for lam in fit_grid()]
         assert all(isinstance(value, complex) for _, value in samples)
@@ -330,10 +330,10 @@ def test_necessary_check_matches_per_lambda_loop():
         # last-digit differences between numpy and Python complex arithmetic
         # by the 1e-5 stencil step, about 1e5 * eps per partial
         tol = 1e-10 if name == "numeric" else 1e-14
-        assert abs(report.fit.psi0 - psi0) <= tol, name
-        assert abs(report.fit.C - C) <= tol, name
-        assert abs(report.fit.residual - residual) <= tol, name
+        assert abs(report.fit.psi0[0, 0] - psi0) <= tol, name
+        assert abs(report.fit.C[0, 0] - C) <= tol, name
+        assert abs(report.fit.residual[0, 0] - residual) <= tol, name
         verdict = CheckVerdict.PASS if residual < report.tolerance_used else CheckVerdict.FIT_FAIL
-        assert report.verdict is verdict, name
+        assert report.verdict[0, 0] is verdict, name
         seen.add(name)
     assert seen == {"psi-omega", "numeric", "magic-f", "g2-f"}

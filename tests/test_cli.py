@@ -169,18 +169,19 @@ class TestDistance:
                              "--upper-families", "auto")
         assert code == EXIT_USAGE and out == ""
 
-    def test_unknown_lower_family_is_usage_error(self, capsys):
-        # --lower-families is gone: every report has all three families
-        code, _, err = run(capsys, "distance", "0,0,-0.5", "0,0.05,-0.5",
-                           "--lower-families", "bogus")
-        assert code == EXIT_USAGE
-        assert "bogus" in err
-
-    @pytest.mark.parametrize("option", [["--lower-families", "psi-omega"], ["--budget", "5"]])
-    def test_removed_options_are_usage_errors(self, capsys, option):
+    @pytest.mark.parametrize("option", [["--lower-families", "psi-omega"], ["--budget", "5"],
+                                        ["--lower-families", "bogus"], ["--budget", "-1"],
+                                        ["--budget", "-5"]])
+    def test_removed_options_are_usage_errors(self, capsys, monkeypatch, option):
+        # --lower-families and --budget are gone (every report has all three
+        # families, and the search no budget): any value is an unknown
+        # option, rejected before any work
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"distance ran before rejecting {option[0]}")
+        monkeypatch.setattr("tetrablock.cli.pair_report", no_work)
         code, out, err = run(capsys, "distance", "0,0,-0.5", "0,0.05,-0.5", *option)
         assert code == EXIT_USAGE
-        assert out == "" and option[0] in err
+        assert out == "" and option[0] in err and option[1] in err
 
     @pytest.mark.parametrize("pair", [
         # 1e-14 times the largest sextic coefficient underflowed to 0, and a
@@ -212,17 +213,6 @@ class TestDistance:
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert "sandwich_ok: unknown (no upper bound found)" in out.splitlines()
-
-    @pytest.mark.parametrize("budget", ["-1", "-5"])
-    def test_negative_budget_is_usage_error(self, capsys, monkeypatch, budget):
-        # --budget is gone: any value is an unknown option
-        def no_work(*args, **kwargs):
-            raise AssertionError("distance ran before rejecting --budget")
-        monkeypatch.setattr("tetrablock.cli.pair_report", no_work)
-        code, out, err = run(capsys, "distance", "0.1,0.05,0.02", "0.12,0.07,0.03",
-                             "--budget", budget)
-        assert code == EXIT_USAGE
-        assert out == "" and "--budget" in err
 
     def test_readme_pair_gets_a_deterministic_reason(self, capsys):
         # four closed-form candidates, none of whose discs meets both points

@@ -4,9 +4,10 @@ Every kernel below is given finite numbers of any size (subnormal up to
 1.7e308) in its record fields and points.  It must return values without
 NaN, or raise ``DomainError``, and it must not warn: a warning is an error
 here, as under ``python -W error``.  The disc evaluators and Blaschke maps
-are defined on the open unit disc; their validated entry points
-(``eval_*``) take any finite lam, and the maps they return take arrays of
-points of the open disc.  The pair kernels, from the Caratheodory lower
+are defined on the open unit disc; the validated entry points
+``eval_origin_geodesic`` and ``eval_general_disc`` take any finite lam, and
+the maps the disc builders return take points of the open disc and arrays
+of them.  The pair kernels, from the Caratheodory lower
 bounds to the pair report, take two such points.  The family maps and
 their gradients (``PsiOmegaMap``, ``magic_f`` and ``MagicFMap``, ``g2_f``
 and ``G2FMap``) may also raise ``PoleError`` or ``BranchError``, both
@@ -30,9 +31,8 @@ from tetrablock.extremals import (G2FMap, MagicFMap, PsiOmegaMap, caratheodory_l
                                   family_bounds, g2_f, magic_f, p_e)
 from tetrablock.geodesics import (GeneralDiscParams, OriginGeodesicParams,
                                   boundary_disc, disc_search_upper_bound,
-                                  eval_boundary_disc, eval_general_disc,
-                                  eval_origin_geodesic, general_disc,
-                                  origin_geodesic_disc, pair_report)
+                                  eval_general_disc, eval_origin_geodesic,
+                                  general_disc, origin_geodesic_disc, pair_report)
 from tetrablock.hyperbolic import BlaschkeMap, modulus
 from tetrablock.verify import PHI_KINDS, random_phi_pinned
 
@@ -151,6 +151,50 @@ def test_psi_sup_point_equals_block():
                 (point, value, oracle)
 
 
+def oracle_gauge(z1: complex, z2: complex, z3: complex) -> float:
+    """The closed form of ``rho_functional`` in Python complex arithmetic,
+    with complex moduli, at the point scaled by a power of two; beyond the
+    float range, OverflowError."""
+    e = math.frexp(max(abs(z1.real), abs(z1.imag), abs(z2.real), abs(z2.imag),
+                       math.sqrt(max(abs(z3.real), abs(z3.imag)))))[1]
+    z1, z2 = (complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in (z1, z2))
+    z3 = complex(math.ldexp(z3.real, -2 * e), math.ldexp(z3.imag, -2 * e))
+    q = z1 * z2 - z3
+    c = modulus(q)
+    w = modulus(z1 + z2.conjugate() * q / c) if c else 0.0
+    s1, s2 = modulus(z1) ** 2, modulus(z2) ** 2
+    gauge = math.sqrt(c + 0.5 * (s1 + s2 + math.sqrt((s2 - s1) ** 2 + 4.0 * c * w * w)))
+    return math.ldexp(gauge, e)
+
+
+def test_rho_functional_point_equals_block():
+    rng = np.random.default_rng(67)
+    n, m = 19000, 1000
+    # and m points with parts near the float limit, where the gauge can
+    # exceed it
+    near_top = 1.7e308 * rng.uniform(0.3, 1.0, (2, 3, m)) * rng.choice((-1.0, 1.0), (2, 3, m))
+    z1, z2, z3 = (np.concatenate([extreme_coordinates(rng, n, 1.7e308), x + 1j * y])
+                  for x, y in zip(*near_top))
+    n += m
+    finite = []
+    for k in range(n):
+        point = complex(z1[k]), complex(z2[k]), complex(z3[k])
+        try:
+            oracle = oracle_gauge(*point)
+        except OverflowError:
+            for z in (TetraPoint(*point), TetraPoint(*(np.array([x]) for x in point))):
+                with pytest.raises(DomainError, match="float range"):
+                    rho_functional(z)
+            continue
+        value = rho_functional(TetraPoint(*point))
+        assert abs(value - oracle) <= 1e-14 * oracle, (point, value, oracle)
+        finite.append(k)
+    block = rho_functional(TetraPoint(z1[finite], z2[finite], z3[finite]))
+    for k, value in zip(finite, block):
+        point = complex(z1[k]), complex(z2[k]), complex(z3[k])
+        assert rho_functional(TetraPoint(*point)) == value, (point, value)
+
+
 @given(st.lists(pair_coordinate, min_size=3, max_size=12), st.one_of(unimodular, pair_coordinate),
        st.one_of(unimodular, pair_coordinate), st.booleans())
 # the branch point of magic_f: its gradient divided by a product that
@@ -232,7 +276,7 @@ def test_general_and_boundary_discs(data, C, omega1, omega2, lam):
         outcome(general_disc(params), lams)
     disc = phi and attempt(boundary_disc, C, omega1, omega2, phi)
     if disc is not None:
-        outcome(eval_boundary_disc, C, omega1, omega2, phi, lam)
+        outcome(disc, complex(lams[0]))
         outcome(disc, lams)
 
 

@@ -13,17 +13,16 @@ from tetrablock.geodesics import (DiscVerdict, G2GeodesicParams,
                                   GeneralDiscParams, OriginGeodesicParams,
                                   TransportClass, blaschke_interp_origin,
                                   certified_left_inverse,
-                                  disc_search_upper_bound, eval_boundary_disc,
+                                  boundary_disc, disc_search_upper_bound,
                                   eval_general_disc, eval_origin_geodesic,
                                   g2_geodesic_disc,
                                   g2_origin_geodesic, g2_violation_witness,
                                   general_disc,
-                                  is_product_geodesic,
                                   left_inverse_residual, lempert_special,
                                   origin_geodesic_disc, origin_lempert,
-                                  product_disc, sample_grid,
+                                  sample_grid,
                                   solve_origin_geodesic_through,
-                                  transport_disc, transported_extremal,
+                                  transport_disc,
                                   transported_extremal_disc, verify_disc)
 from tetrablock.hyperbolic import BlaschkeMap, disc_automorphism, mobius_m
 from tetrablock.verify import (random_disc_point, random_interior_points,
@@ -114,12 +113,12 @@ class TestGeneralDisc:
 
 class TestBoundaryDisc:
     def test_simplest_member(self):
-        point = eval_boundary_disc(0.0, 1, 1, BlaschkeMap.constant(0.0), 0.2)
+        point = boundary_disc(0.0, 1, 1, BlaschkeMap.constant(0.0))(0.2)
         assert point == TetraPoint(0, 1, 0)
         assert tetra_e_value(point) == 1.0
 
     def test_identity_value(self):
-        point = eval_boundary_disc(0.5, 1, 1, BlaschkeMap.constant(0.2), 0.3j)
+        point = boundary_disc(0.5, 1, 1, BlaschkeMap.constant(0.2))(0.3j)
         assert tetra_e_value(point) == pytest.approx(1.0, abs=1e-14)
 
     def test_random_sweep(self):
@@ -129,8 +128,9 @@ class TestBoundaryDisc:
             C = rng.uniform(0, 1)
             phi = random_self_map(rng)
             w1, w2 = random_unimodular(rng), random_unimodular(rng)
+            disc = boundary_disc(C, w1, w2, phi)
             for lam in sample_grid(radii=(0.2, 0.5, 0.8), n_angles=8):
-                e = tetra_e_value(eval_boundary_disc(C, w1, w2, phi, lam))
+                e = tetra_e_value(disc(lam))
                 assert e == pytest.approx(1.0, abs=1e-12)
 
 
@@ -219,7 +219,7 @@ class TestTransport:
 
 class TestTransportedExtremal:
     def test_constant_phi_family(self):
-        point = transported_extremal(0.5, 1, 1, BlaschkeMap.constant(-0.5), 0.3)
+        point = transported_extremal_disc(0.5, 1, 1, BlaschkeMap.constant(-0.5))(0.3)
         assert point.z1 == 0.0
         assert point.z2 == pytest.approx(0.15)
         assert point.z3 == pytest.approx(-0.5)
@@ -268,21 +268,6 @@ class TestLempertSpecial:
 
 
 class TestProductDisc:
-    def test_axis(self):
-        point = product_disc(BlaschkeMap.identity(), BlaschkeMap.constant(0.0), 0.4)
-        assert point == TetraPoint(0.4, 0, 0)
-
-    def test_squaring_factor(self):
-        b = BlaschkeMap(zeros=(0.0, 0.0))
-        point = product_disc(BlaschkeMap.identity(), b, 0.5)
-        assert point == TetraPoint(0.5, 0.25, 0.125)
-        assert tetra_e_value(point) < 1.0
-
-    def test_geodesic_flag(self):
-        assert is_product_geodesic(BlaschkeMap.identity(), BlaschkeMap.constant(0.2))
-        assert not is_product_geodesic(BlaschkeMap.constant(0.1),
-                                       BlaschkeMap(zeros=(0.0, 0.0)))
-
     def test_sandwich_equality_on_product_slice(self):
         from tetrablock.extremals import caratheodory_lower_bound
         w = TetraPoint(0.2, 0.3, 0.06)

@@ -1,5 +1,6 @@
 """Module boundaries: no module of the package imports a private name from a
-sibling module, and importing the package loads no public scipy submodule."""
+sibling module, every public name has a caller, and importing the package
+loads no public scipy submodule."""
 
 import ast
 import os
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tetrablock"
+PERFBENCH = SRC.parents[1] / "perfbench"
 
 
 def is_private(name: str) -> bool:
@@ -38,6 +40,71 @@ def test_detector_flags_private_import(tmp_path):
         "probe.py:2 imports _general_coords from geodesics"]
 
 
+#: public names with no caller in the package, its commands, its suites or
+#: the benchmark, each kept for the reason given
+UNCALLED = {
+    "f_omega_automorphism": "the f_omega property tests of ROADMAP aim 3",
+    "disc_automorphism": "the sigma and f_omega property tests of ROADMAP aim 3",
+    "mobius_distance": "the Schwarz-Pick property tests of ROADMAP aim 3",
+    "MagicFMap": "the gradient form of magic_f, checked in test_necessary and test_finite_input",
+}
+
+
+def public_names(init: Path):
+    """The names ``__init__`` imports from the modules of the package."""
+    return [alias.asname or alias.name for node in ast.parse(init.read_text()).body
+            if isinstance(node, ast.ImportFrom) and node.level for alias in node.names]
+
+
+def names_used(tree: ast.AST, imports: bool = False):
+    """Each ``ast.Name`` and ``ast.Attribute`` under ``tree`` (a docstring
+    mention is none), and with ``imports`` each name it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif imports and isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def uncalled_names(src: Path, perfbench: Path):
+    """The public names without a caller.  A benchmark module calls the
+    names it imports or uses; a package module other than ``__init__``
+    calls those its module-level code uses, and those a top-level
+    definition uses unless that definition is itself an uncalled public
+    name."""
+    public = public_names(src / "__init__.py")
+    bench = {name for module in perfbench.glob("*.py")
+             for name in names_used(ast.parse(module.read_text()), imports=True)}
+    blocks = [(getattr(node, "name", None), set(names_used(node)))
+              for module in src.glob("*.py") if module.name != "__init__.py"
+              for node in ast.parse(module.read_text()).body]
+    uncalled = set(public) - bench
+    while True:
+        called = set().union(*(used for owner, used in blocks if owner not in uncalled))
+        if not uncalled & called:
+            return sorted(uncalled)
+        uncalled -= called
+
+
+def test_every_public_name_has_a_caller():
+    assert uncalled_names(SRC, PERFBENCH) == sorted(UNCALLED)
+
+
+def test_caller_detector(tmp_path):
+    src, bench = tmp_path / "pkg", tmp_path / "bench"
+    src.mkdir(), bench.mkdir()
+    (src / "__init__.py").write_text("from .a import f, g, h, k, u, v\n")
+    (src / "a.py").write_text("def f(): pass\ndef g(): f()\ndef h(): pass\n"
+                              "def k(): pass\ndef u(): pass\ndef v(): u()\n")
+    (src / "b.py").write_text('"""f and g."""\nfrom .a import g, k\nimport a\na.h()\n')
+    (bench / "run.py").write_text("from pkg.a import k\n")
+    # g is imported, not used, and f is used only by g and in a docstring; u
+    # is used only by v, which nothing uses
+    assert uncalled_names(src, bench) == ["f", "g", "u", "v"]
+
+
 def scipy_imports(path: Path):
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
@@ -52,7 +119,7 @@ def scipy_imports(path: Path):
 
 def test_only_scipy_import_is_the_bare_one_in_init():
     # the package computes with numpy alone; the bare import loads no
-    # submodule and is kept only for the benchmark (ROADMAP item 5)
+    # submodule and is kept only for the benchmark (ROADMAP item 4)
     hits = [hit for path in sorted(SRC.glob("*.py")) for hit in scipy_imports(path)]
     assert all(hit == ("__init__.py", "import scipy") for hit in hits), hits
 

@@ -6,16 +6,16 @@ import pytest
 
 from tetrablock.domains import TetraPoint
 from tetrablock.errors import DomainError, FitError
-from tetrablock.extremals import CoordinateMap, G2FMap, PsiOmegaMap
+from tetrablock.extremals import G2FMap, PsiOmegaMap
 from tetrablock.geodesics import (G2GeodesicParams, OriginGeodesicParams,
                                   certified_left_inverse, g2_geodesic_disc,
                                   origin_geodesic_disc)
 from tetrablock.hyperbolic import BlaschkeMap
 from tetrablock.necessary import (CheckVerdict, CircularAction, G2_ACTION,
-                                  TETRABLOCK_ACTIONS, fit_general_quadratic,
-                                  fit_grid, fit_quadratic_form,
-                                  geodesic_necessary_check, numeric_gradient,
-                                  psi_of_lambda, reinhardt_check, vector_field)
+                                  TETRABLOCK_ACTIONS, fit_general_quadratics,
+                                  fit_grid, fit_quadratic_forms,
+                                  geodesic_necessary_checks, numeric_gradient,
+                                  psi_of_lambda, vector_field)
 from tetrablock.verify import random_unimodular, sample_origin_params
 
 
@@ -39,54 +39,54 @@ class TestVectorField:
 
 class TestFit:
     def test_pure_rotation_model(self):
-        samples = [(lam, 0.2j * lam) for lam in fit_grid()]
-        fit = fit_quadratic_form(samples)
-        assert fit.psi0 == pytest.approx(0.0, abs=1e-14)
-        assert fit.C == pytest.approx(0.2, abs=1e-14)
-        assert fit.residual < 1e-12
+        lams = fit_grid()
+        fit = fit_quadratic_forms(lams, [0.2j * lams])
+        assert fit.psi0[0, 0] == pytest.approx(0.0, abs=1e-14)
+        assert fit.C[0, 0] == pytest.approx(0.2, abs=1e-14)
+        assert fit.residual[0, 0] < 1e-12
 
     def test_full_model_recovery(self):
         psi0 = 0.1 + 0.2j
-        samples = [(lam, -psi0.conjugate() * lam * lam + 0.5j * lam + psi0)
-                   for lam in fit_grid()]
-        fit = fit_quadratic_form(samples)
-        assert fit.psi0 == pytest.approx(psi0, abs=1e-13)
-        assert fit.C == pytest.approx(0.5, abs=1e-13)
-        assert fit.residual < 1e-12
-        assert fit.circular_a == pytest.approx(-1j * psi0, abs=1e-13)
+        lams = fit_grid()
+        fit = fit_quadratic_forms(lams, [-psi0.conjugate() * lams * lams + 0.5j * lams + psi0])
+        assert fit.psi0[0, 0] == pytest.approx(psi0, abs=1e-13)
+        assert fit.C[0, 0] == pytest.approx(0.5, abs=1e-13)
+        assert fit.residual[0, 0] < 1e-12
+        assert fit.circular_a[0, 0] == pytest.approx(-1j * psi0, abs=1e-13)
 
     def test_cubic_rejected(self):
-        samples = [(lam, lam ** 3) for lam in fit_grid()]
-        fit = fit_quadratic_form(samples)
-        assert fit.residual > 0.05
+        lams = fit_grid()
+        fit = fit_quadratic_forms(lams, [lams ** 3])
+        assert fit.residual[0, 0] > 0.05
 
     def test_random_recovery_property(self):
         rng = np.random.default_rng(41)
+        lams = fit_grid()
         for _ in range(100):
             psi0 = complex(*rng.uniform(-1, 1, 2))
             C = rng.uniform(-2, 2)
-            samples = [(lam, -psi0.conjugate() * lam * lam + 1j * C * lam + psi0)
-                       for lam in fit_grid()]
-            fit = fit_quadratic_form(samples)
-            assert abs(fit.psi0 - psi0) < 1e-10
-            assert abs(fit.C - C) < 1e-10
+            fit = fit_quadratic_forms(lams, [-psi0.conjugate() * lams * lams
+                                             + 1j * C * lams + psi0])
+            assert abs(fit.psi0[0, 0] - psi0) < 1e-10
+            assert abs(fit.C[0, 0] - C) < 1e-10
 
     def test_too_few_samples(self):
         with pytest.raises(FitError):
-            fit_quadratic_form([(0.1, 0.0)] * 7)
+            fit_quadratic_forms(np.full(7, 0.1), np.zeros((1, 7)))
 
     def test_degenerate_samples(self):
         with pytest.raises(FitError):
-            fit_quadratic_form([(0.1, 0.0)] * 10)
+            fit_quadratic_forms(np.full(10, 0.1), np.zeros((1, 10)))
 
     def test_general_fit(self):
         c0, c1, c2 = 0.1 - 0.05j, 1.2 + 0.3j, -0.4j
-        samples = [(lam, c0 + c1 * lam + c2 * lam * lam) for lam in fit_grid()]
-        got0, got1, got2, residual = fit_general_quadratic(samples)
-        assert got0 == pytest.approx(c0, abs=1e-13)
-        assert got1 == pytest.approx(c1, abs=1e-13)
-        assert got2 == pytest.approx(c2, abs=1e-13)
-        assert residual < 1e-12
+        lams = fit_grid()
+        got0, got1, got2, residual = fit_general_quadratics(lams, [c0 + c1 * lams
+                                                                   + c2 * lams * lams])
+        assert got0[0, 0] == pytest.approx(c0, abs=1e-13)
+        assert got1[0, 0] == pytest.approx(c1, abs=1e-13)
+        assert got2[0, 0] == pytest.approx(c2, abs=1e-13)
+        assert residual[0, 0] < 1e-12
 
 
 class TestPsiOfLambda:
@@ -128,51 +128,58 @@ class TestGeodesicNecessaryCheck:
         for params in sample_origin_params(rng, 20):
             f = origin_geodesic_disc(params)
             F = certified_left_inverse(params)
-            for action in TETRABLOCK_ACTIONS:
-                report = geodesic_necessary_check(F, f, action)
-                assert report.verdict is CheckVerdict.PASS
-                assert report.fit.residual < 1e-7
+            for report in geodesic_necessary_checks(F, f, TETRABLOCK_ACTIONS):
+                assert report.verdict[0, 0] is CheckVerdict.PASS
+                assert report.fit.residual[0, 0] < 1e-7
 
     def test_g2_family_fit_recovers_parameter(self):
         rng = np.random.default_rng(47)
         for C in (1.0, 1.25, 1.6, 2.0):
             params = G2GeodesicParams(C, random_unimodular(rng))
             f = g2_geodesic_disc(params)
-            report = geodesic_necessary_check(G2FMap(params.omega), f, G2_ACTION)
-            assert report.verdict is CheckVerdict.PASS
-            assert abs(report.fit.circular_a) < 1e-9
-            assert report.fit.C == pytest.approx(C, abs=1e-9)
+            report, = geodesic_necessary_checks(G2FMap(params.omega), f, (G2_ACTION,))
+            assert report.verdict[0, 0] is CheckVerdict.PASS
+            assert abs(report.fit.circular_a[0, 0]) < 1e-9
+            assert report.fit.C[0, 0] == pytest.approx(C, abs=1e-9)
 
     def test_hypothesis_violation_detected(self):
         f = lambda lam: TetraPoint(0.1, 0.1, 0.01)
-        report = geodesic_necessary_check(PsiOmegaMap(1.0), f,
-                                          TETRABLOCK_ACTIONS[0])
-        assert report.verdict is CheckVerdict.HYPOTHESIS_VIOLATION
+        report, = geodesic_necessary_checks(PsiOmegaMap(1.0), f, TETRABLOCK_ACTIONS[:1])
+        assert report.verdict[0, 0] is CheckVerdict.HYPOTHESIS_VIOLATION
         assert report.fit is None
 
 
+class FirstCoordinate:
+    """z -> z1 on C^2, with its gradient: a left inverse of the graph discs
+    lam -> (lam, b(lam)) of the bidisc."""
+
+    def __call__(self, point):
+        return tuple(point)[0]
+
+    def gradient(self, point):
+        return (1.0 + 0.0j, 0.0j)
+
+
 class TestReinhardt:
+    """The check on the bidisc, a Reinhardt domain, under the rotation of
+    one coordinate at a time."""
+
     def test_bidisc_graph_geodesic_first_coordinate(self):
         b = BlaschkeMap(zeros=(0.0,), scale=0.7)
         f = lambda lam: (lam, b(lam))
-        report = reinhardt_check(CoordinateMap(0, 2), f, 0)
-        assert report.verdict is CheckVerdict.PASS
-        assert report.fit.C == pytest.approx(1.0, abs=1e-12)
-        assert abs(report.fit.psi0) < 1e-12
+        report, = geodesic_necessary_checks(FirstCoordinate(), f, (CircularAction((1, 0)),))
+        assert report.verdict[0, 0] is CheckVerdict.PASS
+        assert report.fit.C[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert abs(report.fit.psi0[0, 0]) < 1e-12
 
     def test_bidisc_graph_geodesic_second_coordinate(self):
         # dF/dz2 vanishes identically, so the fit is of the zero function
         b = BlaschkeMap(zeros=(0.0,), scale=0.5)
         f = lambda lam: (lam, b(lam))
-        report = reinhardt_check(CoordinateMap(0, 2), f, 1)
-        assert report.verdict is CheckVerdict.PASS
-        assert report.fit.C == pytest.approx(0.0, abs=1e-14)
-        assert abs(report.fit.psi0) < 1e-14
-
-    def test_index_validation(self):
-        f = lambda lam: (lam, 0.5 * lam)
-        with pytest.raises(DomainError):
-            reinhardt_check(CoordinateMap(0, 2), f, 2)
+        report, = geodesic_necessary_checks(FirstCoordinate(), f, (CircularAction((0, 1)),))
+        assert report.verdict[0, 0] is CheckVerdict.PASS
+        assert report.fit.C[0, 0] == pytest.approx(0.0, abs=1e-14)
+        assert abs(report.fit.psi0[0, 0]) < 1e-14
 
 
 class TestNumericGradient:

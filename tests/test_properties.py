@@ -31,7 +31,7 @@ from tetrablock.extremals import (caratheodory_lower_bound,
 from tetrablock.geodesics import (DiscVerdict, GeneralDiscParams,
                                   disc_search_upper_bound, general_disc,
                                   origin_geodesic_disc, origin_lempert,
-                                  product_disc, verify_disc)
+                                  verify_disc)
 from tetrablock.hyperbolic import BlaschkeMap, mobius_m
 from tetrablock.verify import (random_disc_point, random_interior_points,
                                random_self_map, random_unimodular,
@@ -112,8 +112,9 @@ def schwarz_pick_disc(kind, rng):
         return general_disc(GeneralDiscParams(rng.uniform(0.0, 0.99), random_unimodular(rng),
                                               random_unimodular(rng),
                                               random_self_map(rng), psi))
+    # the product disc (a, b, ab)
     a, b = random_self_map(rng), random_self_map(rng)
-    return lambda lam: product_disc(a, b, lam)
+    return lambda lam: TetraPoint(a(lam), b(lam), a(lam) * b(lam))
 
 
 @given(seeds, st.sampled_from(["origin-geodesic", "general", "product"]))

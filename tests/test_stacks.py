@@ -28,7 +28,7 @@ from tetrablock.geodesics import (G2GeodesicParams, GeneralDiscParams,
                                   OriginGeodesicParams, TransportClass,
                                   boundary_disc, certified_left_inverse,
                                   disc_coords, disc_search_upper_bound,
-                                  eval_boundary_disc, eval_general_disc,
+                                  eval_general_disc,
                                   g2_geodesic_disc, general_disc,
                                   left_inverse_residual, origin_geodesic_disc,
                                   sample_grid, transport_disc,
@@ -36,10 +36,9 @@ from tetrablock.geodesics import (G2GeodesicParams, GeneralDiscParams,
 from tetrablock.hyperbolic import (BlaschkeMap, mobius_m, require_disc_point,
                                    require_unimodular)
 from tetrablock.necessary import (G2_ACTION, TETRABLOCK_ACTIONS, CheckVerdict,
-                                  fit_general_quadratic, fit_grid,
-                                  fit_quadratic_form, fit_quadratic_forms,
-                                  geodesic_necessary_check,
-                                  geodesic_necessary_checks, psi_of_lambda)
+                                  fit_general_quadratics, fit_grid,
+                                  fit_quadratic_forms, geodesic_necessary_checks,
+                                  psi_of_lambda)
 from tetrablock.verify import (key_groups, lempert_grid, random_disc_point,
                                random_disc_points,
                                random_phi_pinned, random_unimodular,
@@ -225,11 +224,10 @@ def test_stacked_left_inverse_and_fit_match_members():
             for k, params in enumerate(stack.split()):
                 g, G = origin_geodesic_disc(params), certified_left_inverse(params)
                 assert abs(residuals[k, 0] - left_inverse_residual(g, G)) <= ROUNDING_TOL
-                single = fit_quadratic_form(
-                    np.column_stack([lams, psi_of_lambda(G, g, action, lams)]))
-                assert abs(fit.psi0[k, 0] - single.psi0) <= ROUNDING_TOL
-                assert abs(fit.C[k, 0] - single.C) <= ROUNDING_TOL
-                assert abs(fit.residual[k, 0] - single.residual) <= ROUNDING_TOL
+                single = fit_quadratic_forms(lams, [psi_of_lambda(G, g, action, lams)])
+                assert abs(fit.psi0[k, 0] - single.psi0[0, 0]) <= ROUNDING_TOL
+                assert abs(fit.C[k, 0] - single.C[0, 0]) <= ROUNDING_TOL
+                assert abs(fit.residual[k, 0] - single.residual[0, 0]) <= ROUNDING_TOL
 
 
 def flipped_inverse(params, flip):
@@ -246,21 +244,22 @@ def test_stacked_necessary_check_matches_members():
         for flip in (np.ones((n, 1)), np.where(np.arange(n) % 2, -1.0, 1.0)[:, None]):
             reports = geodesic_necessary_checks(flipped_inverse(stack, flip), f,
                                                 TETRABLOCK_ACTIONS)
-            for action, report in zip(TETRABLOCK_ACTIONS, reports):
+            for report in reports:
                 assert report.verdict.shape == report.hypothesis_residual.shape == (n, 1)
-                for k, params in enumerate(members):
-                    single = geodesic_necessary_check(
-                        flipped_inverse(params, flip[k, 0]), origin_geodesic_disc(params),
-                        action)
-                    assert report.verdict[k, 0] is single.verdict
-                    assert (single.verdict is CheckVerdict.PASS) == (flip[k, 0] == 1.0)
+            for k, params in enumerate(members):
+                singles = geodesic_necessary_checks(flipped_inverse(params, flip[k, 0]),
+                                                    origin_geodesic_disc(params),
+                                                    TETRABLOCK_ACTIONS)
+                for report, single in zip(reports, singles):
+                    assert report.verdict[k, 0] is single.verdict[0, 0]
+                    assert (single.verdict[0, 0] is CheckVerdict.PASS) == (flip[k, 0] == 1.0)
                     assert abs(report.hypothesis_residual[k, 0]
-                               - single.hypothesis_residual) <= ROUNDING_TOL
+                               - single.hypothesis_residual[0, 0]) <= ROUNDING_TOL
                     if single.fit is not None:
-                        assert abs(report.fit.psi0[k, 0] - single.fit.psi0) <= ROUNDING_TOL
-                        assert abs(report.fit.C[k, 0] - single.fit.C) <= ROUNDING_TOL
+                        assert abs(report.fit.psi0[k, 0] - single.fit.psi0[0, 0]) <= ROUNDING_TOL
+                        assert abs(report.fit.C[k, 0] - single.fit.C[0, 0]) <= ROUNDING_TOL
                         assert abs(report.fit.residual[k, 0]
-                                   - single.fit.residual) <= ROUNDING_TOL
+                                   - single.fit.residual[0, 0]) <= ROUNDING_TOL
 
 
 def test_stacked_necessary_check_without_a_valid_disc_skips_the_fit():
@@ -466,9 +465,10 @@ def boundary_reference(seed, n_discs, n_lams):
     omega1, omega2 = random_unimodular(rng, (2, n_discs, 1))
     phi = random_self_maps(rng, n_discs)
     lams = random_disc_points(rng, (n_discs, n_lams), 0.95)
-    e = np.array([[tetra_e_value(eval_boundary_disc(C[k, 0], omega1[k, 0], omega2[k, 0],
-                                                    member(phi, k), complex(lam)))
-                   for lam in lams[k]] for k in range(n_discs)])
+    discs = [boundary_disc(C[k, 0], omega1[k, 0], omega2[k, 0], member(phi, k))
+             for k in range(n_discs)]
+    e = np.array([[tetra_e_value(disc(complex(lam))) for lam in row]
+                  for disc, row in zip(discs, lams)])
     stacked = np.empty_like(e)
     for idx in key_groups(phi.degree):
         point = boundary_disc(C[idx], omega1[idx], omega2[idx], phi.stack(idx))(lams[idx])
@@ -549,25 +549,23 @@ def test_necessary_suite_matches_disc_by_disc(seed):
     worst_fit = worst_psi0 = 0.0
     for params in sample_origin_params(rng, 9):
         f, F = origin_geodesic_disc(params), certified_left_inverse(params)
-        for action in TETRABLOCK_ACTIONS:
-            report = geodesic_necessary_check(F, f, action)
-            failures += report.verdict.value != "pass"
-            worst_fit = max(worst_fit, report.fit.residual)
-            worst_psi0 = max(worst_psi0, abs(report.fit.psi0))
+        for report in geodesic_necessary_checks(F, f, TETRABLOCK_ACTIONS):
+            failures += report.verdict[0, 0].value != "pass"
+            worst_fit = max(worst_fit, report.fit.residual[0, 0])
+            worst_psi0 = max(worst_psi0, abs(report.fit.psi0[0, 0]))
     worst_a = worst_im_c = worst_c = 0.0
     lams = fit_grid()
     c_grid = 1.0 + 0.05 * np.arange(21)
     for C, omega in zip(c_grid, random_unimodular(rng, (21, 1))[:, 0]):
         params = G2GeodesicParams(C, omega)
         f, F = g2_geodesic_disc(params), G2FMap(params.omega)
-        report = geodesic_necessary_check(F, f, G2_ACTION)
-        failures += report.verdict.value != "pass"
-        worst_fit = max(worst_fit, report.fit.residual)
-        worst_c = max(worst_c, abs(report.fit.C - C))
-        c0, c1, _, _ = fit_general_quadratic(
-            np.column_stack([lams, -1j * psi_of_lambda(F, f, G2_ACTION, lams)]))
-        worst_a = max(worst_a, abs(report.fit.circular_a), abs(c0))
-        worst_im_c = max(worst_im_c, abs(c1.imag))
+        report, = geodesic_necessary_checks(F, f, (G2_ACTION,))
+        failures += report.verdict[0, 0].value != "pass"
+        worst_fit = max(worst_fit, report.fit.residual[0, 0])
+        worst_c = max(worst_c, abs(report.fit.C[0, 0] - C))
+        c0, c1, _, _ = fit_general_quadratics(lams, [-1j * psi_of_lambda(F, f, G2_ACTION, lams)])
+        worst_a = max(worst_a, abs(report.fit.circular_a[0, 0]), abs(c0[0, 0]))
+        worst_im_c = max(worst_im_c, abs(c1[0, 0].imag))
     details = suite_necessary(seed=seed, n_params=9).details
     assert details["failures"] == failures == 0
     for key, value in (("worst_fit_residual", worst_fit), ("worst_origin_psi0", worst_psi0),
