@@ -169,15 +169,14 @@ def oracle_gauge(z1: complex, z2: complex, z3: complex) -> float:
 
 def test_rho_functional_point_equals_block():
     rng = np.random.default_rng(67)
+    # n points of every scale, and m with parts near the float limit, where
+    # the gauge can exceed it
     n, m = 19000, 1000
-    # and m points with parts near the float limit, where the gauge can
-    # exceed it
     near_top = 1.7e308 * rng.uniform(0.3, 1.0, (2, 3, m)) * rng.choice((-1.0, 1.0), (2, 3, m))
     z1, z2, z3 = (np.concatenate([extreme_coordinates(rng, n, 1.7e308), x + 1j * y])
                   for x, y in zip(*near_top))
-    n += m
-    finite = []
-    for k in range(n):
+    finite, values = [], []
+    for k in range(n + m):
         point = complex(z1[k]), complex(z2[k]), complex(z3[k])
         try:
             oracle = oracle_gauge(*point)
@@ -189,10 +188,10 @@ def test_rho_functional_point_equals_block():
         value = rho_functional(TetraPoint(*point))
         assert abs(value - oracle) <= 1e-14 * oracle, (point, value, oracle)
         finite.append(k)
+        values.append(value)
     block = rho_functional(TetraPoint(z1[finite], z2[finite], z3[finite]))
-    for k, value in zip(finite, block):
-        point = complex(z1[k]), complex(z2[k]), complex(z3[k])
-        assert rho_functional(TetraPoint(*point)) == value, (point, value)
+    for k, value, in_block in zip(finite, values, block):
+        assert value == in_block, (z1[k], z2[k], z3[k], value, in_block)
 
 
 @given(st.lists(pair_coordinate, min_size=3, max_size=12), st.one_of(unimodular, pair_coordinate),
