@@ -1,7 +1,7 @@
 """Invariant distances, extremal maps and complex geodesics on the
 tetrablock and the symmetrized bidisc."""
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 from .errors import BranchError, DomainError, FitError, PoleError
 from .hyperbolic import (BlaschkeMap, HyperbolicDistance, disc_automorphism,
@@ -23,7 +23,7 @@ from .geodesics import (DiscSearchResult, DiscVerdict,
                         left_inverse_residual, lempert_special,
                         origin_geodesic_disc, origin_lempert, pair_report,
                         sample_grid, solve_origin_geodesic_through,
-                        transport_disc, transported_extremal_disc, verify_disc)
+                        transport_disc, verify_disc)
 from .necessary import (CheckVerdict, CircularAction, G2_ACTION,
                         NecessaryCheckReport, QuadraticFit,
                         TETRABLOCK_ACTIONS, fit_general_quadratics, fit_grid,

@@ -1,6 +1,6 @@
 """Analytic-disc constructions in the tetrablock and the symmetrized bidisc:
 the origin-geodesic family, general in-domain discs, boundary discs, product
-discs, disc transport, transported extremals, and the closed-form / search
+discs, the transported origin geodesics, and the closed-form / search
 machinery for Lempert-function values, and the pair report that holds a
 pair's lower bounds against its upper bound.
 
@@ -35,7 +35,7 @@ from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, e_value_raw,
 from .errors import DomainError, PoleError
 from .extremals import FamilyBounds, PsiOmegaMap, family_bounds, sigma
 from .hyperbolic import (TOL_CLOSURE, BlaschkeMap, HyperbolicDistance, largest,
-                         least, mobius_m, require_disc_point, require_interval,
+                         mobius_m, require_disc_point, require_interval,
                          require_unimodular)
 
 #: deterministic sampling pattern used for residual and membership sweeps
@@ -315,52 +315,46 @@ def _divided_by_lam(lam, value: TetraPoint, at_zero: TetraPoint) -> TetraPoint:
 #: the band around 1 of the defining functional of a boundary disc
 _TRANSPORT_BOUNDARY_TOL = 1e-8
 
-#: the circle of radius 1e-5 whose 64 points give a transported disc its
-#: value at 0
-_ZERO_FILL_NODES = 1e-5 * np.exp(2j * math.pi * np.arange(64) / 64)
-_ZERO_FILL_NODES.flags.writeable = False
+#: the angles on each radius of the grid ``classify`` reads, 9 x 112 points
+_TRANSPORT_N_ANGLES = 112
 
 
 class TransportedDisc:
-    """The transported disc (f1(lam)/lam, f2(lam), f3(lam)/lam).
+    """The origin geodesic f of a record p transported to (f1(lam)/lam,
+    f2(lam), f3(lam)/lam), the paper's other extremals for the Lempert
+    function.
 
-    Requires f1(0) = f3(0) = 0; the removable singularity at 0 is filled by
-    derivative values computed as the discrete circle mean of f_j(z)/z
-    (radius 1e-5, 64 points), which annihilates every Taylor mode below
-    order 64 and is therefore exact to machine precision for analytic input.
-    The image lies either entirely inside the domain or entirely on its
-    boundary (to 1e-8); ``classify`` reports which.  f must accept arrays of
-    lam, and so does the transported disc.  f may be a stack of n discs,
-    whose value at 0 has coordinates of shape (n, 1): every mean and maximum
-    then runs along the last (sample) axis, one per disc.
+    The record's phi(0) = -C makes f1(0) = f3(0) = 0, and the removable
+    singularity at 0 is filled in closed form, (w1 phi'(0)/(1 + C), 0,
+    -w1 w2 C).  The image lies either entirely inside the domain or entirely
+    on its boundary (to 1e-8); ``classify`` reports which.  The disc accepts
+    arrays of lam.  The record may be a stack of n records, whose value at 0
+    has coordinates of shape (n, 1): every maximum then runs along the last
+    (sample) axis, one per disc.
     """
 
-    def __init__(self, f: Callable[[complex], TetraPoint]):
-        self._f = f
-        origin = TetraPoint.of(f(0.0))
-        if largest(abs(origin.z1)) > 1e-12 or largest(abs(origin.z3)) > 1e-12:
-            raise DomainError("transport needs f1(0) = f3(0) = 0")
-        value = TetraPoint.of(f(_ZERO_FILL_NODES))
-        stacked = value.z1.ndim > 1
-        self._at_zero = TetraPoint(
-            np.mean(value.z1 / _ZERO_FILL_NODES, axis=-1, keepdims=stacked), origin.z2,
-            np.mean(value.z3 / _ZERO_FILL_NODES, axis=-1, keepdims=stacked))
+    def __init__(self, p: OriginGeodesicParams):
+        self._f = origin_geodesic_disc(p)
+        z3 = -p.omega1 * p.omega2 * p.C
+        self._at_zero = TetraPoint(p.omega1 * p.phi.derivative(0.0) / (1.0 + p.C),
+                                   np.zeros_like(z3), z3)
 
     @property
     def value_at_zero(self) -> TetraPoint:
         return self._at_zero
 
     def __call__(self, lam) -> TetraPoint:
-        return _divided_by_lam(lam, TetraPoint.of(self._f(lam)), self._at_zero)
+        return _divided_by_lam(lam, self._f(lam), self._at_zero)
 
-    def classify(self, *, n_angles: int = DEFAULT_N_ANGLES):
+    def classify(self):
         """The TransportClass of the disc from the defining functional on the
-        grid and at 0; for a stack, an array with the class of each disc.
+        9 x 112 grid and at 0; for a stack, an array with the class of each
+        disc.
 
         The largest and smallest value decide: within the band, v - 1 is
         exact (Sterbenz), so the band test on them is |v - 1| <= tol for
         every v, and a NaN anywhere gives MIXED."""
-        on_grid = e_value_raw(*self(sample_grid(DEFAULT_RADII, n_angles)))
+        on_grid = e_value_raw(*self(sample_grid(DEFAULT_RADII, _TRANSPORT_N_ANGLES)))
         at_zero = np.reshape(e_value_raw(*self._at_zero), on_grid.shape[:-1])
         high = np.maximum(np.max(on_grid, axis=-1, initial=-math.inf), at_zero)
         low = np.minimum(np.min(on_grid, axis=-1, initial=math.inf), at_zero)
@@ -371,36 +365,10 @@ class TransportedDisc:
         return verdict if verdict.ndim else verdict.item()
 
 
-def transport_disc(f: Callable[[complex], TetraPoint]) -> TransportedDisc:
-    """Transport a disc with f1(0) = f3(0) = 0 to (f1/lam, f2, f3/lam)."""
-    return TransportedDisc(f)
-
-
-def transported_extremal_disc(C: float, omega1: complex, omega2: complex,
-                              phi: BlaschkeMap) -> Callable[[complex], TetraPoint]:
-    """The transported extremal as a map of lam (a scalar or an array): the
-    origin disc with z1 and z3 divided by lam, and phi'(0) filled in at 0.
-
-    Like the parameter records it may hold a stack of n discs, with C, the
-    unimodular parameters and phi as (n, 1) fields checked entry by entry;
-    lam of shape (m,) or (n, m) then gives (n, m) coordinates."""
-    C = require_interval(C, 0.0, 1.0, name="C")
-    if not (0.0 < least(C) and largest(C) < 1.0):
-        raise DomainError(f"C must lie in (0, 1), got {C}")
-    if np.any(phi.is_automorphism):
-        raise DomainError("phi must not be an automorphism")
-    omega1 = require_unimodular(omega1, name="omega1")
-    omega2 = require_unimodular(omega2, name="omega2")
-    if largest(abs(phi(0.0) + C)) > 1e-12:
-        raise DomainError("phi(0) must equal -C")
-    at_zero = TetraPoint(omega1 * phi.derivative(0.0) / (1.0 + C), 0.0,
-                         -omega1 * omega2 * C)
-
-    def evaluate(lam) -> TetraPoint:
-        value = TetraPoint(*disc_coords(C, omega1, omega2, phi(lam), lam))
-        return _divided_by_lam(lam, value, at_zero)
-
-    return evaluate
+def transport_disc(p: OriginGeodesicParams) -> TransportedDisc:
+    """The origin geodesic of a record (or a stack of records) transported
+    to (f1/lam, f2, f3/lam)."""
+    return TransportedDisc(p)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,12 @@ from .geodesics import (G2GeodesicParams, GeneralDiscParams,
                         OriginGeodesicParams, TransportClass, boundary_disc,
                         certified_left_inverse, disc_search_upper_bound,
                         g2_geodesic_disc, g2_violation_witness, general_disc,
-                        origin_geodesic_disc, pair_report, sample_grid,
-                        transport_disc, transported_extremal_disc)
+                        left_inverse_residual, origin_geodesic_disc,
+                        pair_report, sample_grid, transport_disc)
 from .hyperbolic import BlaschkeMap, largest, mobius_m
-from .necessary import (G2_ACTION, TETRABLOCK_ACTIONS, CheckVerdict,
-                        fit_general_quadratics, fit_grid,
+from .necessary import (ANALYTIC_TOL, G2_ACTION, HYPOTHESIS_TOL,
+                        TETRABLOCK_ACTIONS, CheckVerdict,
+                        fit_general_quadratics, fit_grid, fit_quadratic_forms,
                         geodesic_necessary_checks, psi_of_lambda)
 
 
@@ -320,7 +321,7 @@ def _worst_extremal_deviation(pairs: Sequence[Tuple[complex, complex]]) -> float
         return 0.0
     z, w = (np.array(c)[:, None] for c in zip(*pairs))
     C = np.abs(w)
-    disc = transported_extremal_disc(C, -w / C, 1.0, BlaschkeMap.constant(-C))
+    disc = transport_disc(OriginGeodesicParams(C, -w / C, 1.0, BlaschkeMap.constant(-C)))
     lam2 = z / (1.0 - C)
     p = disc(np.hstack([np.zeros_like(lam2), lam2]))
     misses = (p.z1, p.z2[:, :1], p.z3 - w, p.z2[:, 1:] - z,
@@ -393,15 +394,19 @@ def suite_necessary(seed: int = 0, n_params: int = 200) -> SuiteResult:
     c_grid = 1.0 + 0.05 * np.arange(21)[:, None]
     params = G2GeodesicParams(c_grid, random_unimodular(rng, c_grid.shape))
     f, F = g2_geodesic_disc(params), G2FMap(params.omega)
-    report, = geodesic_necessary_checks(F, f, (G2_ACTION,))
-    failures += int(np.count_nonzero(report.verdict != CheckVerdict.PASS))
-    worst_fit = max(worst_fit, float(np.max(report.fit.residual)))
-    # unconstrained cross-fit of the weighted sum itself
+    # the check of geodesic_necessary_checks step by step, so that the one
+    # weighted sum feeds both the constrained fit and the unconstrained
+    # cross-fit of the sum itself
     lams = fit_grid()
-    c0, c1, _, _ = fit_general_quadratics(lams, -1j * psi_of_lambda(F, f, G2_ACTION, lams))
-    worst_a = float(max(np.max(np.abs(report.fit.circular_a)), np.max(np.abs(c0))))
+    psi = psi_of_lambda(F, f, G2_ACTION, lams)
+    fit = fit_quadratic_forms(lams, psi)
+    failures += int(np.count_nonzero((left_inverse_residual(f, F) > HYPOTHESIS_TOL)
+                                     | ~(fit.residual < ANALYTIC_TOL)))
+    worst_fit = max(worst_fit, float(np.max(fit.residual)))
+    c0, c1, _, _ = fit_general_quadratics(lams, -1j * psi)
+    worst_a = float(max(np.max(np.abs(fit.circular_a)), np.max(np.abs(c0))))
     worst_im_c = float(np.max(np.abs(c1.imag)))
-    worst_c_match = float(np.max(np.abs(report.fit.C - c_grid)))
+    worst_c_match = float(np.max(np.abs(fit.C - c_grid)))
     passed = (failures == 0 and worst_fit < 1e-7 and worst_a < 1e-9
               and worst_im_c < 1e-9 and worst_c_match < 1e-9
               and worst_origin_psi0 < 1e-9)
@@ -489,12 +494,12 @@ def suite_transport(seed: int = 0, n_discs: int = 200) -> SuiteResult:
     zeta = random_unimodular(rng, C.shape)
     zero = (C / scale) * zeta.conjugate()
     omega1, omega2 = random_unimodular(rng, (2,) + C.shape)
-    n_angles = 112
     verdict = np.empty(n_discs, dtype=object)
-    for idx in key_blocks(automorphic, sample_grid(n_angles=n_angles).size):
+    # blocks are cut to the 9 x 112 points of the grid classify reads
+    for idx in key_blocks(automorphic, sample_grid(n_angles=112).size):
         phi = BlaschkeMap(zeta[idx], (zero[idx],), scale[idx])
         params = OriginGeodesicParams(C[idx], omega1[idx], omega2[idx], phi)
-        verdict[idx] = transport_disc(origin_geodesic_disc(params)).classify(n_angles=n_angles)
+        verdict[idx] = transport_disc(params).classify()
     expected = np.where(automorphic, TransportClass.BOUNDARY, TransportClass.INTERIOR)
     counts = {kind.value: int(np.count_nonzero(verdict == kind)) for kind in
               (TransportClass.BOUNDARY, TransportClass.INTERIOR, TransportClass.MIXED)}

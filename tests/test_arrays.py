@@ -26,8 +26,7 @@ from tetrablock.geodesics import (DEFAULT_RADII, DiscVerdict, G2GeodesicParams,
                                   g2_geodesic_disc, g2_origin_geodesic,
                                   general_disc, left_inverse_residual,
                                   origin_geodesic_disc, sample_grid,
-                                  transport_disc, transported_extremal_disc,
-                                  verify_disc)
+                                  transport_disc, verify_disc)
 from tetrablock.hyperbolic import BlaschkeMap, mobius_m
 from tetrablock.necessary import (G2_ACTION, TETRABLOCK_ACTIONS, CheckVerdict,
                                   fit_grid, geodesic_necessary_checks,
@@ -67,7 +66,8 @@ def transported_family(rng):
     for k in range(21):
         C = rng.uniform(0.1, 0.8)
         phi = random_phi_pinned(rng, C, ("constant", "scaled", "degree2")[k % 3])
-        disc = transported_extremal_disc(C, random_unimodular(rng), random_unimodular(rng), phi)
+        disc = transport_disc(OriginGeodesicParams(C, random_unimodular(rng),
+                                                   random_unimodular(rng), phi))
         yield disc, disc
 
 
@@ -117,6 +117,8 @@ def loop_verify(f, F, domain, lams):
 
 
 def loop_classify(f, lams, tol=1e-8):
+    """The class of the transported disc of f, with its value at 0 as the
+    circle mean of f1/lam and f3/lam on 64 points of radius 1e-5."""
     nodes = [1e-5 * cmath.exp(2j * cmath.pi * k / 64) for k in range(64)]
     z1 = sum(f(node).z1 / node for node in nodes) / 64
     z3 = sum(f(node).z3 / node for node in nodes) / 64
@@ -167,7 +169,7 @@ def test_sweeps_match_scalar_loops():
 
 def test_transport_classify_matches_scalar_loop():
     rng = np.random.default_rng(47)
-    lams = sample_grid()
+    lams = sample_grid(n_angles=112)
     seen = set()
     for k in range(20):
         C = rng.uniform(0.0, 0.85)
@@ -176,13 +178,12 @@ def test_transport_classify_matches_scalar_loop():
         else:
             zeta = random_unimodular(rng)
             phi = BlaschkeMap(zeta, ((C / 0.9) * zeta.conjugate(),), 0.9)
-        f = origin_geodesic_disc(OriginGeodesicParams(C, random_unimodular(rng),
-                                                      random_unimodular(rng), phi))
-        expected, at_zero = loop_classify(f, lams)
-        transported = transport_disc(f)
+        params = OriginGeodesicParams(C, random_unimodular(rng), random_unimodular(rng), phi)
+        expected, at_zero = loop_classify(origin_geodesic_disc(params), lams)
+        transported = transport_disc(params)
         assert transported.classify() is expected
-        # circle means of f/node at radius 1e-5 magnify last-digit
-        # differences of f by 1e5
+        # the closed-form value at 0 against the circle mean, which
+        # magnifies last-digit differences of f by 1e5
         for got, want in zip(transported.value_at_zero, at_zero):
             assert abs(got - want) <= 1e-10
         seen.add(expected)

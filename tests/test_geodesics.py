@@ -22,12 +22,11 @@ from tetrablock.geodesics import (DiscVerdict, G2GeodesicParams,
                                   origin_geodesic_disc, origin_lempert,
                                   sample_grid,
                                   solve_origin_geodesic_through,
-                                  transport_disc,
-                                  transported_extremal_disc, verify_disc)
+                                  transport_disc, verify_disc)
 from tetrablock.hyperbolic import BlaschkeMap, disc_automorphism, mobius_m
-from tetrablock.verify import (random_disc_point, random_interior_points,
-                               random_phi_pinned, random_unimodular,
-                               sample_origin_params)
+from tetrablock.verify import (PHI_KINDS, random_disc_point,
+                               random_interior_points, random_phi_pinned,
+                               random_unimodular, sample_origin_params)
 
 
 class TestOriginGeodesic:
@@ -173,30 +172,40 @@ class TestLeftInverseResidual:
         assert report.verdict is DiscVerdict.IN_DOMAIN_ONLY
 
 
+def circle_mean_at_zero(p):
+    """The value at 0 of the transported disc as the discrete circle mean of
+    f1/lam and f3/lam over 64 points of radius 1e-5, the fill transport
+    used before the closed form: it annihilates every Taylor mode below
+    order 64, and the division by 1e-5 magnifies last-digit differences of
+    f by 1e5."""
+    nodes = 1e-5 * np.exp(2j * math.pi * np.arange(64) / 64)
+    value = origin_geodesic_disc(p)(nodes)
+    stacked = value.z1.ndim > 1
+    return (np.mean(value.z1 / nodes, axis=-1, keepdims=stacked),
+            np.mean(value.z3 / nodes, axis=-1, keepdims=stacked))
+
+
 class TestTransport:
     def test_linear_disc_transports_to_constant(self):
-        a, b, c = 0.2 + 0.1j, 0.3, -0.25j
-        f = lambda lam: TetraPoint(lam * a, b, lam * c)
-        transported = transport_disc(f)
-        assert transported.value_at_zero.z1 == pytest.approx(a, abs=1e-12)
-        assert transported(0.5).z1 == pytest.approx(a, abs=1e-14)
-        assert transported(0.5).z3 == pytest.approx(c, abs=1e-14)
-
-    def test_precondition(self):
-        with pytest.raises(DomainError):
-            transport_disc(lambda lam: TetraPoint(0.1, 0.0, 0.0))
+        # a constant phi = -C makes the origin geodesic linear,
+        # lam (0, w2 (1 - C), -w1 w2 C), so z1 and z3 transport to constants
+        C, omega1, omega2 = 0.3, cmath.exp(0.4j), cmath.exp(-1.1j)
+        transported = transport_disc(OriginGeodesicParams(C, omega1, omega2,
+                                                          BlaschkeMap.constant(-C)))
+        for lam in (0.0, 0.5, -0.2 + 0.6j):
+            point = transported(lam)
+            assert point.z1 == 0.0
+            assert point.z2 == pytest.approx(omega2 * (1 - C) * lam, abs=1e-15)
+            assert point.z3 == pytest.approx(-omega1 * omega2 * C, abs=1e-15)
 
     def test_value_at_zero_uses_derivative(self):
         C = 0.4
         phi = random_phi_pinned(np.random.default_rng(11), C, "scaled")
         params = OriginGeodesicParams(C, cmath.exp(0.2j), cmath.exp(-0.7j), phi)
-        transported = transport_disc(origin_geodesic_disc(params))
-        at_zero = transported.value_at_zero
-        expected_z1 = params.omega1 * phi.derivative(0.0) / (1 + C)
-        assert at_zero.z1 == pytest.approx(expected_z1, abs=1e-10)
+        at_zero = transport_disc(params).value_at_zero
+        assert at_zero.z1 == params.omega1 * phi.derivative(0.0) / (1 + C)
         assert at_zero.z2 == 0.0
-        assert at_zero.z3 == pytest.approx(-params.omega1 * params.omega2 * C,
-                                           abs=1e-12)
+        assert at_zero.z3 == -params.omega1 * params.omega2 * C
 
     def test_automorphism_phi_gives_boundary(self):
         # Schwarz-Pick equality |phi'(0)| = 1 - C^2 pushes the transported
@@ -205,51 +214,54 @@ class TestTransport:
         phi = random_phi_pinned(np.random.default_rng(13), C, "automorphism")
         assert abs(phi.derivative(0.0)) == pytest.approx(1 - C * C, abs=1e-12)
         params = OriginGeodesicParams(C, 1, 1, phi)
-        assert transport_disc(origin_geodesic_disc(params)).classify() \
-            is TransportClass.BOUNDARY
+        assert transport_disc(params).classify() is TransportClass.BOUNDARY
 
     def test_strict_contraction_gives_interior(self):
         C = 0.35
         zeta = cmath.exp(0.8j)
         phi = BlaschkeMap(zeta, ((C / 0.9) * zeta.conjugate(),), 0.9)
         params = OriginGeodesicParams(C, 1, 1, phi)
-        assert transport_disc(origin_geodesic_disc(params)).classify() \
-            is TransportClass.INTERIOR
+        assert transport_disc(params).classify() is TransportClass.INTERIOR
 
 
 class TestTransportedExtremal:
     def test_constant_phi_family(self):
-        point = transported_extremal_disc(0.5, 1, 1, BlaschkeMap.constant(-0.5))(0.3)
+        point = transport_disc(OriginGeodesicParams(0.5, 1, 1, BlaschkeMap.constant(-0.5)))(0.3)
         assert point.z1 == 0.0
         assert point.z2 == pytest.approx(0.15)
         assert point.z3 == pytest.approx(-0.5)
-
-    def test_rejects_automorphism(self):
-        with pytest.raises(DomainError):
-            transported_extremal_disc(0.5, 1, 1, disc_automorphism(0.5))
 
     def test_omits_product_slice(self):
         rng = np.random.default_rng(17)
         for kind in ("constant", "scaled", "degree2"):
             C = rng.uniform(0.1, 0.8)
             phi = random_phi_pinned(rng, C, kind)
-            disc = transported_extremal_disc(C, random_unimodular(rng),
-                                             random_unimodular(rng), phi)
+            disc = transport_disc(OriginGeodesicParams(C, random_unimodular(rng),
+                                                       random_unimodular(rng), phi))
             for lam in sample_grid(radii=(0.0, 0.3, 0.6, 0.9), n_angles=8):
                 p = disc(lam)
                 assert abs(p.z1 * p.z2 - p.z3) > 0.0
 
     def test_matches_transport_of_origin_family(self):
-        C = 0.4
-        phi = random_phi_pinned(np.random.default_rng(19), C, "scaled")
-        params = OriginGeodesicParams(C, cmath.exp(0.1j), cmath.exp(0.6j), phi)
-        direct = transported_extremal_disc(C, params.omega1, params.omega2, phi)
-        via_transport = transport_disc(origin_geodesic_disc(params))
-        for lam in (0.0, 0.4, -0.3 + 0.2j):
-            a, b = direct(lam), via_transport(lam)
-            assert a.z1 == pytest.approx(b.z1, abs=1e-10)
-            assert a.z2 == pytest.approx(b.z2, abs=1e-10)
-            assert a.z3 == pytest.approx(b.z3, abs=1e-10)
+        # away from 0 the transported disc is the origin disc with z1 and z3
+        # divided by lam, bit for bit; at 0 the closed form agrees with the
+        # circle mean of the old numeric fill, for single and stacked records
+        rng = np.random.default_rng(19)
+        lams = sample_grid(radii=(0.4, 0.8), n_angles=8)
+        for shape in ((), (6, 1)):
+            for kind in PHI_KINDS:
+                C = rng.uniform(0.0, 0.95, size=shape or None)
+                omega1, omega2 = random_unimodular(rng, (2,) + shape)
+                params = OriginGeodesicParams(C, omega1, omega2,
+                                              random_phi_pinned(rng, C, kind))
+                transported = transport_disc(params)
+                value, got = origin_geodesic_disc(params)(lams), transported(lams)
+                assert np.array_equal(got.z1, value.z1 / lams)
+                assert np.array_equal(got.z2, value.z2)
+                assert np.array_equal(got.z3, value.z3 / lams)
+                z1, z3 = circle_mean_at_zero(params)
+                assert np.max(np.abs(transported.value_at_zero.z1 - z1)) <= 1e-10
+                assert np.max(np.abs(transported.value_at_zero.z3 - z3)) <= 1e-10
 
 
 class TestLempertSpecial:

@@ -14,7 +14,8 @@ m(l1, l2) (Schwarz-Pick); on the general family the general-disc route
 finds the pair and its bound is at most m(l1, l2) too.  At the origin the
 sandwich closes: the Schwarz lemma gives l(0, z) = max(psi_sup(z),
 psi_sup(sigma z)), and the origin geodesic, c_lower and k_upper all reach
-it.
+it.  The transported origin geodesic lies on the boundary exactly when phi
+is an automorphism, and inside the domain otherwise.
 """
 
 import cmath
@@ -29,11 +30,13 @@ from tetrablock.domains import TetraPoint, is_interior, psi_sup
 from tetrablock.extremals import (caratheodory_lower_bound,
                                   f_omega_automorphism, p_e, sigma)
 from tetrablock.geodesics import (DiscVerdict, GeneralDiscParams,
+                                  OriginGeodesicParams, TransportClass,
                                   disc_search_upper_bound, general_disc,
                                   origin_geodesic_disc, origin_lempert,
-                                  verify_disc)
+                                  transport_disc, verify_disc)
 from tetrablock.hyperbolic import BlaschkeMap, mobius_m
-from tetrablock.verify import (random_disc_point, random_interior_points,
+from tetrablock.verify import (PHI_KINDS, random_disc_point,
+                               random_interior_points, random_phi_pinned,
                                random_self_map, random_unimodular,
                                sample_origin_params)
 
@@ -203,3 +206,19 @@ def test_schwarz_lemma_at_the_origin(seed, slice_name, offset):
     for value in (abs(sol.lam0), caratheodory_lower_bound(origin, z).m_scale,
                   upper.bound.m_scale):
         assert abs(value - exact) <= 1e-14
+
+
+@given(seeds, st.sampled_from(PHI_KINDS), st.booleans())
+@bounded
+def test_transport_dichotomy(seed, kind, stacked):
+    # the paper's dichotomy, for a record and for a stack of eight, with
+    # C < 1 (at C = 1 the transported disc is the boundary point
+    # (0, 0, -w1 w2) whatever phi)
+    rng = np.random.default_rng(seed)
+    C = rng.uniform(0.0, 0.95, size=(8, 1) if stacked else None)
+    omega1, omega2 = random_unimodular(rng, (2,) + np.shape(C))
+    phi = random_phi_pinned(rng, C, kind)
+    verdict = np.ravel(transport_disc(OriginGeodesicParams(C, omega1, omega2, phi)).classify())
+    automorphic = np.broadcast_to(np.ravel(phi.is_automorphism), verdict.shape)
+    assert list(verdict) == [TransportClass.BOUNDARY if a else TransportClass.INTERIOR
+                             for a in automorphic]

@@ -31,8 +31,7 @@ from tetrablock.geodesics import (G2GeodesicParams, GeneralDiscParams,
                                   eval_general_disc,
                                   g2_geodesic_disc, general_disc,
                                   left_inverse_residual, origin_geodesic_disc,
-                                  sample_grid, transport_disc,
-                                  transported_extremal_disc)
+                                  sample_grid, transport_disc)
 from tetrablock.hyperbolic import (BlaschkeMap, mobius_m, require_disc_point,
                                    require_unimodular)
 from tetrablock.necessary import (G2_ACTION, TETRABLOCK_ACTIONS, CheckVerdict,
@@ -181,35 +180,43 @@ def test_stacked_transported_extremal_matches_members(kind):
     rng = np.random.default_rng(12)
     C = column(rng.uniform(0.05, 0.9, size=6))
     omega1, omega2 = random_unimodular(rng, (2,) + C.shape)
-    phi = random_phi_pinned(rng, C, kind)
-    stack = transported_extremal_disc(C, omega1, omega2, phi)
+    params = OriginGeodesicParams(C, omega1, omega2, random_phi_pinned(rng, C, kind))
+    stack = transport_disc(params)
     shared = np.append(0.0, random_disc_points(rng, 4, 0.95))
     per_disc = np.hstack([np.zeros_like(C), random_disc_points(rng, C.shape, 0.95)])
     for lams in (shared, per_disc):
         values = stack(lams)
         assert all(coord.shape == (len(C), lams.shape[-1]) for coord in values)
-        for k, single in enumerate(phi.split()):
-            disc = transported_extremal_disc(C[k, 0], omega1[k, 0], omega2[k, 0], single)
+        # a member computes in Python complex arithmetic, the stack in
+        # numpy: they agree to rounding
+        for k, member in enumerate(params.split()):
+            disc = transport_disc(member)
             for j, lam in enumerate(np.broadcast_to(lams, values.z1.shape)[k]):
                 for coord, value in zip(disc(complex(lam)), values):
                     assert abs(coord - value[k, j]) <= ROUNDING_TOL
 
 
 def test_stacked_transported_extremal_validates_each_entry():
-    C = column([0.2, 0.3, 0.4])
+    # the record checks every entry; the ends C = 0 and C = 1 and an
+    # automorphic phi transport like any other entry
+    C = column([0.0, 0.3, 1.0])
     zeta = column([1.0, 1j, -1.0])
+    constant = BlaschkeMap.constant(-C)
+    transported = transport_disc(OriginGeodesicParams(C, 1.0, zeta, constant))
+    assert transported.value_at_zero.z3[2, 0] == 1.0
+    C = column([0.2, 0.3, 0.4])
+    automorphic = BlaschkeMap(zeta, (C * zeta.conjugate(),), 1.0)
+    assert list(transport_disc(OriginGeodesicParams(C, 1.0, zeta, automorphic)).classify()) \
+        == [TransportClass.BOUNDARY] * 3
     scaled = BlaschkeMap(zeta, ((C / 0.9) * zeta.conjugate(),), 0.9)
-    transported_extremal_disc(C, 1.0, zeta, scaled)
-    scale = column([0.9, 1.0, 0.9])
     bad = [
-        (column([0.2, 0.0, 0.4]), BlaschkeMap.constant(-column([0.2, 0.0, 0.4])), r"\(0, 1\)"),
-        (column([0.2, 1.0, 0.4]), BlaschkeMap.constant(-column([0.2, 1.0, 0.4])), r"\(0, 1\)"),
-        (C, BlaschkeMap(zeta, ((C / scale) * zeta.conjugate(),), scale), "automorphism"),
-        (column([0.2, 0.3 + 1e-6, 0.4]), scaled, r"phi\(0\)"),
+        (column([0.2, 1.2, 0.4]), 1.0, scaled, r"C must lie in \[0, 1\]"),
+        (C, column([1.0, 1.1, 1.0]), scaled, "omega1 must be unimodular"),
+        (column([0.2, 0.3 + 1e-6, 0.4]), 1.0, scaled, r"phi\(0\)"),
     ]
-    for c, phi, reason in bad:
+    for c, omega1, phi, reason in bad:
         with pytest.raises(DomainError, match=reason):
-            transported_extremal_disc(c, 1.0, zeta, phi)
+            transport_disc(OriginGeodesicParams(c, omega1, zeta, phi))
 
 
 def test_stacked_left_inverse_and_fit_match_members():
@@ -586,13 +593,13 @@ def test_transport_suite_matches_disc_by_disc(seed):
     omega1, omega2 = random_unimodular(rng, (2,) + C.shape)
     stack = OriginGeodesicParams(C, omega1, omega2,
                                  BlaschkeMap(zeta, ((C / scale) * zeta.conjugate(),), scale))
-    stacked = transport_disc(origin_geodesic_disc(stack)).classify(n_angles=112)
+    stacked = transport_disc(stack).classify()
     verdicts = []
     for k in range(n_discs):
         phi = BlaschkeMap(zeta[k, 0], ((C[k, 0] / scale[k, 0]) * zeta[k, 0].conjugate(),),
                           scale[k, 0])
         params = OriginGeodesicParams(C[k, 0], omega1[k, 0], omega2[k, 0], phi)
-        verdicts.append(transport_disc(origin_geodesic_disc(params)).classify(n_angles=112))
+        verdicts.append(transport_disc(params).classify())
     assert list(stacked) == verdicts
     details = suite_transport(seed=seed, n_discs=n_discs).details
     assert details["boundary"] == verdicts.count(TransportClass.BOUNDARY) == n_discs // 2
@@ -622,11 +629,11 @@ def test_g2_window_suite_matches_disc_by_disc(seed):
 
 def test_transport_of_a_stack_keeps_columns():
     stack = sample_origin_stacks(np.random.default_rng(9), 9)[1]
-    transported = transport_disc(origin_geodesic_disc(stack))
+    transported = transport_disc(stack)
     n = len(stack.split())
     assert all(np.shape(c) == (n, 1) for c in transported.value_at_zero)
     assert transported(fit_grid()).z1.shape == (n, fit_grid().size)
-    single = transport_disc(origin_geodesic_disc(stack.split()[0]))
+    single = transport_disc(stack.split()[0])
     assert isinstance(single.classify(), TransportClass)
     assert all(type(c) is complex for c in single.value_at_zero)
 
@@ -651,7 +658,7 @@ def lempert_reference(n_side, search=disc_search_upper_bound):
         gap = result.bound.m_scale - closed
         worst_high, worst_low = max(worst_high, gap), min(worst_low, gap)
         C = abs(w)
-        disc = transported_extremal_disc(C, -w / C, 1.0, BlaschkeMap.constant(-C))
+        disc = transport_disc(OriginGeodesicParams(C, -w / C, 1.0, BlaschkeMap.constant(-C)))
         lam2 = z / (1.0 - C)
         p0, p2 = disc(0.0), disc(lam2)
         worst_extremal = max(worst_extremal, abs(p0.z1), abs(p0.z2), abs(p0.z3 - w),
@@ -690,12 +697,12 @@ def test_lempert_suite_stacks_only_the_found_pairs(monkeypatch):
 
     stacked = []
 
-    def extremal(C, *args):
-        stacked.append(C)
-        return transported_extremal_disc(C, *args)
+    def extremal(params):
+        stacked.append(params.C)
+        return transport_disc(params)
 
     monkeypatch.setattr(verify, "disc_search_upper_bound", search)
-    monkeypatch.setattr(verify, "transported_extremal_disc", extremal)
+    monkeypatch.setattr(verify, "transport_disc", extremal)
     result = suite_lempert(n_side=3)
     assert_lempert_matches(result.details, lempert_reference(3, search))
     assert result.details["search_failures"] == 2 and not result.passed
@@ -708,11 +715,11 @@ def test_lempert_suite_without_found_pairs_builds_no_extremal(monkeypatch):
     def search(w, z):
         return dataclasses.replace(disc_search_upper_bound(w, z), found=False, bound=None)
 
-    def extremal(*args):
+    def extremal(params):
         raise AssertionError("no pair was found")
 
     monkeypatch.setattr(verify, "disc_search_upper_bound", search)
-    monkeypatch.setattr(verify, "transported_extremal_disc", extremal)
+    monkeypatch.setattr(verify, "transport_disc", extremal)
     details = suite_lempert(n_side=3).details
     assert details["search_failures"] == details["pairs"] == 9
     assert details["worst_extremal_deviation"] == 0.0
@@ -767,28 +774,22 @@ def transport_stack(stacked):
 def test_transport_fills_zero_bit_for_bit(stacked, kind, with_zero):
     C, omega1, omega2, phi = transport_stack(stacked)
     lams = transport_lams(kind, 4, with_zero)
-    f = origin_geodesic_disc(OriginGeodesicParams(C, omega1, omega2, phi))
-    transported = transport_disc(f)
-    want = divided_reference(lams, TetraPoint.of(f(lams)), transported.value_at_zero)
-    assert bits(transported(lams)) == bits(want)
-    extremal = transported_extremal_disc(C, omega1, omega2, phi)
-    # the disc normalizes its unimodular parameters
+    transported = transport_disc(OriginGeodesicParams(C, omega1, omega2, phi))
+    # the record normalizes its unimodular parameters
     omega1, omega2 = require_unimodular(omega1), require_unimodular(omega2)
     at_zero = TetraPoint(omega1 * phi.derivative(0.0) / (1.0 + C), 0.0, -omega1 * omega2 * C)
     value = TetraPoint(*disc_coords(C, omega1, omega2, phi(lams), lams))
-    assert bits(extremal(lams)) == bits(divided_reference(lams, value, at_zero))
+    assert bits(transported(lams)) == bits(divided_reference(lams, value, at_zero))
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
 def test_transport_at_zero_gives_the_value_at_zero(stacked):
     C, omega1, omega2, phi = transport_stack(stacked)
-    transported = transport_disc(origin_geodesic_disc(OriginGeodesicParams(C, omega1,
-                                                                           omega2, phi)))
+    transported = transport_disc(OriginGeodesicParams(C, omega1, omega2, phi))
     assert bits(transported(0.0)) == bits(transported.value_at_zero)
-    extremal = transported_extremal_disc(C, omega1, omega2, phi)
     omega1, omega2 = require_unimodular(omega1), require_unimodular(omega2)
     at_zero = TetraPoint(omega1 * phi.derivative(0.0) / (1.0 + C), 0.0, -omega1 * omega2 * C)
-    for got, want in zip(extremal(0.0), at_zero):
+    for got, want in zip(transported.value_at_zero, at_zero):
         assert np.asarray(got).tobytes() == np.broadcast_to(want, np.shape(got)).tobytes()
 
 
