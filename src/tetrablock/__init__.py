@@ -1,7 +1,7 @@
 """Invariant distances, extremal maps and complex geodesics on the
 tetrablock and the symmetrized bidisc."""
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 from .errors import BranchError, DomainError, FitError, PoleError
 from .hyperbolic import (BlaschkeMap, HyperbolicDistance, disc_automorphism,
@@ -28,7 +28,7 @@ from .necessary import (CheckVerdict, CircularAction, G2_ACTION,
                         NecessaryCheckReport, QuadraticFit,
                         TETRABLOCK_ACTIONS, fit_general_quadratics, fit_grid,
                         fit_quadratic_forms, geodesic_necessary_checks,
-                        numeric_gradient, psi_of_lambda, vector_field)
+                        psi_of_lambda, vector_field)
 from .verify import ALL_SUITES, SuiteResult, run_suites
 
 # Nothing here computes with scipy. Two benchmark readers still need it:

@@ -144,12 +144,11 @@ class MagicFMap:
 class G2FMap:
     """g2_f(omega, .) as a map on C^2, with gradient."""
 
-    def __init__(self, omega: complex, *, factor: complex = 1.0):
+    def __init__(self, omega: complex):
         self.omega = require_unimodular(omega)
-        self.factor = require_closed_disc_point(factor, name="factor")
 
     def __call__(self, point) -> complex:
-        return self.factor * g2_f(self.omega, point)
+        return g2_f(self.omega, point)
 
     def gradient(self, point) -> Tuple[complex, complex]:
         w = G2Point.of(point)
@@ -160,7 +159,7 @@ class G2FMap:
             raise PoleError("g2_f gradient pole")
         d_s = (-2.0 + 2.0 * omega ** 2 * w.p) / (den * den)
         d_p = 2.0 * omega / den
-        return (self.factor * d_s, self.factor * d_p)
+        return (d_s, d_p)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,8 @@ from .geodesics import left_inverse_residual, sample_grid
 FIT_RADII: Tuple[float, ...] = (0.15, 0.35, 0.55, 0.75)
 FIT_N_ANGLES = 16
 
-#: verdict tolerances, with closed-form and with numeric gradients
+#: verdict tolerance on the worst deviation from the fitted quadratic
 ANALYTIC_TOL = 1e-7
-NUMERIC_TOL = 1e-5
 
 #: hypothesis gate: F o f must be the identity this well before checking
 HYPOTHESIS_TOL = 1e-8
@@ -79,60 +78,17 @@ def fit_grid() -> np.ndarray:
     return sample_grid(FIT_RADII, FIT_N_ANGLES)
 
 
-def numeric_gradient(fn: Callable, coords: Sequence[complex]) -> Tuple[complex, ...]:
-    """Complex partial derivatives by 4-point central differences.
+def psi_of_lambda(F: Callable, f: Callable, actions: Sequence[CircularAction],
+                  lam: complex) -> List[complex]:
+    """sum_j dF/dz_j(f(lam)) * gamma_j(f(lam)) for the rotation field of
+    each action, from one call of f and one of ``F.gradient``.
 
-    Two central stencils at h = 1e-5 and h/2 along the real axis of each
-    coordinate, combined by Richardson extrapolation; valid because the
-    target functions are holomorphic.  Array coordinates give arrays of
-    partials, with ``fn`` called once per stencil point on all samples.
+    An array of ``lam`` gives an array of values per action.
     """
-    coords = tuple(as_coordinate(c) for c in coords)
-    step = 1e-5
-    out = []
-    for j in range(len(coords)):
-        def shifted(delta: float) -> complex:
-            probe = list(coords)
-            probe[j] = probe[j] + delta
-            return as_coordinate(fn(tuple(probe)))
-
-        d_h = (shifted(step) - shifted(-step)) / (2.0 * step)
-        d_h2 = (shifted(step / 2.0) - shifted(-step / 2.0)) / step
-        out.append((4.0 * d_h2 - d_h) / 3.0)
-    return tuple(out)
-
-
-def gradient_of(F: Callable, coords: Sequence[complex]) -> Tuple[complex, ...]:
-    """Closed-form gradient when the map carries one, numeric fallback."""
-    grad = getattr(F, "gradient", None)
-    if grad is not None:
-        return tuple(grad(tuple(coords)))
-    return numeric_gradient(F, coords)
-
-
-def psi_of_lambda(F: Callable, f: Callable, action: CircularAction,
-                  lam: complex) -> complex:
-    """sum_j dF/dz_j(f(lam)) * gamma_j(f(lam)) for the rotation field.
-
-    An array of ``lam`` calls f once and the gradient once on all of them
-    and gives an array of values.
-    """
-    value, = _psi_of_actions(F, f, (action,), lam)
-    return value
-
-
-def _psi_of_actions(F: Callable, f: Callable, actions: Sequence[CircularAction],
-                    lam: complex) -> List[complex]:
-    """``psi_of_lambda`` for each action, from one call of f and one of the
-    gradient."""
     coords = tuple(as_coordinate(c) for c in f(lam))
-    grads = gradient_of(F, coords)
-    values = []
-    for action in actions:
-        if len(grads) != action.dim:
-            raise DomainError("gradient dimension does not match the action")
-        values.append(sum(g * gamma for g, gamma in zip(grads, vector_field(action, coords))))
-    return values
+    grads = F.gradient(coords)
+    return [sum(g * gamma for g, gamma in zip(grads, vector_field(action, coords)))
+            for action in actions]
 
 
 @dataclass(frozen=True)
@@ -219,43 +175,44 @@ class CheckVerdict(Enum):
 @dataclass(frozen=True)
 class NecessaryCheckReport:
     """Outcome of the necessary check; for a stack of n discs the verdict,
-    the fit fields and the hypothesis residual are (n, 1) arrays."""
+    the fit fields and the hypothesis residual are (n, 1) arrays, and
+    ``psi`` holds the (n, m) weighted sums the fit used (None with the fit)."""
 
     verdict: CheckVerdict
     fit: Optional[QuadraticFit]
     hypothesis_residual: float
-    tolerance_used: float
+    psi: Optional[np.ndarray]
 
 
 def geodesic_necessary_checks(F: Callable, f: Callable, actions: Sequence[CircularAction]
                               ) -> List[NecessaryCheckReport]:
     """Check the quadratic necessary condition for a stack of n certified
     geodesics under each rotation action: f and F hold stacked parameters,
-    and f evaluates to (n, m) arrays at m points.  Gives one report per
-    action.
+    f evaluates to (n, m) arrays at m points, and F carries its closed-form
+    ``gradient``.  Gives one report per action.
 
     First verifies the hypothesis F o f = id on the sampling grid for each
     disc, once for all actions (a violation is reported distinctly from a
     fit failure), then fits psi of every disc and action on the standard
     grid in one ``fit_quadratic_forms`` call, and passes a disc iff its
-    worst deviation stays below tolerance (1e-7 with closed-form gradients,
-    1e-5 with numeric ones).  When no disc satisfies the hypothesis, psi is
-    not evaluated and the fits are None.
+    worst deviation stays below ``ANALYTIC_TOL``.  When no disc satisfies
+    the hypothesis, psi is not evaluated and the fits are None.
     """
-    tol = ANALYTIC_TOL if hasattr(F, "gradient") else NUMERIC_TOL
     hyp = np.reshape(left_inverse_residual(f, F), (-1, 1))
     violated = hyp > HYPOTHESIS_TOL
     if violated.all():
         verdict = np.full(hyp.shape, CheckVerdict.HYPOTHESIS_VIOLATION)
-        return [NecessaryCheckReport(verdict, None, hyp, tol) for _ in actions]
+        return [NecessaryCheckReport(verdict, None, hyp, None) for _ in actions]
     lams = fit_grid()
-    fits = fit_quadratic_forms(lams, np.concatenate(
-        [np.broadcast_to(psi, (len(hyp), lams.size))
-         for psi in _psi_of_actions(F, f, actions, lams)]))
+    psi = np.concatenate([np.broadcast_to(values, (len(hyp), lams.size))
+                          for values in psi_of_lambda(F, f, actions, lams)])
+    fits = fit_quadratic_forms(lams, psi)
     reports = []
-    for fit in map(QuadraticFit, *(field.reshape(len(actions), -1, 1)
-                                   for field in (fits.psi0, fits.C, fits.residual))):
+    for k in range(len(actions)):
+        rows = slice(k * len(hyp), (k + 1) * len(hyp))
+        fit = QuadraticFit(fits.psi0[rows], fits.C[rows], fits.residual[rows])
         verdict = np.where(violated, CheckVerdict.HYPOTHESIS_VIOLATION,
-                           np.where(fit.residual < tol, CheckVerdict.PASS, CheckVerdict.FIT_FAIL))
-        reports.append(NecessaryCheckReport(verdict, fit, hyp, tol))
+                           np.where(fit.residual < ANALYTIC_TOL, CheckVerdict.PASS,
+                                    CheckVerdict.FIT_FAIL))
+        reports.append(NecessaryCheckReport(verdict, fit, hyp, psi[rows]))
     return reports

@@ -23,13 +23,12 @@ from .geodesics import (G2GeodesicParams, GeneralDiscParams,
                         OriginGeodesicParams, TransportClass, boundary_disc,
                         certified_left_inverse, disc_search_upper_bound,
                         g2_geodesic_disc, g2_violation_witness, general_disc,
-                        left_inverse_residual, origin_geodesic_disc,
-                        pair_report, sample_grid, transport_disc)
+                        origin_geodesic_disc, pair_report, sample_grid,
+                        transport_disc)
 from .hyperbolic import BlaschkeMap, largest, mobius_m
-from .necessary import (ANALYTIC_TOL, G2_ACTION, HYPOTHESIS_TOL,
-                        TETRABLOCK_ACTIONS, CheckVerdict,
-                        fit_general_quadratics, fit_grid, fit_quadratic_forms,
-                        geodesic_necessary_checks, psi_of_lambda)
+from .necessary import (G2_ACTION, TETRABLOCK_ACTIONS, CheckVerdict,
+                        fit_general_quadratics, fit_grid,
+                        geodesic_necessary_checks)
 
 
 @dataclass(frozen=True)
@@ -393,17 +392,13 @@ def suite_necessary(seed: int = 0, n_params: int = 200) -> SuiteResult:
             worst_origin_psi0 = max(worst_origin_psi0, float(np.max(np.abs(report.fit.psi0))))
     c_grid = 1.0 + 0.05 * np.arange(21)[:, None]
     params = G2GeodesicParams(c_grid, random_unimodular(rng, c_grid.shape))
-    f, F = g2_geodesic_disc(params), G2FMap(params.omega)
-    # the check of geodesic_necessary_checks step by step, so that the one
-    # weighted sum feeds both the constrained fit and the unconstrained
-    # cross-fit of the sum itself
-    lams = fit_grid()
-    psi = psi_of_lambda(F, f, G2_ACTION, lams)
-    fit = fit_quadratic_forms(lams, psi)
-    failures += int(np.count_nonzero((left_inverse_residual(f, F) > HYPOTHESIS_TOL)
-                                     | ~(fit.residual < ANALYTIC_TOL)))
+    report, = geodesic_necessary_checks(G2FMap(params.omega), g2_geodesic_disc(params),
+                                        (G2_ACTION,))
+    fit = report.fit
+    failures += int(np.count_nonzero(report.verdict != CheckVerdict.PASS))
     worst_fit = max(worst_fit, float(np.max(fit.residual)))
-    c0, c1, _, _ = fit_general_quadratics(lams, -1j * psi)
+    # the unconstrained cross-fit of the weighted sum the check fitted
+    c0, c1, _, _ = fit_general_quadratics(fit_grid(), -1j * report.psi)
     worst_a = float(max(np.max(np.abs(fit.circular_a)), np.max(np.abs(c0))))
     worst_im_c = float(np.max(np.abs(c1.imag)))
     worst_c_match = float(np.max(np.abs(fit.C - c_grid)))

@@ -28,9 +28,9 @@ from tetrablock.geodesics import (DEFAULT_RADII, DiscVerdict, G2GeodesicParams,
                                   origin_geodesic_disc, sample_grid,
                                   transport_disc, verify_disc)
 from tetrablock.hyperbolic import BlaschkeMap, mobius_m
-from tetrablock.necessary import (G2_ACTION, TETRABLOCK_ACTIONS, CheckVerdict,
-                                  fit_grid, geodesic_necessary_checks,
-                                  psi_of_lambda)
+from tetrablock.necessary import (ANALYTIC_TOL, G2_ACTION, TETRABLOCK_ACTIONS,
+                                  CheckVerdict, fit_grid,
+                                  geodesic_necessary_checks, psi_of_lambda)
 from tetrablock.verify import (random_interior_points, random_phi_pinned,
                                random_self_map, random_unimodular,
                                sample_origin_params)
@@ -306,9 +306,6 @@ def necessary_cases():
         f, F = origin_geodesic_disc(params), certified_left_inverse(params)
         for action in TETRABLOCK_ACTIONS:
             yield "psi-omega", F, f, action
-            # a plain callable has no gradient and goes through finite
-            # differences
-            yield "numeric", (lambda z, F=F: F(z)), f, action
     for c in (0.3, 0.7, 1.0):
         # magic_f(c lam, lam, c lam^2) = lam
         f = lambda lam, c=c: TetraPoint(c * lam, lam, c * lam * lam)
@@ -323,18 +320,18 @@ def test_necessary_check_matches_per_lambda_loop():
     seen = set()
     for name, F, f, action in necessary_cases():
         report, = geodesic_necessary_checks(F, f, (action,))
-        samples = [(complex(lam), psi_of_lambda(F, f, action, complex(lam)))
+        samples = [(complex(lam), psi_of_lambda(F, f, (action,), complex(lam))[0])
                    for lam in fit_grid()]
         assert all(isinstance(value, complex) for _, value in samples)
+        # the report carries the weighted sums its fit used
+        assert report.psi.shape == (1, len(samples))
+        assert all(abs(report.psi[0, j] - value) <= 1e-14
+                   for j, (_, value) in enumerate(samples)), name
         psi0, C, residual = loop_quadratic_fit(samples)
-        # closed-form gradients agree to rounding; finite differences divide
-        # last-digit differences between numpy and Python complex arithmetic
-        # by the 1e-5 stencil step, about 1e5 * eps per partial
-        tol = 1e-10 if name == "numeric" else 1e-14
-        assert abs(report.fit.psi0[0, 0] - psi0) <= tol, name
-        assert abs(report.fit.C[0, 0] - C) <= tol, name
-        assert abs(report.fit.residual[0, 0] - residual) <= tol, name
-        verdict = CheckVerdict.PASS if residual < report.tolerance_used else CheckVerdict.FIT_FAIL
+        assert abs(report.fit.psi0[0, 0] - psi0) <= 1e-14, name
+        assert abs(report.fit.C[0, 0] - C) <= 1e-14, name
+        assert abs(report.fit.residual[0, 0] - residual) <= 1e-14, name
+        verdict = CheckVerdict.PASS if residual < ANALYTIC_TOL else CheckVerdict.FIT_FAIL
         assert report.verdict[0, 0] is verdict, name
         seen.add(name)
-    assert seen == {"psi-omega", "numeric", "magic-f", "g2-f"}
+    assert seen == {"psi-omega", "magic-f", "g2-f"}

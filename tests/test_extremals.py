@@ -17,9 +17,10 @@ from tetrablock.extremals import (FamilyBounds, G2FMap,
                                   psi_eta, sigma)
 from tetrablock.geodesics import OriginGeodesicParams, eval_origin_geodesic
 from tetrablock.hyperbolic import BlaschkeMap, mobius_m
-from tetrablock.necessary import numeric_gradient
 from tetrablock.verify import (random_disc_point, random_interior_points,
                                random_unimodular)
+
+from oracles import numeric_gradient
 
 
 class TestPsiEta:

@@ -208,7 +208,7 @@ def test_family_maps(coordinates, eta, factor, swap):
     k = len(coordinates) // 3
     blocks = [np.array(coordinates[j * k:(j + 1) * k]) for j in range(3)]
     psi = attempt(lambda: PsiOmegaMap(eta, swap_first=swap, factor=factor))
-    g2 = attempt(lambda: G2FMap(eta, factor=factor))
+    g2 = attempt(lambda: G2FMap(eta))
     for point in (TetraPoint(*coordinates[:3]), TetraPoint(*blocks)):
         pair = G2Point(point.z1, point.z2)
         outcome(magic_f, point)

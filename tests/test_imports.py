@@ -47,6 +47,8 @@ UNCALLED = {
     "disc_automorphism": "the sigma and f_omega property tests of ROADMAP aim 3",
     "mobius_distance": "the Schwarz-Pick property tests of ROADMAP aim 3",
     "MagicFMap": "the gradient form of magic_f, checked in test_necessary and test_finite_input",
+    "magic_f": "the value of MagicFMap; family_bounds forms the same quotient inline",
+    "BranchError": "raised only by magic_f and MagicFMap.gradient, checked in test_extremals",
 }
 
 
@@ -56,13 +58,16 @@ def public_names(init: Path):
             if isinstance(node, ast.ImportFrom) and node.level for alias in node.names]
 
 
-def names_used(tree: ast.AST, imports: bool = False):
-    """Each ``ast.Name`` and ``ast.Attribute`` under ``tree`` (a docstring
-    mention is none), and with ``imports`` each name it imports."""
+def names_used(tree: ast.AST, modules=frozenset(), imports: bool = False):
+    """Each name ``tree`` loads, and each attribute it takes of a name in
+    ``modules``, and with ``imports`` each name it imports.  A docstring
+    mention, an assigned or annotated name (a field) and an attribute of any
+    other object (``report.lower.magic_f``) are none."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute):
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
             yield node.attr
         elif imports and isinstance(node, ast.ImportFrom):
             yield from (alias.name for alias in node.names)
@@ -73,11 +78,13 @@ def uncalled_names(src: Path, perfbench: Path):
     names it imports or uses; a package module other than ``__init__``
     calls those its module-level code uses, and those a top-level
     definition uses unless that definition is itself an uncalled public
-    name."""
+    name.  Attributes count only when taken of the package or one of its
+    modules."""
     public = public_names(src / "__init__.py")
+    modules = {src.name} | {module.stem for module in src.glob("*.py")}
     bench = {name for module in perfbench.glob("*.py")
-             for name in names_used(ast.parse(module.read_text()), imports=True)}
-    blocks = [(getattr(node, "name", None), set(names_used(node)))
+             for name in names_used(ast.parse(module.read_text()), modules, imports=True)}
+    blocks = [(getattr(node, "name", None), set(names_used(node, modules)))
               for module in src.glob("*.py") if module.name != "__init__.py"
               for node in ast.parse(module.read_text()).body]
     uncalled = set(public) - bench
@@ -95,14 +102,18 @@ def test_every_public_name_has_a_caller():
 def test_caller_detector(tmp_path):
     src, bench = tmp_path / "pkg", tmp_path / "bench"
     src.mkdir(), bench.mkdir()
-    (src / "__init__.py").write_text("from .a import f, g, h, k, u, v\n")
+    (src / "__init__.py").write_text("from .a import f, g, h, k, u, v, w\n")
     (src / "a.py").write_text("def f(): pass\ndef g(): f()\ndef h(): pass\n"
-                              "def k(): pass\ndef u(): pass\ndef v(): u()\n")
-    (src / "b.py").write_text('"""f and g."""\nfrom .a import g, k\nimport a\na.h()\n')
+                              "def k(): pass\ndef u(): pass\ndef v(): u()\n"
+                              "def w(): pass\n")
+    (src / "b.py").write_text('"""f and g."""\nfrom .a import g, k\nimport a\na.h()\n'
+                              "class R:\n    w: float\n"
+                              "def show(report): return report.lower.w\n")
     (bench / "run.py").write_text("from pkg.a import k\n")
     # g is imported, not used, and f is used only by g and in a docstring; u
-    # is used only by v, which nothing uses
-    assert uncalled_names(src, bench) == ["f", "g", "u", "v"]
+    # is used only by v, which nothing uses; w only names a field and an
+    # attribute of a report, while h is taken of the module a
+    assert uncalled_names(src, bench) == ["f", "g", "u", "v", "w"]
 
 
 def scipy_imports(path: Path):

@@ -227,11 +227,11 @@ def test_stacked_left_inverse_and_fit_match_members():
         assert isinstance(F, PsiOmegaMap)
         residuals = left_inverse_residual(f, F)
         for action in TETRABLOCK_ACTIONS:
-            fit = fit_quadratic_forms(lams, psi_of_lambda(F, f, action, lams))
+            fit = fit_quadratic_forms(lams, psi_of_lambda(F, f, (action,), lams)[0])
             for k, params in enumerate(stack.split()):
                 g, G = origin_geodesic_disc(params), certified_left_inverse(params)
                 assert abs(residuals[k, 0] - left_inverse_residual(g, G)) <= ROUNDING_TOL
-                single = fit_quadratic_forms(lams, [psi_of_lambda(G, g, action, lams)])
+                single = fit_quadratic_forms(lams, psi_of_lambda(G, g, (action,), lams))
                 assert abs(fit.psi0[k, 0] - single.psi0[0, 0]) <= ROUNDING_TOL
                 assert abs(fit.C[k, 0] - single.C[0, 0]) <= ROUNDING_TOL
                 assert abs(fit.residual[k, 0] - single.residual[0, 0]) <= ROUNDING_TOL
@@ -262,6 +262,7 @@ def test_stacked_necessary_check_matches_members():
                     assert (single.verdict[0, 0] is CheckVerdict.PASS) == (flip[k, 0] == 1.0)
                     assert abs(report.hypothesis_residual[k, 0]
                                - single.hypothesis_residual[0, 0]) <= ROUNDING_TOL
+                    assert (single.psi is None) is (single.fit is None)
                     if single.fit is not None:
                         assert abs(report.fit.psi0[k, 0] - single.fit.psi0[0, 0]) <= ROUNDING_TOL
                         assert abs(report.fit.C[k, 0] - single.fit.C[0, 0]) <= ROUNDING_TOL
@@ -276,7 +277,7 @@ def test_stacked_necessary_check_without_a_valid_disc_skips_the_fit():
                                         origin_geodesic_disc(stack), TETRABLOCK_ACTIONS)
     assert len(reports) == len(TETRABLOCK_ACTIONS)
     for report in reports:
-        assert report.fit is None
+        assert report.fit is None and report.psi is None
         assert all(v is CheckVerdict.HYPOTHESIS_VIOLATION for v in report.verdict.ravel())
 
 
@@ -570,7 +571,8 @@ def test_necessary_suite_matches_disc_by_disc(seed):
         failures += report.verdict[0, 0].value != "pass"
         worst_fit = max(worst_fit, report.fit.residual[0, 0])
         worst_c = max(worst_c, abs(report.fit.C[0, 0] - C))
-        c0, c1, _, _ = fit_general_quadratics(lams, [-1j * psi_of_lambda(F, f, G2_ACTION, lams)])
+        c0, c1, _, _ = fit_general_quadratics(
+            lams, [-1j * psi_of_lambda(F, f, (G2_ACTION,), lams)[0]])
         worst_a = max(worst_a, abs(report.fit.circular_a[0, 0]), abs(c0[0, 0]))
         worst_im_c = max(worst_im_c, abs(c1[0, 0].imag))
     details = suite_necessary(seed=seed, n_params=9).details
