@@ -1,17 +1,17 @@
 """Invariant distances, extremal maps and complex geodesics on the
 tetrablock and the symmetrized bidisc."""
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
-from .errors import BranchError, DomainError, FitError, PoleError
+from .errors import DomainError, FitError, PoleError
 from .hyperbolic import (BlaschkeMap, HyperbolicDistance, disc_automorphism,
                          mobius_distance, mobius_m)
 from .domains import (G2MembershipReport, G2Point, Location, MembershipReport,
                       TetraPoint, g2_membership, g2_roots, psi_sup,
                       rho_functional, tetra_e_value, tetra_membership)
-from .extremals import (FamilyBounds, G2FMap, MagicFMap, PsiOmegaMap,
+from .extremals import (FamilyBounds, G2FMap, PsiOmegaMap,
                         caratheodory_lower_bound, f_omega_automorphism,
-                        family_bounds, g2_f, magic_f, p_e, psi_eta, sigma)
+                        family_bounds, p_e, psi_eta, sigma)
 from .geodesics import (DiscSearchResult, DiscVerdict,
                         DiscVerificationReport, G2GeodesicParams, GeneralDiscParams,
                         OriginGeodesicParams, OriginGeodesicSolution, PairReport,
@@ -24,11 +24,10 @@ from .geodesics import (DiscSearchResult, DiscVerdict,
                         origin_geodesic_disc, origin_lempert, pair_report,
                         sample_grid, solve_origin_geodesic_through,
                         transport_disc, verify_disc)
-from .necessary import (CheckVerdict, CircularAction, G2_ACTION,
-                        NecessaryCheckReport, QuadraticFit,
-                        TETRABLOCK_ACTIONS, fit_general_quadratics, fit_grid,
-                        fit_quadratic_forms, geodesic_necessary_checks,
-                        psi_of_lambda, vector_field)
+from .necessary import (CheckVerdict, G2_ACTION, NecessaryCheckReport,
+                        QuadraticFit, TETRABLOCK_ACTIONS,
+                        fit_general_quadratics, fit_grid, fit_quadratic_forms,
+                        geodesic_necessary_checks, psi_of_lambda)
 from .verify import ALL_SUITES, SuiteResult, run_suites
 
 # Nothing here computes with scipy. Two benchmark readers still need it:

@@ -105,10 +105,6 @@ class G2Point:
         s, p = value
         return G2Point(s, p)
 
-    @staticmethod
-    def from_roots(lam: complex, mu: complex) -> "G2Point":
-        return G2Point(lam + mu, lam * mu)
-
     def as_tuple(self) -> Tuple[complex, complex]:
         return (self.s, self.p)
 
@@ -138,10 +134,12 @@ def _has_array(z1, z2, z3) -> bool:
 def e_value_raw(z1, z2, z3):
     """Defining functional of the tetrablock; accepts scalars or arrays.
 
-    A Python scalar point stays in Python arithmetic, which overflows to inf
-    without a warning (numpy scalars warn); arrays overflow to inf under
-    ``np.errstate``, silently too.  Python's complex modulus can differ from
-    numpy's in the last bit, so a point and its block may too."""
+    The coordinates go through ``as_coordinate``, so a scalar point, numpy
+    scalars too, is computed in Python arithmetic, which overflows to inf
+    without a warning; arrays overflow to inf under ``np.errstate``,
+    silently too.  Python's complex modulus can differ from numpy's in the
+    last bit, so a point and its block may too."""
+    z1, z2, z3 = as_coordinate(z1), as_coordinate(z2), as_coordinate(z3)
     if _has_array(z1, z2, z3):
         with np.errstate(over="ignore"):
             return _e_value(z1, z2, z3)
@@ -184,8 +182,8 @@ def tetra_membership(z, tol: float = DEFAULT_BOUNDARY_TOL) -> MembershipReport:
     return MembershipReport(_classify(e, tol), e, tol)
 
 
-def is_interior(z, tol: float = DEFAULT_BOUNDARY_TOL) -> bool:
-    return tetra_e_value(z) < 1.0 - tol
+def is_interior(z) -> bool:
+    return tetra_e_value(z) < 1.0 - DEFAULT_BOUNDARY_TOL
 
 
 #: the largest real or imaginary part of a coordinate that the family maps

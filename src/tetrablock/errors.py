@@ -9,9 +9,5 @@ class PoleError(DomainError):
     """Evaluation was requested at (or numerically too close to) a pole."""
 
 
-class BranchError(DomainError):
-    """A square-root branch condition failed, signalling non-interior input."""
-
-
 class FitError(ValueError):
     """A least-squares fit could not be performed (too few / degenerate samples)."""

@@ -7,13 +7,13 @@ lower bound for the Caratheodory pseudodistance; ``family_bounds`` gives it
 for each of the three tetrablock families as one ``FamilyBounds`` record.
 ``p_e``, the larger of the two Psi-family bounds (with and without the
 coordinate swap), is dominated by ``caratheodory_lower_bound``, the largest
-of the three, and on some pairs *strictly* -- the separation that
-``magic_f`` detects.  The Psi-family maxima over the
-unimodular parameter are exact: both orientations' sextics are solved as
-the eigenvalues of one stack of two companion matrices, once per pair for
-``geodesics.pair_report``, and the distance is then taken in Python complex
-arithmetic at the 14 candidate parameters, the roots projected to the
-circle and eta = 1 for each orientation.
+of the three, and on some pairs *strictly* -- the separation that the
+square-root family z2 / sqrt(1 + z3 - z1 z2) detects.  The Psi-family maxima
+over the unimodular parameter are exact: both orientations' sextics are
+solved as the eigenvalues of one stack of two companion matrices, once per
+pair for ``geodesics.pair_report``, and the distance is then taken in Python
+complex arithmetic at the 14 candidate parameters, the roots projected to
+the circle and eta = 1 for each orientation.
 """
 
 from __future__ import annotations
@@ -24,18 +24,12 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, is_interior,
-                      psi_eta, require_map_point)
-from .errors import BranchError, DomainError, PoleError
+from .domains import G2Point, TetraPoint, is_interior, psi_eta, require_map_point
+from .errors import DomainError, PoleError
 from .hyperbolic import (HyperbolicDistance, least, mobius_m, modulus,
                          require_closed_disc_point, require_unimodular)
 
 _POLE_TOL = 1e-14
-
-
-def _sqrt(value):
-    """Principal square root; a scalar stays a Python complex."""
-    return np.sqrt(value) if isinstance(value, np.ndarray) else cmath.sqrt(value)
 
 
 def sigma(z) -> TetraPoint:
@@ -49,32 +43,6 @@ def f_omega_automorphism(omega: complex, z) -> TetraPoint:
     omega = require_unimodular(omega)
     z = TetraPoint.of(z)
     return TetraPoint(omega * z.z1, z.z2, omega * z.z3)
-
-
-def magic_f(z) -> complex:
-    """z2 / sqrt(1 + z3 - z1 z2) with the principal branch.
-
-    On interior points 1 + z3 - z1 z2 stays in the open right half-plane
-    (|z1 z2 - z3| < 1 there), the branch is safe, and the value has
-    modulus < 1.  A non-positive real part signals non-interior input.
-    """
-    z = TetraPoint.of(z)
-    require_map_point(z)
-    d = 1.0 + z.z3 - z.z1 * z.z2
-    if least(d.real) <= 0.0:
-        raise BranchError(f"Re(1 + z3 - z1 z2) = {least(d.real)} <= 0; input not interior")
-    return z.z2 / _sqrt(d)
-
-
-def g2_f(omega: complex, w) -> complex:
-    """The symmetrized-bidisc family (2 omega p - s) / (2 - omega s)."""
-    omega = require_unimodular(omega)
-    w = G2Point.of(w)
-    require_map_point(w)
-    den = 2.0 - omega * w.s
-    if least(modulus(den)) < _POLE_TOL:
-        raise PoleError(f"g2_f pole: |2 - omega*s| = {least(modulus(den))}")
-    return (2.0 * omega * w.p - w.s) / den
 
 
 # ---------------------------------------------------------------------------
@@ -121,34 +89,21 @@ class PsiOmegaMap:
         return (self.factor * d1, self.factor * d2, self.factor * d3)
 
 
-class MagicFMap:
-    """The square-root family z2 / sqrt(1 + z3 - z1 z2), with gradient."""
-
-    def __call__(self, point) -> complex:
-        return magic_f(point)
-
-    def gradient(self, point) -> Tuple[complex, complex, complex]:
-        z = TetraPoint.of(point)
-        require_map_point(z)
-        d = 1.0 + z.z3 - z.z1 * z.z2
-        if least(d.real) <= 0.0:
-            raise BranchError("gradient branch: input not interior")
-        # the branch point d = 0 is a pole of the gradient
-        if least(modulus(d)) < _POLE_TOL:
-            raise PoleError("magic_f gradient pole")
-        root = _sqrt(d)
-        den = 2.0 * d * root
-        return (z.z2 * z.z2 / den, (2.0 * d + z.z1 * z.z2) / den, -z.z2 / den)
-
-
 class G2FMap:
-    """g2_f(omega, .) as a map on C^2, with gradient."""
+    """The symmetrized-bidisc family (2 omega p - s) / (2 - omega s) as a map
+    on C^2, with gradient."""
 
     def __init__(self, omega: complex):
         self.omega = require_unimodular(omega)
 
     def __call__(self, point) -> complex:
-        return g2_f(self.omega, point)
+        w = G2Point.of(point)
+        require_map_point(w)
+        omega = self.omega
+        den = 2.0 - omega * w.s
+        if least(modulus(den)) < _POLE_TOL:
+            raise PoleError(f"G2FMap pole: |2 - omega*s| = {least(modulus(den))}")
+        return (2.0 * omega * w.p - w.s) / den
 
     def gradient(self, point) -> Tuple[complex, complex]:
         w = G2Point.of(point)
@@ -156,7 +111,7 @@ class G2FMap:
         omega = self.omega
         den = 2.0 - omega * w.s
         if least(modulus(den)) < _POLE_TOL:
-            raise PoleError("g2_f gradient pole")
+            raise PoleError("G2FMap gradient pole")
         d_s = (-2.0 + 2.0 * omega ** 2 * w.p) / (den * den)
         d_p = 2.0 * omega / den
         return (d_s, d_p)
@@ -259,8 +214,9 @@ def _circle_max(w1, w2, w3, z1, z2, z3, roots) -> float:
 
 class FamilyBounds(NamedTuple):
     """The m-scale Caratheodory lower bound of each tetrablock family on a
-    pair: the Psi family with and without the coordinate swap, and
-    ``magic_f`` together with ``magic_f o sigma``."""
+    pair: the Psi family with and without the coordinate swap, and the
+    square-root family ``magic_f`` = z2 / sqrt(1 + z3 - z1 z2) together with
+    ``magic_f o sigma``."""
 
     psi_omega: float
     psi_omega_sigma: float
@@ -270,7 +226,7 @@ class FamilyBounds(NamedTuple):
 def _interior_pair(w, z) -> Tuple[TetraPoint, TetraPoint]:
     w, z = TetraPoint.of(w), TetraPoint.of(z)
     for name, point in (("w", w), ("z", z)):
-        if not is_interior(point, DEFAULT_BOUNDARY_TOL):
+        if not is_interior(point):
             raise DomainError(f"{name} must be interior to the tetrablock")
     return w, z
 
@@ -281,8 +237,10 @@ def family_bounds(w, z) -> FamilyBounds:
     ``magic_f`` the larger of its distance and that of ``magic_f o sigma``,
     which makes it sigma-invariant."""
     w, z = _interior_pair(w, z)
-    # magic_f and magic_f o sigma: z2 and z1 over one root, as in magic_f
-    rw, rz = (_sqrt(1.0 + p.z3 - p.z1 * p.z2) for p in (w, z))
+    # magic_f and magic_f o sigma: z2 and z1 over one principal root.  On
+    # interior points |z1 z2 - z3| < 1, so the radicand stays in the right
+    # half-plane, away from the branch cut
+    rw, rz = (cmath.sqrt(1.0 + p.z3 - p.z1 * p.z2) for p in (w, z))
     magic = float(max(mobius_m(w.z2 / rw, z.z2 / rz), mobius_m(w.z1 / rw, z.z1 / rz)))
     return FamilyBounds(*_psi_family_bounds(w, z), magic)
 

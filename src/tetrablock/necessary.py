@@ -44,33 +44,10 @@ ANALYTIC_TOL = 1e-7
 HYPOTHESIS_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class CircularAction:
-    """Rotation weights (a_1, ..., a_n) of a circular symmetry."""
-
-    alpha: Tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-
-    @property
-    def dim(self) -> int:
-        return len(self.alpha)
-
-
-TETRABLOCK_ACTIONS = (CircularAction((1.0, 0.0, 1.0)), CircularAction((0.0, 1.0, 1.0)))
-G2_ACTION = CircularAction((1.0, 2.0))
-
-
-def vector_field(action: CircularAction, point) -> Tuple[complex, ...]:
-    """Infinitesimal generator of the rotation family: i * a_j * z_j.
-
-    Coordinates may be arrays of samples; each component is then an array.
-    """
-    coords = tuple(as_coordinate(c) for c in point)
-    if len(coords) != action.dim:
-        raise DomainError(f"point has {len(coords)} coordinates, action has {action.dim}")
-    return tuple(1j * a * c for a, c in zip(action.alpha, coords))
+#: rotation weights (a_1, ..., a_n) of the circular symmetries: the
+#: tetrablock's two, and the symmetrized bidisc's
+TETRABLOCK_ACTIONS = ((1.0, 0.0, 1.0), (0.0, 1.0, 1.0))
+G2_ACTION = (1.0, 2.0)
 
 
 def fit_grid() -> np.ndarray:
@@ -78,16 +55,22 @@ def fit_grid() -> np.ndarray:
     return sample_grid(FIT_RADII, FIT_N_ANGLES)
 
 
-def psi_of_lambda(F: Callable, f: Callable, actions: Sequence[CircularAction],
+def psi_of_lambda(F: Callable, f: Callable, actions: Sequence[Tuple[float, ...]],
                   lam: complex) -> List[complex]:
-    """sum_j dF/dz_j(f(lam)) * gamma_j(f(lam)) for the rotation field of
-    each action, from one call of f and one of ``F.gradient``.
+    """sum_j dF/dz_j(f(lam)) * i * a_j * f_j(lam), the gradient of F applied
+    to the rotation field of each action's weights (a_1, ..., a_n), from one
+    call of f and one of ``F.gradient``.
 
-    An array of ``lam`` gives an array of values per action.
+    An array of ``lam`` gives an array of values per action.  An action
+    whose number of weights is not the number of coordinates of f raises
+    ``DomainError``.
     """
     coords = tuple(as_coordinate(c) for c in f(lam))
+    for action in actions:
+        if len(action) != len(coords):
+            raise DomainError(f"point has {len(coords)} coordinates, action has {len(action)}")
     grads = F.gradient(coords)
-    return [sum(g * gamma for g, gamma in zip(grads, vector_field(action, coords)))
+    return [sum(g * (1j * a * c) for g, a, c in zip(grads, action, coords))
             for action in actions]
 
 
@@ -184,7 +167,7 @@ class NecessaryCheckReport:
     psi: Optional[np.ndarray]
 
 
-def geodesic_necessary_checks(F: Callable, f: Callable, actions: Sequence[CircularAction]
+def geodesic_necessary_checks(F: Callable, f: Callable, actions: Sequence[Tuple[float, ...]]
                               ) -> List[NecessaryCheckReport]:
     """Check the quadratic necessary condition for a stack of n certified
     geodesics under each rotation action: f and F hold stacked parameters,

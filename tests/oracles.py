@@ -1,8 +1,11 @@
-"""Finite-difference oracle for the closed-form gradients of the family maps."""
+"""Oracles for the tests: finite differences for the closed-form gradients
+of the family maps, and the square-root family that ``family_bounds``
+evaluates inline."""
 
+import cmath
 from typing import Callable, Sequence, Tuple
 
-from tetrablock.domains import as_coordinate
+from tetrablock.domains import TetraPoint, as_coordinate
 
 
 def numeric_gradient(fn: Callable, coords: Sequence[complex]) -> Tuple[complex, ...]:
@@ -26,3 +29,11 @@ def numeric_gradient(fn: Callable, coords: Sequence[complex]) -> Tuple[complex, 
         d_h2 = (shifted(step / 2.0) - shifted(-step / 2.0)) / step
         out.append((4.0 * d_h2 - d_h) / 3.0)
     return tuple(out)
+
+
+def magic_f(z) -> complex:
+    """z2 / sqrt(1 + z3 - z1 z2) with the principal root, at a scalar point:
+    the square-root family whose bound ``family_bounds`` reports as
+    ``magic_f``."""
+    z = TetraPoint.of(z)
+    return z.z2 / cmath.sqrt(1.0 + z.z3 - z.z1 * z.z2)

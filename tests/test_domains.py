@@ -192,7 +192,7 @@ class TestG2:
     @given(disc_points, disc_points)
     @settings(max_examples=300)
     def test_round_trip_from_roots(self, lam, mu):
-        point = G2Point.from_roots(lam, mu)
+        point = G2Point(lam + mu, lam * mu)
         report = g2_membership(point)
         assert report.location is Location.INTERIOR
         r1, r2 = report.roots

@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 
 from tetrablock import extremals
 from tetrablock.domains import TetraPoint, is_interior
-from tetrablock.errors import BranchError, DomainError, PoleError
-from tetrablock.extremals import (FamilyBounds, G2FMap,
-                                  MagicFMap, PsiOmegaMap,
+from tetrablock.errors import DomainError, PoleError
+from tetrablock.extremals import (FamilyBounds, G2FMap, PsiOmegaMap,
                                   caratheodory_lower_bound, family_bounds,
-                                  f_omega_automorphism, g2_f, magic_f, p_e,
-                                  psi_eta, sigma)
+                                  f_omega_automorphism, p_e, psi_eta, sigma)
 from tetrablock.geodesics import OriginGeodesicParams, eval_origin_geodesic
 from tetrablock.hyperbolic import BlaschkeMap, mobius_m
 from tetrablock.verify import (random_disc_point, random_interior_points,
                                random_unimodular)
 
-from oracles import numeric_gradient
+from oracles import magic_f, numeric_gradient
 
 
 class TestPsiEta:
@@ -83,36 +81,40 @@ class TestAutomorphisms:
 
 
 class TestMagicF:
+    """The square-root family z2 / sqrt(1 + z3 - z1 z2) through the
+    ``magic_f`` field of ``family_bounds``: the larger of its distance and
+    that of its composition with sigma."""
+
     def test_unit_denominator(self):
-        assert magic_f((0, 0.7, 0)) == pytest.approx(0.7)
+        assert family_bounds((0, 0, 0), (0, 0.7, 0)).magic_f == pytest.approx(0.7)
 
     def test_product_point(self):
         # 1 + 0.25 - 0.25 = 1
-        assert magic_f((0.5, 0.5, 0.25)) == pytest.approx(0.5)
+        assert family_bounds((0, 0, 0), (0.5, 0.5, 0.25)).magic_f == pytest.approx(0.5)
 
     def test_extremal_family_value(self):
+        # the separation family: magic_f vanishes at the first point, and is
+        # lam (1 - C) / sqrt(1 - C) at the second
         lam, C = 0.37, 0.42
-        value = magic_f((0, lam * (1 - C), -C))
-        assert abs(value) == pytest.approx(lam * math.sqrt(1 - C), abs=1e-15)
-
-    def test_branch_guard(self):
-        with pytest.raises(BranchError):
-            magic_f((0.9, 0.9, -0.9))
+        value = family_bounds((0, 0, -C), (0, lam * (1 - C), -C)).magic_f
+        assert value == pytest.approx(lam * math.sqrt(1 - C), abs=1e-15)
 
     def test_maps_interior_into_open_disc(self):
+        # the radicand stays in the right half-plane, away from the branch
+        # cut, so the family is holomorphic on the interior and its bound is
+        # certified
         rng = np.random.default_rng(4)
         for z in random_interior_points(rng, 10000):
             assert abs(z.z1 * z.z2 - z.z3) < 1.0  # branch-safety certificate
+            assert (1.0 + z.z3 - z.z1 * z.z2).real > 0.0
             assert abs(magic_f(z)) < 1.0
 
-    def test_gradient_matches_numeric(self):
-        fmap = MagicFMap()
-        rng = np.random.default_rng(6)
-        for z in random_interior_points(rng, 50):
-            analytic = fmap.gradient(z)
-            numeric = numeric_gradient(fmap, z.as_tuple())
-            for a, b in zip(analytic, numeric):
-                assert a == pytest.approx(b, abs=1e-8)
+    def test_matches_oracle_on_pairs(self):
+        points = random_interior_points(np.random.default_rng(6), 400)
+        for w, z in zip(points[:200], points[200:]):
+            expected = max(mobius_m(magic_f(w), magic_f(z)),
+                           mobius_m(magic_f(sigma(w)), magic_f(sigma(z))))
+            assert abs(family_bounds(w, z).magic_f - expected) <= 1e-15
 
 
 CLOSED_FORM_PAIRS = [
@@ -401,9 +403,12 @@ class TestCaratheodoryLowerBound:
         def no_root(value):
             raise AssertionError("magic_f computed")
 
-        monkeypatch.setattr(extremals, "_sqrt", no_root)
+        # the one root of family_bounds is the square-root family's
+        monkeypatch.setattr(extremals.cmath, "sqrt", no_root)
         w, z = random_interior_points(np.random.default_rng(14), 2)
         p_e(w, z)
+        with pytest.raises(AssertionError, match="magic_f computed"):
+            family_bounds(w, z)
 
     @pytest.mark.parametrize("bound", [family_bounds, caratheodory_lower_bound])
     def test_exterior_endpoint_rejected(self, bound):
@@ -413,21 +418,25 @@ class TestCaratheodoryLowerBound:
 
 class TestG2F:
     def test_origin(self):
-        assert g2_f(1.0, (0, 0)) == 0.0
+        assert G2FMap(1.0)((0, 0)) == 0.0
 
     def test_right_inverse_of_symmetrized_diagonal(self):
         # (2 w lam^2 + 2 lam) / (2 + 2 w lam) = lam
         for omega in (1.0, cmath.exp(0.9j)):
             for lam in (0.4, -0.2 + 0.3j):
-                value = g2_f(omega, (-2 * lam, lam * lam))
+                value = G2FMap(omega)((-2 * lam, lam * lam))
                 assert value == pytest.approx(lam, abs=1e-14)
 
     def test_substitution(self):
-        assert g2_f(1.0, (1.0, 0.25)) == pytest.approx(-0.5)
+        assert G2FMap(1.0)((1.0, 0.25)) == pytest.approx(-0.5)
 
     def test_pole_guard(self):
         with pytest.raises(PoleError):
-            g2_f(1.0, (2.0, 0.0))
+            G2FMap(1.0)((2.0, 0.0))
+
+    def test_non_unimodular_omega_rejected(self):
+        with pytest.raises(DomainError):
+            G2FMap(0.5)
 
     def test_gradient_matches_numeric(self):
         fmap = G2FMap(cmath.exp(0.3j))

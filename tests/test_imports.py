@@ -46,9 +46,6 @@ UNCALLED = {
     "f_omega_automorphism": "the f_omega property tests of ROADMAP aim 3",
     "disc_automorphism": "the sigma and f_omega property tests of ROADMAP aim 3",
     "mobius_distance": "the Schwarz-Pick property tests of ROADMAP aim 3",
-    "MagicFMap": "the gradient form of magic_f, checked in test_necessary and test_finite_input",
-    "magic_f": "the value of MagicFMap; family_bounds forms the same quotient inline",
-    "BranchError": "raised only by magic_f and MagicFMap.gradient, checked in test_extremals",
 }
 
 
