@@ -226,6 +226,9 @@ class FamilyBounds(NamedTuple):
 def _interior_pair(w, z) -> Tuple[TetraPoint, TetraPoint]:
     w, z = TetraPoint.of(w), TetraPoint.of(z)
     for name, point in (("w", w), ("z", z)):
+        # a scalar coordinate is a Python complex (``as_coordinate``)
+        if not type(point.z1) is type(point.z2) is type(point.z3) is complex:
+            raise DomainError(f"{name} must be one point, not an array of points")
         if not is_interior(point):
             raise DomainError(f"{name} must be interior to the tetrablock")
     return w, z

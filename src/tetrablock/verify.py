@@ -84,20 +84,32 @@ def random_disc_points(rng: np.random.Generator, n, radius: float = 0.9) -> np.n
     modulus, as ``require_disc_point`` takes it, is below 1, in draw order,
     and the batches are topped up until n are kept; then they are scaled by
     the radius.  No trigonometric call is made, and how many uniforms a
-    draw consumes depends on the stream, not only on n."""
+    draw consumes depends on the stream, not only on n.
+
+    Each batch is drawn in chunks of at most ``_BLOCK_POINTS`` pairs whose
+    kept points go straight into the output, so no temporary outgrows a
+    chunk.  The chunks take the batch's uniforms in the same order, the
+    unused tail of the last batch included, so the points and the
+    generator's state after the draw are those of one array per batch, bit
+    for bit."""
     shape = (n,) if isinstance(n, (int, np.integer)) else tuple(n)
     if min(shape, default=0) < 0:
         raise ValueError(f"negative dimensions are not allowed, got {shape}")
     size = math.prod(shape)
-    points = np.empty(0, dtype=complex)
-    while points.size < size:
+    points = np.empty(size, dtype=complex)
+    kept = 0
+    while kept < size:
         # 4/3 candidates per missing point against an acceptance of pi/4,
         # so a top-up is rare
-        pairs = rng.uniform(-1.0, 1.0, size=((4 * (size - points.size)) // 3 + 16, 2))
-        candidates = pairs.view(complex).ravel()
-        inside = candidates[np.abs(candidates) < 1.0]
-        points = np.concatenate([points, inside]) if points.size else inside
-    return radius * points[:size].reshape(shape)
+        batch = (4 * (size - kept)) // 3 + 16
+        for start in range(0, batch, _BLOCK_POINTS):
+            pairs = rng.uniform(-1.0, 1.0, size=(min(_BLOCK_POINTS, batch - start), 2))
+            candidates = pairs.view(complex).ravel()
+            inside = candidates[np.abs(candidates) < 1.0][:size - kept]
+            points[kept:kept + inside.size] = inside
+            kept += inside.size
+    points *= radius
+    return points.reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """Oracles for the tests: finite differences for the closed-form gradients
-of the family maps, and the square-root family that ``family_bounds``
-evaluates inline."""
+of the family maps, the square-root family that ``family_bounds``
+evaluates inline, and the one-array disc sampler that the chunked
+``random_disc_points`` reproduces."""
 
 import cmath
+import math
 from typing import Callable, Sequence, Tuple
+
+import numpy as np
 
 from tetrablock.domains import TetraPoint, as_coordinate
 
@@ -37,3 +41,22 @@ def magic_f(z) -> complex:
     ``magic_f``."""
     z = TetraPoint.of(z)
     return z.z2 / cmath.sqrt(1.0 + z.z3 - z.z1 * z.z2)
+
+
+def one_shot_disc_points(rng: np.random.Generator, n, radius: float = 0.9) -> np.ndarray:
+    """The disc sampler of version 1.5.0, verbatim: each batch of pairs is
+    one array, kept points are concatenated, and the result is a scaled
+    copy."""
+    shape = (n,) if isinstance(n, (int, np.integer)) else tuple(n)
+    if min(shape, default=0) < 0:
+        raise ValueError(f"negative dimensions are not allowed, got {shape}")
+    size = math.prod(shape)
+    points = np.empty(0, dtype=complex)
+    while points.size < size:
+        # 4/3 candidates per missing point against an acceptance of pi/4,
+        # so a top-up is rare
+        pairs = rng.uniform(-1.0, 1.0, size=((4 * (size - points.size)) // 3 + 16, 2))
+        candidates = pairs.view(complex).ravel()
+        inside = candidates[np.abs(candidates) < 1.0]
+        points = np.concatenate([points, inside]) if points.size else inside
+    return radius * points[:size].reshape(shape)

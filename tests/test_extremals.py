@@ -415,6 +415,14 @@ class TestCaratheodoryLowerBound:
         with pytest.raises(DomainError, match="z must be interior"):
             bound(TetraPoint(0, 0, 0), TetraPoint(0, 0, 2))
 
+    @pytest.mark.parametrize("bound", [family_bounds, p_e, caratheodory_lower_bound])
+    def test_array_point_rejected(self, bound):
+        block = TetraPoint(np.zeros(2), np.zeros(2), np.zeros(2))
+        with pytest.raises(DomainError, match="z must be one point, not an array"):
+            bound(TetraPoint(0, 0, 0), block)
+        with pytest.raises(DomainError, match="w must be one point, not an array"):
+            bound((np.zeros(1), 0.0, 0.0), (0, 0, 0))
+
 
 class TestG2F:
     def test_origin(self):

@@ -9,12 +9,14 @@ records, and must reproduce the suite's figures and verdicts.  Disc
 transport fills in the value at lam = 0 only when a sample vanishes; it must
 give the bits of a fill over every sample.  The division-free disc formula
 and Blaschke product are held against the dividing formulas they replaced,
-and the rejection sampler of the disc against its contract.
+and the rejection sampler of the disc against its contract and, bit for
+bit, against the one-array draw it replaced.
 """
 
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +49,8 @@ from tetrablock.verify import (key_groups, lempert_grid, random_disc_point,
                                suite_g2_window, suite_inclusion,
                                suite_lempert, suite_membership,
                                suite_necessary, suite_rho, suite_transport)
+
+from oracles import one_shot_disc_points
 
 TOL = 1e-15
 # numpy and Python complex division differ in the last digits, and the
@@ -440,6 +444,65 @@ def test_disc_sampler_tops_up_a_short_batch():
     pairs = np.random.default_rng(7).uniform(-1.0, 1.0, stub.sizes[1])
     candidates = pairs.view(complex).ravel()
     assert np.array_equal(draws.ravel(), 0.9 * candidates[np.abs(candidates) < 1.0][:100])
+
+
+@pytest.mark.parametrize("n", [0, 1, (3, 57), (2, 5000), (1000, 100)])
+def test_disc_sampler_is_the_one_array_draw(n):
+    # the chunked draw takes the same uniforms in the same order as one array
+    # per batch, so the points and the generator's next draw are the same bits
+    for seed in range(50):
+        for radius in (0.5, 0.9, 0.95, 1.0):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = random_disc_points(rng, n, radius)
+            expected = one_shot_disc_points(ref_rng, n, radius)
+            assert draws.shape == expected.shape
+            assert draws.tobytes() == expected.tobytes()
+            assert rng.uniform() == ref_rng.uniform()
+
+
+class CornerFirst:
+    """A generator whose first ``corner`` pairs lie in the corner (1, 1) of
+    the square, outside the disc, however the draws are cut; the pairs after
+    them are a real generator's."""
+
+    def __init__(self, seed, corner):
+        self.rng = np.random.default_rng(seed)
+        self.corner = corner
+        self.sizes = []
+
+    def uniform(self, low, high, size):
+        self.sizes.append(size)
+        pairs = self.rng.uniform(low, high, size)
+        n = min(self.corner, size[0])
+        pairs[:n] = np.nextafter(high, low)
+        self.corner -= n
+        return pairs
+
+
+def test_disc_sampler_tops_up_a_short_batch_of_several_chunks():
+    shape = (3, 10_000)
+    batch = (4 * math.prod(shape)) // 3 + 16
+    block = verify._BLOCK_POINTS
+    assert batch > 2 * block
+    stub = CornerFirst(9, batch)
+    draws = random_disc_points(stub, shape, 0.9)
+    # the empty batch, then the top-up, each cut into chunks of at most a block
+    chunks = [min(block, batch - start) for start in range(0, batch, block)]
+    assert stub.sizes == [(k, 2) for k in chunks + chunks]
+    ref = CornerFirst(9, batch)
+    assert draws.tobytes() == one_shot_disc_points(ref, shape, 0.9).tobytes()
+    assert stub.rng.uniform() == ref.rng.uniform()
+
+
+def test_disc_sampler_peaks_below_its_output_plus_one_mib():
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        draws = random_disc_points(rng, (1000, 100), 0.95)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= draws.nbytes + 2 ** 20
 
 
 def test_disc_sampler_is_uniform():
