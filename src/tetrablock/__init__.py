@@ -1,7 +1,7 @@
 """Invariant distances, extremal maps and complex geodesics on the
 tetrablock and the symmetrized bidisc."""
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 from .errors import DomainError, FitError, PoleError
 from .hyperbolic import (BlaschkeMap, HyperbolicDistance, disc_automorphism,

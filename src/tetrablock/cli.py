@@ -53,15 +53,38 @@ MAX_SAMPLES = 10_000
 
 
 class _UsageExit(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A usage error: ``main`` prints it and exits 64."""
 
 
 class Parser(argparse.ArgumentParser):
-    """argparse with the usage-error exit code pinned to 64."""
+    """argparse with the usage-error exit code pinned to 64 and no
+    abbreviated options, so that an option of one action never passes for
+    a prefix of another's (``--lambda`` for ``solve --lambda0``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise _UsageExit(message)
+
+
+def _checked(convert, requirement: str, ok):
+    """An argparse ``type``: ``convert`` the text, reject a value failing ``ok``."""
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    check.__name__ = convert.__name__  # argparse's "invalid float value"
+    return check
+
+
+_finite = _checked(float, "finite", math.isfinite)
+_finite_positive = _checked(float, "finite and positive",
+                            lambda v: math.isfinite(v) and v > 0)
+_positive = _checked(int, "positive", lambda n: n >= 1)
+_non_negative = _checked(int, "non-negative", lambda n: n >= 0)
+_samples = _checked(int, f"in [1, {MAX_SAMPLES}]", lambda n: 1 <= n <= MAX_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +126,8 @@ def parse_phi(text: str) -> BlaschkeMap:
         return BlaschkeMap.constant(parse_complex(text[6:]))
     if text.startswith("auto:"):
         parts = text[5:].split(",")
+        if len(parts) > 2:
+            raise _UsageExit(f"auto spec is a zero and an optional omega, got {text!r}")
         zero = parse_complex(parts[0])
         omega = parse_complex(parts[1]) if len(parts) > 1 else 1.0
         return BlaschkeMap(omega, (zero,), 1.0)
@@ -115,6 +140,8 @@ def parse_phi(text: str) -> BlaschkeMap:
         if scale.imag != 0.0:
             raise _UsageExit(f"blaschke scale must be real, got {parts[1]!r}")
         zeros = tuple(parse_complex(p) for p in parts[2].split(";") if p)
+        if not zeros:
+            raise _UsageExit("blaschke spec needs a zero; a constant map is const:c")
         return BlaschkeMap(omega, zeros, scale.real)
     raise _UsageExit(f"cannot parse self-map spec {text!r}")
 
@@ -155,14 +182,10 @@ _LOCATION_EXIT = {Location.INTERIOR: EXIT_OK, Location.BOUNDARY: EXIT_BOUNDARY,
 
 
 def cmd_member(args) -> int:
-    tol = args.tol
-    if not (math.isfinite(tol) and tol > 0):
-        raise _UsageExit("--tol must be finite and positive")
+    coords = tuple(parse_complex(c) for c in args.components)
     if args.domain == "tetrablock":
-        if len(args.components) != 3:
-            raise _UsageExit("tetrablock needs 3 components")
-        point = TetraPoint(*(parse_complex(c) for c in args.components))
-        report = tetra_membership(point, tol)
+        point = TetraPoint(*coords)
+        report = tetra_membership(point, args.tol)
         sup = psi_sup(point) if abs(point.z1) < 1.0 else None
         results = {"location": report.location.value, "e_value": raw(report.e_value),
                    "psi_sup": raw(sup) if sup is not None else None}
@@ -170,24 +193,18 @@ def cmd_member(args) -> int:
                  f"e_value (raw): {report.e_value!r}"]
         if sup is not None:
             human.append(f"psi_sup (raw): {sup!r}")
-        inputs = {"domain": "tetrablock", "point": [cnum(c) for c in point]}
-        location = report.location
     else:
-        if len(args.components) != 2:
-            raise _UsageExit("g2 needs 2 components")
-        point = G2Point(*(parse_complex(c) for c in args.components))
-        report = g2_membership(point, tol)
+        point = G2Point(*coords)
+        report = g2_membership(point, args.tol)
         results = {"location": report.location.value,
                    "max_root_modulus": raw(report.max_root_modulus),
                    "roots": [cnum(r) for r in report.roots]}
         human = [f"location: {report.location.value}",
                  f"max_root_modulus (raw): {report.max_root_modulus!r}"]
-        inputs = {"domain": "g2", "point": [cnum(c) for c in point]}
-        location = report.location
-    env = envelope("member", inputs, results,
-                   {"tolerance": tol, "version": __version__})
+    env = envelope("member", {"domain": args.domain, "point": [cnum(c) for c in point]},
+                   results, {"tolerance": args.tol, "version": __version__})
     emit(env, args.json, human)
-    return _LOCATION_EXIT[location]
+    return _LOCATION_EXIT[report.location]
 
 
 def cmd_distance(args) -> int:
@@ -225,79 +242,67 @@ def cmd_distance(args) -> int:
     return EXIT_VERIFICATION if report.sandwich_ok is False else EXIT_OK
 
 
-def _build_tetra_params(args):
+def _disc_params(args):
+    """The disc family that ``geodesic eval`` and ``verify`` read from their
+    shared options, with the ``inputs`` record of their reports."""
+    if args.domain == "g2":
+        params = G2GeodesicParams(args.C, parse_complex(args.omega))
+        return params, {"domain": "g2", "C": args.C, "omega": cnum(params.omega)}
     phi = parse_phi(args.phi)
+    omega1, omega2 = parse_complex(args.omega1), parse_complex(args.omega2)
     if args.psi is not None:
-        return GeneralDiscParams(args.C, parse_complex(args.omega1),
-                                 parse_complex(args.omega2), phi, parse_phi(args.psi))
-    return OriginGeodesicParams(args.C, parse_complex(args.omega1),
-                                parse_complex(args.omega2), phi)
+        params = GeneralDiscParams(args.C, omega1, omega2, phi, parse_phi(args.psi))
+    else:
+        params = OriginGeodesicParams(args.C, omega1, omega2, phi)
+    return params, {"domain": "tetrablock", "C": args.C, "phi": args.phi,
+                    "psi": args.psi}
 
 
-def cmd_geodesic(args) -> int:
-    if args.action == "eval":
-        lam = parse_complex(args.lam)
-        if args.domain == "g2":
-            params = G2GeodesicParams(args.C, parse_complex(args.omega))
-            point = g2_origin_geodesic(params, lam)
-            results = {"point": [cnum(c) for c in point]}
-            human = [f"f(lambda) = ({point.s!r}, {point.p!r})"]
-            inputs = {"domain": "g2", "C": args.C, "omega": cnum(params.omega),
-                      "lambda": cnum(lam)}
-        else:
-            params = _build_tetra_params(args)
-            if isinstance(params, GeneralDiscParams):
-                point = eval_general_disc(params, lam)
-            else:
-                point = eval_origin_geodesic(params, lam)
-            results = {"point": [cnum(c) for c in point]}
-            human = [f"f(lambda) = ({point.z1!r}, {point.z2!r}, {point.z3!r})"]
-            inputs = {"domain": "tetrablock", "C": args.C, "phi": args.phi,
-                      "psi": args.psi, "lambda": cnum(lam)}
-        env = envelope("geodesic-eval", inputs, results,
-                       {"version": __version__})
-        emit(env, args.json, human)
-        return EXIT_OK
+def cmd_geodesic_eval(args) -> int:
+    lam = parse_complex(args.lam)
+    params, inputs = _disc_params(args)
+    if isinstance(params, G2GeodesicParams):
+        point = g2_origin_geodesic(params, lam)
+    elif isinstance(params, GeneralDiscParams):
+        point = eval_general_disc(params, lam)
+    else:
+        point = eval_origin_geodesic(params, lam)
+    env = envelope("geodesic-eval", {**inputs, "lambda": cnum(lam)},
+                   {"point": [cnum(c) for c in point]}, {"version": __version__})
+    emit(env, args.json, [f"f(lambda) = ({', '.join(repr(c) for c in point)})"])
+    return EXIT_OK
 
-    if args.action == "verify":
-        if not 1 <= args.samples <= MAX_SAMPLES:
-            raise _UsageExit(f"--samples must lie in [1, {MAX_SAMPLES}]")
-        if args.domain == "g2":
-            params = G2GeodesicParams(args.C, parse_complex(args.omega))
-            report = verify_disc(g2_geodesic_disc(params), G2FMap(params.omega),
-                                 n_angles=args.samples)
-            inputs = {"domain": "g2", "C": args.C, "omega": cnum(params.omega)}
-        else:
-            params = _build_tetra_params(args)
-            if isinstance(params, GeneralDiscParams):
-                report = verify_disc(general_disc(params), None, n_angles=args.samples)
-            else:
-                report = verify_disc(origin_geodesic_disc(params),
-                                     certified_left_inverse(params),
-                                     n_angles=args.samples)
-            inputs = {"domain": "tetrablock", "C": args.C, "phi": args.phi,
-                      "psi": args.psi}
-        results = {"verdict": report.verdict.value,
-                   "max_e_value": raw(report.max_e_value),
-                   "left_inverse_residual": raw(report.left_inverse_residual),
-                   "samples": report.samples}
-        human = [f"verdict: {report.verdict.value}",
-                 f"max in-domain functional (raw): {report.max_e_value!r}",
-                 f"left-inverse residual (raw): {report.left_inverse_residual!r}"]
-        env = envelope("geodesic-verify", inputs, results,
-                       {"samples": report.samples, "version": __version__})
-        emit(env, args.json, human)
-        return EXIT_OK if report.verdict is not DiscVerdict.FAILED else EXIT_VERIFICATION
 
-    # solve
+def cmd_geodesic_verify(args) -> int:
+    params, inputs = _disc_params(args)
+    if isinstance(params, G2GeodesicParams):
+        disc, left_inverse = g2_geodesic_disc(params), G2FMap(params.omega)
+    elif isinstance(params, GeneralDiscParams):
+        disc, left_inverse = general_disc(params), None
+    else:
+        disc, left_inverse = origin_geodesic_disc(params), certified_left_inverse(params)
+    report = verify_disc(disc, left_inverse, n_angles=args.samples)
+    results = {"verdict": report.verdict.value,
+               "max_e_value": raw(report.max_e_value),
+               "left_inverse_residual": raw(report.left_inverse_residual),
+               "samples": report.samples}
+    human = [f"verdict: {report.verdict.value}",
+             f"max in-domain functional (raw): {report.max_e_value!r}",
+             f"left-inverse residual (raw): {report.left_inverse_residual!r}"]
+    env = envelope("geodesic-verify", inputs, results,
+                   {"samples": report.samples, "version": __version__})
+    emit(env, args.json, human)
+    return EXIT_OK if report.verdict is not DiscVerdict.FAILED else EXIT_VERIFICATION
+
+
+def cmd_geodesic_solve(args) -> int:
     z = TetraPoint(*parse_point(args.point, 3))
     lam0 = parse_complex(args.lambda0)
+    inputs = {"point": [cnum(c) for c in z], "lambda0": cnum(lam0)}
     solution = solve_origin_geodesic_through(z, lam0)
     if solution is None:
-        env = envelope("geodesic-solve",
-                       {"point": [cnum(c) for c in z], "lambda0": cnum(lam0)},
-                       {"found": False}, {"version": __version__})
-        emit(env, args.json, ["not found"])
+        emit(envelope("geodesic-solve", inputs, {"found": False}, {"version": __version__}),
+             args.json, ["not found"])
         return EXIT_VERIFICATION
     phi = solution.params.phi
     results = {
@@ -318,17 +323,13 @@ def cmd_geodesic(args) -> int:
              f"omega2 = {solution.params.omega2!r}",
              f"phi degree = {phi.degree}, swapped = {solution.swapped}",
              f"residual (raw) = {solution.residual!r}"]
-    env = envelope("geodesic-solve",
-                   {"point": [cnum(c) for c in z], "lambda0": cnum(lam0)},
-                   results, {"version": __version__})
-    emit(env, args.json, human)
+    emit(envelope("geodesic-solve", inputs, results, {"version": __version__}),
+         args.json, human)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    if args.seed < 0:
-        raise _UsageExit("--seed must be non-negative")
-    names = list(ALL_SUITES) if "all" in args.suite else args.suite
+    names = list(ALL_SUITES) if args.suite is None or "all" in args.suite else args.suite
     results = run_suites(names, seed=args.seed)
     payload = []
     human = []
@@ -352,10 +353,10 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_rows(path: str, rows: List[Dict[str, object]], fmt: str,
-                columns: List[str]) -> None:
-    with open(path, "w", newline="") as handle:
-        if fmt == "csv":
+def _write_sweep(args, rows: List[Dict[str, object]], columns: List[str]) -> int:
+    """Write a sweep's rows to ``--out`` in ``--format`` and report them."""
+    with open(args.out, "w", newline="") as handle:
+        if args.format == "csv":
             writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL)
             writer.writerow(columns)
             for row in rows:
@@ -364,52 +365,43 @@ def _write_rows(path: str, rows: List[Dict[str, object]], fmt: str,
             for row in rows:
                 handle.write(json.dumps({c: row[c] for c in columns},
                                         sort_keys=True) + "\n")
-
-
-def cmd_sweep(args) -> int:
-    rows: List[Dict[str, object]] = []
-    if args.quantity == "separation":
-        if not args.c_step > 0:
-            raise _UsageExit("--c-step must be positive")
-        if not all(math.isfinite(v) for v in (args.c_min, args.c_max, args.c_step, args.lam)):
-            raise _UsageExit("--c-min, --c-max, --c-step and --lam must be finite")
-        span = (args.c_max - args.c_min) / args.c_step
-        n_steps = int(round(span)) + 1 if math.isfinite(span) else math.inf
-        if n_steps > MAX_SWEEP_ROWS:
-            raise _UsageExit(f"--c-step too small: at most {MAX_SWEEP_ROWS} rows")
-        lam = args.lam
-        for k in range(max(n_steps, 0)):
-            C = args.c_min + k * args.c_step
-            if C <= 0.0 or C >= 1.0 or C > args.c_max + 1e-12:
-                continue
-            # magic_f o sigma vanishes at both points: the family is magic_f
-            report = pair_report((0.0, 0.0, -C), (0.0, lam * (1.0 - C), -C), search=False)
-            rows.append({"C": C, "c_lower_m": report.c_lower.m_scale, "lam_modulus": lam,
-                         "magic_lower_m": report.lower.magic_f,
-                         "p_e_m": report.p_e.m_scale, "separated": report.separated})
-        columns = ["C", "c_lower_m", "lam_modulus", "magic_lower_m", "p_e_m",
-                   "separated"]
-    else:  # lempert
-        n = args.grid_n
-        if n < 1:
-            raise _UsageExit("--grid-n must be positive")
-        if n * n > MAX_SWEEP_ROWS:
-            raise _UsageExit(f"--grid-n too large: at most {MAX_SWEEP_ROWS} rows")
-        for z, w in lempert_grid(n):
-            closed = lempert_special(z, w).m_scale
-            search = disc_search_upper_bound(TetraPoint(0, 0, w), TetraPoint(0, z, w))
-            k_upper = search.bound.m_scale if search.found else math.nan
-            rows.append({"closed_form_m": closed,
-                         "equal_within_tol": bool(search.found
-                                                  and abs(k_upper - closed) < 1e-6),
-                         "k_upper_m": k_upper,
-                         "w_im": w.imag, "w_re": w.real,
-                         "z_im": z.imag, "z_re": z.real})
-        columns = ["closed_form_m", "equal_within_tol", "k_upper_m", "w_im",
-                   "w_re", "z_im", "z_re"]
-    _write_rows(args.out, rows, args.format, columns)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
+
+
+def cmd_sweep_separation(args) -> int:
+    span = (args.c_max - args.c_min) / args.c_step
+    n_steps = int(round(span)) + 1 if math.isfinite(span) else math.inf
+    if n_steps > MAX_SWEEP_ROWS:
+        raise _UsageExit(f"--c-step too small: at most {MAX_SWEEP_ROWS} rows")
+    rows: List[Dict[str, object]] = []
+    for k in range(max(n_steps, 0)):
+        C = args.c_min + k * args.c_step
+        if C <= 0.0 or C >= 1.0 or C > args.c_max + 1e-12:
+            continue
+        # magic_f o sigma vanishes at both points: the family is magic_f
+        report = pair_report((0.0, 0.0, -C), (0.0, args.lam * (1.0 - C), -C),
+                             search=False)
+        rows.append({"C": C, "c_lower_m": report.c_lower.m_scale, "lam_modulus": args.lam,
+                     "magic_lower_m": report.lower.magic_f,
+                     "p_e_m": report.p_e.m_scale, "separated": report.separated})
+    return _write_sweep(args, rows, ["C", "c_lower_m", "lam_modulus", "magic_lower_m",
+                                    "p_e_m", "separated"])
+
+
+def cmd_sweep_lempert(args) -> int:
+    if args.grid_n ** 2 > MAX_SWEEP_ROWS:
+        raise _UsageExit(f"--grid-n too large: at most {MAX_SWEEP_ROWS} rows")
+    rows: List[Dict[str, object]] = []
+    for z, w in lempert_grid(args.grid_n):
+        closed = lempert_special(z, w).m_scale
+        search = disc_search_upper_bound(TetraPoint(0, 0, w), TetraPoint(0, z, w))
+        k_upper = search.bound.m_scale if search.found else math.nan
+        rows.append({"closed_form_m": closed, "k_upper_m": k_upper,
+                     "equal_within_tol": bool(search.found and abs(k_upper - closed) < 1e-6),
+                     "w_im": w.imag, "w_re": w.real, "z_im": z.imag, "z_re": z.real})
+    return _write_sweep(args, rows, ["closed_form_m", "equal_within_tol", "k_upper_m",
+                                    "w_im", "w_re", "z_im", "z_re"])
 
 
 # ---------------------------------------------------------------------------
@@ -418,75 +410,81 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> Parser:
+    """One leaf parser per command and action, holding exactly the options
+    its ``cmd_*`` function reads."""
     parser = Parser(prog="tetrablock",
                     description="Invariant distances and complex geodesics on "
                                 "the tetrablock and the symmetrized bidisc.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
+    json_opt = Parser(add_help=False)
+    json_opt.add_argument("--json", action="store_true")
 
     p_member = sub.add_parser("member", help="membership classification")
-    p_member.add_argument("domain", choices=["tetrablock", "g2"])
-    p_member.add_argument("components", nargs="+",
-                          help="complex components, e.g. 0 0.3+0.1i 0.5")
-    p_member.add_argument("--tol", type=float, default=DEFAULT_BOUNDARY_TOL)
-    p_member.add_argument("--json", action="store_true")
-    p_member.set_defaults(func=cmd_member)
+    domains = p_member.add_subparsers(dest="domain", required=True)
+    for domain, n, example in (("tetrablock", 3, "0 0.3+0.1i 0.5"), ("g2", 2, "0.5 0.06")):
+        leaf = domains.add_parser(domain, parents=[json_opt])
+        leaf.add_argument("components", nargs=n,
+                          help=f"{n} complex components, e.g. {example}")
+        leaf.add_argument("--tol", type=_finite_positive, default=DEFAULT_BOUNDARY_TOL)
+        leaf.set_defaults(func=cmd_member)
 
-    p_dist = sub.add_parser("distance", help="invariant-distance report for a pair")
+    p_dist = sub.add_parser("distance", parents=[json_opt],
+                            help="invariant-distance report for a pair")
     p_dist.add_argument("w", help="comma-separated triple, e.g. 0,0,-0.5")
     p_dist.add_argument("z")
-    p_dist.add_argument("--json", action="store_true")
     p_dist.set_defaults(func=cmd_distance)
 
     p_geo = sub.add_parser("geodesic", help="evaluate / verify / solve discs")
-    p_geo.add_argument("action", choices=["eval", "verify", "solve"])
-    p_geo.add_argument("--domain", choices=["tetrablock", "g2"], default="tetrablock")
-    p_geo.add_argument("--C", type=float, default=0.0)
-    p_geo.add_argument("--phi", default="id", help="id | const:c | auto:a[,w] | "
-                                                   "blaschke:w|s|z1;z2")
-    p_geo.add_argument("--psi", default=None,
-                       help="optional second self-map (general disc family)")
-    p_geo.add_argument("--omega1", default="1")
-    p_geo.add_argument("--omega2", default="1")
-    p_geo.add_argument("--omega", default="1", help="g2 family parameter")
-    p_geo.add_argument("--lambda", dest="lam", default="0",
-                       help="disc parameter for eval")
-    p_geo.add_argument("--samples", type=int, default=16,
-                       help="angles per radius in verification sweeps")
-    p_geo.add_argument("--point", default=None, help="solve target z1,z2,z3")
-    p_geo.add_argument("--lambda0", default=None, help="solve preimage")
-    p_geo.add_argument("--json", action="store_true")
-    p_geo.set_defaults(func=cmd_geodesic)
+    actions = p_geo.add_subparsers(dest="action", required=True)
+    disc = Parser(add_help=False)
+    disc.add_argument("--domain", choices=["tetrablock", "g2"], default="tetrablock")
+    disc.add_argument("--C", type=float, default=0.0)
+    disc.add_argument("--phi", default="id", help="id | const:c | auto:a[,w] | "
+                                                  "blaschke:w|s|z1;z2")
+    disc.add_argument("--psi", default=None,
+                      help="optional second self-map (general disc family)")
+    disc.add_argument("--omega1", default="1")
+    disc.add_argument("--omega2", default="1")
+    disc.add_argument("--omega", default="1", help="g2 family parameter")
+    p_eval = actions.add_parser("eval", parents=[disc, json_opt])
+    p_eval.add_argument("--lambda", dest="lam", default="0", help="disc parameter")
+    p_eval.set_defaults(func=cmd_geodesic_eval)
+    p_check = actions.add_parser("verify", parents=[disc, json_opt])
+    p_check.add_argument("--samples", type=_samples, default=16,
+                         help="angles per radius in verification sweeps")
+    p_check.set_defaults(func=cmd_geodesic_verify)
+    p_solve = actions.add_parser("solve", parents=[json_opt])
+    p_solve.add_argument("--point", required=True, help="target z1,z2,z3")
+    p_solve.add_argument("--lambda0", required=True, help="preimage of --point")
+    p_solve.set_defaults(func=cmd_geodesic_solve)
 
-    p_verify = sub.add_parser("verify", help="run verification suites")
+    p_verify = sub.add_parser("verify", parents=[json_opt], help="run verification suites")
     p_verify.add_argument("--suite", action="append",
                           choices=sorted(ALL_SUITES) + ["all"], default=None)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--json", action="store_true")
+    p_verify.add_argument("--seed", type=_non_negative, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="write a CSV/JSONL grid sweep")
-    p_sweep.add_argument("quantity", choices=["separation", "lempert"])
-    p_sweep.add_argument("--c-min", type=float, default=0.05)
-    p_sweep.add_argument("--c-max", type=float, default=0.95)
-    p_sweep.add_argument("--c-step", type=float, default=0.05)
-    p_sweep.add_argument("--lam", type=float, default=0.1)
-    p_sweep.add_argument("--grid-n", type=int, default=10)
-    p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    p_sweep.set_defaults(func=cmd_sweep)
+    quantities = p_sweep.add_subparsers(dest="quantity", required=True)
+    out = Parser(add_help=False)
+    out.add_argument("--out", required=True)
+    out.add_argument("--format", choices=["csv", "jsonl"], default="csv")
+    p_sep = quantities.add_parser("separation", parents=[out])
+    p_sep.add_argument("--c-min", type=_finite, default=0.05)
+    p_sep.add_argument("--c-max", type=_finite, default=0.95)
+    p_sep.add_argument("--c-step", type=_finite_positive, default=0.05)
+    p_sep.add_argument("--lam", type=_finite, default=0.1)
+    p_sep.set_defaults(func=cmd_sweep_separation)
+    p_lempert = quantities.add_parser("lempert", parents=[out])
+    p_lempert.add_argument("--grid-n", type=_positive, default=10)
+    p_lempert.set_defaults(func=cmd_sweep_lempert)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "verify" and args.suite is None:
-            args.suite = ["all"]
-        if args.command == "geodesic" and args.action == "solve":
-            if args.point is None or args.lambda0 is None:
-                raise _UsageExit("solve needs --point and --lambda0")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageExit as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,7 +1,9 @@
 """Oracles for the tests: finite differences for the closed-form gradients
 of the family maps, the square-root family that ``family_bounds``
-evaluates inline, and the one-array disc sampler that the chunked
-``random_disc_points`` reproduces."""
+evaluates inline, the one-array disc sampler that the chunked
+``random_disc_points`` reproduces, and the Caratheodory distance of the
+symmetrized bidisc with a sampler of the pairs it governs on the diagonal
+of the tetrablock."""
 
 import cmath
 import math
@@ -60,3 +62,55 @@ def one_shot_disc_points(rng: np.random.Generator, n, radius: float = 0.9) -> np
         inside = candidates[np.abs(candidates) < 1.0]
         points = np.concatenate([points, inside]) if points.size else inside
     return radius * points[:size].reshape(shape)
+
+
+def c_g2(a, b) -> float:
+    """The Caratheodory (and Lempert) distance of G2 on the m-scale between
+    a = (s, p) and b: the maximum over |omega| = 1 of m(Phi_omega(a),
+    Phi_omega(b)), Phi_omega(s, p) = (2 omega p - s) / (2 - omega s)
+    (Agler-Young 2004, Costara 2004).  A 65 536-angle scan, then a
+    golden-section search on the two cells around the best angle."""
+    def m_value(theta):
+        omega = np.exp(1j * np.asarray(theta))
+        x, y = ((2.0 * omega * p - s) / (2.0 - omega * s) for s, p in (a, b))
+        return np.abs((x - y) / (1.0 - np.conj(x) * y))
+
+    n = 65_536
+    thetas = np.arange(n) * (2.0 * math.pi / n)
+    values = m_value(thetas)
+    best = int(np.argmax(values))
+    lo, hi = thetas[best] - 2.0 * math.pi / n, thetas[best] + 2.0 * math.pi / n
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(60):
+        x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        if m_value(x1) < m_value(x2):
+            lo = x1
+        else:
+            hi = x2
+    return float(max(values[best], m_value(lo), m_value(hi)))
+
+
+def diagonal_pairs(seed: int, n: int, radius: float = 0.95):
+    """``n`` seeded pairs of points (s, p) = (l1 + l2, l1 l2) of G2, each
+    eigenvalue drawn uniformly from the square [-1, 1]^2 and kept when its
+    modulus is below ``radius``.  Their images (s/2, s/2, p) lie on the
+    diagonal z1 = z2 of the tetrablock, a holomorphic retract."""
+    rng = np.random.default_rng(seed)
+
+    def eigenvalue() -> complex:
+        while True:
+            lam = complex(*rng.uniform(-1.0, 1.0, 2))
+            if abs(lam) < radius:
+                return lam
+
+    def endpoint():
+        l1, l2 = eigenvalue(), eigenvalue()
+        return (l1 + l2, l1 * l2)
+
+    return [(endpoint(), endpoint()) for _ in range(n)]
+
+
+def diagonal_point(g2) -> TetraPoint:
+    """iota(s, p) = (s/2, s/2, p), the embedding of G2 onto the diagonal."""
+    s, p = g2
+    return TetraPoint(s / 2.0, s / 2.0, p)

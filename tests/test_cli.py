@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -5,11 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from tetrablock import extremals
+from tetrablock import cli, extremals
 from tetrablock.cli import (EXIT_BOUNDARY, EXIT_EXTERIOR, EXIT_INVARIANT,
                             EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION,
-                            MAX_SAMPLES, MAX_SWEEP_ROWS, main, parse_complex,
-                            parse_phi)
+                            MAX_SAMPLES, MAX_SWEEP_ROWS, build_parser, main,
+                            parse_complex, parse_phi)
 from tetrablock.geodesics import DiscSearchResult
 from tetrablock.hyperbolic import HyperbolicDistance
 
@@ -39,6 +40,22 @@ class TestParsing:
         code, _, err = run(capsys, "geodesic", "eval", "--phi", "blaschke:1|abc|0.5")
         assert code == EXIT_USAGE
         assert "usage error" in err
+
+    @pytest.mark.parametrize("spec", ["blaschke:1|1|", "blaschke:1|0.9|;"])
+    def test_blaschke_spec_without_zeros_is_usage_error(self, capsys, spec):
+        # a zero-less product is the constant omega * scale: it used to
+        # evaluate to a boundary point and exit 0, where const:1 exits 65
+        code, out, err = run(capsys, "geodesic", "eval", "--C", "0.2", "--phi", spec,
+                             "--psi", "id", "--lambda", "0.5")
+        assert code == EXIT_USAGE
+        assert out == "" and "const:" in err
+
+    @pytest.mark.parametrize("spec", ["auto:0.5,1,junk", "auto:0.5,1,", "auto:0.5,1,2"])
+    def test_auto_spec_with_a_third_field_is_usage_error(self, capsys, spec):
+        # the third field used to be dropped without a word
+        code, out, err = run(capsys, "geodesic", "eval", "--phi", spec, "--lambda", "0.5")
+        assert code == EXIT_USAGE
+        assert out == "" and "auto spec" in err
 
     def test_phi_specs(self):
         assert parse_phi("id").is_automorphism
@@ -489,3 +506,83 @@ class TestSweep:
         run(capsys, "sweep", "separation", "--out", str(a))
         run(capsys, "sweep", "separation", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+def leaf_parsers(parser, path=()):
+    """(command path, parser) of every leaf below ``parser``."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path, parser
+        return
+    for name, child in subparsers[0].choices.items():
+        yield from leaf_parsers(child, path + (name,))
+
+
+def options(parser):
+    return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+DISC = {"--domain", "--C", "--phi", "--psi", "--omega1", "--omega2", "--omega"}
+#: the options each command reads, by command and action
+READS = {
+    ("member", "tetrablock"): {"--tol", "--json"},
+    ("member", "g2"): {"--tol", "--json"},
+    ("distance",): {"--json"},
+    ("geodesic", "eval"): DISC | {"--lambda", "--json"},
+    ("geodesic", "verify"): DISC | {"--samples", "--json"},
+    ("geodesic", "solve"): {"--point", "--lambda0", "--json"},
+    ("verify",): {"--suite", "--seed", "--json"},
+    ("sweep", "separation"): {"--c-min", "--c-max", "--c-step", "--lam", "--out", "--format"},
+    ("sweep", "lempert"): {"--grid-n", "--out", "--format"},
+}
+#: positionals and required options that complete each command line
+BASE = {
+    ("member", "tetrablock"): ["0", "0", "0"],
+    ("member", "g2"): ["0", "0"],
+    ("distance",): ["0,0,0", "0.1,0,0"],
+    ("geodesic", "eval"): [],
+    ("geodesic", "verify"): [],
+    ("geodesic", "solve"): ["--point", "0.5,0.5,0.25", "--lambda0", "0.5"],
+    ("verify",): ["--suite", "separation"],
+    ("sweep", "separation"): ["--out", "<out>"],
+    ("sweep", "lempert"): ["--out", "<out>"],
+}
+#: (command path, an option that only other commands or actions own)
+FOREIGN = [(path, option) for path in READS
+           for option in sorted(set().union(*READS.values()) - READS[path])]
+
+
+class TestLeafParsers:
+    def test_each_leaf_holds_the_options_its_command_reads(self):
+        got = {path: options(leaf) for path, leaf in leaf_parsers(build_parser())}
+        assert got == READS
+        assert sum(map(len, got.values())) == 38
+
+    @staticmethod
+    def stub_commands(monkeypatch, calls):
+        for name in [n for n in vars(cli) if n.startswith("cmd_")]:
+            monkeypatch.setattr(cli, name, lambda args, name=name: calls.append(name) or 0)
+
+    @pytest.mark.parametrize("path", list(READS), ids=" ".join)
+    def test_base_command_lines_reach_their_command(self, capsys, monkeypatch, tmp_path,
+                                                    path):
+        calls = []
+        self.stub_commands(monkeypatch, calls)
+        argv = [str(tmp_path / "x") if a == "<out>" else a for a in BASE[path]]
+        assert run(capsys, *path, *argv) == (0, "", "")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("path, option", FOREIGN,
+                             ids=[f"{' '.join(p)} {o}" for p, o in FOREIGN])
+    def test_option_of_another_action_is_a_usage_error(self, capsys, monkeypatch,
+                                                       tmp_path, path, option):
+        # argparse rejects it before any command runs; no prefix of a longer
+        # option (--lambda of --lambda0, --lam of --lambda) gets through
+        calls = []
+        self.stub_commands(monkeypatch, calls)
+        argv = [str(tmp_path / "x") if a == "<out>" else a for a in BASE[path]]
+        value = [] if option == "--json" else ["0.5"]
+        code, out, err = run(capsys, *path, *argv, option, *value)
+        assert code == EXIT_USAGE
+        assert out == "" and option in err.split()
+        assert calls == []
