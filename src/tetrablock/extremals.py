@@ -9,11 +9,13 @@ for each of the three tetrablock families as one ``FamilyBounds`` record.
 coordinate swap), is dominated by ``caratheodory_lower_bound``, the largest
 of the three, and on some pairs *strictly* -- the separation that the
 square-root family z2 / sqrt(1 + z3 - z1 z2) detects.  The Psi-family maxima
-over the unimodular parameter are exact: both orientations' sextics are
-solved as the eigenvalues of one stack of two companion matrices, once per
-pair for ``geodesics.pair_report``, and the distance is then taken in Python
-complex arithmetic at the 14 candidate parameters, the roots projected to
-the circle and eta = 1 for each orientation.
+over the unimodular parameter are exact.  When one endpoint is the origin
+they are ``psi_sup`` of the other point and of its swap, the Schwarz lemma
+for the tetrablock in closed form.  Every other pair solves both
+orientations' sextics as the eigenvalues of one stack of two companion
+matrices, once per pair for ``geodesics.pair_report``, and takes the
+distance in Python complex arithmetic at the 14 candidate parameters, the
+roots projected to the circle and eta = 1 for each orientation.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .domains import G2Point, TetraPoint, is_interior, psi_eta, require_map_point
+from .domains import (G2Point, TetraPoint, is_interior, psi_eta, psi_sup,
+                      require_map_point)
 from .errors import DomainError, PoleError
 from .hyperbolic import (HyperbolicDistance, least, mobius_m, modulus,
                          require_closed_disc_point, require_unimodular)
@@ -175,17 +178,26 @@ def _psi_family_bounds(w: TetraPoint, z: TetraPoint) -> Tuple[float, float]:
     """The maxima over |eta| = 1 of m(Psi_eta(w), Psi_eta(z)) and of
     m(Psi_eta(sigma w), Psi_eta(sigma z)).
 
-    Both critical polynomials go into 6 x 6 companion matrices (a lower
-    degree leaves zero rows and columns, whose roots 0 give eta = 1) and one
-    eigenvalue solve.  m is then taken in Python complex arithmetic, by
-    ``_circle_max``, at eta = 1 and at every root projected to the circle,
-    so each value is attained.  The last pair's result is kept,
-    keyed on the six coordinates (array points are rejected before this), so
-    a caller of ``p_e`` and then ``caratheodory_lower_bound`` on one pair, as
-    the benchmark's pair report is, pays one solve.  The memory goes once the
-    benchmark reads ``geodesics.pair_report`` (ROADMAP item 4).
+    At an endpoint whose coordinates are all exactly 0, Psi_eta vanishes for
+    every eta, so the two maxima are the suprema of |Psi_eta| at the other
+    point and at its swap: ``psi_sup`` of each, in closed form (the Schwarz
+    lemma for the tetrablock), with no solve.  Any other pair, a small
+    nonzero endpoint included, puts both critical polynomials into 6 x 6
+    companion matrices (a lower degree leaves zero rows and columns, whose
+    roots 0 give eta = 1) and makes one eigenvalue solve.  m is then taken
+    in Python complex arithmetic, by ``_circle_max``, at eta = 1 and at
+    every root projected to the circle, so each value is attained.  The last
+    pair's result is kept, keyed on the six coordinates (array points are
+    rejected before this), so a caller of ``p_e`` and then
+    ``caratheodory_lower_bound`` on one pair, as the benchmark's pair report
+    is, pays one solve.  The memory goes once the benchmark reads
+    ``geodesics.pair_report`` (ROADMAP item 4).
     """
     w1, w2, w3, z1, z2, z3 = w.z1, w.z2, w.z3, z.z1, z.z2, z.z3
+    if not (w1 or w2 or w3):
+        return psi_sup(z), psi_sup(sigma(z))
+    if not (z1 or z2 or z3):
+        return psi_sup(w), psi_sup(sigma(w))
     (n0, row0), (n1, row1) = (_companion_row(w1, w2, w3, z1, z2, z3),
                               _companion_row(w2, w1, w3, z2, z1, z3))
     companions = np.array((_SHIFTS[n0], _SHIFTS[n1]))

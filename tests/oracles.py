@@ -3,12 +3,14 @@ of the family maps, the square-root family that ``family_bounds``
 evaluates inline, the one-array disc sampler that the chunked
 ``random_disc_points`` reproduces, and the Caratheodory distance of the
 symmetrized bidisc with a sampler of the pairs it governs on the diagonal
-of the tetrablock."""
+of the tetrablock, and the symmetric 2 x 2 lift of a point with the 50-digit
+operator norm that decides membership through it."""
 
 import cmath
 import math
 from typing import Callable, Sequence, Tuple
 
+import mpmath
 import numpy as np
 
 from tetrablock.domains import TetraPoint, as_coordinate
@@ -114,3 +116,28 @@ def diagonal_point(g2) -> TetraPoint:
     """iota(s, p) = (s/2, s/2, p), the embedding of G2 onto the diagonal."""
     s, p = g2
     return TetraPoint(s / 2.0, s / 2.0, p)
+
+
+def symmetric_lift(z):
+    """The symmetric matrix [[z1, s], [s, z2]] with s^2 = z1 z2 - z3 (the
+    principal root), as 50-digit mpmath entries.  Its determinant is z3, so
+    it lies over z (Abouhajar, White and Young, J. Geom. Anal. 2007): z is
+    in the tetrablock exactly when its norm is below 1."""
+    with mpmath.workdps(50):
+        z1, z2, z3 = (mpmath.mpc(complex(c)) for c in TetraPoint.of(z).as_tuple())
+        s = mpmath.sqrt(z1 * z2 - z3)
+    return ((z1, s), (s, z2))
+
+
+def ball_norm(a):
+    """The operator norm of a 2 x 2 matrix, rows of numbers, in 50-digit
+    mpmath: ||A||^2 = (F + sqrt(F^2 - 4 |det A|^2)) / 2, with F the squared
+    Frobenius norm, the larger root of the characteristic polynomial of
+    A* A.  The discriminant is clamped at 0 against rounding where the
+    singular values meet.  The result is an mpmath number, so a comparison
+    with 1 is not rounded to a double first."""
+    with mpmath.workdps(50):
+        (a11, a12), (a21, a22) = ((mpmath.mpc(x) for x in row) for row in a)
+        frob = sum(abs(x) ** 2 for x in (a11, a12, a21, a22))
+        det = abs(a11 * a22 - a12 * a21)
+        return mpmath.sqrt((frob + mpmath.sqrt(max(frob * frob - 4 * det * det, 0))) / 2)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetrablock import extremals
-from tetrablock.domains import TetraPoint, is_interior
+from tetrablock.domains import (TetraPoint, is_interior, psi_sup, rho_functional,
+                               tetra_e_value)
 from tetrablock.errors import DomainError, PoleError
 from tetrablock.extremals import (FamilyBounds, G2FMap, PsiOmegaMap,
                                   caratheodory_lower_bound, family_bounds,
@@ -257,19 +258,31 @@ def slice_pair(kind, rng):
         return TetraPoint(a, b, a * b), TetraPoint(c, d, c * d)
     if kind == "separation":
         return TetraPoint(0, 0, -0.5), TetraPoint(0, 0.05, -0.5)
-    # w = 0 and |z1| tiny: the sextic's end coefficients are rounding noise
+    if kind == "w = 0":
+        # the closed form; one time in three near the boundary, scaled along
+        # (t z1, t z2, t^2 z3) to a gauge in (0.9999, 1), where e >= 0.999
+        z = random_interior_points(rng, 1)[0]
+        if rng.uniform() < 1.0 / 3.0:
+            t = rng.uniform(0.9999, 1.0) / rho_functional(z)
+            z = TetraPoint(t * z.z1, t * z.z2, t * t * z.z3)
+            assert tetra_e_value(z) >= 0.999
+        return TetraPoint(0, 0, 0), z
+    # w = 0 or next to it, and |z1| tiny.  Next to 0 the solve is taken, and
+    # the sextic's end coefficients are rounding noise
     c = random_disc_point(rng, 0.9)
     z1 = 10.0 ** rng.uniform(-12.0, -8.0) * random_unimodular(rng)
-    return TetraPoint(0, 0, 0), TetraPoint(z1, random_disc_point(rng, 0.99 - abs(c)), c)
+    w = TetraPoint(0, 0, 0) if kind == "w = 0, tiny z1" else TetraPoint(1e-300, 0, 0)
+    return w, TetraPoint(z1, random_disc_point(rng, 0.99 - abs(c)), c)
 
 
 SLICE_KINDS = ["w = z", "z1 = 0", "z2 = 0", "w3 = 0", "axis", "product",
-               "separation", "w = 0, tiny z1"]
+               "separation", "w = 0", "w = 0, tiny z1", "w = 1e-300, tiny z1"]
 
 
 class TestPsiKernel:
-    """Both orientations from one stacked eigenvalue solve agree with the
-    one-orientation np.roots formula."""
+    """Both orientations, from one stacked eigenvalue solve or, at the
+    origin, from ``psi_sup``, agree with the one-orientation np.roots
+    formula."""
 
     @staticmethod
     def assert_matches_reference(w, z):
@@ -361,6 +374,20 @@ class TestPsiKernel:
         w, z = random_interior_points(np.random.default_rng(6), 2)
         with pytest.raises(DomainError, match="NaN"):
             bound(w, z)
+
+    @pytest.mark.parametrize("origin_first", [True, False])
+    def test_origin_pair_takes_the_closed_form(self, origin_first, solves):
+        # the Schwarz lemma: Psi_eta(0) = 0, so each bound is a psi_sup
+        origin, z = TetraPoint(0, 0, 0), random_interior_points(np.random.default_rng(6), 1)[0]
+        bounds = family_bounds(*((origin, z) if origin_first else (z, origin)))
+        assert solves == []
+        assert bounds.psi_omega == psi_sup(z)
+        assert bounds.psi_omega_sigma == psi_sup(sigma(z))
+
+    def test_a_tiny_endpoint_keeps_the_solve(self, solves):
+        # Psi_eta(w) is not identically 0 there
+        p_e(*slice_pair("w = 1e-300, tiny z1", np.random.default_rng(6)))
+        assert solves == [(2, 6, 6)]
 
     def test_kept_pair_gives_the_bits_of_a_fresh_solve(self):
         points = random_interior_points(np.random.default_rng(8), 200)

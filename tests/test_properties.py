@@ -13,9 +13,12 @@ at the images f(l1), f(l2) of a disc, every family bound is at most
 m(l1, l2) (Schwarz-Pick); on the general family the general-disc route
 finds the pair and its bound is at most m(l1, l2) too.  At the origin the
 sandwich closes: the Schwarz lemma gives l(0, z) = max(psi_sup(z),
-psi_sup(sigma z)), and the origin geodesic, c_lower and k_upper all reach
-it.  The transported origin geodesic lies on the boundary exactly when phi
-is an automorphism, and inside the domain otherwise.
+psi_sup(sigma z)), which p_e takes in closed form, and the origin
+geodesic, c_lower and k_upper all reach it.  Through the matrix ball the
+lemma is an inequality: the symmetric 2 x 2 lift of z has norm below 1
+exactly when z is in the domain, and at least l(0, z).  The transported
+origin geodesic lies on the boundary exactly when phi is an automorphism,
+and inside the domain otherwise.
 """
 
 import cmath
@@ -26,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetrablock.domains import TetraPoint, is_interior, psi_sup
+from tetrablock.domains import TetraPoint, e_value_raw, is_interior, psi_sup
 from tetrablock.extremals import (caratheodory_lower_bound,
                                   f_omega_automorphism, p_e, sigma)
 from tetrablock.geodesics import (DiscVerdict, GeneralDiscParams,
@@ -39,6 +42,8 @@ from tetrablock.verify import (PHI_KINDS, random_disc_point,
                                random_interior_points, random_phi_pinned,
                                random_self_map, random_unimodular,
                                sample_origin_params)
+
+from oracles import ball_norm, symmetric_lift
 
 seeds = st.integers(0, 2 ** 32 - 1)
 angles = st.floats(0.0, 2.0 * math.pi)
@@ -203,9 +208,37 @@ def test_schwarz_lemma_at_the_origin(seed, slice_name, offset):
     origin = TetraPoint(0, 0, 0)
     upper = disc_search_upper_bound(origin, z)
     assert upper.found
+    # the Psi-family bound takes the closed form itself
+    assert p_e(origin, z).m_scale == exact
     for value in (abs(sol.lam0), caratheodory_lower_bound(origin, z).m_scale,
                   upper.bound.m_scale):
         assert abs(value - exact) <= 1e-14
+
+
+def test_symmetric_lift_decides_membership():
+    # z is in E exactly when its symmetric lift is a strict contraction.
+    # The lift's norm in doubles is within about 1e-7 of the exact one (the
+    # discriminant's rounding, square-rooted), so beyond 1.001 it shows the
+    # point outside; below, the 50-digit norm decides
+    rng = np.random.default_rng(11)
+    n = 200_000
+    z1, z2, z3 = 1.2 * (rng.uniform(-1.0, 1.0, (3, n))
+                        + 1j * rng.uniform(-1.0, 1.0, (3, n))) / math.sqrt(2.0)
+    inside = e_value_raw(z1, z2, z3) < 1.0
+    frob = np.abs(z1) ** 2 + np.abs(z2) ** 2 + 2.0 * np.abs(z1 * z2 - z3)
+    det = np.abs(z3)
+    near = np.sqrt((frob + np.sqrt(np.maximum(frob * frob - 4.0 * det * det, 0.0))) / 2.0) < 1.001
+    assert inside.sum() == 14_148 and not (inside & ~near).any()
+    assert [k for k in np.flatnonzero(near)
+            if (ball_norm(symmetric_lift((z1[k], z2[k], z3[k]))) < 1) != inside[k]] == []
+
+
+def test_schwarz_lemma_through_the_ball():
+    # a lift A of z gives l(0, z) <= m_B(0, A) = ||A||; the smallest margin
+    # on these points is 1.6e-6
+    for z in random_interior_points(np.random.default_rng(0), 20_000):
+        exact = max(psi_sup(z), psi_sup(sigma(z)))
+        assert float(ball_norm(symmetric_lift(z))) >= exact - 1e-15
 
 
 @given(seeds, st.sampled_from(PHI_KINDS), st.booleans())
