@@ -1,7 +1,7 @@
 """Invariant distances, extremal maps and complex geodesics on the
 tetrablock and the symmetrized bidisc."""
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 from .errors import DomainError, FitError, PoleError
 from .hyperbolic import (BlaschkeMap, HyperbolicDistance, disc_automorphism,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
@@ -55,68 +56,46 @@ class Location(Enum):
     EXTERIOR = "exterior"
 
 
-# The points are frozen dataclasses whose hand-written ``__init__`` sets each
-# field once, already converted; ``==``, ``hash`` and ``dataclasses.replace``
-# are the generated ones.
-@dataclass(frozen=True, init=False)
-class TetraPoint:
-    """A point of C^3 (or an array of sample points), classified against the
-    tetrablock."""
+class _Point:
+    """The coordinate tuple of a point: construction, ``_make`` (so also
+    ``_replace``) and ``of`` pass every coordinate through ``as_coordinate``.
+    A point equals, and hashes like, the plain tuple of its coordinates."""
 
-    z1: complex
-    z2: complex
-    z3: complex
+    __slots__ = ()
 
-    def __init__(self, z1, z2, z3):
-        object.__setattr__(self, "z1", as_coordinate(z1))
-        object.__setattr__(self, "z2", as_coordinate(z2))
-        object.__setattr__(self, "z3", as_coordinate(z3))
+    def __new__(cls, *coordinates):
+        return super().__new__(cls, *map(as_coordinate, coordinates))
 
-    @staticmethod
-    def of(value) -> "TetraPoint":
-        if isinstance(value, TetraPoint):
-            return value
-        z1, z2, z3 = value
-        return TetraPoint(z1, z2, z3)
+    @classmethod
+    def _make(cls, coordinates):
+        return cls(*coordinates)
 
-    def as_tuple(self) -> Tuple[complex, complex, complex]:
-        return (self.z1, self.z2, self.z3)
+    @classmethod
+    def of(cls, value):
+        return value if isinstance(value, cls) else cls._make(value)
 
-    def __iter__(self):
-        return iter(self.as_tuple())
+    def as_tuple(self):
+        return self
 
 
-@dataclass(frozen=True, init=False)
-class G2Point:
+class TetraPoint(_Point, namedtuple("TetraPoint", "z1 z2 z3")):
+    """A point (z1, z2, z3) of C^3 (or an array of sample points), classified
+    against the tetrablock."""
+
+    __slots__ = ()
+
+
+class G2Point(_Point, namedtuple("G2Point", "s p")):
     """A point (s, p) of C^2 (or an array of sample points) classified
     against the symmetrized bidisc."""
 
-    s: complex
-    p: complex
-
-    def __init__(self, s, p):
-        object.__setattr__(self, "s", as_coordinate(s))
-        object.__setattr__(self, "p", as_coordinate(p))
-
-    @staticmethod
-    def of(value) -> "G2Point":
-        if isinstance(value, G2Point):
-            return value
-        s, p = value
-        return G2Point(s, p)
-
-    def as_tuple(self) -> Tuple[complex, complex]:
-        return (self.s, self.p)
-
-    def __iter__(self):
-        return iter(self.as_tuple())
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
 class MembershipReport:
     location: Location
     e_value: float
-    tolerance_used: float
 
 
 @dataclass(frozen=True)
@@ -124,7 +103,6 @@ class G2MembershipReport:
     location: Location
     max_root_modulus: float
     roots: Tuple[complex, complex]
-    tolerance_used: float
 
 
 def _has_array(z1, z2, z3) -> bool:
@@ -179,7 +157,7 @@ def tetra_membership(z, tol: float = DEFAULT_BOUNDARY_TOL) -> MembershipReport:
     """Classify a point against the tetrablock by the defining functional."""
     _require_tol(tol)
     e = tetra_e_value(z)
-    return MembershipReport(_classify(e, tol), e, tol)
+    return MembershipReport(_classify(e, tol), e)
 
 
 def is_interior(z) -> bool:
@@ -343,7 +321,7 @@ def g2_membership(w, tol: float = DEFAULT_BOUNDARY_TOL) -> G2MembershipReport:
     w = G2Point.of(w)
     roots = g2_roots(w)
     worst = max(abs(r) for r in roots)
-    return G2MembershipReport(_classify(worst, tol), worst, roots, tol)
+    return G2MembershipReport(_classify(worst, tol), worst, roots)
 
 
 def rho_functional(z):
@@ -366,9 +344,13 @@ def rho_functional(z):
                      + sqrt((|z2|^2 - |z1|^2)^2 + 4 c |z1 + conj(z2) q / c|^2)) / 2,
 
     a sum of non-negative terms (the last one is 0 where c = 0), accurate to
-    a few ulps, also on the product points (a, b, ab).  Near a double root
-    (z3 = z1 z2, |z1| = |z2|) the gauge is as sensitive as a square root to
-    the rounding of q, as any evaluation from the float point is.  The point is first
+    a few ulps, also on the product points (a, b, ab).  It is the norm of
+    the symmetric lift [[z1, s], [s, z2]], s^2 = q: the lift's Gram matrix
+    has diagonal |z1|^2 + c and |z2|^2 + c and an off-diagonal entry of
+    modulus sqrt(c) |z1 + conj(z2) q / c|, and rho^2 above is its larger
+    eigenvalue.  Near a double root (z3 = z1 z2, |z1| = |z2|) the gauge is
+    as sensitive as a square root to the rounding of q, as any evaluation
+    from the float point is.  The point is first
     scaled by a power of two, exactly by quasi-homogeneity, so nothing
     underflows or overflows.  A scalar point stays in Python arithmetic and
     gives a float; an array point gives one gauge per sample.  Both run one

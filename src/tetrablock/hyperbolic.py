@@ -182,53 +182,59 @@ def _spread(value, lam):
 
 @dataclass(frozen=True)
 class BlaschkeMap:
-    """A finite Blaschke product scaled into the disc, or a constant map.
+    """A finite Blaschke product scaled into the disc; with no zeros, a
+    constant map.
 
-    Non-constant form: ``lam -> scale * u * prod_k (lam - a_k)/(1 - conj(a_k) lam)``
-    with ``|u| = 1``, ``|a_k| < 1`` and ``scale in [0, 1]``.  With one zero,
-    scale 1 and no offset this is a disc automorphism.  The constant-map case
-    is encoded by ``constant_offset`` (modulus <= 1) with an empty zero list.
+    ``lam -> scale * u * prod_k (lam - a_k)/(1 - conj(a_k) lam)`` with
+    ``|u| = 1``, ``|a_k| < 1`` and ``scale in [0, 1]``.  With one zero and
+    scale 1 this is a disc automorphism.  A map with no zeros is the
+    constant scale * u, which may lie anywhere in the closed disc; it is
+    stored as its factor, with scale 1, so ``BlaschkeMap(c)`` and
+    ``BlaschkeMap.constant(c)`` are one map, which evaluates to c exactly.
 
-    A stack of maps of one degree has each field (the factor, every zero,
-    the scale, or the offset) an array of shape (n, 1), validated entry by
-    entry; ``is_automorphism`` is then an array too.
+    A stack of maps of one degree has each field (the factor, every zero
+    and the scale) an array of shape (n, 1), validated entry by entry;
+    ``is_automorphism`` is then an array too.
 
     Evaluation at any point of the open disc lands in the closed disc; it
-    lands in the open disc whenever the representation has any slack
-    (scale < 1, or a non-constant product, or |constant_offset| < 1).
+    lands in the open disc whenever the map has any slack (scale < 1, a
+    zero, or a constant of modulus < 1).
     """
 
     unimodular_factor: complex = 1.0 + 0.0j
     zeros: tuple = ()
     scale: float = 1.0
-    constant_offset: Optional[complex] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "unimodular_factor",
-                           require_unimodular(self.unimodular_factor, name="unimodular_factor"))
-        object.__setattr__(self, "zeros", tuple([require_disc_point(a, name="Blaschke zero")
-                                                 for a in self.zeros]))
-        object.__setattr__(self, "scale", require_interval(self.scale, 0.0, 1.0, name="scale"))
-        if self.constant_offset is not None:
-            c = require_closed_disc_point(self.constant_offset, name="constant_offset")
-            if self.zeros:
-                raise DomainError("a constant BlaschkeMap cannot carry zeros")
-            object.__setattr__(self, "constant_offset", c)
+        scale = require_interval(self.scale, 0.0, 1.0, name="scale")
+        if self.zeros:
+            factor = require_unimodular(self.unimodular_factor, name="unimodular_factor")
+            object.__setattr__(self, "zeros", tuple([require_disc_point(a, name="Blaschke zero")
+                                                     for a in self.zeros]))
+        else:
+            factor = require_closed_disc_point(scale * self.unimodular_factor, name="constant")
+            scale = 1.0
+        object.__setattr__(self, "unimodular_factor", factor)
+        object.__setattr__(self, "scale", scale)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_constant(self) -> bool:
-        return self.constant_offset is not None
+        return not self.zeros
+
+    @property
+    def constant_offset(self) -> Optional[complex]:
+        """The value of a constant map (its factor), or None."""
+        return None if self.zeros else self.unimodular_factor
 
     @property
     def degree(self) -> int:
-        return 0 if self.is_constant else len(self.zeros)
+        return len(self.zeros)
 
     @property
     def is_automorphism(self):
-        return (self.constant_offset is None and len(self.zeros) == 1
-                and self.scale >= 1.0 - 1e-12)
+        return len(self.zeros) == 1 and self.scale >= 1.0 - 1e-12
 
     @staticmethod
     def identity() -> "BlaschkeMap":
@@ -236,17 +242,14 @@ class BlaschkeMap:
 
     @staticmethod
     def constant(c) -> "BlaschkeMap":
-        return BlaschkeMap(constant_offset=c)
+        return BlaschkeMap(c)
 
     def split(self) -> List["BlaschkeMap"]:
         """The maps of a stack one by one, as scalar maps in stack order; a
         scalar map gives a list of one."""
-        constant = self.constant_offset is not None
-        u, s, c, *zeros = (x.ravel() for x in np.broadcast_arrays(
-            self.unimodular_factor, self.scale, self.constant_offset if constant else 0.0,
-            *self.zeros))
-        return [BlaschkeMap(u[k], tuple(a[k] for a in zeros), s[k], c[k] if constant else None)
-                for k in range(u.size)]
+        u, s, *zeros = (x.ravel() for x in np.broadcast_arrays(
+            self.unimodular_factor, self.scale, *self.zeros))
+        return [BlaschkeMap(u[k], tuple(a[k] for a in zeros), s[k]) for k in range(u.size)]
 
     # -- evaluation --------------------------------------------------------
 
@@ -255,8 +258,8 @@ class BlaschkeMap:
         gives a Python ``complex`` for a scalar map at a scalar point.  The
         numerators and the denominators of the factors are multiplied
         separately, so a map costs one division per point."""
-        if self.constant_offset is not None:
-            out = self.constant_offset
+        if not self.zeros:
+            out = self.unimodular_factor
         else:
             # numpy evaluates x * t as t *= x when t is a temporary of 256 KiB
             # or more, and its complex product is not bitwise commutative (one
@@ -274,8 +277,6 @@ class BlaschkeMap:
 
     def derivative(self, lam):
         """Complex derivative, by the product rule over Mobius factors."""
-        if self.constant_offset is not None:
-            return _spread(np.zeros_like(self.constant_offset), lam)
         factors = [(lam - a) / (1.0 - a.conjugate() * lam) for a in self.zeros]
         total = 0.0
         for k, a in enumerate(self.zeros):
@@ -289,7 +290,7 @@ class BlaschkeMap:
     def precompose_rotation(self, rho: complex) -> "BlaschkeMap":
         """The map ``lam -> self(rho * lam)`` for unimodular ``rho``."""
         rho = require_unimodular(rho, name="rho")
-        if self.constant_offset is not None:
+        if not self.zeros:
             return self
         new_zeros = tuple(a * rho.conjugate() for a in self.zeros)
         new_factor = self.unimodular_factor * rho ** len(self.zeros)

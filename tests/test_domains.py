@@ -1,6 +1,6 @@
 import cmath
-import dataclasses
 import math
+import pickle
 import sys
 import warnings
 
@@ -419,7 +419,7 @@ class TestArraysBeyondTheFloatRange:
 
 
 class TestPointRecords:
-    """The hand-written constructors keep the generated dataclass behaviour."""
+    """A point is the tuple of its converted coordinates."""
 
     def test_equality_converts_coordinates(self):
         assert TetraPoint(0, 0.5, -1) == TetraPoint(0j, 0.5 + 0j, -1.0)
@@ -433,12 +433,32 @@ class TestPointRecords:
                     TetraPoint(0, 0.5, 1)}) == 2
         assert hash(G2Point(1, 0.25)) == hash(G2Point(1.0, 0.25 + 0j))
 
+    def test_point_is_its_coordinate_tuple(self):
+        z = TetraPoint(0, 0.5, np.float64(-1))
+        plain = (0j, 0.5 + 0j, -1 + 0j)
+        assert z == plain and hash(z) == hash(plain)
+        assert G2Point(1, 0.25) == (1 + 0j, 0.25 + 0j)
+        assert hash(G2Point(1, 0.25)) == hash((1 + 0j, 0.25 + 0j))
+        assert z.as_tuple() is z and TetraPoint.of(z) is z
+        assert TetraPoint.of([0, 0.5, -1]) == z and type(TetraPoint.of(plain)) is TetraPoint
+        with pytest.raises(TypeError):
+            TetraPoint(0.1, 0.2)
+
+    def test_pickle_round_trip(self):
+        for point in (TetraPoint(0.1, 0.2j, -0.3), G2Point(0.5, 0.06)):
+            back = pickle.loads(pickle.dumps(point))
+            assert back == point and type(back) is type(point)
+        block = pickle.loads(pickle.dumps(TetraPoint(np.array([0.1, 0.2]), 0, 0)))
+        assert block.z1.dtype == complex and block.z1.tolist() == [0.1, 0.2]
+
     def test_replace_converts_the_new_field(self):
-        z = dataclasses.replace(TetraPoint(0.1, 0.2, 0.3), z2=1)
+        z = TetraPoint(0.1, 0.2, 0.3)._replace(z2=1)
         assert z == TetraPoint(0.1, 1, 0.3) and type(z.z2) is complex
-        w = dataclasses.replace(G2Point(0.5, 0.1), p=np.array([0.1, 0.2]))
+        w = G2Point(0.5, 0.1)._replace(p=np.array([0.1, 0.2]))
         assert w.s == 0.5 and w.p.dtype == complex
 
     def test_points_stay_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             TetraPoint(0, 0, 0).z1 = 1
+        with pytest.raises(AttributeError):
+            G2Point(0, 0).extra = 1

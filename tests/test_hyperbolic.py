@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetrablock.errors import DomainError
+from tetrablock.geodesics import GeneralDiscParams, OriginGeodesicParams, boundary_disc
 from tetrablock.hyperbolic import (BlaschkeMap, HyperbolicDistance,
                                    disc_automorphism, largest, least,
                                    mobius_distance, mobius_m,
@@ -147,9 +148,44 @@ class TestBlaschkeMap:
         with pytest.raises(DomainError):
             BlaschkeMap(unimodular_factor=0.5, zeros=(0.1,))
 
-    def test_constant_with_zeros_rejected(self):
+    def test_a_map_without_zeros_is_its_constant(self):
+        # BlaschkeMap(1, (), 1.0) is the constant 1, a boundary value, so
+        # whatever needs phi in the open disc rejects it; a general disc
+        # through it would give the boundary point (1, 0.5, 0.5) at 0.5
+        one = BlaschkeMap(1, (), 1.0)
+        assert one == BlaschkeMap.constant(1.0) and one.is_constant
+        assert one.constant_offset == 1.0 and one.degree == 0
         with pytest.raises(DomainError):
-            BlaschkeMap(zeros=(0.1,), constant_offset=0.2)
+            GeneralDiscParams(0.2, 1, 1, one, BlaschkeMap.identity())
+        with pytest.raises(DomainError):
+            boundary_disc(0.2, 1, 1, one)
+        # the constant -1 is the one phi allowed at C = 1
+        minus_one = BlaschkeMap(-1, (), 1.0)
+        OriginGeodesicParams(1.0, 1, 1, minus_one)
+        assert minus_one.constant_offset == -1.0
+        # scale times factor is the constant, stored with scale 1
+        half = BlaschkeMap(1j, (), 0.5)
+        assert half == BlaschkeMap.constant(0.5j) and half.scale == 1.0
+        assert BlaschkeMap.identity().constant_offset is None
+        with pytest.raises(DomainError):
+            BlaschkeMap.constant(1.01)
+
+    @pytest.mark.parametrize("c", [-0.25, 0.3 - 0.7j, 1e-300j, -1.0,
+                                   np.array([[0.1 + 0.2j], [-0.9], [0.0]])],
+                             ids=["real", "complex", "tiny", "boundary", "stack"])
+    def test_constant_evaluates_to_its_value_exactly(self, c):
+        b = BlaschkeMap.constant(c)
+        grid = np.array([0.0, 0.3j, -0.5 + 0.1j])
+        for lam in (0.4 - 0.2j, grid):
+            value = b(lam)
+            want = np.broadcast_to(c, np.broadcast_shapes(np.shape(c), np.shape(lam)))
+            assert np.array_equal(value, want)
+            assert np.array_equal(np.signbit(np.real(value)), np.signbit(np.real(want)))
+            assert np.array_equal(b.derivative(lam), np.zeros_like(want))
+        if np.ndim(c) == 0:
+            assert type(b(0.1)) is complex and b(0.1) == c
+        # a stack splits into its constants, a scalar map into itself
+        assert b.split() == [BlaschkeMap.constant(complex(v)) for v in np.ravel(c)]
 
     @given(st.integers(0, 3), st.floats(0.0, 1.0),
            st.lists(disc_points.map(lambda z: 0.9 * z), min_size=0, max_size=3),
