@@ -1,7 +1,7 @@
 """Invariant distances, extremal maps and complex geodesics on the
 tetrablock and the symmetrized bidisc."""
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 from .errors import DomainError, FitError, PoleError
 from .hyperbolic import (BlaschkeMap, HyperbolicDistance, disc_automorphism,
@@ -17,8 +17,7 @@ from .geodesics import (DiscSearchResult, DiscVerdict,
                         OriginGeodesicParams, OriginGeodesicSolution, PairReport,
                         TransportClass, axis_pair, blaschke_interp_origin,
                         boundary_disc, certified_left_inverse, disc_coords,
-                        disc_search_upper_bound, eval_general_disc,
-                        eval_origin_geodesic, g2_origin_geodesic,
+                        disc_search_upper_bound, eval_origin_geodesic,
                         g2_geodesic_disc, g2_violation_witness, general_disc,
                         left_inverse_residual, lempert_special,
                         origin_geodesic_disc, origin_lempert, pair_report,

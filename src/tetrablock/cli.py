@@ -27,12 +27,10 @@ from .errors import DomainError
 from .extremals import G2FMap
 from .geodesics import (DiscVerdict, G2GeodesicParams, GeneralDiscParams,
                         OriginGeodesicParams, certified_left_inverse,
-                        disc_search_upper_bound, eval_general_disc,
-                        eval_origin_geodesic, g2_geodesic_disc,
-                        g2_origin_geodesic, general_disc, lempert_special,
-                        origin_geodesic_disc, pair_report,
+                        disc_search_upper_bound, g2_geodesic_disc, general_disc,
+                        lempert_special, origin_geodesic_disc, pair_report,
                         solve_origin_geodesic_through, verify_disc)
-from .hyperbolic import BlaschkeMap, HyperbolicDistance
+from .hyperbolic import BlaschkeMap, HyperbolicDistance, require_disc_point
 from .verify import ALL_SUITES, lempert_grid, run_suites
 
 EXIT_OK = 0
@@ -242,31 +240,39 @@ def cmd_distance(args) -> int:
     return EXIT_VERIFICATION if report.sandwich_ok is False else EXIT_OK
 
 
-def _disc_params(args):
-    """The disc family that ``geodesic eval`` and ``verify`` read from their
-    shared options, with the ``inputs`` record of their reports."""
+#: the disc options of each domain besides --C, with their defaults
+_DISC_OPTIONS = {"tetrablock": {"phi": "id", "psi": None, "omega1": "1", "omega2": "1"},
+                 "g2": {"omega": "1"}}
+
+
+def _disc(args):
+    """The disc of ``geodesic eval`` and ``verify``, its left inverse (None
+    for a general disc) and their ``inputs`` record, from the disc options;
+    an option of the other domain is a usage error."""
+    foreign = [f"--{name}" for domain, names in _DISC_OPTIONS.items()
+               if domain != args.domain for name in names if getattr(args, name) is not None]
+    if foreign:
+        raise _UsageExit(f"--domain {args.domain} does not read {' '.join(foreign)}")
+    opt = {name: default if getattr(args, name) is None else getattr(args, name)
+           for name, default in _DISC_OPTIONS[args.domain].items()}
     if args.domain == "g2":
-        params = G2GeodesicParams(args.C, parse_complex(args.omega))
-        return params, {"domain": "g2", "C": args.C, "omega": cnum(params.omega)}
-    phi = parse_phi(args.phi)
-    omega1, omega2 = parse_complex(args.omega1), parse_complex(args.omega2)
-    if args.psi is not None:
-        params = GeneralDiscParams(args.C, omega1, omega2, phi, parse_phi(args.psi))
-    else:
-        params = OriginGeodesicParams(args.C, omega1, omega2, phi)
-    return params, {"domain": "tetrablock", "C": args.C, "phi": args.phi,
-                    "psi": args.psi}
+        params = G2GeodesicParams(args.C, parse_complex(opt["omega"]))
+        return (g2_geodesic_disc(params), G2FMap(params.omega),
+                {"domain": "g2", "C": args.C, "omega": cnum(params.omega)})
+    phi = parse_phi(opt["phi"])
+    omega1, omega2 = parse_complex(opt["omega1"]), parse_complex(opt["omega2"])
+    inputs = {"domain": "tetrablock", "C": args.C, "phi": opt["phi"], "psi": opt["psi"]}
+    if opt["psi"] is not None:
+        params = GeneralDiscParams(args.C, omega1, omega2, phi, parse_phi(opt["psi"]))
+        return general_disc(params), None, inputs
+    params = OriginGeodesicParams(args.C, omega1, omega2, phi)
+    return origin_geodesic_disc(params), certified_left_inverse(params), inputs
 
 
 def cmd_geodesic_eval(args) -> int:
     lam = parse_complex(args.lam)
-    params, inputs = _disc_params(args)
-    if isinstance(params, G2GeodesicParams):
-        point = g2_origin_geodesic(params, lam)
-    elif isinstance(params, GeneralDiscParams):
-        point = eval_general_disc(params, lam)
-    else:
-        point = eval_origin_geodesic(params, lam)
+    disc, _, inputs = _disc(args)
+    point = disc(require_disc_point(lam, name="lam"))
     env = envelope("geodesic-eval", {**inputs, "lambda": cnum(lam)},
                    {"point": [cnum(c) for c in point]}, {"version": __version__})
     emit(env, args.json, [f"f(lambda) = ({', '.join(repr(c) for c in point)})"])
@@ -274,13 +280,7 @@ def cmd_geodesic_eval(args) -> int:
 
 
 def cmd_geodesic_verify(args) -> int:
-    params, inputs = _disc_params(args)
-    if isinstance(params, G2GeodesicParams):
-        disc, left_inverse = g2_geodesic_disc(params), G2FMap(params.omega)
-    elif isinstance(params, GeneralDiscParams):
-        disc, left_inverse = general_disc(params), None
-    else:
-        disc, left_inverse = origin_geodesic_disc(params), certified_left_inverse(params)
+    disc, left_inverse, inputs = _disc(args)
     report = verify_disc(disc, left_inverse, n_angles=args.samples)
     results = {"verdict": report.verdict.value,
                "max_e_value": raw(report.max_e_value),
@@ -439,13 +439,11 @@ def build_parser() -> Parser:
     disc = Parser(add_help=False)
     disc.add_argument("--domain", choices=["tetrablock", "g2"], default="tetrablock")
     disc.add_argument("--C", type=float, default=0.0)
-    disc.add_argument("--phi", default="id", help="id | const:c | auto:a[,w] | "
-                                                  "blaschke:w|s|z1;z2")
-    disc.add_argument("--psi", default=None,
-                      help="optional second self-map (general disc family)")
-    disc.add_argument("--omega1", default="1")
-    disc.add_argument("--omega2", default="1")
-    disc.add_argument("--omega", default="1", help="g2 family parameter")
+    disc.add_argument("--phi", help="id | const:c | auto:a[,w] | blaschke:w|s|z1;z2")
+    disc.add_argument("--psi", help="optional second self-map (general disc family)")
+    disc.add_argument("--omega1")
+    disc.add_argument("--omega2")
+    disc.add_argument("--omega", help="g2 family parameter")
     p_eval = actions.add_parser("eval", parents=[disc, json_opt])
     p_eval.add_argument("--lambda", dest="lam", default="0", help="disc parameter")
     p_eval.set_defaults(func=cmd_geodesic_eval)

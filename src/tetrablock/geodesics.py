@@ -197,12 +197,6 @@ def general_disc(p: GeneralDiscParams) -> Callable[[complex], TetraPoint]:
     return lambda lam: TetraPoint(*disc_coords(p.C, p.omega1, p.omega2, p.phi(lam), p.psi(lam)))
 
 
-def eval_general_disc(p: GeneralDiscParams, lam: complex) -> TetraPoint:
-    """Evaluate the general disc; its image always stays inside the domain,
-    and the disc is a geodesic whenever psi is a disc automorphism."""
-    return general_disc(p)(require_disc_point(lam, name="lam"))
-
-
 def boundary_disc(C: float, omega1: complex, omega2: complex,
                   phi: BlaschkeMap) -> Callable[[complex], TetraPoint]:
     """A non-constant analytic disc lying entirely on the boundary, as a map
@@ -403,28 +397,17 @@ def _g2_coords(C: float, omega: complex, lam):
     return s, p, np.abs(den2) < 1e-15
 
 
-def g2_disc_raw(C: float, omega: complex, lam) -> G2Point:
-    """The two-coordinate disc formula without the parameter-window check,
-    at a scalar or an array lam.
-
-    Out-of-window C is allowed here so violation witnesses can be hunted;
-    inside [1, 2] the denominators are bounded away from zero on the disc.
-    """
-    s, p, pole = _g2_coords(C, require_unimodular(omega), lam)
-    if pole.any():
-        raise PoleError("g2 disc pole inside the disc")
-    return G2Point(s, p)
-
-
-def g2_origin_geodesic(p: G2GeodesicParams, lam: complex) -> G2Point:
-    """Evaluate the origin geodesic of the symmetrized bidisc; f(0) = (0, 0)."""
-    lam = require_disc_point(lam, name="lam")
-    return g2_disc_raw(p.C, p.omega, lam)
-
-
 def g2_geodesic_disc(p: G2GeodesicParams) -> Callable[[complex], G2Point]:
     """The bidisc origin geodesic as a map of lam, a scalar or an array."""
-    return lambda lam: g2_disc_raw(p.C, p.omega, lam)
+    # normalizing the record's omega again keeps the verify figures' last bit
+    C, omega = p.C, require_unimodular(p.omega)
+
+    def disc(lam) -> G2Point:
+        *coords, pole = _g2_coords(C, omega, lam)
+        if pole.any():
+            raise PoleError("g2 disc pole inside the disc")
+        return G2Point(*coords)
+    return disc
 
 
 #: the witness search grid: 64 angles on each of 19 radii from 0.05 to 0.95

@@ -21,8 +21,7 @@ from tetrablock.geodesics import (DEFAULT_RADII, DiscVerdict, G2GeodesicParams,
                                   GeneralDiscParams, OriginGeodesicParams,
                                   TransportClass, boundary_disc,
                                   certified_left_inverse,
-                                  eval_general_disc, eval_origin_geodesic,
-                                  g2_geodesic_disc, g2_origin_geodesic,
+                                  eval_origin_geodesic, g2_geodesic_disc,
                                   general_disc, left_inverse_residual,
                                   origin_geodesic_disc, sample_grid,
                                   transport_disc, verify_disc)
@@ -52,7 +51,8 @@ def general_family(rng):
         params = GeneralDiscParams(rng.uniform(0.0, 0.99), random_unimodular(rng),
                                    random_unimodular(rng), random_self_map(rng),
                                    random_self_map(rng))
-        yield general_disc(params), lambda lam, p=params: eval_general_disc(p, lam)
+        disc = general_disc(params)
+        yield disc, disc
 
 
 def boundary_family(rng):
@@ -75,7 +75,8 @@ def transported_family(rng):
 def g2_family(rng):
     for _ in range(20):
         params = G2GeodesicParams(rng.uniform(1.0, 2.0), random_unimodular(rng))
-        yield g2_geodesic_disc(params), lambda lam, p=params: g2_origin_geodesic(p, lam)
+        disc = g2_geodesic_disc(params)
+        yield disc, disc
 
 
 FAMILIES = {"origin": origin_family, "general": general_family,

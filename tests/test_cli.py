@@ -550,6 +550,12 @@ BASE = {
 #: (command path, an option that only other commands or actions own)
 FOREIGN = [(path, option) for path in READS
            for option in sorted(set().union(*READS.values()) - READS[path])]
+#: the disc options each domain of ``--domain`` reads besides --C
+DOMAIN_READS = {"tetrablock": {"--phi", "--psi", "--omega1", "--omega2"}, "g2": {"--omega"}}
+#: (geodesic action, domain, an option that only the other domain reads)
+OTHER_DOMAIN = [(action, domain, option) for action in ("eval", "verify")
+                for domain in DOMAIN_READS
+                for option in sorted(set().union(*DOMAIN_READS.values()) - DOMAIN_READS[domain])]
 
 
 class TestLeafParsers:
@@ -586,3 +592,23 @@ class TestLeafParsers:
         assert code == EXIT_USAGE
         assert out == "" and option in err.split()
         assert calls == []
+
+    @pytest.mark.parametrize("action, domain, option", OTHER_DOMAIN,
+                             ids=[" ".join(case) for case in OTHER_DOMAIN])
+    def test_option_of_the_other_domain_is_a_usage_error(self, capsys, action, domain,
+                                                         option):
+        # the value is one the other domain accepts: it used to be ignored
+        value = "id" if option in ("--phi", "--psi") else "1"
+        code, out, err = run(capsys, "geodesic", action, "--domain", domain, option, value)
+        assert code == EXIT_USAGE
+        assert out == "" and option in err.split()
+
+    @pytest.mark.parametrize("domain, inputs", [
+        ("tetrablock", {"domain": "tetrablock", "C": 0.0, "phi": "id", "psi": None}),
+        ("g2", {"domain": "g2", "C": 1.0,
+                "omega": {"scale": "raw", "re": 1.0, "im": 0.0}})])
+    def test_disc_options_default_in_the_inputs_record(self, capsys, domain, inputs):
+        argv = ["--domain", domain] + (["--C", "1"] if domain == "g2" else [])
+        code, out, _ = run(capsys, "geodesic", "verify", *argv, "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["inputs"] == inputs

@@ -4,8 +4,9 @@ Every kernel below is given finite numbers of any size (subnormal up to
 1.7e308) in its record fields and points.  It must return values without
 NaN, or raise ``DomainError``, and it must not warn: a warning is an error
 here, as under ``python -W error``.  The disc evaluators and Blaschke maps
-are defined on the open unit disc; the validated entry points
-``eval_origin_geodesic`` and ``eval_general_disc`` take any finite lam, and
+are defined on the open unit disc; the validated entry point
+``eval_origin_geodesic`` and a general disc behind ``require_disc_point``
+take any finite lam, and
 the maps the disc builders return take points of the open disc and arrays
 of them.  The pair kernels, from the Caratheodory lower
 bounds to the pair report, take two such points.  The family maps and
@@ -30,9 +31,9 @@ from tetrablock.extremals import (G2FMap, PsiOmegaMap, caratheodory_lower_bound,
                                   family_bounds, p_e)
 from tetrablock.geodesics import (GeneralDiscParams, OriginGeodesicParams,
                                   boundary_disc, disc_search_upper_bound,
-                                  eval_general_disc, eval_origin_geodesic,
-                                  general_disc, origin_geodesic_disc, pair_report)
-from tetrablock.hyperbolic import BlaschkeMap, modulus
+                                  eval_origin_geodesic, general_disc,
+                                  origin_geodesic_disc, pair_report)
+from tetrablock.hyperbolic import BlaschkeMap, modulus, require_disc_point
 from tetrablock.verify import PHI_KINDS, random_phi_pinned
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -273,7 +274,7 @@ def test_general_and_boundary_discs(data, C, omega1, omega2, lam):
     lams = disc_points(data.draw, 1, 5)[0]
     params = phi and psi and attempt(GeneralDiscParams, C, omega1, omega2, phi, psi)
     if params is not None:
-        outcome(eval_general_disc, params, lam)
+        outcome(lambda: general_disc(params)(require_disc_point(lam, name="lam")))
         outcome(general_disc(params), lams)
     disc = phi and attempt(boundary_disc, C, omega1, omega2, phi)
     if disc is not None:

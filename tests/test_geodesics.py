@@ -14,9 +14,8 @@ from tetrablock.geodesics import (DiscVerdict, G2GeodesicParams,
                                   TransportClass, blaschke_interp_origin,
                                   certified_left_inverse,
                                   boundary_disc, disc_search_upper_bound,
-                                  eval_general_disc, eval_origin_geodesic,
-                                  g2_geodesic_disc,
-                                  g2_origin_geodesic, g2_violation_witness,
+                                  eval_origin_geodesic, g2_geodesic_disc,
+                                  g2_violation_witness,
                                   general_disc,
                                   left_inverse_residual, lempert_special,
                                   origin_geodesic_disc, origin_lempert,
@@ -80,7 +79,7 @@ class TestGeneralDisc:
         generic = GeneralDiscParams(0.4, 1, 1, phi, BlaschkeMap.identity())
         for lam in (0.2, -0.5j, 0.3 + 0.3j):
             a = eval_origin_geodesic(origin, lam)
-            b = eval_general_disc(generic, lam)
+            b = general_disc(generic)(lam)
             assert a.z1 == pytest.approx(b.z1, abs=1e-15)
             assert a.z2 == pytest.approx(b.z2, abs=1e-15)
             assert a.z3 == pytest.approx(b.z3, abs=1e-15)
@@ -88,7 +87,7 @@ class TestGeneralDisc:
     def test_hand_computed_point(self):
         p = GeneralDiscParams(0.3, 1, 1, BlaschkeMap.constant(0.1),
                               BlaschkeMap.identity())
-        point = eval_general_disc(p, 0.2)
+        point = general_disc(p)(0.2)
         assert point.z1 == pytest.approx(0.4 / 1.3, abs=1e-15)
         assert point.z2 == pytest.approx(0.2 * 1.03 / 1.3, abs=1e-15)
         assert point.z3 == pytest.approx(0.02, abs=1e-16)
@@ -318,13 +317,13 @@ class TestG2Geodesics:
         omega = cmath.exp(0.4j)
         p = G2GeodesicParams(2.0, omega)
         for lam in (0.3, -0.2 + 0.4j):
-            point = g2_origin_geodesic(p, lam)
+            point = g2_geodesic_disc(p)(lam)
             assert point.s == pytest.approx(0.0, abs=1e-15)
             assert point.p == pytest.approx(omega.conjugate() * lam, abs=1e-14)
 
     def test_c_one_symmetrizes_diagonal(self):
         p = G2GeodesicParams(1.0, 1.0)
-        point = g2_origin_geodesic(p, 0.4)
+        point = g2_geodesic_disc(p)(0.4)
         assert point.s == pytest.approx(-0.8)
         assert point.p == pytest.approx(0.16)
 
@@ -333,6 +332,32 @@ class TestG2Geodesics:
             assert g2_violation_witness(C, 1.0) is not None
         for C in (1.0, 1.5, 2.0):
             assert g2_violation_witness(C, 1.0) is None
+
+    #: the first witness of each C, at omega = 1 and at omega = e^{1.3i}
+    WITNESSES = [
+        (-1, 0.15, 0.15),
+        (0, 0.2, -0.11111404660392044 - 0.16629392246050906j),
+        (1e-300, 0.2, -0.11111404660392044 - 0.16629392246050906j),
+        (1e-15, 0.2, -0.11111404660392044 - 0.16629392246050906j),
+        (1e-12, 0.2, -0.11111404660392044 - 0.16629392246050906j),
+        (0.1, 0.2, -0.07653668647301808 - 0.1847759065022573j),
+        (0.9, 0.5499999999999999, -0.15965657248995432 - 0.5263171846527148j),
+        (0.999999, None, None),
+        (1, None, None),
+        (1.5, None, None),
+        (2, None, None),
+        (2.000001, None, None),
+        (2.1, -0.5473515996697081 + 0.05390942718125845j,
+         -0.10729967710887049 + 0.5394319042217767j),
+        (3, -0.16629392246050909 + 0.11111404660392044j,
+         0.058056935450892466 + 0.1913880671464418j),
+        (1e300, 0.05, 0.05),
+    ]
+
+    @pytest.mark.parametrize("C, at_one, at_rotation", WITNESSES)
+    def test_violation_witness_table(self, C, at_one, at_rotation):
+        assert g2_violation_witness(C, 1.0) == at_one
+        assert g2_violation_witness(C, cmath.exp(1.3j)) == at_rotation
 
     def test_out_of_window_constructor_rejected(self):
         with pytest.raises(DomainError):
@@ -524,8 +549,8 @@ class TestDiscSearch:
     def test_generic_search_produces_certified_bound(self):
         p = GeneralDiscParams(0.3, 1, 1, BlaschkeMap.constant(0.1),
                               BlaschkeMap.identity())
-        w = eval_general_disc(p, 0.1)
-        z = eval_general_disc(p, 0.45)
+        w = general_disc(p)(0.1)
+        z = general_disc(p)(0.45)
         result = disc_search_upper_bound(w, z, budget=30000)
         assert result.found
         assert result.residual < 1e-9
@@ -610,7 +635,7 @@ class TestGeneralDiscCertificate:
         monkeypatch.setattr(geodesics, "general_disc", counting)
         rng = np.random.default_rng(7)
         p = GeneralDiscParams(0.3, 1, 1, BlaschkeMap.constant(0.1), BlaschkeMap.identity())
-        pairs = [(eval_general_disc(p, 0.1), eval_general_disc(p, 0.45)),
+        pairs = [(general_disc(p)(0.1), general_disc(p)(0.45)),
                  (TetraPoint(0.1, 0.05, 0.02), TetraPoint(0.12, 0.07, 0.03)),
                  (BENCH_W, BENCH_Z)]
         pairs += [moved_family_pair(rng, 1, 0.0)[0] for _ in range(10)]
@@ -631,7 +656,7 @@ class TestGeneralDiscCertificate:
 
     def test_search_reports_its_counts(self):
         p = GeneralDiscParams(0.3, 1, 1, BlaschkeMap.constant(0.1), BlaschkeMap.identity())
-        w, z = eval_general_disc(p, 0.1), eval_general_disc(p, 0.45)
+        w, z = general_disc(p)(0.1), general_disc(p)(0.45)
         result = disc_search_upper_bound(w, z, budget=300)
         assert result.found and result.family == "general-disc"
         assert result.starts >= 1 and 0 < result.evaluations <= 300
@@ -644,7 +669,7 @@ class TestGeneralDiscCertificate:
         # the least-squares search of earlier versions capped C below 0.98
         # and found nothing at C = 0.99
         p = GeneralDiscParams(C, 1, 1, BlaschkeMap.constant(0.1), BlaschkeMap.identity())
-        w, z = eval_general_disc(p, 0.1), eval_general_disc(p, 0.45)
+        w, z = general_disc(p)(0.1), general_disc(p)(0.45)
         result = disc_search_upper_bound(w, z)
         assert result.found and result.family == "general-disc"
         assert result.residual < 1e-20
@@ -657,7 +682,7 @@ class TestGeneralDiscCertificate:
         product route takes it first."""
         p = GeneralDiscParams(0.4, cmath.exp(0.7j), 1, disc_automorphism(0.3),
                               BlaschkeMap(1, (-0.5j,), 0.8))
-        w, z = eval_general_disc(p, 0.3), eval_general_disc(p, -0.5j)
+        w, z = general_disc(p)(0.3), general_disc(p)(-0.5j)
         assert w.z3 == 0 and w.z2 != 0 and z.z2 == z.z3 == 0
         return w, z
 
@@ -677,7 +702,7 @@ class TestGeneralDiscCertificate:
         # disc's (C, omega1)
         p = GeneralDiscParams(0.4, cmath.exp(0.7j), 1, BlaschkeMap(1j, (-0.5j,), 0.9),
                               BlaschkeMap(1, (-0.5j,), 0.8))
-        w, z = eval_general_disc(p, 0.3), eval_general_disc(p, -0.5j)
+        w, z = general_disc(p)(0.3), general_disc(p)(-0.5j)
         assert z.z2 == z.z3 == 0 and abs(w.z1 * w.z2 - w.z3) > 0.1
         full = disc_search_upper_bound(w, z)
         monkeypatch.setattr(geodesics, "_member_roots", lambda p: [])

@@ -30,7 +30,6 @@ from tetrablock.geodesics import (G2GeodesicParams, GeneralDiscParams,
                                   OriginGeodesicParams, TransportClass,
                                   boundary_disc, certified_left_inverse,
                                   disc_coords, disc_search_upper_bound,
-                                  eval_general_disc,
                                   g2_geodesic_disc, general_disc,
                                   left_inverse_residual, origin_geodesic_disc,
                                   sample_grid, transport_disc)
@@ -554,8 +553,8 @@ def inclusion_reference(seed, n_discs, n_lams):
     omega1, omega2 = random_unimodular(rng, (2, n_discs, 1))
     phi, psi = random_self_maps(rng, n_discs), random_self_maps(rng, n_discs)
     lams = random_disc_points(rng, (n_discs, n_lams), 0.9)
-    e = np.array([[tetra_e_value(eval_general_disc(
-        GeneralDiscParams(C[k, 0], omega1[k, 0], omega2[k, 0], member(phi, k), member(psi, k)),
+    e = np.array([[tetra_e_value(general_disc(
+        GeneralDiscParams(C[k, 0], omega1[k, 0], omega2[k, 0], member(phi, k), member(psi, k)))(
         complex(lam))) for lam in lams[k]] for k in range(n_discs)])
     stacked = np.empty_like(e)
     for idx in key_groups(3 * phi.degree + psi.degree):
