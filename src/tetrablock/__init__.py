@@ -1,17 +1,16 @@
 """Invariant distances, extremal maps and complex geodesics on the
 tetrablock and the symmetrized bidisc."""
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 from .errors import DomainError, FitError, PoleError
-from .hyperbolic import (BlaschkeMap, HyperbolicDistance, disc_automorphism,
-                         mobius_distance, mobius_m)
+from .hyperbolic import BlaschkeMap, HyperbolicDistance, mobius_m
 from .domains import (G2MembershipReport, G2Point, Location, MembershipReport,
                       TetraPoint, g2_membership, g2_roots, psi_sup,
                       rho_functional, tetra_e_value, tetra_membership)
 from .extremals import (FamilyBounds, G2FMap, PsiOmegaMap,
-                        caratheodory_lower_bound, f_omega_automorphism,
-                        family_bounds, p_e, psi_eta, sigma)
+                        caratheodory_lower_bound, family_bounds, p_e, psi_eta,
+                        sigma)
 from .geodesics import (DiscSearchResult, DiscVerdict,
                         DiscVerificationReport, G2GeodesicParams, GeneralDiscParams,
                         OriginGeodesicParams, OriginGeodesicSolution, PairReport,

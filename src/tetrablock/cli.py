@@ -240,32 +240,35 @@ def cmd_distance(args) -> int:
     return EXIT_VERIFICATION if report.sandwich_ok is False else EXIT_OK
 
 
-#: the disc options of each domain besides --C, with their defaults
-_DISC_OPTIONS = {"tetrablock": {"phi": "id", "psi": None, "omega1": "1", "omega2": "1"},
-                 "g2": {"omega": "1"}}
+#: the disc options of each domain, with their defaults; --C belongs to both
+_DISC_OPTIONS = {"tetrablock": {"C": 0.0, "phi": "id", "psi": None, "omega1": "1",
+                                "omega2": "1"},
+                 "g2": {"C": 1.0, "omega": "1"}}
 
 
 def _disc(args):
     """The disc of ``geodesic eval`` and ``verify``, its left inverse (None
     for a general disc) and their ``inputs`` record, from the disc options;
-    an option of the other domain is a usage error."""
-    foreign = [f"--{name}" for domain, names in _DISC_OPTIONS.items()
-               if domain != args.domain for name in names if getattr(args, name) is not None]
+    an option of the other domain alone is a usage error."""
+    own = _DISC_OPTIONS[args.domain]
+    foreign = [f"--{name}" for domain, names in _DISC_OPTIONS.items() if domain != args.domain
+               for name in names if name not in own and getattr(args, name) is not None]
     if foreign:
         raise _UsageExit(f"--domain {args.domain} does not read {' '.join(foreign)}")
     opt = {name: default if getattr(args, name) is None else getattr(args, name)
-           for name, default in _DISC_OPTIONS[args.domain].items()}
+           for name, default in own.items()}
+    C = opt["C"]
     if args.domain == "g2":
-        params = G2GeodesicParams(args.C, parse_complex(opt["omega"]))
+        params = G2GeodesicParams(C, parse_complex(opt["omega"]))
         return (g2_geodesic_disc(params), G2FMap(params.omega),
-                {"domain": "g2", "C": args.C, "omega": cnum(params.omega)})
+                {"domain": "g2", "C": C, "omega": cnum(params.omega)})
     phi = parse_phi(opt["phi"])
     omega1, omega2 = parse_complex(opt["omega1"]), parse_complex(opt["omega2"])
-    inputs = {"domain": "tetrablock", "C": args.C, "phi": opt["phi"], "psi": opt["psi"]}
+    inputs = {"domain": "tetrablock", "C": C, "phi": opt["phi"], "psi": opt["psi"]}
     if opt["psi"] is not None:
-        params = GeneralDiscParams(args.C, omega1, omega2, phi, parse_phi(opt["psi"]))
+        params = GeneralDiscParams(C, omega1, omega2, phi, parse_phi(opt["psi"]))
         return general_disc(params), None, inputs
-    params = OriginGeodesicParams(args.C, omega1, omega2, phi)
+    params = OriginGeodesicParams(C, omega1, omega2, phi)
     return origin_geodesic_disc(params), certified_left_inverse(params), inputs
 
 
@@ -313,7 +316,7 @@ def cmd_geodesic_solve(args) -> int:
         "phi": {"unimodular_factor": cnum(phi.unimodular_factor),
                 "zeros": [cnum(a) for a in phi.zeros],
                 "scale": raw(phi.scale),
-                "constant_offset": cnum(phi.constant_offset) if phi.is_constant else None},
+                "constant_offset": cnum(phi.unimodular_factor) if phi.is_constant else None},
         "swapped": solution.swapped,
         "residual": raw(solution.residual),
         "lempert_m": raw(abs(solution.lam0)),
@@ -438,7 +441,7 @@ def build_parser() -> Parser:
     actions = p_geo.add_subparsers(dest="action", required=True)
     disc = Parser(add_help=False)
     disc.add_argument("--domain", choices=["tetrablock", "g2"], default="tetrablock")
-    disc.add_argument("--C", type=float, default=0.0)
+    disc.add_argument("--C", type=_finite)
     disc.add_argument("--phi", help="id | const:c | auto:a[,w] | blaschke:w|s|z1;z2")
     disc.add_argument("--psi", help="optional second self-map (general disc family)")
     disc.add_argument("--omega1")

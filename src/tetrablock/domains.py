@@ -39,8 +39,6 @@ from .hyperbolic import largest, least, modulus
 #: default width of the boundary band in membership classification
 DEFAULT_BOUNDARY_TOL = 1e-10
 
-_POLE_TOL = 1e-14
-
 
 def as_coordinate(value):
     """A point coordinate: scalars become Python ``complex``, arrays complex
@@ -164,10 +162,13 @@ def is_interior(z) -> bool:
     return tetra_e_value(z) < 1.0 - DEFAULT_BOUNDARY_TOL
 
 
+#: the least modulus of a denominator that the family maps (``psi_eta`` and
+#: those of ``extremals``) divide by; a smaller one is a pole
+POLE_TOL = 1e-14
+
 #: the largest real or imaginary part of a coordinate that the family maps
-#: (``psi_eta`` and those of ``extremals``) accept.  Below it, with their
-#: poles kept 1e-14 away, no value or derivative of theirs overflows, so
-#: none is NaN
+#: accept.  Below it, with their poles kept ``POLE_TOL`` away, no value or
+#: derivative of theirs overflows, so none is NaN
 MAP_COORDINATE_MAX = 1e100
 
 
@@ -208,7 +209,7 @@ def psi_eta(eta, z):
     den = eta * z.z1 - 1.0
     # |den| >= 1 - |eta| |z1|, so the sample-by-sample test runs only when
     # that bound does not already clear the pole
-    if 1.0 - eta_max * largest(modulus(z.z1)) < _POLE_TOL and least(modulus(den)) < _POLE_TOL:
+    if 1.0 - eta_max * largest(modulus(z.z1)) < POLE_TOL and least(modulus(den)) < POLE_TOL:
         raise PoleError(f"psi_eta pole: |eta*z1 - 1| = {least(modulus(den))}")
     return (eta * z.z3 - z.z2) / den
 

@@ -26,26 +26,17 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .domains import (G2Point, TetraPoint, is_interior, psi_eta, psi_sup,
-                      require_map_point)
+from .domains import (POLE_TOL, G2Point, TetraPoint, is_interior, psi_eta,
+                      psi_sup, require_map_point)
 from .errors import DomainError, PoleError
 from .hyperbolic import (HyperbolicDistance, least, mobius_m, modulus,
                          require_closed_disc_point, require_unimodular)
-
-_POLE_TOL = 1e-14
 
 
 def sigma(z) -> TetraPoint:
     """Swap of the first two coordinates; an involutive automorphism."""
     z = TetraPoint.of(z)
     return TetraPoint(z.z2, z.z1, z.z3)
-
-
-def f_omega_automorphism(omega: complex, z) -> TetraPoint:
-    """The rotation (z1, z2, z3) -> (omega z1, z2, omega z3), |omega| = 1."""
-    omega = require_unimodular(omega)
-    z = TetraPoint.of(z)
-    return TetraPoint(omega * z.z1, z.z2, omega * z.z3)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +73,7 @@ class PsiOmegaMap:
             z = sigma(z)
         eta = self.eta
         den = eta * z.z1 - 1.0
-        if least(modulus(den)) < _POLE_TOL:
+        if least(modulus(den)) < POLE_TOL:
             raise PoleError("psi gradient pole")
         d1 = -eta * (eta * z.z3 - z.z2) / (den * den)
         d2 = -1.0 / den
@@ -104,7 +95,7 @@ class G2FMap:
         require_map_point(w)
         omega = self.omega
         den = 2.0 - omega * w.s
-        if least(modulus(den)) < _POLE_TOL:
+        if least(modulus(den)) < POLE_TOL:
             raise PoleError(f"G2FMap pole: |2 - omega*s| = {least(modulus(den))}")
         return (2.0 * omega * w.p - w.s) / den
 
@@ -113,7 +104,7 @@ class G2FMap:
         require_map_point(w)
         omega = self.omega
         den = 2.0 - omega * w.s
-        if least(modulus(den)) < _POLE_TOL:
+        if least(modulus(den)) < POLE_TOL:
             raise PoleError("G2FMap gradient pole")
         d_s = (-2.0 + 2.0 * omega ** 2 * w.p) / (den * den)
         d_p = 2.0 * omega / den

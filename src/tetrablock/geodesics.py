@@ -62,7 +62,7 @@ def _cached_grid(radii: Tuple[float, ...], n_angles: int) -> np.ndarray:
 
 
 def _require_phi_open(phi: BlaschkeMap, name: str = "phi") -> BlaschkeMap:
-    if phi.is_constant and largest(abs(phi.constant_offset)) >= 1.0:
+    if phi.is_constant and largest(abs(phi.unimodular_factor)) >= 1.0:
         raise DomainError(f"{name} must map into the open disc")
     return phi
 
@@ -333,10 +333,6 @@ class TransportedDisc:
         self._at_zero = TetraPoint(p.omega1 * p.phi.derivative(0.0) / (1.0 + p.C),
                                    np.zeros_like(z3), z3)
 
-    @property
-    def value_at_zero(self) -> TetraPoint:
-        return self._at_zero
-
     def __call__(self, lam) -> TetraPoint:
         return _divided_by_lam(lam, self._f(lam), self._at_zero)
 
@@ -420,7 +416,10 @@ def g2_violation_witness(C: float, omega: complex) -> Optional[complex]:
     Returns the first witness lam in grid order (a pole, or a root of
     modulus within ``DEFAULT_BOUNDARY_TOL`` of 1 or beyond, counts as one),
     or None when every sample stays interior (the expected outcome for C in
-    [1, 2]).
+    [1, 2]).  The grid has radii 0.05 to 0.95 only, so None means no
+    witness on that grid, not that the disc stays in the domain: at
+    C = 0.999999 and C = 2.000001 the disc leaves G2 near |lam| = 0.998 and
+    the search returns None.
     """
     s, p, pole = _g2_coords(C, require_unimodular(omega), _WITNESS_GRID)
     interior = np.abs(stable_quadratic_roots(s, p)[0]) < 1.0 - DEFAULT_BOUNDARY_TOL

@@ -1,5 +1,5 @@
-"""Unit-disc geometry: Mobius pseudodistance, disc automorphisms and finite
-Blaschke products.
+"""Unit-disc geometry: the Mobius pseudodistance and finite Blaschke
+products.
 
 Points of the disc are plain ``complex`` numbers.  Closed-disc arguments are
 accepted up to ``TOL_CLOSURE``; "open" arguments are rejected at modulus >= 1.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -159,16 +159,6 @@ class HyperbolicDistance:
         return HyperbolicDistance(0.0, 0.0)
 
 
-def mobius_distance(lam1: complex, lam2: complex) -> HyperbolicDistance:
-    """Distance between two points of the open disc, on both scales.
-
-    Symmetric in its arguments; rejects arguments of modulus >= 1.
-    """
-    lam1 = require_disc_point(lam1, name="lam1")
-    lam2 = require_disc_point(lam2, name="lam2")
-    return HyperbolicDistance.from_m(mobius_m(lam1, lam2))
-
-
 def _spread(value, lam):
     """A map's value broadcast against the points it was evaluated at: a
     Python ``complex`` when both are scalars, else an array of their common
@@ -187,14 +177,14 @@ class BlaschkeMap:
 
     ``lam -> scale * u * prod_k (lam - a_k)/(1 - conj(a_k) lam)`` with
     ``|u| = 1``, ``|a_k| < 1`` and ``scale in [0, 1]``.  With one zero and
-    scale 1 this is a disc automorphism.  A map with no zeros is the
-    constant scale * u, which may lie anywhere in the closed disc; it is
-    stored as its factor, with scale 1, so ``BlaschkeMap(c)`` and
-    ``BlaschkeMap.constant(c)`` are one map, which evaluates to c exactly.
+    scale 1 this is the disc automorphism ``BlaschkeMap(u, (a,), 1.0)``.
+    A map with no zeros is the constant scale * u, which may lie anywhere
+    in the closed disc; it is stored as its factor ``unimodular_factor``,
+    with scale 1, so ``BlaschkeMap(c)`` and ``BlaschkeMap.constant(c)`` are
+    one map, which evaluates to c exactly.
 
     A stack of maps of one degree has each field (the factor, every zero
-    and the scale) an array of shape (n, 1), validated entry by entry;
-    ``is_automorphism`` is then an array too.
+    and the scale) an array of shape (n, 1), validated entry by entry.
 
     Evaluation at any point of the open disc lands in the closed disc; it
     lands in the open disc whenever the map has any slack (scale < 1, a
@@ -224,17 +214,8 @@ class BlaschkeMap:
         return not self.zeros
 
     @property
-    def constant_offset(self) -> Optional[complex]:
-        """The value of a constant map (its factor), or None."""
-        return None if self.zeros else self.unimodular_factor
-
-    @property
     def degree(self) -> int:
         return len(self.zeros)
-
-    @property
-    def is_automorphism(self):
-        return len(self.zeros) == 1 and self.scale >= 1.0 - 1e-12
 
     @staticmethod
     def identity() -> "BlaschkeMap":
@@ -295,10 +276,3 @@ class BlaschkeMap:
         new_zeros = tuple(a * rho.conjugate() for a in self.zeros)
         new_factor = self.unimodular_factor * rho ** len(self.zeros)
         return BlaschkeMap(new_factor, new_zeros, self.scale)
-
-
-def disc_automorphism(a: complex, omega: complex = 1.0) -> BlaschkeMap:
-    """The automorphism ``lam -> omega (lam - a) / (1 - conj(a) lam)``."""
-    a = require_disc_point(a, name="a")
-    omega = require_unimodular(omega)
-    return BlaschkeMap(unimodular_factor=omega, zeros=(a,), scale=1.0)

@@ -1,10 +1,11 @@
 """Oracles for the tests: finite differences for the closed-form gradients
 of the family maps, the square-root family that ``family_bounds``
-evaluates inline, the one-array disc sampler that the chunked
-``random_disc_points`` reproduces, and the Caratheodory distance of the
-symmetrized bidisc with a sampler of the pairs it governs on the diagonal
-of the tetrablock, and the symmetric 2 x 2 lift of a point with the 50-digit
-operator norm that decides membership through it."""
+evaluates inline, the rotation automorphism f_omega, the one-array disc
+sampler that the chunked ``random_disc_points`` reproduces, and the
+Caratheodory distance of the symmetrized bidisc with a sampler of the
+pairs it governs on the diagonal of the tetrablock, and the symmetric
+2 x 2 lift of a point with the 50-digit operator norm that decides
+membership through it."""
 
 import cmath
 import math
@@ -45,6 +46,12 @@ def magic_f(z) -> complex:
     ``magic_f``."""
     z = TetraPoint.of(z)
     return z.z2 / cmath.sqrt(1.0 + z.z3 - z.z1 * z.z2)
+
+
+def f_omega(omega: complex, z) -> TetraPoint:
+    """The rotation automorphism (z1, z2, z3) -> (omega z1, z2, omega z3) of
+    the tetrablock, for unimodular omega."""
+    return TetraPoint(omega * z[0], z[1], omega * z[2])
 
 
 def one_shot_disc_points(rng: np.random.Generator, n, radius: float = 0.9) -> np.ndarray:

@@ -186,7 +186,7 @@ def test_transport_classify_matches_scalar_loop():
         assert transported.classify() is expected
         # the closed-form value at 0 against the circle mean, which
         # magnifies last-digit differences of f by 1e5
-        for got, want in zip(transported.value_at_zero, at_zero):
+        for got, want in zip(transported(0.0), at_zero):
             assert abs(got - want) <= 1e-10
         seen.add(expected)
     assert seen == {TransportClass.BOUNDARY, TransportClass.INTERIOR}

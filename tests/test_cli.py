@@ -12,7 +12,7 @@ from tetrablock.cli import (EXIT_BOUNDARY, EXIT_EXTERIOR, EXIT_INVARIANT,
                             MAX_SAMPLES, MAX_SWEEP_ROWS, build_parser, main,
                             parse_complex, parse_phi)
 from tetrablock.geodesics import DiscSearchResult
-from tetrablock.hyperbolic import HyperbolicDistance
+from tetrablock.hyperbolic import BlaschkeMap, HyperbolicDistance
 
 
 def run(capsys, *argv):
@@ -58,7 +58,7 @@ class TestParsing:
         assert out == "" and "auto spec" in err
 
     def test_phi_specs(self):
-        assert parse_phi("id").is_automorphism
+        assert parse_phi("id") == BlaschkeMap.identity()
         assert parse_phi("const:-0.5")(0.2) == -0.5
         auto = parse_phi("auto:0.5")
         assert auto(0.5) == 0.0
@@ -337,6 +337,15 @@ class TestGeodesic:
                          "--samples", str(MAX_SAMPLES + extra))
         assert code == expected
 
+    @pytest.mark.parametrize("action", ["eval", "verify"])
+    @pytest.mark.parametrize("domain", ["tetrablock", "g2"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_c_must_be_finite(self, capsys, action, domain, value):
+        # --C alone was a plain float, so nan and inf reached the record: exit 65
+        code, out, err = run(capsys, "geodesic", action, "--domain", domain, "--C", value)
+        assert code == EXIT_USAGE
+        assert out == "" and "argument --C:" in err
+
     def test_invalid_params_exit(self, capsys):
         code, _, err = run(capsys, "geodesic", "eval", "--C", "0.5",
                            "--phi", "const:-0.4")
@@ -608,7 +617,14 @@ class TestLeafParsers:
         ("g2", {"domain": "g2", "C": 1.0,
                 "omega": {"scale": "raw", "re": 1.0, "im": 0.0}})])
     def test_disc_options_default_in_the_inputs_record(self, capsys, domain, inputs):
-        argv = ["--domain", domain] + (["--C", "1"] if domain == "g2" else [])
-        code, out, _ = run(capsys, "geodesic", "verify", *argv, "--json")
+        # --C defaults by domain: g2 used to take the tetrablock's 0 and exit 65
+        code, out, _ = run(capsys, "geodesic", "verify", "--domain", domain, "--json")
         assert code == EXIT_OK
         assert json.loads(out)["inputs"] == inputs
+
+    @pytest.mark.parametrize("domain, C", [("tetrablock", 0.0), ("g2", 1.0)])
+    def test_eval_defaults_c_by_domain(self, capsys, domain, C):
+        code, out, _ = run(capsys, "geodesic", "eval", "--domain", domain,
+                           "--lambda", "0.4", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["inputs"]["C"] == C

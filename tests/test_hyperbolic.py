@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from tetrablock.errors import DomainError
 from tetrablock.geodesics import GeneralDiscParams, OriginGeodesicParams, boundary_disc
-from tetrablock.hyperbolic import (BlaschkeMap, HyperbolicDistance,
-                                   disc_automorphism, largest, least,
-                                   mobius_distance, mobius_m,
-                                   require_closed_disc_point, require_disc_point,
-                                   require_unimodular)
+from tetrablock.hyperbolic import (BlaschkeMap, HyperbolicDistance, largest,
+                                   least, mobius_m, require_closed_disc_point,
+                                   require_disc_point, require_unimodular)
 
 # strategies for points of the open disc (kept away from the boundary so the
 # quotient stays well conditioned)
@@ -32,43 +30,33 @@ class TestReductions:
 
 class TestMobiusDistance:
     def test_identity_case(self):
-        d = mobius_distance(0.0, 0.0)
+        d = HyperbolicDistance.from_m(mobius_m(0.0, 0.0))
         assert d.m_scale == 0.0 and d.p_scale == 0.0
 
     def test_distance_from_origin_is_modulus(self):
-        d = mobius_distance(0.0, 0.5)
+        d = HyperbolicDistance.from_m(mobius_m(0.0, 0.5))
         assert d.m_scale == 0.5
         assert d.p_scale == pytest.approx(math.atanh(0.5), abs=1e-15)
 
     def test_hand_computed_quotient(self):
         # |(0.3 - (-0.3)) / (1 - 0.3*(-0.3))| = 0.6 / 1.09
-        d = mobius_distance(0.3, -0.3)
-        assert d.m_scale == pytest.approx(0.6 / 1.09, abs=1e-15)
+        assert mobius_m(0.3, -0.3) == pytest.approx(0.6 / 1.09, abs=1e-15)
 
     def test_symmetry(self):
         a, b = 0.3 + 0.2j, -0.5 + 0.1j
-        assert mobius_distance(a, b).m_scale == pytest.approx(
-            mobius_distance(b, a).m_scale, abs=1e-15)
-
-    @pytest.mark.parametrize("bad", [1.0, 1.2, -1.0, 0.8 + 0.7j, math.nan,
-                                     complex(0.1, math.nan)])
-    def test_rejects_points_outside(self, bad):
-        with pytest.raises(DomainError):
-            mobius_distance(bad, 0.1)
-        with pytest.raises(DomainError):
-            mobius_distance(0.1, bad)
+        assert mobius_m(a, b) == pytest.approx(mobius_m(b, a), abs=1e-15)
 
     @given(disc_points, disc_points, disc_points, angles)
     @settings(max_examples=300, deadline=None)
     def test_automorphism_invariance(self, l1, l2, a, theta):
-        h = disc_automorphism(a, cmath.exp(1j * theta))
+        h = BlaschkeMap(cmath.exp(1j * theta), (a,), 1.0)
         assert abs(mobius_m(h(l1), h(l2)) - mobius_m(l1, l2)) < 1e-12
 
     def test_automorphism_invariance_bulk(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
             l1, l2, a = (complex(*rng.uniform(-0.7, 0.7, 2)) for _ in range(3))
-            h = disc_automorphism(a, cmath.exp(2j * math.pi * rng.uniform()))
+            h = BlaschkeMap(cmath.exp(2j * math.pi * rng.uniform()), (a,), 1.0)
             assert abs(mobius_m(h(l1), h(l2)) - mobius_m(l1, l2)) < 1e-12
 
 
@@ -94,8 +82,8 @@ class TestValidatorsRejectNan:
     lies inside the range, and NaN lands outside."""
 
     @pytest.mark.parametrize("make", [
-        lambda: disc_automorphism(math.nan),
-        lambda: disc_automorphism(0.1, complex(math.nan, 0.0)),
+        lambda: BlaschkeMap(1.0, (math.nan,), 1.0),
+        lambda: BlaschkeMap(complex(math.nan, 0.0), (0.1,), 1.0),
         lambda: BlaschkeMap.constant(math.nan),
         lambda: BlaschkeMap(zeros=(complex(0.0, math.nan),))],
         ids=["automorphism-zero", "automorphism-factor", "constant", "zero"])
@@ -120,12 +108,12 @@ class TestBlaschkeMap:
     def test_constant_map(self):
         b = BlaschkeMap.constant(-0.5)
         assert b(0.3j) == -0.5
-        assert b.is_constant and b.degree == 0 and not b.is_automorphism
+        assert b.is_constant and b.degree == 0
 
     def test_identity(self):
         b = BlaschkeMap.identity()
         assert b(0.3j) == 0.3j
-        assert b.is_automorphism
+        assert b.degree == 1 and b.scale >= 1.0 - 1e-12
 
     def test_two_zero_product_at_origin(self):
         # (0 - 0.5)(0 + 0.5) = -0.25
@@ -133,16 +121,14 @@ class TestBlaschkeMap:
         assert b(0.0) == pytest.approx(-0.25)
 
     def test_automorphism_basics(self):
-        h = disc_automorphism(0.5)
+        h = BlaschkeMap(1.0, (0.5,), 1.0)
         assert h(0.5) == 0.0
         assert h(0.0) == -0.5
-        assert disc_automorphism(0.0)(0.7) == 0.7
+        assert BlaschkeMap(1.0, (0.0,), 1.0)(0.7) == 0.7
 
     def test_rejects_zero_outside(self):
         with pytest.raises(DomainError):
             BlaschkeMap(zeros=(1.0,))
-        with pytest.raises(DomainError):
-            disc_automorphism(1.0)
 
     def test_rejects_non_unimodular_factor(self):
         with pytest.raises(DomainError):
@@ -154,7 +140,7 @@ class TestBlaschkeMap:
         # through it would give the boundary point (1, 0.5, 0.5) at 0.5
         one = BlaschkeMap(1, (), 1.0)
         assert one == BlaschkeMap.constant(1.0) and one.is_constant
-        assert one.constant_offset == 1.0 and one.degree == 0
+        assert one.unimodular_factor == 1.0 and one.degree == 0
         with pytest.raises(DomainError):
             GeneralDiscParams(0.2, 1, 1, one, BlaschkeMap.identity())
         with pytest.raises(DomainError):
@@ -162,11 +148,10 @@ class TestBlaschkeMap:
         # the constant -1 is the one phi allowed at C = 1
         minus_one = BlaschkeMap(-1, (), 1.0)
         OriginGeodesicParams(1.0, 1, 1, minus_one)
-        assert minus_one.constant_offset == -1.0
+        assert minus_one.unimodular_factor == -1.0
         # scale times factor is the constant, stored with scale 1
         half = BlaschkeMap(1j, (), 0.5)
         assert half == BlaschkeMap.constant(0.5j) and half.scale == 1.0
-        assert BlaschkeMap.identity().constant_offset is None
         with pytest.raises(DomainError):
             BlaschkeMap.constant(1.01)
 

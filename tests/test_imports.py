@@ -40,15 +40,6 @@ def test_detector_flags_private_import(tmp_path):
         "probe.py:2 imports _general_coords from geodesics"]
 
 
-#: public names with no caller in the package, its commands, its suites or
-#: the benchmark, each kept for the reason given
-UNCALLED = {
-    "f_omega_automorphism": "the f_omega property tests of ROADMAP aim 3",
-    "disc_automorphism": "the sigma and f_omega property tests of ROADMAP aim 3",
-    "mobius_distance": "the Schwarz-Pick property tests of ROADMAP aim 3",
-}
-
-
 def public_names(init: Path):
     """The names ``__init__`` imports from the modules of the package."""
     return [alias.asname or alias.name for node in ast.parse(init.read_text()).body
@@ -93,7 +84,7 @@ def uncalled_names(src: Path, perfbench: Path):
 
 
 def test_every_public_name_has_a_caller():
-    assert uncalled_names(SRC, PERFBENCH) == sorted(UNCALLED)
+    assert uncalled_names(SRC, PERFBENCH) == []
 
 
 def test_caller_detector(tmp_path):

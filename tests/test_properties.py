@@ -32,8 +32,7 @@ from hypothesis import strategies as st
 
 from tetrablock.domains import (TetraPoint, e_value_raw, is_interior, psi_sup,
                                 rho_functional)
-from tetrablock.extremals import (caratheodory_lower_bound,
-                                  f_omega_automorphism, p_e, sigma)
+from tetrablock.extremals import caratheodory_lower_bound, p_e, sigma
 from tetrablock.geodesics import (DiscVerdict, GeneralDiscParams,
                                   OriginGeodesicParams, TransportClass,
                                   disc_search_upper_bound, general_disc,
@@ -45,7 +44,7 @@ from tetrablock.verify import (PHI_KINDS, random_disc_point,
                                random_self_map, random_unimodular,
                                sample_origin_params)
 
-from oracles import ball_norm, symmetric_lift
+from oracles import ball_norm, f_omega, symmetric_lift
 
 seeds = st.integers(0, 2 ** 32 - 1)
 angles = st.floats(0.0, 2.0 * math.pi)
@@ -63,7 +62,7 @@ def test_bounds_invariant_under_automorphisms(seed, theta):
     w, z = interior_pair(seed)
     omega = cmath.exp(1j * theta)
     images = [(sigma(w), sigma(z)),
-              (f_omega_automorphism(omega, w), f_omega_automorphism(omega, z))]
+              (f_omega(omega, w), f_omega(omega, z))]
     pe = p_e(w, z).m_scale
     c_lower = caratheodory_lower_bound(w, z).m_scale
     for w2, z2 in images:
@@ -270,6 +269,7 @@ def test_transport_dichotomy(seed, kind, stacked):
     omega1, omega2 = random_unimodular(rng, (2,) + np.shape(C))
     phi = random_phi_pinned(rng, C, kind)
     verdict = np.ravel(transport_disc(OriginGeodesicParams(C, omega1, omega2, phi)).classify())
-    automorphic = np.broadcast_to(np.ravel(phi.is_automorphism), verdict.shape)
+    automorphic = np.broadcast_to(np.ravel(phi.degree == 1 and phi.scale >= 1.0 - 1e-12),
+                                  verdict.shape)
     assert list(verdict) == [TransportClass.BOUNDARY if a else TransportClass.INTERIOR
                              for a in automorphic]
