@@ -17,6 +17,7 @@ import cmath
 import csv
 import json
 import math
+import re
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -31,7 +32,7 @@ from .geodesics import (DiscVerdict, G2GeodesicParams, GeneralDiscParams,
                         lempert_special, origin_geodesic_disc, pair_report,
                         solve_origin_geodesic_through, verify_disc)
 from .hyperbolic import BlaschkeMap, HyperbolicDistance, require_disc_point
-from .verify import ALL_SUITES, lempert_grid, run_suites
+from .verify import ALL_SUITES, LEMPERT_TOL, lempert_grid, run_suites
 
 EXIT_OK = 0
 EXIT_BOUNDARY = 1
@@ -57,10 +58,17 @@ class _UsageExit(Exception):
 class Parser(argparse.ArgumentParser):
     """argparse with the usage-error exit code pinned to 64 and no
     abbreviated options, so that an option of one action never passes for
-    a prefix of another's (``--lambda`` for ``solve --lambda0``)."""
+    a prefix of another's (``--lambda`` for ``solve --lambda0``).
+
+    A token of ``-`` and a digit, or of ``-.`` and a digit, is a value, not
+    an option: argparse before 3.13 takes only ``-digits`` and
+    ``-digits.digits`` as numbers, so ``-1e-3``, ``-.5``, ``-0.5i`` and
+    ``-1e-3,0,0`` read as unknown options.  No option of this CLI starts
+    with a digit."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise _UsageExit(message)
@@ -377,11 +385,13 @@ def cmd_sweep_separation(args) -> int:
     n_steps = int(round(span)) + 1 if math.isfinite(span) else math.inf
     if n_steps > MAX_SWEEP_ROWS:
         raise _UsageExit(f"--c-step too small: at most {MAX_SWEEP_ROWS} rows")
+    grid = [C for C in (args.c_min + k * args.c_step for k in range(max(n_steps, 0)))
+            if 0.0 < C < 1.0 and C <= args.c_max + 1e-12]
+    if not grid:
+        raise _UsageExit(f"no C from --c-min {args.c_min} to --c-max {args.c_max} "
+                         "lies in (0, 1): the sweep would write no rows")
     rows: List[Dict[str, object]] = []
-    for k in range(max(n_steps, 0)):
-        C = args.c_min + k * args.c_step
-        if C <= 0.0 or C >= 1.0 or C > args.c_max + 1e-12:
-            continue
+    for C in grid:
         # magic_f o sigma vanishes at both points: the family is magic_f
         report = pair_report((0.0, 0.0, -C), (0.0, args.lam * (1.0 - C), -C),
                              search=False)
@@ -400,8 +410,9 @@ def cmd_sweep_lempert(args) -> int:
         closed = lempert_special(z, w).m_scale
         search = disc_search_upper_bound(TetraPoint(0, 0, w), TetraPoint(0, z, w))
         k_upper = search.bound.m_scale if search.found else math.nan
+        equal = search.found and abs(k_upper - closed) < LEMPERT_TOL
         rows.append({"closed_form_m": closed, "k_upper_m": k_upper,
-                     "equal_within_tol": bool(search.found and abs(k_upper - closed) < 1e-6),
+                     "equal_within_tol": bool(equal),
                      "w_im": w.imag, "w_re": w.real, "z_im": z.imag, "z_re": z.real})
     return _write_sweep(args, rows, ["closed_form_m", "equal_within_tol", "k_upper_m",
                                     "w_im", "w_re", "z_im", "z_re"])

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import warnings
@@ -11,7 +12,7 @@ from tetrablock.cli import (EXIT_BOUNDARY, EXIT_EXTERIOR, EXIT_INVARIANT,
                             EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION,
                             MAX_SAMPLES, MAX_SWEEP_ROWS, build_parser, main,
                             parse_complex, parse_phi)
-from tetrablock.geodesics import DiscSearchResult
+from tetrablock.geodesics import DiscSearchResult, disc_search_upper_bound
 from tetrablock.hyperbolic import BlaschkeMap, HyperbolicDistance
 
 
@@ -435,13 +436,30 @@ class TestSweep:
         rows = [json.loads(line) for line in out_file.read_text().splitlines()]
         assert rows and all(row["equal_within_tol"] for row in rows)
 
-    def test_empty_grid_header_only(self, capsys, tmp_path):
-        out_file = tmp_path / "empty.csv"
-        code, _, _ = run(capsys, "sweep", "separation", "--c-min", "0.9",
-                         "--c-max", "0.1", "--out", str(out_file))
+    def test_lempert_equality_is_held_to_rounding(self, capsys, tmp_path, monkeypatch):
+        # the axis route is a closed form: a k_upper 1e-12 off is not equal
+        def search(w, z):
+            result = disc_search_upper_bound(w, z)
+            return dataclasses.replace(
+                result, bound=HyperbolicDistance.from_m(result.bound.m_scale + 1e-12))
+
+        monkeypatch.setattr("tetrablock.cli.disc_search_upper_bound", search)
+        out_file = tmp_path / "sweep.jsonl"
+        code, _, _ = run(capsys, "sweep", "lempert", "--grid-n", "3",
+                         "--out", str(out_file), "--format", "jsonl")
         assert code == EXIT_OK
-        assert out_file.read_text().splitlines() == [
-            "C,c_lower_m,lam_modulus,magic_lower_m,p_e_m,separated"]
+        rows = [json.loads(line) for line in out_file.read_text().splitlines()]
+        assert len(rows) == 9 and not any(row["equal_within_tol"] for row in rows)
+
+    @pytest.mark.parametrize("c_min, c_max", [("0.5", "0.1"), ("1", "2")])
+    def test_empty_grid_is_a_usage_error(self, capsys, tmp_path, c_min, c_max):
+        # no C of the range lies in (0, 1); it used to write a header only
+        out_file = tmp_path / "empty.csv"
+        code, out, err = run(capsys, "sweep", "separation", "--c-min", c_min,
+                             "--c-max", c_max, "--out", str(out_file))
+        assert code == EXIT_USAGE
+        assert out == "" and "--c-min" in err and "--c-max" in err
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("step", ["0", "-0.05", "nan"])
     def test_c_step_must_be_positive(self, capsys, tmp_path, step):
@@ -458,15 +476,19 @@ class TestSweep:
         assert "--c-step" in err
         assert not out_file.exists()
 
-    @pytest.mark.parametrize("c_max, expected", [("2.99999", EXIT_OK),
-                                                  ("3", EXIT_USAGE)])
+    @pytest.mark.parametrize("c_max, expected", [("1.999985", EXIT_OK),
+                                                  ("1.999995", EXIT_USAGE)])
     def test_row_limit_edge(self, capsys, tmp_path, c_max, expected):
-        # every C of this grid lies outside (0, 1), so no row is computed
+        # only the first C of this grid lies in (0, 1), so one row is computed
         assert MAX_SWEEP_ROWS == 100_000
-        code, _, _ = run(capsys, "sweep", "separation", "--c-min", "2",
-                         "--c-max", c_max, "--c-step", "1e-5",
-                         "--out", str(tmp_path / "x.csv"))
+        out_file = tmp_path / "x.csv"
+        code, _, err = run(capsys, "sweep", "separation", "--c-min", "0.999995",
+                           "--c-max", c_max, "--c-step", "1e-5", "--out", str(out_file))
         assert code == expected
+        if expected == EXIT_OK:
+            assert len(out_file.read_text().splitlines()) == 2
+        else:
+            assert "--c-step" in err and not out_file.exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--c-min", "nan"), ("--c-min", "-inf"), ("--c-max", "inf"),
@@ -628,3 +650,51 @@ class TestLeafParsers:
                            "--lambda", "0.4", "--json")
         assert code == EXIT_OK
         assert json.loads(out)["inputs"]["C"] == C
+
+
+#: command lines whose value starts with "-" and a digit, or "-." and a
+#: digit, with the attribute that holds it after parsing; argparse before
+#: 3.13 read each such value as an unknown option and exited 64
+NEGATIVE_VALUES = {
+    "sweep separation --lam":
+        (["sweep", "separation", "--out", "<out>", "--lam", "-1e-3"], "lam", -1e-3),
+    "sweep separation --c-min":
+        (["sweep", "separation", "--out", "<out>", "--c-min", "-1e-3"], "c_min", -1e-3),
+    "geodesic eval --lambda": (["geodesic", "eval", "--lambda", "-0.5i"], "lam", "-0.5i"),
+    "geodesic solve --lambda0":
+        (["geodesic", "solve", "--point", "0.5,0.5,0.25", "--lambda0", "-5e-1"],
+         "lambda0", "-5e-1"),
+    "member tetrablock": (["member", "tetrablock", "-1e-3", "0", "0"], "components",
+                          ["-1e-3", "0", "0"]),
+    "distance": (["distance", "-1e-3,0,0", "0,0,0"], "w", "-1e-3,0,0"),
+    "member g2": (["member", "g2", "-.5e-1", "0"], "components", ["-.5e-1", "0"]),
+}
+
+
+class TestNegativeValues:
+    @pytest.mark.parametrize("argv, dest, value", NEGATIVE_VALUES.values(),
+                             ids=NEGATIVE_VALUES)
+    def test_value_reaches_its_command(self, capsys, monkeypatch, tmp_path, argv, dest,
+                                       value):
+        seen = []
+        for name in [n for n in vars(cli) if n.startswith("cmd_")]:
+            monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+        argv = [str(tmp_path / "x") if a == "<out>" else a for a in argv]
+        assert run(capsys, *argv) == (0, "", "")
+        args, = seen
+        assert getattr(args, dest) == value
+
+    @pytest.mark.parametrize("argv", [case[0] for case in NEGATIVE_VALUES.values()],
+                             ids=NEGATIVE_VALUES)
+    def test_command_runs(self, capsys, tmp_path, argv):
+        argv = [str(tmp_path / "x") if a == "<out>" else a for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_OK and err == ""
+
+    @pytest.mark.parametrize("argv", [["geodesic", "eval", "--C", "-inf"],
+                                      ["member", "g2", "-i", "0"],
+                                      ["member", "g2", "-j", "0"]], ids=" ".join)
+    def test_minus_and_a_letter_still_reads_as_an_option(self, capsys, argv):
+        # "--" guards such a value: member g2 -- -i 0
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == "" and err

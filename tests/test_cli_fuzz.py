@@ -16,12 +16,14 @@ EXIT_CODES = {0, 1, 2, 64, 65, 70, 74}
 OUT = "<out>"
 
 NUMBERS = ["nan", "inf", "-inf", "-1", "0", "0.1", "0.25", "0.5", "0.9", "2",
-           "1e-3", "1e999", "1e155", "1.7e308", "1e-320", "abc", "", "0.1+0.2i", "i"]
+           "1e-3", "1e999", "1e155", "1.7e308", "1e-320", "abc", "", "0.1+0.2i", "i",
+           "-1e-3", "-.5", "-0.5i"]
 INTEGERS = ["-3", "-1", "0", "1", "2", "3", "nan", "1.5", "x"]
 POINTS = ["0,0,0", "0.1,0.05,0.02", "0.12,0.07,0.03", "0,0,-0.5",
           "0,0.05,-0.5", "0.2,0,-0.3", "0.3,0.2,0.06", "1,0,0", "2,0,0",
           "0,0,1e155", "nan,0,0", "0.1,0.1", "a,b,c", "", "0.49j,1e-160,0",
-          "-1e-16j,1e-160,0", "0.3,1e-320j,1e-320-0.3j", "1e-08,-0.49,1e-8j"]
+          "-1e-16j,1e-160,0", "0.3,1e-320j,1e-320-0.3j", "1e-08,-0.49,1e-8j",
+          "-1e-3,0,0"]
 PHIS = ["id", "const:0.5", "const:-0.4", "const:nan", "auto:0.5",
         "auto:0.5,i", "auto:2", "blaschke:1|0.9|0.5;-0.2", "blaschke:1|abc|0.5",
         "blaschke:1|0.9", "bogus"]
@@ -101,6 +103,12 @@ def strip_none(argv):
           "--lambda", "3"])
 @example(["distance", "--", "0.49j,1e-160,0", "-1e-16j,1e-160,0"])
 @example(["distance", "--", "0.3,1e-320j,1e-320-0.3j", "1e-08,-0.49,1e-8j"])
+@example(["sweep", "separation", "--out", OUT, "--lam", "-1e-3"])
+@example(["sweep", "separation", "--out", OUT, "--c-min", "-1e-3"])
+@example(["geodesic", "eval", "--lambda", "-0.5i"])
+@example(["geodesic", "solve", "--point", "0.5,0.5,0.25", "--lambda0", "-5e-1"])
+@example(["member", "tetrablock", "-1e-3", "0", "0"])
+@example(["distance", "-1e-3,0,0", "0,0,0"])
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_every_argv_ends_in_a_documented_exit_code(argv):
