@@ -1,7 +1,7 @@
 """Invariant distances, extremal maps and complex geodesics on the
 tetrablock and the symmetrized bidisc."""
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 from .errors import DomainError, FitError, PoleError
 from .hyperbolic import BlaschkeMap, HyperbolicDistance, mobius_m
@@ -9,8 +9,7 @@ from .domains import (G2MembershipReport, G2Point, Location, MembershipReport,
                       TetraPoint, g2_membership, g2_roots, psi_sup,
                       rho_functional, tetra_e_value, tetra_membership)
 from .extremals import (FamilyBounds, G2FMap, PsiOmegaMap,
-                        caratheodory_lower_bound, family_bounds, p_e, psi_eta,
-                        sigma)
+                        caratheodory_lower_bound, family_bounds, p_e, sigma)
 from .geodesics import (DiscSearchResult, DiscVerdict,
                         DiscVerificationReport, G2GeodesicParams, GeneralDiscParams,
                         OriginGeodesicParams, OriginGeodesicSolution, PairReport,

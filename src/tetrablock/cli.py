@@ -60,15 +60,15 @@ class Parser(argparse.ArgumentParser):
     abbreviated options, so that an option of one action never passes for
     a prefix of another's (``--lambda`` for ``solve --lambda0``).
 
-    A token of ``-`` and a digit, or of ``-.`` and a digit, is a value, not
-    an option: argparse before 3.13 takes only ``-digits`` and
-    ``-digits.digits`` as numbers, so ``-1e-3``, ``-.5``, ``-0.5i`` and
-    ``-1e-3,0,0`` read as unknown options.  No option of this CLI starts
-    with a digit."""
+    A token of one ``-`` and a character other than ``-`` is a value unless
+    it is an option of the parser (``-h``): argparse takes only
+    ``-digits`` and ``-digits.digits`` as numbers, so ``-1e-3``, ``-.5``,
+    ``-i``, ``-inf`` and ``-1e-3,0,0`` would read as unknown options.  Every
+    other option of this CLI starts with ``--``, so ``--`` is never needed."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-[^-].*")
 
     def error(self, message):
         raise _UsageExit(message)
@@ -192,7 +192,10 @@ def cmd_member(args) -> int:
     if args.domain == "tetrablock":
         point = TetraPoint(*coords)
         report = tetra_membership(point, args.tol)
-        sup = psi_sup(point) if abs(point.z1) < 1.0 else None
+        try:
+            sup = psi_sup(point)
+        except DomainError:  # |z1| >= 1, by psi_sup's own modulus
+            sup = None
         results = {"location": report.location.value, "e_value": raw(report.e_value),
                    "psi_sup": raw(sup) if sup is not None else None}
         human = [f"location: {report.location.value}",

@@ -33,7 +33,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError
 from .hyperbolic import largest, least, modulus
 
 #: default width of the boundary band in membership classification
@@ -162,8 +162,8 @@ def is_interior(z) -> bool:
     return tetra_e_value(z) < 1.0 - DEFAULT_BOUNDARY_TOL
 
 
-#: the least modulus of a denominator that the family maps (``psi_eta`` and
-#: those of ``extremals``) divide by; a smaller one is a pole
+#: the least modulus of a denominator that the family maps of ``extremals``
+#: divide by; a smaller one is a pole
 POLE_TOL = 1e-14
 
 #: the largest real or imaginary part of a coordinate that the family maps
@@ -189,29 +189,6 @@ def require_map_point(point):
 #: a quarter of ``MAP_COORDINATE_MAX`` squared: a block whose rounded sum of
 #: squared moduli is at most this has no part beyond the bound
 _MAP_SQUARES_MAX = MAP_COORDINATE_MAX ** 2 / 4
-
-
-def psi_eta(eta, z):
-    """The rational membership family (eta z3 - z2) / (eta z1 - 1).
-
-    Requires eta in the closed disc, eta z1 != 1 and the coordinate parts
-    within ``MAP_COORDINATE_MAX``; on interior points the value has modulus
-    < 1.
-    Array etas and array points broadcast against each other and give an
-    array of values.  A scalar eta and point are checked without numpy.
-    """
-    z = TetraPoint.of(z)
-    require_map_point(z)
-    eta = as_coordinate(eta)
-    eta_max = largest(modulus(eta))
-    if not eta_max <= 1.0 + 1e-12:
-        raise DomainError(f"eta must lie in the closed disc, got |eta| = {eta_max}")
-    den = eta * z.z1 - 1.0
-    # |den| >= 1 - |eta| |z1|, so the sample-by-sample test runs only when
-    # that bound does not already clear the pole
-    if 1.0 - eta_max * largest(modulus(z.z1)) < POLE_TOL and least(modulus(den)) < POLE_TOL:
-        raise PoleError(f"psi_eta pole: |eta*z1 - 1| = {least(modulus(den))}")
-    return (eta * z.z3 - z.z2) / den
 
 
 def psi_sup(z):

@@ -26,10 +26,10 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .domains import (POLE_TOL, G2Point, TetraPoint, is_interior, psi_eta,
-                      psi_sup, require_map_point)
+from .domains import (POLE_TOL, G2Point, TetraPoint, is_interior, psi_sup,
+                      require_map_point)
 from .errors import DomainError, PoleError
-from .hyperbolic import (HyperbolicDistance, least, mobius_m, modulus,
+from .hyperbolic import (HyperbolicDistance, largest, least, mobius_m, modulus,
                          require_closed_disc_point, require_unimodular)
 
 
@@ -45,36 +45,45 @@ def sigma(z) -> TetraPoint:
 
 
 class PsiOmegaMap:
-    """Psi_eta as a map on C^3, optionally precomposed with the coordinate
-    swap and postmultiplied by a factor of the closed disc (unimodular for
-    a certified left inverse).
-
-    ``factor * Psi_eta(sigma^k z)`` with k in {0, 1}; carries closed-form
-    partial derivatives.  ``eta`` and ``factor`` may be (n, 1) arrays, a
-    stack of n maps applied row by row to points with coordinates of shape
-    (n, m).
+    """Psi_eta(z) = (eta z3 - z2) / (eta z1 - 1), eta in the closed disc, as
+    a map on C^3 with closed-form partial derivatives, optionally
+    precomposed with the coordinate swap and postmultiplied by a factor of
+    the closed disc (unimodular for a certified left inverse):
+    ``factor * Psi_eta(sigma^k z)`` with k in {0, 1}.  On interior points
+    |Psi_eta| < 1.  ``eta`` and ``factor`` may be arrays that broadcast
+    against the coordinates: (n, 1) against (n, m) applies n maps row by
+    row, and an array eta against a scalar point gives one value per eta.
     """
 
     def __init__(self, eta: complex, *, swap_first: bool = False, factor: complex = 1.0):
         self.eta = require_closed_disc_point(eta, name="eta")
         self.swap_first = bool(swap_first)
         self.factor = require_closed_disc_point(factor, name="factor")
+        self._eta_max = largest(modulus(self.eta))
 
-    def __call__(self, point) -> complex:
-        z = TetraPoint.of(point)
-        if self.swap_first:
-            z = sigma(z)
-        return self.factor * psi_eta(self.eta, z)
-
-    def gradient(self, point) -> Tuple[complex, complex, complex]:
+    def _point(self, point) -> Tuple[TetraPoint, complex]:
+        """The point (swapped when ``swap_first``) and eta z1 - 1, after the
+        one check of value and gradient: coordinate parts within
+        ``MAP_COORDINATE_MAX`` and the denominator ``POLE_TOL`` away from 0."""
         z = TetraPoint.of(point)
         require_map_point(z)
         if self.swap_first:
             z = sigma(z)
+        den = self.eta * z.z1 - 1.0
+        # |den| >= 1 - |eta| |z1|, so the sample-by-sample test runs only when
+        # that bound does not already clear the pole
+        if (1.0 - self._eta_max * largest(modulus(z.z1)) < POLE_TOL
+                and least(modulus(den)) < POLE_TOL):
+            raise PoleError(f"Psi_eta pole: |eta*z1 - 1| = {least(modulus(den))}")
+        return z, den
+
+    def __call__(self, point) -> complex:
+        z, den = self._point(point)
+        return self.factor * ((self.eta * z.z3 - z.z2) / den)
+
+    def gradient(self, point) -> Tuple[complex, complex, complex]:
+        z, den = self._point(point)
         eta = self.eta
-        den = eta * z.z1 - 1.0
-        if least(modulus(den)) < POLE_TOL:
-            raise PoleError("psi gradient pole")
         d1 = -eta * (eta * z.z3 - z.z2) / (den * den)
         d2 = -1.0 / den
         d3 = eta / den
@@ -90,22 +99,23 @@ class G2FMap:
     def __init__(self, omega: complex):
         self.omega = require_unimodular(omega)
 
-    def __call__(self, point) -> complex:
+    def _point(self, point) -> Tuple[G2Point, complex]:
+        """The point and 2 - omega s, after the one check of value and
+        gradient, as in ``PsiOmegaMap``."""
         w = G2Point.of(point)
         require_map_point(w)
-        omega = self.omega
-        den = 2.0 - omega * w.s
+        den = 2.0 - self.omega * w.s
         if least(modulus(den)) < POLE_TOL:
             raise PoleError(f"G2FMap pole: |2 - omega*s| = {least(modulus(den))}")
-        return (2.0 * omega * w.p - w.s) / den
+        return w, den
+
+    def __call__(self, point) -> complex:
+        w, den = self._point(point)
+        return (2.0 * self.omega * w.p - w.s) / den
 
     def gradient(self, point) -> Tuple[complex, complex]:
-        w = G2Point.of(point)
-        require_map_point(w)
+        w, den = self._point(point)
         omega = self.omega
-        den = 2.0 - omega * w.s
-        if least(modulus(den)) < POLE_TOL:
-            raise PoleError("G2FMap gradient pole")
         d_s = (-2.0 + 2.0 * omega ** 2 * w.p) / (den * den)
         d_p = 2.0 * omega / den
         return (d_s, d_p)

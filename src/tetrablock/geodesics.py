@@ -30,8 +30,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, e_value_raw,
-                      g2_roots, is_interior, psi_eta, psi_sup,
-                      stable_quadratic_roots)
+                      g2_roots, is_interior, psi_sup, stable_quadratic_roots)
 from .errors import DomainError, PoleError
 from .extremals import FamilyBounds, PsiOmegaMap, family_bounds, sigma
 from .hyperbolic import (TOL_CLOSURE, BlaschkeMap, HyperbolicDistance, largest,
@@ -542,7 +541,10 @@ def _origin_disc(z: TetraPoint, swapped: bool) -> Optional[OriginGeodesicSolutio
     (C, mu, v) in the closed disc, or when the disc misses the point."""
     zz = sigma(z) if swapped else z
     eta = cmath.exp(1j * _maximizing_angle(zz))
-    mu = psi_eta(eta, zz)
+    # Psi_eta(zz) inline: zz is interior and |eta| = 1, so |eta z1 - 1| >=
+    # 1 - |z1| > 0 and no check of ``PsiOmegaMap`` could fire; its factor
+    # 1 + 0j would also turn an imaginary -0.0 into +0.0
+    mu = (eta * zz.z3 - zz.z2) / (eta * zz.z1 - 1.0)
     if abs(mu) < _ORIGIN_TOL:
         return None
     v = eta * zz.z3 / mu

@@ -10,6 +10,7 @@ flows through a seed, so a fixed seed reproduces every number bit for bit.
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
@@ -541,15 +542,15 @@ ALL_SUITES: Dict[str, Callable[..., SuiteResult]] = {
     "transport": suite_transport,
 }
 
-_SEEDED = {"boundary", "inclusion", "certificate", "necessary", "g2-window",
-           "membership", "rho", "transport"}
-
 
 def run_suites(names: Sequence[str], seed: int = 0) -> List[SuiteResult]:
+    """Run the named suites in order, passing ``seed`` to each one whose
+    signature takes it."""
     results = []
     for name in names:
         fn = ALL_SUITES.get(name)
         if fn is None:
             raise KeyError(f"unknown suite {name!r}; known: {sorted(ALL_SUITES)}")
-        results.append(fn(seed=seed) if name in _SEEDED else fn())
+        seeded = "seed" in inspect.signature(fn).parameters
+        results.append(fn(seed=seed) if seeded else fn())
     return results

@@ -96,6 +96,17 @@ class TestMember:
         assert code == EXIT_EXTERIOR
         assert "e_value (raw): inf" in out and err == ""
 
+    @pytest.mark.parametrize("z1, sup", [
+        # |z1| rounds to 1 - 2^-53 by abs() but to 1.0 by psi_sup's modulus,
+        # and the other way round
+        ("0.6678955453737088+0.7442550238123731j", None),
+        ("0.08644047343811254-0.9962570173162119j", {"scale": "raw", "value": 0.0}),
+    ])
+    def test_psi_sup_is_null_exactly_where_psi_sup_rejects(self, capsys, z1, sup):
+        code, out, err = run(capsys, "member", "tetrablock", z1, "0", "0", "--json")
+        assert code == EXIT_BOUNDARY and err == ""
+        assert json.loads(out)["results"]["psi_sup"] == sup
+
     def test_g2_with_guard(self, capsys):
         code, out, _ = run(capsys, "member", "g2", "--", "-0.8", "0.16")
         assert code == EXIT_OK
@@ -671,6 +682,23 @@ NEGATIVE_VALUES = {
 }
 
 
+#: the exit code and a part of the error of a value that starts with "-"
+#: and a letter
+MINUS_AND_A_LETTER = {
+    "member g2 -i 0": (["member", "g2", "-i", "0"], EXIT_BOUNDARY, ""),
+    "member g2 -j -i": (["member", "g2", "-j", "-i"], EXIT_EXTERIOR, ""),
+    "distance -i,0,0": (["distance", "-i,0,0", "0,0,0"], EXIT_INVARIANT,
+                        "w must be interior"),
+    "geodesic eval --C -inf": (["geodesic", "eval", "--C", "-inf"], EXIT_USAGE,
+                               "must be finite"),
+    "geodesic eval --C -nan": (["geodesic", "eval", "--C", "-nan"], EXIT_USAGE,
+                               "must be finite"),
+    "member tetrablock -x": (["member", "tetrablock", "-x", "0", "0"], EXIT_USAGE,
+                             "cannot parse complex literal"),
+    "verify -x": (["verify", "-x"], EXIT_USAGE, "unrecognized arguments: -x"),
+}
+
+
 class TestNegativeValues:
     @pytest.mark.parametrize("argv, dest, value", NEGATIVE_VALUES.values(),
                              ids=NEGATIVE_VALUES)
@@ -691,10 +719,15 @@ class TestNegativeValues:
         code, _, err = run(capsys, *argv)
         assert code == EXIT_OK and err == ""
 
-    @pytest.mark.parametrize("argv", [["geodesic", "eval", "--C", "-inf"],
-                                      ["member", "g2", "-i", "0"],
-                                      ["member", "g2", "-j", "0"]], ids=" ".join)
-    def test_minus_and_a_letter_still_reads_as_an_option(self, capsys, argv):
-        # "--" guards such a value: member g2 -- -i 0
-        code, out, err = run(capsys, *argv)
-        assert code == EXIT_USAGE and out == "" and err
+    @pytest.mark.parametrize("argv, code, message", MINUS_AND_A_LETTER.values(),
+                             ids=MINUS_AND_A_LETTER)
+    def test_minus_and_a_letter_reads_as_a_value(self, capsys, argv, code, message):
+        # argparse alone reads each such value as an unknown option
+        got, _, err = run(capsys, *argv)
+        assert got == code and message in err
+
+    def test_minus_h_is_still_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["member", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tetrablock member")

@@ -17,7 +17,7 @@ OUT = "<out>"
 
 NUMBERS = ["nan", "inf", "-inf", "-1", "0", "0.1", "0.25", "0.5", "0.9", "2",
            "1e-3", "1e999", "1e155", "1.7e308", "1e-320", "abc", "", "0.1+0.2i", "i",
-           "-1e-3", "-.5", "-0.5i"]
+           "-1e-3", "-.5", "-0.5i", "-i", "-nan", "0.6678955453737088+0.7442550238123731j"]
 INTEGERS = ["-3", "-1", "0", "1", "2", "3", "nan", "1.5", "x"]
 POINTS = ["0,0,0", "0.1,0.05,0.02", "0.12,0.07,0.03", "0,0,-0.5",
           "0,0.05,-0.5", "0.2,0,-0.3", "0.3,0.2,0.06", "1,0,0", "2,0,0",
@@ -109,6 +109,9 @@ def strip_none(argv):
 @example(["geodesic", "solve", "--point", "0.5,0.5,0.25", "--lambda0", "-5e-1"])
 @example(["member", "tetrablock", "-1e-3", "0", "0"])
 @example(["distance", "-1e-3,0,0", "0,0,0"])
+@example(["member", "g2", "-i", "0"])
+@example(["distance", "-i,0,0", "0,0,0"])
+@example(["geodesic", "eval", "--C", "-inf"])
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_every_argv_ends_in_a_documented_exit_code(argv):

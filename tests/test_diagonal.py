@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 from oracles import c_g2, diagonal_pairs, diagonal_point
-from tetrablock.domains import Location, g2_membership, psi_eta, tetra_membership
-from tetrablock.extremals import G2FMap, family_bounds
+from tetrablock.domains import Location, g2_membership, tetra_membership
+from tetrablock.extremals import G2FMap, PsiOmegaMap, family_bounds
 from tetrablock.geodesics import (G2GeodesicParams, OriginGeodesicParams,
                                   g2_geodesic_disc, origin_geodesic_disc, pair_report)
 from tetrablock.hyperbolic import BlaschkeMap
@@ -88,5 +88,5 @@ def test_g2_family_map_is_minus_psi_on_the_diagonal():
     s, p = eig.sum(axis=0), eig.prod(axis=0)
     for omega in np.exp(2j * math.pi * rng.uniform(size=20)):
         F = G2FMap(omega)
-        gap = np.abs(F((s, p)) + psi_eta(F.omega, diagonal_point((s, p))))
+        gap = np.abs(F((s, p)) + PsiOmegaMap(F.omega)(diagonal_point((s, p))))
         assert gap.max() <= 1e-15, omega

@@ -13,7 +13,7 @@ from tetrablock.domains import (TetraPoint, is_interior, psi_sup, rho_functional
 from tetrablock.errors import DomainError, PoleError
 from tetrablock.extremals import (FamilyBounds, G2FMap, PsiOmegaMap,
                                   caratheodory_lower_bound, family_bounds, p_e,
-                                  psi_eta, sigma)
+                                  sigma)
 from tetrablock.geodesics import OriginGeodesicParams, eval_origin_geodesic
 from tetrablock.hyperbolic import BlaschkeMap, mobius_m
 from tetrablock.verify import (random_disc_point, random_interior_points,
@@ -24,10 +24,10 @@ from oracles import f_omega, magic_f, numeric_gradient
 
 class TestPsiEta:
     def test_eta_zero_gives_second_coordinate(self):
-        assert psi_eta(0.0, (0.1, 0.2, 0.3)) == pytest.approx(0.2)
+        assert PsiOmegaMap(0.0)((0.1, 0.2, 0.3)) == pytest.approx(0.2)
 
     def test_axis_point(self):
-        assert psi_eta(1.0, (0, 0, 0.4)) == pytest.approx(-0.4)
+        assert PsiOmegaMap(1.0)((0, 0, 0.4)) == pytest.approx(-0.4)
 
     def test_recovers_disc_parameter_on_geodesics(self):
         # composing with the family member conj(omega1) unwinds the disc:
@@ -36,22 +36,22 @@ class TestPsiEta:
         params = OriginGeodesicParams(C, cmath.exp(0.3j), cmath.exp(-0.8j),
                                       BlaschkeMap.constant(-C))
         for lam in (0.5, 0.2 - 0.3j):
-            value = psi_eta(params.omega1.conjugate(),
-                            eval_origin_geodesic(params, lam))
+            value = PsiOmegaMap(params.omega1.conjugate())(
+                eval_origin_geodesic(params, lam))
             assert value == pytest.approx(params.omega2 * lam, abs=1e-14)
 
     def test_pole_guard(self):
         with pytest.raises(PoleError):
-            psi_eta(1.0, TetraPoint(1.0, 0.0, 0.0))
+            PsiOmegaMap(1.0)(TetraPoint(1.0, 0.0, 0.0))
 
     def test_eta_outside_closed_disc_rejected(self):
         with pytest.raises(DomainError):
-            psi_eta(1.5, (0, 0, 0))
+            PsiOmegaMap(1.5)
 
     def test_interior_values_inside_disc(self):
         rng = np.random.default_rng(2)
         for z in random_interior_points(rng, 200):
-            assert abs(psi_eta(cmath.exp(2j * math.pi * rng.uniform()), z)) < 1.0
+            assert abs(PsiOmegaMap(cmath.exp(2j * math.pi * rng.uniform()))(z)) < 1.0
 
 
 class TestAutomorphisms:
@@ -164,7 +164,7 @@ class TestPE:
 
     def test_dominates_sampled_maximum(self):
         thetas = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        eta = np.exp(1j * thetas)
+        psi = PsiOmegaMap(np.exp(1j * thetas))
         rng = np.random.default_rng(24)
         points = random_interior_points(rng, 200)
         pairs = list(zip(points[:100], points[100:]))
@@ -174,7 +174,7 @@ class TestPE:
         for w, z in pairs:
             if not (is_interior(w) and is_interior(z)):
                 continue
-            sampled = max(float(np.max(mobius_m(psi_eta(eta, a), psi_eta(eta, b))))
+            sampled = max(float(np.max(mobius_m(psi(a), psi(b))))
                           for a, b in ((w, z), (sigma(w), sigma(z))))
             assert p_e(w, z).m_scale >= sampled - 1e-15
 

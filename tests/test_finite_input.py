@@ -217,12 +217,11 @@ def test_family_maps(coordinates, eta, factor, swap):
     g2 = attempt(lambda: G2FMap(eta))
     for point in (TetraPoint(*coordinates[:3]), TetraPoint(*blocks)):
         pair = G2Point(point.z1, point.z2)
+        # one check rejects a point for value and gradient alike
         if psi is not None:
-            outcome(psi, point)
-            outcome(psi.gradient, point)
+            assert (outcome(psi, point) is None) == (outcome(psi.gradient, point) is None)
         if g2 is not None:
-            outcome(g2, pair)
-            outcome(g2.gradient, pair)
+            assert (outcome(g2, pair) is None) == (outcome(g2.gradient, pair) is None)
 
 
 def test_map_point_bound_is_by_part_in_a_block():

@@ -502,6 +502,17 @@ class TestOriginSolver:
             solved += 1
         assert solved >= 10
 
+    def test_left_inverse_gives_lam0(self):
+        # the solver forms lam0 = Psi_eta(z) inline; the checked map of its
+        # certificate gives it again, up to the rounding of omega1 = conj(eta)
+        # to modulus 1 by the record (at most 2.5e-16 on 2 000 points)
+        points = [*random_interior_points(np.random.default_rng(5), 200),
+                  *map(TetraPoint.of, ((0.5, 0.5, 0.25), (0.25, 0.5, 0.125),
+                                       (0, 0.3, 0.1), (0.1, 0.05, 0.02)))]
+        for z in points:
+            sol = origin_lempert(z)
+            assert abs(sol.left_inverse()(z) - sol.lam0) <= 1e-15, z
+
     def test_product_point_value_dominated_by_larger_coordinate(self):
         # geodesics through product points are not unique; whichever
         # representation the closed form picks, the value is the larger

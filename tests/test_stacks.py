@@ -955,6 +955,19 @@ def test_a_suite_takes_no_size(name):
     assert set(inspect.signature(ALL_SUITES[name]).parameters) <= {"seed"}
 
 
+def test_run_suites_passes_the_seed_to_each_suite_that_takes_one(monkeypatch):
+    # the signature decides, so a suite that gains ``seed`` needs no entry
+    # in a list beside it to run at the run's seed
+    seen = []
+
+    def stub(seed: int = 0):
+        seen.append(seed)
+        return verify.SuiteResult("stub", True, {})
+
+    monkeypatch.setitem(ALL_SUITES, "stub", stub)
+    assert verify.run_suites(["stub"], seed=11)[0].passed and seen == [11]
+
+
 def test_unimodular_sampler_shapes():
     rng = np.random.default_rng(1)
     assert type(random_unimodular(rng)) is complex
