@@ -1,9 +1,9 @@
 """Invariant distances, extremal maps and complex geodesics on the
 tetrablock and the symmetrized bidisc."""
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
-from .errors import DomainError, FitError, PoleError
+from .errors import DomainError, PoleError
 from .hyperbolic import BlaschkeMap, HyperbolicDistance, mobius_m
 from .domains import (G2MembershipReport, G2Point, Location, MembershipReport,
                       TetraPoint, g2_membership, g2_roots, psi_sup,

@@ -28,11 +28,10 @@ from .errors import DomainError
 from .extremals import G2FMap
 from .geodesics import (DiscVerdict, G2GeodesicParams, GeneralDiscParams,
                         OriginGeodesicParams, certified_left_inverse,
-                        disc_search_upper_bound, g2_geodesic_disc, general_disc,
-                        lempert_special, origin_geodesic_disc, pair_report,
-                        solve_origin_geodesic_through, verify_disc)
+                        g2_geodesic_disc, general_disc, origin_geodesic_disc,
+                        pair_report, solve_origin_geodesic_through, verify_disc)
 from .hyperbolic import BlaschkeMap, HyperbolicDistance, require_disc_point
-from .verify import ALL_SUITES, LEMPERT_TOL, lempert_grid, run_suites
+from .verify import ALL_SUITES, LEMPERT_TOL, lempert_rows, run_suites
 
 EXIT_OK = 0
 EXIT_BOUNDARY = 1
@@ -360,11 +359,10 @@ def cmd_verify(args) -> int:
 
 
 def _format_cell(value) -> str:
+    """A sweep cell, a bool or a float, as csv text."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g")
 
 
 def _write_sweep(args, rows: List[Dict[str, object]], columns: List[str]) -> int:
@@ -408,15 +406,10 @@ def cmd_sweep_separation(args) -> int:
 def cmd_sweep_lempert(args) -> int:
     if args.grid_n ** 2 > MAX_SWEEP_ROWS:
         raise _UsageExit(f"--grid-n too large: at most {MAX_SWEEP_ROWS} rows")
-    rows: List[Dict[str, object]] = []
-    for z, w in lempert_grid(args.grid_n):
-        closed = lempert_special(z, w).m_scale
-        search = disc_search_upper_bound(TetraPoint(0, 0, w), TetraPoint(0, z, w))
-        k_upper = search.bound.m_scale if search.found else math.nan
-        equal = search.found and abs(k_upper - closed) < LEMPERT_TOL
-        rows.append({"closed_form_m": closed, "k_upper_m": k_upper,
-                     "equal_within_tol": bool(equal),
-                     "w_im": w.imag, "w_re": w.real, "z_im": z.imag, "z_re": z.real})
+    rows = [{"closed_form_m": closed, "k_upper_m": k_upper,
+             "equal_within_tol": abs(k_upper - closed) < LEMPERT_TOL,
+             "w_im": w.imag, "w_re": w.real, "z_im": z.imag, "z_re": z.real}
+            for z, w, closed, k_upper in lempert_rows(args.grid_n)]
     return _write_sweep(args, rows, ["closed_form_m", "equal_within_tol", "k_upper_m",
                                     "w_im", "w_re", "z_im", "z_re"])
 

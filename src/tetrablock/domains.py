@@ -162,6 +162,18 @@ def is_interior(z) -> bool:
     return tetra_e_value(z) < 1.0 - DEFAULT_BOUNDARY_TOL
 
 
+def require_interior(z, name: str) -> TetraPoint:
+    """z as a ``TetraPoint``; ``DomainError`` naming it when it is an array
+    point or lies outside the open tetrablock."""
+    z = TetraPoint.of(z)
+    # a scalar coordinate is a Python complex (``as_coordinate``)
+    if not type(z.z1) is type(z.z2) is type(z.z3) is complex:
+        raise DomainError(f"{name} must be one point, not an array of points")
+    if not is_interior(z):
+        raise DomainError(f"{name} must be interior to the tetrablock")
+    return z
+
+
 #: the least modulus of a denominator that the family maps of ``extremals``
 #: divide by; a smaller one is a pole
 POLE_TOL = 1e-14

@@ -7,7 +7,3 @@ class DomainError(ValueError):
 
 class PoleError(DomainError):
     """Evaluation was requested at (or numerically too close to) a pole."""
-
-
-class FitError(ValueError):
-    """A least-squares fit could not be performed (too few / degenerate samples)."""

@@ -26,7 +26,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .domains import (POLE_TOL, G2Point, TetraPoint, is_interior, psi_sup,
+from .domains import (POLE_TOL, G2Point, TetraPoint, psi_sup, require_interior,
                       require_map_point)
 from .errors import DomainError, PoleError
 from .hyperbolic import (HyperbolicDistance, largest, least, mobius_m, modulus,
@@ -236,23 +236,12 @@ class FamilyBounds(NamedTuple):
     magic_f: float
 
 
-def _interior_pair(w, z) -> Tuple[TetraPoint, TetraPoint]:
-    w, z = TetraPoint.of(w), TetraPoint.of(z)
-    for name, point in (("w", w), ("z", z)):
-        # a scalar coordinate is a Python complex (``as_coordinate``)
-        if not type(point.z1) is type(point.z2) is type(point.z3) is complex:
-            raise DomainError(f"{name} must be one point, not an array of points")
-        if not is_interior(point):
-            raise DomainError(f"{name} must be interior to the tetrablock")
-    return w, z
-
-
 def family_bounds(w, z) -> FamilyBounds:
     """Each family's bound on a pair of interior points: the Psi families'
     maxima over the unimodular parameter (both from one solve), and for
     ``magic_f`` the larger of its distance and that of ``magic_f o sigma``,
     which makes it sigma-invariant."""
-    w, z = _interior_pair(w, z)
+    w, z = require_interior(w, "w"), require_interior(z, "z")
     # magic_f and magic_f o sigma: z2 and z1 over one principal root.  On
     # interior points |z1 z2 - z3| < 1, so the radicand stays in the right
     # half-plane, away from the branch cut
@@ -267,7 +256,8 @@ def p_e(w, z) -> HyperbolicDistance:
     field of ``family_bounds``, without the ``magic_f`` term, and a lower
     bound for the Caratheodory pseudodistance dominated by
     ``caratheodory_lower_bound``."""
-    return HyperbolicDistance.from_m(max(_psi_family_bounds(*_interior_pair(w, z))))
+    w, z = require_interior(w, "w"), require_interior(z, "z")
+    return HyperbolicDistance.from_m(max(_psi_family_bounds(w, z)))
 
 
 def caratheodory_lower_bound(w, z) -> HyperbolicDistance:

@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .domains import (DEFAULT_BOUNDARY_TOL, G2Point, TetraPoint, e_value_raw,
-                      g2_roots, is_interior, psi_sup, stable_quadratic_roots)
+                      g2_roots, psi_sup, require_interior, stable_quadratic_roots)
 from .errors import DomainError, PoleError
 from .extremals import FamilyBounds, PsiOmegaMap, family_bounds, sigma
 from .hyperbolic import (TOL_CLOSURE, BlaschkeMap, HyperbolicDistance, largest,
@@ -595,12 +595,10 @@ def origin_lempert(z) -> Optional[OriginGeodesicSolution]:
     those sides carry a geodesic through 0 and z.  Ties break toward the
     lowest phi degree, then the smallest C, then the unswapped side.  None
     if the closed-form disc misses z, which does not prove non-existence."""
-    z = TetraPoint.of(z)
+    z = require_interior(z, "z")
     if _at_origin(z):
         params = OriginGeodesicParams(0.0, 1.0, 1.0, BlaschkeMap.constant(0.0))
         return OriginGeodesicSolution(params, 0.0, False, 0.0)
-    if not is_interior(z):
-        raise DomainError("target must be interior to the tetrablock")
     sups = (psi_sup(z), psi_sup(sigma(z)))
     solutions = [_origin_disc(z, swapped) for swapped in (False, True)
                  if sups[swapped] == max(sups)]
@@ -639,20 +637,18 @@ def solve_origin_geodesic_through(z, lam0: complex) -> Optional[OriginGeodesicSo
 class DiscSearchResult:
     """Outcome of an interpolating-disc search.
 
-    ``residual`` is |f(lam1) - w|^2 + |f(lam2) - z|^2 of the accepted disc;
-    ``bound`` is a certified upper bound for the Lempert function once
-    ``found`` is True.  ``reason`` says deterministically how the result was
-    reached, or why nothing was found; ``starts`` counts the closed-form
-    candidates (C, omega1) of the general-disc route and ``evaluations`` the
-    discs it built from them, 0 when it did not run.
+    ``residual`` is |f(lam_w) - w|^2 + |f(lam_z) - z|^2 of the accepted disc
+    f; ``bound`` is m(lam_w, lam_z), a certified upper bound for the Lempert
+    function once ``found`` is True.  ``reason`` says deterministically how
+    the result was reached, or why nothing was found; ``starts`` counts the
+    closed-form candidates (C, omega1) of the general-disc route and
+    ``evaluations`` the discs it built from them, 0 when it did not run.
     """
 
     found: bool
     bound: Optional[HyperbolicDistance]
     residual: float
     family: str
-    lam1: Optional[complex] = None
-    lam2: Optional[complex] = None
     reason: str = ""
     starts: int = 0
     evaluations: int = 0
@@ -677,7 +673,7 @@ def _accepted_disc(family: str, f: Callable, lam_w: complex, w: TetraPoint,
     if residual >= _SEARCH_ACCEPT:
         return None
     return DiscSearchResult(True, HyperbolicDistance.from_m(mobius_m(lam_w, lam_z)),
-                            residual, family, lam_w, lam_z, reason=f"{family}: closed form")
+                            residual, family, reason=f"{family}: closed form")
 
 
 def axis_pair(w, z) -> Optional[Tuple[complex, complex, bool, bool]]:
@@ -738,12 +734,9 @@ def _product_pair_candidate(w: TetraPoint, z: TetraPoint) -> Optional[DiscSearch
     else:
         w2, z2 = w, z
     u2 = (z2.z1 - w2.z1) / (1.0 - w2.z1.conjugate() * z2.z1)
-    if abs(u2) < 1e-15:
-        target = max(d1, d2)
-        if target > 1e-13:
-            return None
-        return DiscSearchResult(True, HyperbolicDistance.zero(), 0.0, "product", 0.0, 0.0,
-                                reason="product: closed form")
+    # u2 = 0 makes both coordinate distances 0, and two slice points equal
+    # in z1 and z2 are equal to rounding in z3: the search answers such a
+    # pair as trivial before any route, so u2 is never 0 here
     c = ((z2.z2 - w2.z2) / (1.0 - w2.z2.conjugate() * z2.z2)) / u2
 
     def f(t: complex) -> TetraPoint:
@@ -881,7 +874,7 @@ def _general_disc_bound(w: TetraPoint, z: TetraPoint, budget: int) -> DiscSearch
         return DiscSearchResult(False, None, math.inf, "none", **counts)
     t, residual = min(exact)
     return DiscSearchResult(True, HyperbolicDistance.from_m(t), residual, "general-disc",
-                            0.0, t, **counts)
+                            **counts)
 
 
 #: the closed routes in the order the search tries them: the origin geodesic
@@ -903,13 +896,9 @@ def disc_search_upper_bound(w, z, budget: int = 100000) -> DiscSearchResult:
     rounding; it builds one disc per closed-form (C, omega1) of the
     endpoints, at most ``budget`` discs.
     """
-    w = TetraPoint.of(w)
-    z = TetraPoint.of(z)
-    for name, point in (("w", w), ("z", z)):
-        if not is_interior(point):
-            raise DomainError(f"{name} must be interior to the tetrablock")
+    w, z = require_interior(w, "w"), require_interior(z, "z")
     if max(abs(a - b) for a, b in zip(w, z)) < 1e-14:
-        return DiscSearchResult(True, HyperbolicDistance.zero(), 0.0, "trivial", 0.0, 0.0,
+        return DiscSearchResult(True, HyperbolicDistance.zero(), 0.0, "trivial",
                                 reason="trivial: w = z")
     for route in _CLOSED_ROUTES:
         result = route(w, z)

@@ -15,10 +15,10 @@ model by least squares, and passes when the worst deviation is below
 tolerance.  Equivalently, dividing by i, the weighted sum itself equals
 conj(a) lam^2 + C lam + a with a = -i psi0.
 
-The fits take a stack of n sample rows at one grid of m points: the checks
-on the grid run once, one ``lstsq`` call solves all n right-hand sides, and
-the fitted fields are (n, 1) arrays.  One sample row is a stack of one,
-and one geodesic is checked as a stack of one disc.
+The fits take a stack of n sample rows at the 64 points of ``fit_grid()``:
+both designs are built once, at import, one ``lstsq`` call solves all n
+right-hand sides, and the fitted fields are (n, 1) arrays.  One sample row
+is a stack of one, and one geodesic is checked as a stack of one disc.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .domains import as_coordinate
-from .errors import DomainError, FitError
+from .errors import DomainError
 from .geodesics import left_inverse_residual, sample_grid
 
 #: fit grid: 4 radii x 16 angles, 64 samples
@@ -53,6 +53,21 @@ G2_ACTION = (1.0, 2.0)
 def fit_grid() -> np.ndarray:
     """The fit sample points, radius by radius, as one complex array."""
     return sample_grid(FIT_RADII, FIT_N_ANGLES)
+
+
+def _designs() -> Tuple[np.ndarray, np.ndarray]:
+    """The real design of the constrained fit, whose rows 2k and 2k + 1 match
+    the real and imaginary parts of sample k, and the complex Vandermonde
+    design of the general fit, both on ``fit_grid()``."""
+    lams = fit_grid()
+    sq = lams * lams
+    a, b, c, d = sq.real, sq.imag, lams.real, lams.imag
+    constrained = np.stack([np.column_stack([1.0 - a, -b, -d]),
+                            np.column_stack([-b, 1.0 + a, c])], axis=1).reshape(-1, 3)
+    return constrained, np.vander(lams, 3, increasing=True)
+
+
+_CONSTRAINED_DESIGN, _GENERAL_DESIGN = _designs()
 
 
 def psi_of_lambda(F: Callable, f: Callable, actions: Sequence[Tuple[float, ...]],
@@ -92,60 +107,37 @@ class QuadraticFit:
         return -self.psi0.conjugate() * lam * lam + 1j * self.C * lam + self.psi0
 
 
-def _require_samples(lams: np.ndarray, minimum: int) -> None:
-    if lams.size < minimum:
-        raise FitError(f"need at least {minimum} samples, got {lams.size}")
-
-
-def fit_quadratic_forms(lams: np.ndarray, values: np.ndarray) -> QuadraticFit:
+def fit_quadratic_forms(values: np.ndarray) -> QuadraticFit:
     """Least-squares fits of the conjugate-coupled quadratic model to each
-    row of ``values``, an (n, m) array sampled at the m points ``lams``.
+    row of ``values``, an (n, m) array sampled at the m points of
+    ``fit_grid()``.
 
     Unknowns are Re psi0, Im psi0 and the real C; the coupling between the
     lam^2 and constant coefficients is built into the (real) design matrix.
-    The grid needs at least 8 distinct points and a design of full rank,
-    else FitError; the checks depend on the grid alone and run once.  All
-    rows are solved by one ``lstsq`` call with n right-hand sides, and each
-    gets its own residual.
+    All rows are solved by one ``lstsq`` call with n right-hand sides, and
+    each gets its own residual.
     """
-    lams = np.asarray(lams, dtype=complex)
     values = np.asarray(values, dtype=complex)
-    _require_samples(lams, 8)
-    distinct = np.unique(np.round(lams.real, 12) + 1j * np.round(lams.imag, 12))
-    if distinct.size < 8:
-        raise FitError("sample points are not distinct enough")
-    sq = lams * lams
-    a, b, c, d = sq.real, sq.imag, lams.real, lams.imag
-    # rows 2k and 2k + 1 match the real and imaginary parts of sample k
-    matrix = np.stack([np.column_stack([1.0 - a, -b, -d]),
-                       np.column_stack([-b, 1.0 + a, c])], axis=1).reshape(-1, 3)
     target = np.stack([values.real, values.imag], axis=-1).reshape(len(values), -1).T
-    solution, _, rank, _ = np.linalg.lstsq(matrix, target, rcond=None)
-    if rank < 3:
-        raise FitError("rank-deficient fit (degenerate sample geometry)")
+    solution = np.linalg.lstsq(_CONSTRAINED_DESIGN, target, rcond=None)[0]
     fit = QuadraticFit((solution[0] + 1j * solution[1])[:, None], solution[2][:, None], 0.0)
-    return replace(fit, residual=np.max(np.abs(fit.evaluate(lams) - values),
+    return replace(fit, residual=np.max(np.abs(fit.evaluate(fit_grid()) - values),
                                         axis=1, keepdims=True))
 
 
-def fit_general_quadratics(lams: np.ndarray, values: np.ndarray
+def fit_general_quadratics(values: np.ndarray
                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Unconstrained complex quadratic fits c0 + c1 lam + c2 lam^2 of each
-    row of ``values`` (n, m) at the m points ``lams``, in one ``lstsq``
-    call; returns (c0, c1, c2, residual) as (n, 1) arrays.
+    row of ``values`` (n, m) at the m points of ``fit_grid()``, in one
+    ``lstsq`` call; returns (c0, c1, c2, residual) as (n, 1) arrays.
 
     Used as a cross-check that the constrained structure (c0 small / c1
     purely of the expected type / c2 = conj(c0)) emerges from the data
     rather than from the constraint.
     """
-    lams = np.asarray(lams, dtype=complex)
     values = np.asarray(values, dtype=complex)
-    _require_samples(lams, 3)
-    design = np.vander(lams, 3, increasing=True)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, values.T, rcond=None)
-    if rank < 3:
-        raise FitError("rank-deficient fit")
-    residual = np.max(np.abs(design @ coeffs - values.T), axis=0)
+    coeffs = np.linalg.lstsq(_GENERAL_DESIGN, values.T, rcond=None)[0]
+    residual = np.max(np.abs(_GENERAL_DESIGN @ coeffs - values.T), axis=0)
     return coeffs[0][:, None], coeffs[1][:, None], coeffs[2][:, None], residual[:, None]
 
 
@@ -189,7 +181,7 @@ def geodesic_necessary_checks(F: Callable, f: Callable, actions: Sequence[Tuple[
     lams = fit_grid()
     psi = np.concatenate([np.broadcast_to(values, (len(hyp), lams.size))
                           for values in psi_of_lambda(F, f, actions, lams)])
-    fits = fit_quadratic_forms(lams, psi)
+    fits = fit_quadratic_forms(psi)
     reports = []
     for k in range(len(actions)):
         rows = slice(k * len(hyp), (k + 1) * len(hyp))

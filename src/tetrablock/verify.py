@@ -25,12 +25,11 @@ from .geodesics import (G2GeodesicParams, GeneralDiscParams,
                         OriginGeodesicParams, TransportClass, boundary_disc,
                         certified_left_inverse, disc_search_upper_bound,
                         g2_geodesic_disc, g2_violation_witness, general_disc,
-                        origin_geodesic_disc, pair_report, sample_grid,
-                        transport_disc)
+                        lempert_special, origin_geodesic_disc, pair_report,
+                        sample_grid, transport_disc)
 from .hyperbolic import BlaschkeMap, largest, mobius_m
 from .necessary import (G2_ACTION, TETRABLOCK_ACTIONS, CheckVerdict,
-                        fit_general_quadratics, fit_grid,
-                        geodesic_necessary_checks)
+                        fit_general_quadratics, geodesic_necessary_checks)
 
 
 @dataclass(frozen=True)
@@ -325,6 +324,17 @@ def lempert_grid(n_side: int) -> Iterator[Tuple[complex, complex]]:
                 yield z, w
 
 
+def lempert_rows(n_side: int) -> Iterator[Tuple[complex, complex, float, float]]:
+    """(z, w, closed form, k_upper) at each (z, w) of ``lempert_grid``: the
+    m-scale ``lempert_special`` value of the axis pair ((0, 0, w), (0, z,
+    w)) and the bound of its ``disc_search_upper_bound``, NaN when the
+    search finds nothing."""
+    for z, w in lempert_grid(n_side):
+        search = disc_search_upper_bound(TetraPoint(0, 0, w), TetraPoint(0, z, w))
+        yield (z, w, lempert_special(z, w).m_scale,
+               search.bound.m_scale if search.found else math.nan)
+
+
 def _worst_extremal_deviation(pairs: Sequence[Tuple[complex, complex]]) -> float:
     """The largest miss of the transported extremals through the axis pairs
     ((0, 0, w), (0, z, w)), one stacked disc for all (z, w): C = |w|,
@@ -362,11 +372,10 @@ def suite_lempert() -> SuiteResult:
     worst_low = math.inf
     pairs = 0
     found = []
-    for z, w in lempert_grid(10):
+    for z, w, closed, k_upper in lempert_rows(10):
         pairs += 1
-        result = disc_search_upper_bound(TetraPoint(0, 0, w), TetraPoint(0, z, w))
-        if result.found:
-            gap = result.bound.m_scale - abs(z) / (1.0 - abs(w))
+        if not math.isnan(k_upper):
+            gap = k_upper - closed
             worst_high = max(worst_high, gap)
             worst_low = min(worst_low, gap)
             found.append((z, w))
@@ -421,7 +430,7 @@ def suite_necessary(seed: int = 0) -> SuiteResult:
     failures += int(np.count_nonzero(report.verdict != CheckVerdict.PASS))
     worst_fit = max(worst_fit, float(np.max(fit.residual)))
     # the unconstrained cross-fit of the weighted sum the check fitted
-    c0, c1, _, _ = fit_general_quadratics(fit_grid(), -1j * report.psi)
+    c0, c1, _, _ = fit_general_quadratics(-1j * report.psi)
     worst_a = float(max(np.max(np.abs(fit.circular_a)), np.max(np.abs(c0))))
     worst_im_c = float(np.max(np.abs(c1.imag)))
     worst_c_match = float(np.max(np.abs(fit.C - c_grid)))

@@ -454,7 +454,7 @@ class TestSweep:
             return dataclasses.replace(
                 result, bound=HyperbolicDistance.from_m(result.bound.m_scale + 1e-12))
 
-        monkeypatch.setattr("tetrablock.cli.disc_search_upper_bound", search)
+        monkeypatch.setattr("tetrablock.verify.disc_search_upper_bound", search)
         out_file = tmp_path / "sweep.jsonl"
         code, _, _ = run(capsys, "sweep", "lempert", "--grid-n", "3",
                          "--out", str(out_file), "--format", "jsonl")
@@ -528,7 +528,7 @@ class TestSweep:
         # keeps the passing side fast
         assert MAX_SWEEP_ROWS == 100_000
         found = DiscSearchResult(True, HyperbolicDistance.zero(), 0.0, "stub")
-        monkeypatch.setattr("tetrablock.cli.disc_search_upper_bound",
+        monkeypatch.setattr("tetrablock.verify.disc_search_upper_bound",
                             lambda w, z: found)
         out_file = tmp_path / "x.csv"
         code, _, err = run(capsys, "sweep", "lempert", "--grid-n", n,

@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tetrablock.domains import (G2Point, Location, TetraPoint, e_value_raw,
-                                g2_membership, psi_sup, rho_functional,
-                                stable_quadratic_roots, tetra_e_value,
-                                tetra_membership)
+                                g2_membership, psi_sup, require_interior,
+                                rho_functional, stable_quadratic_roots,
+                                tetra_e_value, tetra_membership)
 from tetrablock.errors import DomainError
 from tetrablock.extremals import sigma
 from tetrablock.verify import random_interior_points
@@ -103,6 +103,21 @@ class TestMembership:
             tetra_membership((0, 0.3, 0.5), tol=tol)
         with pytest.raises(DomainError):
             g2_membership((0, 0), tol=tol)
+
+    def test_require_interior_gives_the_point(self):
+        z = require_interior((0, 0.3, np.float64(0.5)), "z")
+        assert type(z) is TetraPoint and z == (0, 0.3, 0.5)
+        assert all(type(c) is complex for c in z)
+
+    @pytest.mark.parametrize("point, message", [
+        ((1, 0, 0), "p must be interior to the tetrablock"),
+        ((0, 0, 2), "p must be interior to the tetrablock"),
+        ((np.zeros(2), 0, 0), "p must be one point, not an array of points"),
+        ((0, 0, np.zeros(1)), "p must be one point, not an array of points"),
+    ], ids=["boundary", "exterior", "block", "one-point-array"])
+    def test_require_interior_rejects(self, point, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            require_interior(point, "p")
 
     def test_interior_coordinates_bounded(self):
         # every interior point has all |z_j| < 1

@@ -306,6 +306,17 @@ class TestProductDisc:
         for w, z in self.slice_pairs(3, 0.9e-12):
             assert disc_search_upper_bound(w, z).family != "product"
 
+    def test_near_identical_slice_pairs(self):
+        # a pair 1e-17 to 1e-13 apart on the slice: the trivial route takes
+        # it when every coordinate gap is below 1e-14, else the product route
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            a, b = random_disc_point(rng, 0.8), random_disc_point(rng, 0.8)
+            c, d = (x + 10.0 ** rng.uniform(-17, -13) * random_unimodular(rng)
+                    for x in (a, b))
+            result = disc_search_upper_bound(TetraPoint(a, b, a * b), TetraPoint(c, d, c * d))
+            assert result.found and result.family in ("trivial", "product")
+
     def test_product_route_takes_exact_slice_pairs(self):
         for w, z in self.slice_pairs(5, 0.0):
             result = disc_search_upper_bound(w, z)
@@ -572,6 +583,24 @@ class TestDiscSearch:
     def test_exterior_rejected(self):
         with pytest.raises(DomainError):
             disc_search_upper_bound(TetraPoint(2, 0, 0), TetraPoint(0, 0, 0))
+
+
+ORIGIN = TetraPoint(0, 0, 0)
+
+
+# the pair bounds of ``extremals`` are held to the same in test_extremals
+@pytest.mark.parametrize("call, name", [
+    (lambda p: disc_search_upper_bound(p, ORIGIN), "w"),
+    (lambda p: disc_search_upper_bound(ORIGIN, p), "z"),
+    (origin_lempert, "z"),
+    (lambda p: solve_origin_geodesic_through(p, 0.5), "z"),
+], ids=["disc_search-w", "disc_search-z", "origin_lempert", "solve_origin_geodesic_through"])
+@pytest.mark.parametrize("point", [TetraPoint(np.zeros(2), np.zeros(2), np.zeros(2)),
+                                   TetraPoint(0, np.full(1, 0.1), 0)],
+                         ids=["block", "one-point-array"])
+def test_array_point_is_a_domain_error(call, name, point):
+    with pytest.raises(DomainError, match=f"^{name} must be one point, not an array"):
+        call(point)
 
 
 def blaschke_of_degree(rng, degree):

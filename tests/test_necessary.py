@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from tetrablock.domains import TetraPoint
-from tetrablock.errors import DomainError, FitError
+from tetrablock.errors import DomainError
 from tetrablock.extremals import G2FMap, PsiOmegaMap
 from tetrablock.geodesics import (G2GeodesicParams, OriginGeodesicParams,
                                   certified_left_inverse, g2_geodesic_disc,
                                   origin_geodesic_disc)
 from tetrablock.hyperbolic import BlaschkeMap
-from tetrablock.necessary import (CheckVerdict, G2_ACTION, TETRABLOCK_ACTIONS,
+from tetrablock.necessary import (_CONSTRAINED_DESIGN, _GENERAL_DESIGN, CheckVerdict,
+                                  G2_ACTION, TETRABLOCK_ACTIONS,
                                   fit_general_quadratics, fit_grid,
                                   fit_quadratic_forms, geodesic_necessary_checks,
                                   psi_of_lambda)
@@ -62,7 +63,7 @@ class TestVectorField:
 class TestFit:
     def test_pure_rotation_model(self):
         lams = fit_grid()
-        fit = fit_quadratic_forms(lams, [0.2j * lams])
+        fit = fit_quadratic_forms([0.2j * lams])
         assert fit.psi0[0, 0] == pytest.approx(0.0, abs=1e-14)
         assert fit.C[0, 0] == pytest.approx(0.2, abs=1e-14)
         assert fit.residual[0, 0] < 1e-12
@@ -70,7 +71,7 @@ class TestFit:
     def test_full_model_recovery(self):
         psi0 = 0.1 + 0.2j
         lams = fit_grid()
-        fit = fit_quadratic_forms(lams, [-psi0.conjugate() * lams * lams + 0.5j * lams + psi0])
+        fit = fit_quadratic_forms([-psi0.conjugate() * lams * lams + 0.5j * lams + psi0])
         assert fit.psi0[0, 0] == pytest.approx(psi0, abs=1e-13)
         assert fit.C[0, 0] == pytest.approx(0.5, abs=1e-13)
         assert fit.residual[0, 0] < 1e-12
@@ -78,7 +79,7 @@ class TestFit:
 
     def test_cubic_rejected(self):
         lams = fit_grid()
-        fit = fit_quadratic_forms(lams, [lams ** 3])
+        fit = fit_quadratic_forms([lams ** 3])
         assert fit.residual[0, 0] > 0.05
 
     def test_random_recovery_property(self):
@@ -87,24 +88,29 @@ class TestFit:
         for _ in range(100):
             psi0 = complex(*rng.uniform(-1, 1, 2))
             C = rng.uniform(-2, 2)
-            fit = fit_quadratic_forms(lams, [-psi0.conjugate() * lams * lams
-                                             + 1j * C * lams + psi0])
+            fit = fit_quadratic_forms([-psi0.conjugate() * lams * lams
+                                       + 1j * C * lams + psi0])
             assert abs(fit.psi0[0, 0] - psi0) < 1e-10
             assert abs(fit.C[0, 0] - C) < 1e-10
 
-    def test_too_few_samples(self):
-        with pytest.raises(FitError):
-            fit_quadratic_forms(np.full(7, 0.1), np.zeros((1, 7)))
+    def test_grid_points_are_distinct(self):
+        # no two points coincide to 12 decimals
+        lams = fit_grid()
+        rounded = np.round(lams.real, 12) + 1j * np.round(lams.imag, 12)
+        assert lams.size == 64 == np.unique(rounded).size
 
-    def test_degenerate_samples(self):
-        with pytest.raises(FitError):
-            fit_quadratic_forms(np.full(10, 0.1), np.zeros((1, 10)))
+    def test_designs_have_full_rank(self):
+        # the fits have three unknowns each: Re psi0, Im psi0 and C, and
+        # c0, c1 and c2
+        assert _CONSTRAINED_DESIGN.shape == (128, 3) and _GENERAL_DESIGN.shape == (64, 3)
+        assert np.linalg.matrix_rank(_CONSTRAINED_DESIGN) == 3
+        assert np.linalg.matrix_rank(_GENERAL_DESIGN) == 3
 
     def test_general_fit(self):
         c0, c1, c2 = 0.1 - 0.05j, 1.2 + 0.3j, -0.4j
         lams = fit_grid()
-        got0, got1, got2, residual = fit_general_quadratics(lams, [c0 + c1 * lams
-                                                                   + c2 * lams * lams])
+        got0, got1, got2, residual = fit_general_quadratics([c0 + c1 * lams
+                                                             + c2 * lams * lams])
         assert got0[0, 0] == pytest.approx(c0, abs=1e-13)
         assert got1[0, 0] == pytest.approx(c1, abs=1e-13)
         assert got2[0, 0] == pytest.approx(c2, abs=1e-13)

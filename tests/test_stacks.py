@@ -232,11 +232,11 @@ def test_stacked_left_inverse_and_fit_match_members():
         assert isinstance(F, PsiOmegaMap)
         residuals = left_inverse_residual(f, F)
         for action in TETRABLOCK_ACTIONS:
-            fit = fit_quadratic_forms(lams, psi_of_lambda(F, f, (action,), lams)[0])
+            fit = fit_quadratic_forms(psi_of_lambda(F, f, (action,), lams)[0])
             for k, params in enumerate(stack.split()):
                 g, G = origin_geodesic_disc(params), certified_left_inverse(params)
                 assert abs(residuals[k, 0] - left_inverse_residual(g, G)) <= ROUNDING_TOL
-                single = fit_quadratic_forms(lams, psi_of_lambda(G, g, (action,), lams))
+                single = fit_quadratic_forms(psi_of_lambda(G, g, (action,), lams))
                 assert abs(fit.psi0[k, 0] - single.psi0[0, 0]) <= ROUNDING_TOL
                 assert abs(fit.C[k, 0] - single.C[0, 0]) <= ROUNDING_TOL
                 assert abs(fit.residual[k, 0] - single.residual[0, 0]) <= ROUNDING_TOL
@@ -662,7 +662,7 @@ def test_necessary_suite_matches_disc_by_disc(seed):
         worst_fit = max(worst_fit, report.fit.residual[0, 0])
         worst_c = max(worst_c, abs(report.fit.C[0, 0] - C))
         c0, c1, _, _ = fit_general_quadratics(
-            lams, [-1j * psi_of_lambda(F, f, (G2_ACTION,), lams)[0]])
+            [-1j * psi_of_lambda(F, f, (G2_ACTION,), lams)[0]])
         worst_a = max(worst_a, abs(report.fit.circular_a[0, 0]), abs(c0[0, 0]))
         worst_im_c = max(worst_im_c, abs(c1[0, 0].imag))
     details = suite_necessary(seed=seed).details
