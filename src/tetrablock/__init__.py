@@ -1,7 +1,7 @@
 """Invariant distances, extremal maps and complex geodesics on the
 tetrablock and the symmetrized bidisc."""
 
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 from .errors import DomainError, PoleError
 from .hyperbolic import BlaschkeMap, HyperbolicDistance, mobius_m

@@ -223,25 +223,21 @@ def cmd_distance(args) -> int:
     results = {
         "p_e": dist(report.p_e),
         "c_lower": dist(report.c_lower),
-        "k_upper": dist(k_upper) if k_upper is not None else None,
+        "k_upper": dist(k_upper),
         "k_upper_family": search.family,
-        "k_upper_residual": raw(search.residual) if k_upper is not None else None,
+        "k_upper_residual": raw(search.residual),
         "k_upper_reason": search.reason,
         "closed_form": dist(closed) if closed is not None else None,
-        "gap": raw(report.gap) if k_upper is not None else None,
+        "gap": raw(report.gap),
         "sandwich_ok": report.sandwich_ok,
     }
     human = [f"{name}: m_scale {d.m_scale!r}, p_scale {d.p_scale!r}"
              for name, d in (("p_e", report.p_e), ("c_lower", report.c_lower))]
-    if k_upper is not None:
-        human += [f"k_upper: m_scale {k_upper.m_scale!r} (family {search.family})",
-                  f"gap: m_scale {report.gap!r}"]
-    else:
-        human.append(f"k_upper: not found ({search.reason})")
+    human += [f"k_upper: m_scale {k_upper.m_scale!r} (family {search.family})",
+              f"gap: m_scale {report.gap!r}"]
     if closed is not None:
         human.append(f"closed_form: m_scale {closed.m_scale!r}")
-    human.append("sandwich_ok: unknown (no upper bound found)" if k_upper is None
-                 else f"sandwich_ok: {report.sandwich_ok}")
+    human.append(f"sandwich_ok: {report.sandwich_ok}")
     env = envelope("distance",
                    {"w": [cnum(c) for c in w], "z": [cnum(c) for c in z]},
                    results,

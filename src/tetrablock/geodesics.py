@@ -540,7 +540,11 @@ def _origin_disc(z: TetraPoint, swapped: bool) -> Optional[OriginGeodesicSolutio
     when |mu| is below ``_ORIGIN_TOL``, when no self-map phi interpolates
     (C, mu, v) in the closed disc, or when the disc misses the point."""
     zz = sigma(z) if swapped else z
-    eta = cmath.exp(1j * _maximizing_angle(zz))
+    # omega1 = conj(eta) as ``OriginGeodesicParams`` normalizes it, so the
+    # certificate ``certified_left_inverse`` takes Psi at the eta that gave mu
+    omega1 = require_unimodular(cmath.exp(1j * _maximizing_angle(zz)).conjugate(),
+                                name="omega1")
+    eta = omega1.conjugate()
     # Psi_eta(zz) inline: zz is interior and |eta| = 1, so |eta z1 - 1| >=
     # 1 - |z1| > 0 and no check of ``PsiOmegaMap`` could fire; its factor
     # 1 + 0j would also turn an imaginary -0.0 into +0.0
@@ -557,7 +561,7 @@ def _origin_disc(z: TetraPoint, swapped: bool) -> Optional[OriginGeodesicSolutio
     C = ((a1.conjugate() * b1 + a2.conjugate() * b2).real) / (abs(a1) ** 2 + abs(a2) ** 2)
     C = min(max(C, 0.0), 1.0)
     try:
-        params = OriginGeodesicParams(C, eta.conjugate(), 1.0, blaschke_interp_origin(C, mu, v))
+        params = OriginGeodesicParams(C, omega1, 1.0, blaschke_interp_origin(C, mu, v))
     except DomainError:
         return None
     return _solution(params, mu, zz, swapped)
@@ -637,12 +641,16 @@ def solve_origin_geodesic_through(z, lam0: complex) -> Optional[OriginGeodesicSo
 class DiscSearchResult:
     """Outcome of an interpolating-disc search.
 
-    ``residual`` is |f(lam_w) - w|^2 + |f(lam_z) - z|^2 of the accepted disc
-    f; ``bound`` is m(lam_w, lam_z), a certified upper bound for the Lempert
-    function once ``found`` is True.  ``reason`` says deterministically how
-    the result was reached, or why nothing was found; ``starts`` counts the
-    closed-form candidates (C, omega1) of the general-disc route and
-    ``evaluations`` the discs it built from them, 0 when it did not run.
+    ``bound`` is a certified upper bound for the Lempert function: m(lam_w,
+    lam_z) of the accepted disc f, with ``residual`` |f(lam_w) - w|^2 +
+    |f(lam_z) - z|^2, or, from the symmetric-lift route, m_B of the two
+    lifts, with ``residual`` the lifts' squared projection error |s_w^2 -
+    q_w|^2 + |s_z^2 - q_z|^2.  ``family`` names the route.  ``found`` is
+    True on every result, since the chain ends in a route that always finds
+    a bound.  ``reason`` says deterministically how the result was reached;
+    ``starts`` counts the closed-form candidates (C, omega1) of the
+    general-disc route and ``evaluations`` the discs it built from them, 0
+    when it did not run.
     """
 
     found: bool
@@ -845,16 +853,18 @@ def _interpolating_general_disc(w: TetraPoint, z: TetraPoint, C: float,
     return t, _endpoint_residual(general_disc(params), 0.0, w, t, z)
 
 
-def _general_disc_bound(w: TetraPoint, z: TetraPoint, budget: int) -> DiscSearchResult:
+def _general_disc_bound(w: TetraPoint, z: TetraPoint,
+                        budget: int) -> Tuple[Optional[DiscSearchResult], dict]:
     """The least bound over general discs through the pair, one disc per
     closed-form candidate (C, omega1): the members of each endpoint, and
     for an endpoint p with p2 = p3 = 0 and 0 < |p1| < 1/2, which has no
     members, the (C, omega1) at which phi vanishes at p.  (With p3 = 0 alone
     that candidate is one of the members.)  At most ``budget`` discs are
-    built; a disc counts only when it reproduces both endpoints to rounding.
-    The result counts the candidates as ``starts`` and the discs built as
-    ``evaluations``, and its reason gives the least squared residual of a
-    built disc."""
+    built; a disc counts only when it reproduces both endpoints to rounding,
+    and the result is None when none does.  It comes with its counts, for
+    the route that follows: the candidates as ``starts``, the discs built
+    as ``evaluations``, and a reason that gives the least squared residual
+    of a built disc."""
     candidates = [root for p in (w, z) for root in _member_roots(p)]
     candidates += [(abs(p.z1) / (1.0 - abs(p.z1)), p.z1 / abs(p.z1)) for p in (w, z)
                    if p.z2 == p.z3 == 0.0 and 0.0 < abs(p.z1) < 0.5]
@@ -871,10 +881,132 @@ def _general_disc_bound(w: TetraPoint, z: TetraPoint, budget: int) -> DiscSearch
     counts = dict(reason=reason, starts=len(candidates), evaluations=len(discs))
     exact = [disc for disc in discs if disc[1] <= _GENERAL_ACCEPT]
     if not exact:
-        return DiscSearchResult(False, None, math.inf, "none", **counts)
+        return None, counts
     t, residual = min(exact)
     return DiscSearchResult(True, HyperbolicDistance.from_m(t), residual, "general-disc",
-                            **counts)
+                            **counts), counts
+
+
+#: Dekker's splitter for binary64, 2^27 + 1
+_SPLITTER = 134217729.0
+
+
+def _two_product(a: float, b: float) -> Tuple[float, float]:
+    """a b as p + e with p = fl(a b), exactly unless the product leaves the
+    normal float range (Dekker)."""
+    p = a * b
+    t = _SPLITTER * a
+    ah = t - (t - a)
+    t = _SPLITTER * b
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _abs2(x: complex) -> float:
+    return x.real * x.real + x.imag * x.imag
+
+
+def _symmetric_lift(z: TetraPoint) -> Tuple[complex, float]:
+    """The entry s of the symmetric lift [[z1, s], [s, z2]] of z, the
+    principal root of q = z1 z2 - z3, and |s^2 - q|^2, how far the lift's
+    determinant z1 z2 - s^2 is from z3.  q is correctly rounded, from exact
+    products summed by ``math.fsum``: near the slice z3 = z1 z2, q cancels,
+    and its square root would magnify a rounding error of q."""
+    (x1, y1), (x2, y2) = (z.z1.real, z.z1.imag), (z.z2.real, z.z2.imag)
+    rr, rr_err = _two_product(x1, x2)
+    ii, ii_err = _two_product(y1, y2)
+    ri, ri_err = _two_product(x1, y2)
+    ir, ir_err = _two_product(y1, x2)
+    q = complex(math.fsum((rr, rr_err, -ii, -ii_err, -z.z3.real)),
+                math.fsum((ri, ri_err, ir, ir_err, -z.z3.imag)))
+    s = cmath.sqrt(q)
+    return s, _abs2(s * s - q)
+
+
+def _ball_m(a: complex, s: complex, d: complex, det_a: complex,
+            b: complex, t: complex, e: complex, det_b: complex) -> Tuple[float, float]:
+    """m = m_B(A, B) = ||Phi_A(B)||, the Mobius distance of the open unit
+    ball of 2 x 2 matrices between the symmetric A = [[a, s], [s, d]] and
+    B = [[b, t], [t, e]] of determinants det_a and det_b, and 1 - m^2, in
+    Python scalar arithmetic.
+
+    With X = B - A, G = I - A* B, P = I - A* A and R = I - B* B, the
+    squared singular values x of Phi_A(B) are the roots of det(W - x
+    |det G|^2 Q) = 0, where W = X adj(G) P adj(G)* X* and Q = I - A A* =
+    conj(P), A being symmetric.  Where m^2 <= 1/2, m^2 is the larger root,
+    from the trace and a discriminant written as a sum of squares, which
+    does not cancel where the two roots meet.  Elsewhere 1 - m^2 is the
+    smaller root of y^2 - (1 - p + D) y + D, whose coefficients are the
+    determinant identities p = |det X|^2/|det G|^2 (the product of the x)
+    and D = det P det R/|det G|^2 (the product of the 1 - x); they keep
+    their relative accuracy where A and B near the boundary, and the
+    difference of the roots is the one above."""
+    ac, sc, dc = a.conjugate(), s.conjugate(), d.conjugate()
+    # adj(G) = [[v11, v12], [v21, v22]]
+    v11 = 1.0 - (sc * t + dc * e)
+    v12 = ac * t + sc * e
+    v21 = sc * b + dc * t
+    v22 = 1.0 - (ac * b + sc * t)
+    dd = _abs2(v11 * v22 - v12 * v21)
+    p11 = 1.0 - (_abs2(a) + _abs2(s))
+    p22 = 1.0 - (_abs2(s) + _abs2(d))
+    p12 = -(ac * s + sc * d)
+    det_p = p11 * p22 - _abs2(p12)
+    # Y = X adj(G), then U = Y P and W = U Y*
+    x11, x12, x22 = b - a, t - s, e - d
+    y11 = x11 * v11 + x12 * v21
+    y12 = x11 * v12 + x12 * v22
+    y21 = x12 * v11 + x22 * v21
+    y22 = x12 * v12 + x22 * v22
+    u11 = y11 * p11 + y12 * p12.conjugate()
+    u12 = y11 * p12 + y12 * p22
+    u21 = y21 * p11 + y22 * p12.conjugate()
+    u22 = y21 * p12 + y22 * p22
+    w11 = (u11 * y11.conjugate() + u12 * y12.conjugate()).real
+    w22 = (u21 * y21.conjugate() + u22 * y22.conjugate()).real
+    w12 = u11 * y21.conjugate() + u12 * y22.conjugate()
+    # the pencil (Q, W): Q = [[p11, conj(p12)], [p12, p22]]
+    cross = p12.real * w12.real - p12.imag * w12.imag  # Re(p12 w12)
+    trace = p22 * w11 + p11 * w22 - 2.0 * cross
+    half_gap = w11 * (det_p - _abs2(p12)) + 2.0 * p11 * cross - p11 * p11 * w22
+    skew = p11 * w12 - p12.conjugate() * w11
+    scale = det_p * dd
+    spread = math.sqrt(half_gap * half_gap + 4.0 * det_p * _abs2(skew)) / p11 / scale
+    m2 = (trace / scale + spread) / 2.0
+    if m2 <= 0.5:
+        return math.sqrt(m2), 1.0 - m2
+    r11 = 1.0 - (_abs2(b) + _abs2(t))
+    r22 = 1.0 - (_abs2(t) + _abs2(e))
+    r12 = b.conjugate() * t + t.conjugate() * e
+    p = _abs2(x11 * x22 - x12 * x12) / dd
+    D = det_p * (r11 * r22 - _abs2(r12)) / dd
+    one_minus_m2 = 2.0 * D / ((1.0 - p + D) + spread)
+    return math.sqrt(1.0 - one_minus_m2), one_minus_m2
+
+
+def _symmetric_lift_bound(w: TetraPoint,
+                          z: TetraPoint) -> Tuple[HyperbolicDistance, str, float]:
+    """k_sym = min over the sign of m_B(S(w), +-S(z)), with S the symmetric
+    lift, the sign that gives it ("+" on a tie) and the lifts' squared
+    projection error.  By Abouhajar, White and Young (J. Geom. Anal. 2007,
+    Thm 2.2) the map (a_ij) -> (a11, a22, det) takes the open unit ball of
+    2 x 2 matrices onto the tetrablock, and a holomorphic map does not
+    increase the Lempert function, so k_sym bounds that of (w, z) for every
+    interior pair.
+
+    Where 1 - k_sym^2 lies below the rounding of 1, as it can for two far
+    points within about 1e-9 of the boundary, the m-scale rounds to 1; the
+    p-scale artanh(m) = log((1 + m)/sqrt(1 - m^2)) then comes from 1 - m^2,
+    and stays finite."""
+    s, w_err = _symmetric_lift(w)
+    t, z_err = _symmetric_lift(z)
+    signs = [(_ball_m(w.z1, s, w.z2, w.z3, z.z1, factor * t, z.z2, z.z3), label)
+             for factor, label in ((1.0, "+"), (-1.0, "-"))]
+    (m, one_minus_m2), sign = min(signs, key=lambda item: (item[0][0], -item[0][1]))
+    bound = (HyperbolicDistance.from_m(m) if m < 1.0
+             else HyperbolicDistance(1.0, math.log(2.0 / math.sqrt(one_minus_m2))))
+    return bound, sign, w_err + z_err
 
 
 #: the closed routes in the order the search tries them: the origin geodesic
@@ -889,12 +1021,17 @@ def disc_search_upper_bound(w, z, budget: int = 100000) -> DiscSearchResult:
 
     The routes run as one chain and the first that finds a disc gives the
     result: the closed routes in the order of ``_CLOSED_ROUTES``, then the
-    general family, whose result ends the chain found or not (``found =
-    False``).  A route that applies but misses falls through to the next.
-    The closed routes accept their disc at quadratic endpoint residual below
-    1e-9, the general-disc route only at 1e-20, so through both endpoints to
-    rounding; it builds one disc per closed-form (C, omega1) of the
-    endpoints, at most ``budget`` discs.
+    general family, then the symmetric lifts.  A route that applies but
+    misses falls through to the next.  The closed routes accept their disc
+    at quadratic endpoint residual below 1e-9, the general-disc route only
+    at 1e-20, so through both endpoints to rounding; it builds one disc per
+    closed-form (C, omega1) of the endpoints, at most ``budget`` discs.
+    The symmetric-lift route ends the chain and always finds a bound:
+    m_B(S(w), +-S(z)), the lesser Mobius distance of the 2 x 2 matrix ball
+    between the symmetric lifts of the pair, whose image under (a_ij) ->
+    (a11, a22, det) is a disc through w and z.  Its reason names the sign
+    that won and keeps the general-disc route's, and its counts are that
+    route's.
     """
     w, z = require_interior(w, "w"), require_interior(z, "z")
     if max(abs(a - b) for a, b in zip(w, z)) < 1e-14:
@@ -904,11 +1041,17 @@ def disc_search_upper_bound(w, z, budget: int = 100000) -> DiscSearchResult:
         result = route(w, z)
         if result is not None:
             return result
-    return _general_disc_bound(w, z, budget)
+    result, counts = _general_disc_bound(w, z, budget)
+    if result is not None:
+        return result
+    bound, sign, residual = _symmetric_lift_bound(w, z)
+    return DiscSearchResult(True, bound, residual, "symmetric-lift",
+                            reason=f"symmetric-lift: sign {sign}, after {counts['reason']}",
+                            starts=counts["starts"], evaluations=counts["evaluations"])
 
 
 #: how far c_lower may exceed k_upper with the sandwich closed; the
-#: general-disc route undercuts c_lower by up to 2.9e-12 (ROADMAP item 1)
+#: general-disc route undercuts c_lower by up to 2.9e-12 (ROADMAP item 1c)
 SANDWICH_TOL = 1e-9
 #: how far c_lower must exceed p_e for the pair to separate the two
 SEPARATION_TOL = 1e-12
@@ -939,12 +1082,11 @@ def pair_report(w, z, search: bool = True) -> PairReport:
     p_val = HyperbolicDistance.from_m(max(lower.psi_omega, lower.psi_omega_sigma))
     c_val = HyperbolicDistance.from_m(max(lower))
     result = disc_search_upper_bound(w, z) if search else None
-    k_upper = result.bound if result is not None else None  # None when not found
     pair = axis_pair(w, z)
     closed = lempert_special(pair[1], pair[0]) if pair is not None else None
     gap = sandwich_ok = None
-    if k_upper is not None:
-        gap = k_upper.m_scale - c_val.m_scale
-        sandwich_ok = c_val.m_scale <= k_upper.m_scale + SANDWICH_TOL
+    if result is not None:
+        gap = result.bound.m_scale - c_val.m_scale
+        sandwich_ok = c_val.m_scale <= result.bound.m_scale + SANDWICH_TOL
     return PairReport(p_val, c_val, lower, result, closed, gap,
                       c_val.m_scale > p_val.m_scale + SEPARATION_TOL, sandwich_ok)

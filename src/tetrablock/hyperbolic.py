@@ -142,7 +142,9 @@ def mobius_m(lam1: complex, lam2: complex) -> float:
 
 @dataclass(frozen=True)
 class HyperbolicDistance:
-    """A disc distance on both scales: m in [0, 1) and p = artanh(m)."""
+    """A disc distance on both scales: m in [0, 1) and p = artanh(m).  The
+    one exception is the symmetric-lift bound of two far points next to the
+    boundary, whose m rounds to 1 while p stays finite."""
 
     m_scale: float
     p_scale: float

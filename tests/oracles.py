@@ -5,7 +5,8 @@ sampler that the chunked ``random_disc_points`` reproduces, and the
 Caratheodory distance of the symmetrized bidisc with a sampler of the
 pairs it governs on the diagonal of the tetrablock, and the symmetric
 2 x 2 lift of a point with the 50-digit operator norm that decides
-membership through it."""
+membership through it and the 50-digit Mobius distance of the matrix ball
+that bounds the Lempert function through it."""
 
 import cmath
 import math
@@ -148,3 +149,29 @@ def ball_norm(a):
         frob = sum(abs(x) ** 2 for x in (a11, a12, a21, a22))
         det = abs(a11 * a22 - a12 * a21)
         return mpmath.sqrt((frob + mpmath.sqrt(max(frob * frob - 4 * det * det, 0))) / 2)
+
+
+def ball_distance(a, b):
+    """m_B(A, B) = ||Phi_A(B)||, the Mobius distance of the open unit ball of
+    2 x 2 matrices between two of its matrices (rows of numbers), in
+    50-digit mpmath.  Phi_A(B) Phi_A(B)* is similar to
+
+        K = (I - A A*)^-1 (B - A) (I - A* B)^-1 (I - A* A) (I - B* A)^-1 (B - A)*,
+
+    so m^2 is the larger root of the characteristic polynomial of K, from
+    its trace and determinant; the discriminant is clamped at 0 against
+    rounding where the roots meet.  The result is an mpmath number."""
+    with mpmath.workdps(50):
+        a, b = (mpmath.matrix([[mpmath.mpc(x) for x in row] for row in m]) for m in (a, b))
+        one = mpmath.eye(2)
+        k = ((one - a * a.H) ** -1 * (b - a) * (one - a.H * b) ** -1 * (one - a.H * a)
+             * (one - b.H * a) ** -1 * (b - a).H)
+        trace = (k[0, 0] + k[1, 1]).real
+        det = (k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0]).real
+        return mpmath.sqrt((trace + mpmath.sqrt(max(trace * trace - 4 * det, 0))) / 2)
+
+
+def negated_lift(lift):
+    """The other symmetric lift: the off-diagonal entries negated."""
+    (z1, s), (_, z2) = lift
+    return ((z1, -s), (-s, z2))

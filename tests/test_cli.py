@@ -15,6 +15,8 @@ from tetrablock.cli import (EXIT_BOUNDARY, EXIT_EXTERIOR, EXIT_INVARIANT,
 from tetrablock.geodesics import DiscSearchResult, disc_search_upper_bound
 from tetrablock.hyperbolic import BlaschkeMap, HyperbolicDistance
 
+from oracles import ball_distance, negated_lift, symmetric_lift
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -231,17 +233,28 @@ class TestDistance:
         assert env["results"]["p_e"]["m_scale"] == 0.0
         assert env["results"]["k_upper"]["m_scale"] == 0.0
 
-    def test_no_verdict_without_upper_bound(self, capsys):
+    def test_readme_pair_gets_the_symmetric_lift_bound(self, capsys):
+        # no closed route applies and no general disc meets both points, so
+        # the symmetric lifts give k_upper, 6.4e-3 above c_lower
         argv = ("distance", "0.1,0.05,0.02", "0.12,0.07,0.03")
         code, out, _ = run(capsys, *argv, "--json")
         assert code == EXIT_OK
         res = json.loads(out)["results"]
-        assert res["k_upper"] is None
-        assert res["gap"] is None and res["sandwich_ok"] is None
-        assert res["k_upper_reason"].startswith("general-disc: 4 starts, 2 evaluations, ")
+        w, z = (0.1, 0.05, 0.02), (0.12, 0.07, 0.03)
+        exact = ball_distance(symmetric_lift(w), symmetric_lift(z))
+        assert exact < ball_distance(symmetric_lift(w), negated_lift(symmetric_lift(z)))
+        assert abs(res["k_upper"]["m_scale"] - exact) <= 1e-15
+        assert res["k_upper_family"] == "symmetric-lift"
+        assert res["k_upper_reason"] == ("symmetric-lift: sign +, after general-disc: 4 starts, "
+                                         "2 evaluations, best residual 3.6e-08")
+        assert res["gap"]["value"] == res["k_upper"]["m_scale"] - res["c_lower"]["m_scale"]
+        assert 6.3e-3 < res["gap"]["value"] < 6.5e-3
+        assert res["sandwich_ok"] is True
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
-        assert "sandwich_ok: unknown (no upper bound found)" in out.splitlines()
+        lines = out.splitlines()
+        assert f"k_upper: m_scale {res['k_upper']['m_scale']!r} (family symmetric-lift)" in lines
+        assert "sandwich_ok: True" in lines
 
     def test_readme_pair_gets_a_deterministic_reason(self, capsys):
         # four closed-form candidates, none of whose discs meets both points
@@ -250,25 +263,37 @@ class TestDistance:
         assert code == EXIT_OK
         assert run(capsys, *argv)[1] == out
         res = json.loads(out)["results"]
-        assert res["k_upper"] is None
-        assert res["k_upper_reason"].startswith("general-disc: 4 starts, ")
+        assert res["k_upper_family"] == "symmetric-lift"
+        assert res["k_upper_reason"].startswith("symmetric-lift: sign +, after general-disc: "
+                                                "4 starts, ")
 
-    def test_pair_next_to_a_family_disc_gets_no_bound(self, capsys):
+    def test_pair_next_to_a_family_disc_gets_the_lift_bound(self, capsys):
         # the pair lies within 3e-5 of a general disc; a disc that misses
         # it by that much is no interpolant, and earlier versions reported
-        # its bound 0.062094 below c_lower 0.062153 and exited 70
-        argv = ("distance", "--",
-                "-0.19006505007140892+0.037771537163704044j,"
-                "-0.5100436366504669-0.22433216907051373j,"
-                "-0.04686937212522036-0.1739442035090252j",
-                "-0.21622532100265107+0.053251648167529066j,"
-                "-0.5117785996277898-0.2280799493888721j,"
-                "-0.006697639654436395-0.17491725251355678j")
-        code, out, _ = run(capsys, *argv)
+        # its bound 0.062094 below c_lower 0.062153 and exited 70.  The
+        # general-disc route still rejects the near miss, and the lifts'
+        # bound lies 8.0e-6 above c_lower
+        w = ("-0.19006505007140892+0.037771537163704044j,"
+             "-0.5100436366504669-0.22433216907051373j,"
+             "-0.04686937212522036-0.1739442035090252j")
+        z = ("-0.21622532100265107+0.053251648167529066j,"
+             "-0.5117785996277898-0.2280799493888721j,"
+             "-0.006697639654436395-0.17491725251355678j")
+        code, out, _ = run(capsys, "distance", "--json", "--", w, z)
         assert code == EXIT_OK
-        assert any(line.startswith("k_upper: not found (general-disc: ")
-                   for line in out.splitlines())
-        assert "sandwich_ok: unknown (no upper bound found)" in out.splitlines()
+        res = json.loads(out)["results"]
+        assert res["k_upper_family"] == "symmetric-lift"
+        assert res["k_upper_reason"] == ("symmetric-lift: sign +, after general-disc: 4 starts, "
+                                         "2 evaluations, best residual 1.7e-10")
+        a, b = (symmetric_lift([complex(c) for c in p.split(",")]) for p in (w, z))
+        exact = ball_distance(a, b)
+        assert exact < ball_distance(a, negated_lift(b))
+        assert abs(res["k_upper"]["m_scale"] - exact) <= 1e-15
+        assert 7.9e-6 < res["gap"]["value"] < 8.1e-6
+        assert res["sandwich_ok"] is True
+        code, out, _ = run(capsys, "distance", "--", w, z)
+        assert code == EXIT_OK
+        assert "sandwich_ok: True" in out.splitlines()
 
     def test_reason_of_a_found_bound(self, capsys):
         code, out, _ = run(capsys, "distance", "0,0,-0.5", "0,0.05,-0.5", "--json")

@@ -27,6 +27,8 @@ from tetrablock.verify import (PHI_KINDS, random_disc_point,
                                random_interior_points, random_phi_pinned,
                                random_unimodular, sample_origin_params)
 
+from oracles import ball_distance, negated_lift, symmetric_lift
+
 
 class TestOriginGeodesic:
     def test_fixes_origin(self):
@@ -514,15 +516,23 @@ class TestOriginSolver:
         assert solved >= 10
 
     def test_left_inverse_gives_lam0(self):
-        # the solver forms lam0 = Psi_eta(z) inline; the checked map of its
-        # certificate gives it again, up to the rounding of omega1 = conj(eta)
-        # to modulus 1 by the record (at most 2.5e-16 on 2 000 points)
+        # the solver forms lam0 = Psi_eta(z) inline at the eta of the
+        # record's omega1 = conj(eta), normalized to modulus 1 as the record
+        # normalizes it; the checked map of its certificate gives it again
         points = [*random_interior_points(np.random.default_rng(5), 200),
                   *map(TetraPoint.of, ((0.5, 0.5, 0.25), (0.25, 0.5, 0.125),
                                        (0, 0.3, 0.1), (0.1, 0.05, 0.02)))]
         for z in points:
             sol = origin_lempert(z)
-            assert abs(sol.left_inverse()(z) - sol.lam0) <= 1e-15, z
+            assert sol.left_inverse()(z) == sol.lam0, z
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_left_inverse_gives_lam0_on_seeded_points(self, seed):
+        # with eta taken before its normalization, 18 of these 2 000 points
+        # missed lam0 by up to 2.5e-16
+        for z in random_interior_points(np.random.default_rng(seed), 200):
+            sol = origin_lempert(z)
+            assert sol is not None and sol.left_inverse()(z) == sol.lam0, z
 
     def test_product_point_value_dominated_by_larger_coordinate(self):
         # geodesics through product points are not unique; whichever
@@ -656,14 +666,14 @@ class TestGeneralDiscCertificate:
     def test_moved_family_pairs_keep_the_sandwich(self, degree, scale):
         # a disc that misses an endpoint by the move is no interpolant, and
         # earlier versions that accepted such discs reported bounds up to
-        # 1.8e-4 below c_lower
+        # 1.8e-4 below c_lower; the pairs no general disc meets take the
+        # symmetric lifts' bound
         rng = np.random.default_rng(100 + degree)
         for _ in range(150):
             ends, _ = moved_family_pair(rng, degree, scale)
             result = disc_search_upper_bound(*ends)
-            if result.found:
-                c_lower = caratheodory_lower_bound(*ends).m_scale
-                assert result.bound.m_scale >= c_lower - 1e-9
+            c_lower = caratheodory_lower_bound(*ends).m_scale
+            assert result.bound.m_scale >= c_lower - 1e-9
 
     @pytest.mark.parametrize("budget", [0, 1, 2, 100000])
     def test_budget_caps_the_discs_built(self, monkeypatch, budget):
@@ -685,15 +695,27 @@ class TestGeneralDiscCertificate:
             result = disc_search_upper_bound(w, z, budget=budget)
             assert result.evaluations == len(built) <= min(budget, result.starts)
             if budget == 0:
-                assert not result.found
-                assert result.reason == (f"general-disc: {result.starts} starts, "
-                                         "0 evaluations, best residual inf")
+                # no disc is built, so the symmetric lifts give the bound
+                bound, sign, _ = geodesics._symmetric_lift_bound(w, z)
+                assert result.found and result.family == "symmetric-lift"
+                assert result.bound == bound
+                assert result.reason == (f"symmetric-lift: sign {sign}, after general-disc: "
+                                         f"{result.starts} starts, 0 evaluations, "
+                                         "best residual inf")
 
     def test_bench_pair_ends_after_few_candidates(self):
+        # the general-disc route builds no disc from its four candidates, and
+        # the symmetric lifts bound the pair 1.28e-3 above c_lower
         result = disc_search_upper_bound(BENCH_W, BENCH_Z, budget=20000)
-        assert not result.found and result.family == "none"
-        assert 0 < result.starts <= 4
-        assert result.reason.startswith(f"general-disc: {result.starts} starts, ")
+        assert result.found and result.family == "symmetric-lift"
+        assert (result.starts, result.evaluations) == (4, 0)
+        assert result.reason == ("symmetric-lift: sign +, after general-disc: 4 starts, "
+                                 "0 evaluations, best residual inf")
+        exact = min(ball_distance(symmetric_lift(BENCH_W), lift)
+                    for lift in (symmetric_lift(BENCH_Z), negated_lift(symmetric_lift(BENCH_Z))))
+        assert abs(result.bound.m_scale - exact) <= 1e-15
+        gap = result.bound.m_scale - caratheodory_lower_bound(BENCH_W, BENCH_Z).m_scale
+        assert 1.27e-3 < gap < 1.29e-3
 
     def test_search_reports_its_counts(self):
         p = GeneralDiscParams(0.3, 1, 1, BlaschkeMap.constant(0.1), BlaschkeMap.identity())
@@ -761,8 +783,9 @@ class TestGeneralDiscCertificate:
         w, z = TetraPoint(0, 0, c), TetraPoint(0.2520728284575709 - 0.09951278528655141j,
                                                0, c + 1e-3)
         result = disc_search_upper_bound(w, z)
-        assert not result.found
-        assert result.reason == "general-disc: 2 starts, 0 evaluations, best residual inf"
+        assert result.family == "symmetric-lift"
+        assert result.reason == ("symmetric-lift: sign +, after general-disc: 2 starts, "
+                                 "0 evaluations, best residual inf")
 
     def test_closed_routes_give_their_reason(self):
         result = disc_search_upper_bound(TetraPoint(0, 0, -0.5), TetraPoint(0, 0.05, -0.5))

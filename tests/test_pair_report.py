@@ -26,7 +26,7 @@ ROUTES = ["axis-pair", "product", "origin-geodesic", "general-disc", "generic"]
 
 def route_pair(route, rng):
     """A seeded interior pair of one route class; a generic pair is two
-    random interior points, on which no route finds a bound.  A general-disc
+    random interior points, which only the symmetric lifts bound.  A general-disc
     pair is two points of a random general disc, in one draw of three with
     phi zero at the first, so w3 = 0."""
     if route == "axis-pair":
@@ -67,8 +67,13 @@ def test_report_has_the_bits_of_the_separate_calls(route):
         assert report.c_lower == fresh(caratheodory_lower_bound, w, z)
         # the route labels the benchmark's pairs workload checks
         assert report.search == disc_search_upper_bound(w, z)
-        assert report.search.found is (route != "generic")
-        assert report.search.family == ("none" if route == "generic" else route)
+        assert report.search.found is True
+        assert report.search.family == ("symmetric-lift" if route == "generic" else route)
+        if route == "generic":
+            bound, sign, _ = geodesics._symmetric_lift_bound(w, z)
+            assert report.search.bound == bound
+            assert report.search.reason.startswith(f"symmetric-lift: sign {sign}, "
+                                                   "after general-disc: ")
 
 
 @pytest.mark.parametrize("field", FamilyBounds._fields)
@@ -127,11 +132,9 @@ def test_sandwich_holds(seed, route):
     assert report.p_e.m_scale == max(report.lower.psi_omega, report.lower.psi_omega_sigma)
     assert report.c_lower.m_scale == max(report.lower)
     assert report.separated is (report.c_lower.m_scale > report.p_e.m_scale + SEPARATION_TOL)
-    if report.search.found:
-        k_upper = report.search.bound.m_scale
-        assert report.c_lower.m_scale <= k_upper + SANDWICH_TOL
-        assert report.sandwich_ok is True
-        assert report.gap == k_upper - report.c_lower.m_scale
-        assert math.isfinite(report.gap)
-    else:
-        assert report.gap is None and report.sandwich_ok is None
+    assert report.search.found
+    k_upper = report.search.bound.m_scale
+    assert report.c_lower.m_scale <= k_upper + SANDWICH_TOL
+    assert report.sandwich_ok is True
+    assert report.gap == k_upper - report.c_lower.m_scale
+    assert math.isfinite(report.gap)
